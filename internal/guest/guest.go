@@ -151,7 +151,10 @@ type Guest interface {
 	Run(p API) error
 
 	// FlushState writes all mutable guest state into the address space.
-	// The kernel calls it immediately before taking a sync snapshot.
+	// The kernel calls it immediately before taking a sync snapshot, on
+	// the process's own goroutine, so what it costs is time the primary
+	// does not run: it should cost what changed since the last call (as
+	// memory.KV.Flush does), not what is resident.
 	FlushState()
 
 	// MarshalRegs captures the control state that does not live in the

@@ -102,7 +102,7 @@ func (k *Kernel) establishBackupLocked(p *PCB, target types.ClusterID) error {
 // signal channel) for a shell or image.
 func (k *Kernel) currentChannelInfosLocked(p *PCB) []ChannelInfo {
 	var infos []ChannelInfo
-	for _, fd := range sortedFDs(p) {
+	for _, fd := range p.openFDs() {
 		ch := p.fds[fd]
 		e, ok := k.table.Lookup(ch, p.pid, routing.Primary)
 		if !ok {

@@ -18,7 +18,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -223,6 +222,9 @@ type Kernel struct {
 // the primary and its mirror receive the same ordered stream of page-outs,
 // sync commits, and frees (see internal/pager for the design note).
 type PagerSink interface {
+	// HandlePageOut adds po's pages to the primary account of po.PID. The
+	// page data aliases the arriving message's payload and is valid only
+	// for the duration of the call: an implementation copies what it keeps.
 	HandlePageOut(po *PageOut)
 	HandleSyncCommit(pid types.PID, epoch types.Epoch)
 	HandleFree(pids []types.PID)
@@ -1202,14 +1204,3 @@ func (k *Kernel) waitLocked(p *PCB, pred func() bool) error {
 // comes from the injected types.Clock, so a seeded simulation replays the
 // same timestamps.
 func (k *Kernel) nowNanos() int64 { return k.clock.Now() }
-
-// sortedFDs returns the process's open descriptors in ascending order, for
-// deterministic iteration.
-func sortedFDs(p *PCB) []types.FD {
-	fds := make([]types.FD, 0, len(p.fds))
-	for fd := range p.fds {
-		fds = append(fds, fd)
-	}
-	sort.Slice(fds, func(i, j int) bool { return fds[i] < fds[j] })
-	return fds
-}

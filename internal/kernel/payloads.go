@@ -482,7 +482,8 @@ type PageOut struct {
 	// Pages is the dirty set in ascending page order. With copy-on-write
 	// capture these slices alias frozen pages of the live address space;
 	// they are immutable, so deferring the encode to the transmit loop
-	// (via Message.Lazy) is race-free.
+	// (via Message.Lazy) is race-free. In a decoded PageOut they alias the
+	// message payload instead (see DecodePageOut).
 	Pages []memory.Page
 }
 
@@ -518,7 +519,9 @@ func (p *PageOut) Encode() []byte {
 
 // DecodePageOut parses a page-out payload. It fails closed: a truncated or
 // corrupted page batch yields an error and no pages, never a partial
-// prefix.
+// prefix. The decoded pages alias b, so they are valid only as long as b
+// is: a delivered payload is read-only and its buffer is never reused, and
+// the page server keeps only the copies its disk makes.
 func DecodePageOut(b []byte) (*PageOut, error) {
 	r := wire.NewReader(b)
 	p := &PageOut{
@@ -536,7 +539,7 @@ func DecodePageOut(b []byte) (*PageOut, error) {
 			break
 		}
 		fr := wire.NewReader(f)
-		pg := memory.Page{No: memory.PageNo(fr.U32()), Data: fr.Bytes32()}
+		pg := memory.Page{No: memory.PageNo(fr.U32()), Data: fr.View32()}
 		if err := fr.Done(); err != nil {
 			return nil, fmt.Errorf("kernel: page-out frame: %w", err)
 		}

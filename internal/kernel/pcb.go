@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"sort"
 	"sync"
 
 	"auragen/internal/guest"
@@ -39,8 +40,10 @@ type PCB struct {
 	// kernel mutex.
 	cond *sync.Cond
 
-	epoch   types.Epoch
-	fds     map[types.FD]types.ChannelID
+	epoch types.Epoch
+	fds   map[types.FD]types.ChannelID
+	// fdOrder caches openFDs' result; open, accept and close reset it.
+	fdOrder []types.FD
 	nextFD  types.FD
 	exited  bool
 	crashed bool
@@ -111,6 +114,21 @@ type PCB struct {
 	done chan struct{}
 	// runErr is the error Run returned (nil on clean exit).
 	runErr error
+}
+
+// openFDs returns the process's open descriptors in ascending order, for
+// deterministic iteration. The result is shared between callers until the
+// descriptor table next changes: read it, do not modify it. Caller holds
+// the kernel mutex.
+func (p *PCB) openFDs() []types.FD {
+	if p.fdOrder == nil {
+		p.fdOrder = make([]types.FD, 0, len(p.fds))
+		for fd := range p.fds {
+			p.fdOrder = append(p.fdOrder, fd)
+		}
+		sort.Slice(p.fdOrder, func(i, j int) bool { return p.fdOrder[i] < p.fdOrder[j] })
+	}
+	return p.fdOrder
 }
 
 // PID returns the process id.

@@ -305,6 +305,7 @@ func (pr *Proc) bindChannel(reply *OpenReply) (types.FD, error) {
 	fd := p.nextFD
 	p.nextFD++
 	p.fds[fd] = reply.Channel
+	p.fdOrder = nil
 	return fd, nil
 }
 
@@ -333,6 +334,7 @@ func (pr *Proc) Close(fd types.FD) error {
 		return fmt.Errorf("kernel: %s fd %d: %w", p.pid, fd, types.ErrBadFD)
 	}
 	delete(p.fds, fd)
+	p.fdOrder = nil
 	k.table.Remove(ch, p.pid, routing.Primary)
 	p.closedSinceSync = append(p.closedSinceSync, ch)
 	return nil
@@ -493,7 +495,7 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 		}
 
 		// Rule 4: lowest-sequence message across open channels.
-		if fd, e := k.lowestSeqLocked(p, sortedFDs(p)); e != nil {
+		if fd, e := k.lowestSeqLocked(p, p.openFDs()); e != nil {
 			m, _ := e.Dequeue()
 			e.ReadsSinceSync++
 			p.readsSinceSync++

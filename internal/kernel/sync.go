@@ -129,7 +129,7 @@ func (k *Kernel) syncProcess(p *PCB, signalNext bool) error {
 		FreePIDs:       p.exitedChildren,
 		TotalReads:     p.totalReads,
 	}
-	for _, fd := range sortedFDs(p) {
+	for _, fd := range p.openFDs() {
 		ch := p.fds[fd]
 		e, ok := k.table.Lookup(ch, p.pid, routing.Primary)
 		if !ok {

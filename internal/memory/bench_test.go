@@ -45,7 +45,7 @@ func BenchmarkTakeDirty(b *testing.B) {
 }
 
 func BenchmarkKVFlush(b *testing.B) {
-	for _, keys := range []int{16, 256} {
+	for _, keys := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
 			kv, _ := NewKV(NewAddressSpace(1024))
 			for i := 0; i < keys; i++ {

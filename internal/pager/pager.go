@@ -47,6 +47,12 @@ type Server struct {
 	// refs counts how many account slots reference each block, so blocks
 	// shared by primary and backup accounts are freed exactly once.
 	refs map[disk.BlockID]int
+	// touched lists, per pid, the pages HandlePageOut has put in the
+	// primary account since a commit or a rollback last made the two
+	// accounts equal (a page paged out twice is listed twice). On every
+	// other page the accounts already share a block, so commit and
+	// rollback move these pages only.
+	touched map[types.PID][]memory.PageNo
 }
 
 var _ kernel.PagerSink = (*Server)(nil)
@@ -62,6 +68,7 @@ func New(cluster types.ClusterID, d *disk.Disk) *Server {
 		epoch:          make(map[types.PID]types.Epoch),
 		primaryCluster: make(map[types.PID]types.ClusterID),
 		refs:           make(map[disk.BlockID]int),
+		touched:        make(map[types.PID][]memory.PageNo),
 	}
 }
 
@@ -105,27 +112,34 @@ func (s *Server) HandlePageOut(po *kernel.PageOut) {
 		}
 		acct[pg.No] = id
 		s.incRef(id)
+		s.touched[po.PID] = append(s.touched[po.PID], pg.No)
 	}
 	s.primaryCluster[po.PID] = po.From
 }
 
 // HandleSyncCommit makes the backup's account identical to the primary's
 // (§7.8). Blocks become shared; two copies are kept only of pages modified
-// after this commit.
+// after this commit. The cost is that of the pages paged out since the last
+// commit, not of the account.
 func (s *Server) HandleSyncCommit(pid types.PID, epoch types.Epoch) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old := s.backup[pid]
-	fresh := make(account, len(s.primary[pid]))
-	for no, b := range s.primary[pid] {
-		fresh[no] = b
+	prim, back := s.primary[pid], s.backup[pid]
+	if back == nil {
+		back = make(account)
+		s.backup[pid] = back
+	}
+	for _, no := range s.touched[pid] {
+		b := prim[no]
+		old, had := back[no]
+		back[no] = b
 		s.incRef(b)
+		if had {
+			s.decRef(old) // b itself if the page is listed twice
+		}
 	}
-	s.backup[pid] = fresh
+	s.touched[pid] = s.touched[pid][:0]
 	s.epoch[pid] = epoch
-	for _, b := range old {
-		s.decRef(b)
-	}
 }
 
 // HandleCrash rolls every process that ran on the crashed cluster back to
@@ -137,20 +151,9 @@ func (s *Server) HandleCrash(crashed types.ClusterID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for pid, where := range s.primaryCluster {
-		if where != crashed {
-			continue
+		if where == crashed {
+			s.rollbackLocked(pid)
 		}
-		old := s.primary[pid]
-		fresh := make(account, len(s.backup[pid]))
-		for no, b := range s.backup[pid] {
-			fresh[no] = b
-			s.incRef(b)
-		}
-		s.primary[pid] = fresh
-		for _, b := range old {
-			s.decRef(b)
-		}
-		delete(s.primaryCluster, pid)
 	}
 }
 
@@ -159,21 +162,28 @@ func (s *Server) HandleCrash(crashed types.ClusterID) {
 func (s *Server) HandleCrashPID(pid types.PID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, known := s.primaryCluster[pid]; !known {
-		if _, any := s.primary[pid]; !any {
-			return
+	s.rollbackLocked(pid)
+}
+
+// rollbackLocked makes pid's primary account identical to its backup
+// account again, dropping the pages paged out since the last commit.
+func (s *Server) rollbackLocked(pid types.PID) {
+	prim, back := s.primary[pid], s.backup[pid]
+	for _, no := range s.touched[pid] {
+		cur, ok := prim[no]
+		b, had := back[no]
+		if !ok || had && b == cur {
+			continue // listed twice, already rolled back
 		}
+		if had {
+			prim[no] = b
+			s.incRef(b)
+		} else {
+			delete(prim, no)
+		}
+		s.decRef(cur)
 	}
-	old := s.primary[pid]
-	fresh := make(account, len(s.backup[pid]))
-	for no, b := range s.backup[pid] {
-		fresh[no] = b
-		s.incRef(b)
-	}
-	s.primary[pid] = fresh
-	for _, b := range old {
-		s.decRef(b)
-	}
+	delete(s.touched, pid)
 	delete(s.primaryCluster, pid)
 }
 
@@ -192,6 +202,7 @@ func (s *Server) HandleFree(pids []types.PID) {
 		delete(s.backup, pid)
 		delete(s.epoch, pid)
 		delete(s.primaryCluster, pid)
+		delete(s.touched, pid)
 	}
 }
 
@@ -269,6 +280,10 @@ func (s *Server) CloneFrom(src *Server) error {
 	for pid, c := range src.primaryCluster {
 		primClusters[pid] = c
 	}
+	touched := make(map[types.PID][]memory.PageNo, len(src.touched))
+	for pid, nos := range src.touched {
+		touched[pid] = append([]memory.PageNo(nil), nos...)
+	}
 	src.mu.Unlock()
 
 	s.mu.Lock()
@@ -278,6 +293,7 @@ func (s *Server) CloneFrom(src *Server) error {
 	s.refs = make(map[disk.BlockID]int)
 	s.epoch = epochs
 	s.primaryCluster = primClusters
+	s.touched = touched
 	// Blocks shared between accounts at the source stay shared here.
 	memo := make(map[disk.BlockID]disk.BlockID, len(blocks))
 	place := func(srcBlk disk.BlockID) (disk.BlockID, error) {

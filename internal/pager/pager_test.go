@@ -2,6 +2,9 @@ package pager
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"auragen/internal/disk"
@@ -174,5 +177,179 @@ func TestMirroredInstancesConverge(t *testing.T) {
 	}
 	if len(a.HandlePageRequest(9)) != 0 || len(b.HandlePageRequest(9)) != 0 {
 		t.Fatal("freed account persists")
+	}
+}
+
+// referenceCommit and referenceRollback are the whole-account commit and
+// rollback the server used before it tracked the pages touched since the
+// last commit: rebuild one account as a copy of the other, re-referencing
+// every block. They are kept as the oracle for the incremental ones.
+func referenceCommit(s *Server, pid types.PID, epoch types.Epoch) {
+	old := s.backup[pid]
+	fresh := make(account, len(s.primary[pid]))
+	for no, b := range s.primary[pid] {
+		fresh[no] = b
+		s.incRef(b)
+	}
+	s.backup[pid] = fresh
+	s.epoch[pid] = epoch
+	for _, b := range old {
+		s.decRef(b)
+	}
+}
+
+func referenceRollback(s *Server, pid types.PID) {
+	old := s.primary[pid]
+	fresh := make(account, len(s.backup[pid]))
+	for no, b := range s.backup[pid] {
+		fresh[no] = b
+		s.incRef(b)
+	}
+	s.primary[pid] = fresh
+	for _, b := range old {
+		s.decRef(b)
+	}
+	delete(s.primaryCluster, pid)
+}
+
+// refCounts returns, for every page of every account, how many account
+// slots reference its block: the refcounts, independent of block ids.
+func refCounts(s *Server) map[string]int {
+	out := make(map[string]int)
+	for tag, tbl := range map[string]map[types.PID]account{"P": s.primary, "B": s.backup} {
+		for pid, acct := range tbl {
+			for no, b := range acct {
+				out[fmt.Sprintf("%s/%d/%d", tag, pid, no)] = s.refs[b]
+			}
+		}
+	}
+	return out
+}
+
+// TestIncrementalCommitMatchesWholeAccount feeds one random stream of
+// page-outs, commits, crash rollbacks and frees to a server and to a twin
+// whose commits and rollbacks are the whole-account reference, and holds
+// them to the same logical content, sharing, refcounts and block usage
+// after every step — and, at intervals, to the same CloneFrom result.
+func TestIncrementalCommitMatchesWholeAccount(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, want := newServer(), newServer()
+		pids := []types.PID{7, 9, 11}
+		epoch := types.Epoch(0)
+		for step := 0; step < 400; step++ {
+			pid := pids[rng.Intn(len(pids))]
+			switch op := rng.Intn(10); {
+			case op < 5: // a sync's page-out; pages may repeat before a commit
+				var pgs []memory.Page
+				for i := 1 + rng.Intn(3); i > 0; i-- {
+					pgs = append(pgs, page(memory.PageNo(rng.Intn(12)), byte(rng.Intn(256))))
+				}
+				po := &kernel.PageOut{PID: pid, Epoch: epoch + 1, From: types.ClusterID(2 + rng.Intn(2)), Pages: pgs}
+				got.HandlePageOut(po)
+				want.HandlePageOut(po)
+			case op < 8:
+				epoch++
+				got.HandleSyncCommit(pid, epoch)
+				referenceCommit(want, pid, epoch)
+			case op < 9:
+				if rng.Intn(2) == 0 {
+					got.HandleCrashPID(pid)
+					if _, known := want.primaryCluster[pid]; known {
+						referenceRollback(want, pid)
+					}
+				} else {
+					crashed := types.ClusterID(2 + rng.Intn(2))
+					got.HandleCrash(crashed)
+					for p, where := range want.primaryCluster {
+						if where == crashed {
+							referenceRollback(want, p)
+						}
+					}
+				}
+			default:
+				got.HandleFree([]types.PID{pid})
+				want.HandleFree([]types.PID{pid})
+			}
+			if got.Fingerprint() != want.Fingerprint() {
+				t.Fatalf("seed %d step %d: fingerprints differ", seed, step)
+			}
+			if !reflect.DeepEqual(refCounts(got), refCounts(want)) {
+				t.Fatalf("seed %d step %d: refcounts differ", seed, step)
+			}
+			if g, w := got.disk.Blocks(), want.disk.Blocks(); g != w {
+				t.Fatalf("seed %d step %d: %d blocks in use, reference has %d", seed, step, g, w)
+			}
+			for _, p := range pids {
+				if g, w := got.SharedBlocks(p), want.SharedBlocks(p); g != w {
+					t.Fatalf("seed %d step %d: pid %d shares %d blocks, reference %d", seed, step, p, g, w)
+				}
+			}
+			if step%50 == 49 {
+				// Clones of the two must agree, and must carry on from
+				// where their sources stand, also between a page-out and
+				// its commit. (Clone both: CloneFrom drops empty accounts,
+				// which Fingerprint tells from absent ones.)
+				gotClone, wantClone := newServer(), newServer()
+				if err := gotClone.CloneFrom(got); err != nil {
+					t.Fatal(err)
+				}
+				if err := wantClone.CloneFrom(want); err != nil {
+					t.Fatal(err)
+				}
+				if gotClone.Fingerprint() != wantClone.Fingerprint() {
+					t.Fatalf("seed %d step %d: clone fingerprints differ", seed, step)
+				}
+				got, want = gotClone, wantClone
+			}
+		}
+	}
+}
+
+// TestCommitPageOutCrashCommit is the sequence the incremental rollback
+// must get right: pages committed, paged out again (one of them twice, one
+// new), rolled back by a crash, then committed.
+func TestCommitPageOutCrashCommit(t *testing.T) {
+	s := newServer()
+	s.HandlePageOut(out(7, 1, page(0, 1), page(1, 1)))
+	s.HandleSyncCommit(7, 1)
+	s.HandlePageOut(out(7, 2, page(0, 2), page(5, 2)))
+	s.HandlePageOut(out(7, 2, page(0, 3)))
+	s.HandleCrash(2)
+	if p, b := s.AccountSizes(7); p != 2 || b != 2 || s.SharedBlocks(7) != 2 {
+		t.Fatalf("after rollback: primary %d, backup %d, shared %d; want 2, 2, 2", p, b, s.SharedBlocks(7))
+	}
+	if n := s.disk.Blocks(); n != 2 {
+		t.Fatalf("rollback left %d blocks in use, want 2", n)
+	}
+	s.HandleSyncCommit(7, 2)
+	got := s.HandlePageRequest(7)
+	if len(got) != 2 || got[0].Data[0] != 1 || got[1].Data[0] != 1 {
+		t.Fatalf("rolled-back pages reached the backup account: %v", got)
+	}
+	s.HandleFree([]types.PID{7})
+	if n := s.disk.Blocks(); n != 0 {
+		t.Fatalf("%d blocks leaked", n)
+	}
+}
+
+// TestPageOutDoesNotKeepThePayload holds HandlePageOut to the PagerSink
+// contract: decoded pages alias the message payload and are valid only for
+// the call, so the account must survive the payload being overwritten.
+func TestPageOutDoesNotKeepThePayload(t *testing.T) {
+	s := newServer()
+	payload := out(7, 1, page(0, 0xAA), page(3, 0xBB)).Encode()
+	po, err := kernel.DecodePageOut(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.HandlePageOut(po)
+	for i := range payload {
+		payload[i] = 0x55
+	}
+	s.HandleSyncCommit(7, 1)
+	got := s.HandlePageRequest(7)
+	if len(got) != 2 || !bytes.Equal(got[0].Data, page(0, 0xAA).Data) || !bytes.Equal(got[1].Data, page(3, 0xBB).Data) {
+		t.Fatal("the account changed with the payload buffer")
 	}
 }

@@ -49,8 +49,10 @@ func drainBatch(b []byte) ([][]byte, error) {
 //   - an accepted input is canonical: re-framing the decoded frames
 //     reproduces the input byte for byte;
 //   - every single-byte mutation of an accepted input is rejected — the
-//     trailing FNV-1a covers magic through the last frame byte, and its
-//     per-byte step is a bijection, so no flip can slip past verification.
+//     trailing CRC-32C covers magic through the last frame byte, and a
+//     degree-32 CRC detects every burst of 32 bits or fewer, so a flip
+//     inside one byte of the body always changes the sum and a flip in
+//     the trailer always mismatches it.
 //
 // The seed corpus alone exercises all of this under plain `go test`; `go
 // test -fuzz=FuzzBatchReader ./internal/wire` explores further.

@@ -1,6 +1,9 @@
 package wire
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func BenchmarkWriterMixed(b *testing.B) {
 	payload := make([]byte, 256)
@@ -33,5 +36,28 @@ func BenchmarkReaderMixed(b *testing.B) {
 		if r.Done() != nil {
 			b.Fatal("decode failed")
 		}
+	}
+}
+
+// checksumSink keeps the compiler from discarding the measured call.
+var checksumSink uint32
+
+// BenchmarkChecksum measures one pass of the batch checksum over a
+// message-sized batch and over a sync's page batch (13 pages of 1 KiB);
+// a sync pays that pass three times (encode, page server, its mirror).
+func BenchmarkChecksum(b *testing.B) {
+	for _, size := range []int{1 << 10, 13 << 10} {
+		b.Run(fmt.Sprintf("bytes=%d", size), func(b *testing.B) {
+			buf := make([]byte, size)
+			for i := range buf {
+				buf[i] = byte(i * 31)
+			}
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				checksumSink = checksum(buf)
+			}
+		})
 	}
 }

@@ -191,9 +191,10 @@ func (r *Reader) I32() int32 { return int32(r.U32()) }
 // F64 consumes an IEEE-754 float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// Bytes32 consumes a uint32 length prefix and that many bytes. The result
-// is a copy, safe to retain.
-func (r *Reader) Bytes32() []byte {
+// View32 consumes a uint32 length prefix and that many bytes. The result
+// aliases the input buffer: it is valid only while that buffer is, and
+// read-only unless the caller owns the buffer.
+func (r *Reader) View32() []byte {
 	n := r.U32()
 	if r.err != nil {
 		return nil
@@ -202,7 +203,13 @@ func (r *Reader) Bytes32() []byte {
 		r.err = ErrTooLong
 		return nil
 	}
-	b := r.take(int(n))
+	return r.take(int(n))
+}
+
+// Bytes32 consumes a uint32 length prefix and that many bytes. The result
+// is a copy, safe to retain.
+func (r *Reader) Bytes32() []byte {
+	b := r.View32()
 	if b == nil {
 		return nil
 	}
@@ -217,15 +224,4 @@ func (r *Reader) Bytes32() []byte {
 func (r *Reader) Rest() []byte { return r.take(r.Remaining()) }
 
 // String consumes a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.U32()
-	if r.err != nil {
-		return ""
-	}
-	if n > MaxBytes {
-		r.err = ErrTooLong
-		return ""
-	}
-	b := r.take(int(n))
-	return string(b)
-}
+func (r *Reader) String() string { return string(r.View32()) }
