@@ -217,7 +217,7 @@ func runScenario(name string, clusters, crash int, mode types.BackupMode, syncRe
 		if restore {
 			time.Sleep(10 * time.Millisecond)
 			fmt.Printf("*** cluster%d returns to service ***\n", crash)
-			if err := sys.RestoreCluster(types.ClusterID(crash)); err != nil {
+			if err := sys.Repair(types.ClusterID(crash)); err != nil {
 				return err
 			}
 		}

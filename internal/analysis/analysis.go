@@ -138,12 +138,10 @@ func DefaultConfig(module string) *Config {
 			in("chaos") + ".Fault",
 		},
 		BlockingCalls: []string{
-			in("bus") + ".Bus.Broadcast",
 			in("bus") + ".Bus.BroadcastBatch",
-			in("bus") + ".Bus.BroadcastAll",
 			in("bus") + ".Bus.Attach",
 			in("bus") + ".Bus.Detach",
-			in("bus") + ".Inbox.Pop",
+			in("bus") + ".Inbox.PopAll",
 			// HandlePageRequest is a synchronous read-back RPC against the
 			// page store. The remaining PagerSink methods are deliberately
 			// absent: they are ordered state-appliers that MUST run inside
@@ -153,9 +151,7 @@ func DefaultConfig(module string) *Config {
 			in("kernel") + ".PagerSink.HandlePageRequest",
 		},
 		EmitCalls: []string{
-			in("bus") + ".Bus.Broadcast",
 			in("bus") + ".Bus.BroadcastBatch",
-			in("bus") + ".Bus.BroadcastAll",
 			in("trace") + ".EventLog.Append",
 			in("trace") + ".EventLog.Add",
 		},
@@ -183,9 +179,7 @@ func DefaultConfig(module string) *Config {
 				in("types") + ".Kind.String",
 			},
 			Transmit: []string{
-				in("bus") + ".Bus.Broadcast",
 				in("bus") + ".Bus.BroadcastBatch",
-				in("bus") + ".Bus.BroadcastAll",
 				in("kernel") + ".Kernel.sendLocked",
 			},
 			EmitExempt: []string{

@@ -32,7 +32,7 @@ func (p *pass) checkAPIInvariants() {
 			case *ast.SendStmt:
 				if deterministic && p.pkg.Path != busPath {
 					p.reportf(n.Arrow, "AURO005",
-						"raw channel send in deterministic package %s bypasses the bus's total order; route the data through bus.Broadcast",
+						"raw channel send in deterministic package %s bypasses the bus's total order; route the data through bus.BroadcastBatch",
 						shortPkg(p.pkg.Path))
 				}
 			case *ast.ExprStmt:

@@ -21,7 +21,7 @@ func Build(m *trace.Metrics) *bus.Bus {
 
 // FireAndForget drops a broadcast error on the floor; the explicit
 // assignment to _ below is the sanctioned waiver form.
-func FireAndForget(b *bus.Bus, m *types.Message) {
-	b.Broadcast(m) // want "AURO007"
-	_ = b.Broadcast(m)
+func FireAndForget(b *bus.Bus, ms []*types.Message) {
+	b.BroadcastBatch(ms) // want "AURO007"
+	_, _ = b.BroadcastBatch(ms)
 }

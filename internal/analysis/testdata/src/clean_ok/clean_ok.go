@@ -26,8 +26,9 @@ func Flush(log *trace.EventLog, pending map[int]string) {
 }
 
 // Publish handles the broadcast error and holds no lock across the call.
-func Publish(b *bus.Bus, m *types.Message) error {
-	return b.Broadcast(m)
+func Publish(b *bus.Bus, ms []*types.Message) error {
+	_, err := b.BroadcastBatch(ms)
+	return err
 }
 
 // PooledRoundTrip follows the sanctioned pooled-writer lifecycle: deferred

@@ -34,22 +34,14 @@ func TestBroadcastBatchOrderAndRouting(t *testing.T) {
 		}
 	}
 	// in1 gets all three; in0/in2 get the crash notice + "b".
-	if in1.Len() != 3 || in0.Len() != 2 || in2.Len() != 2 {
-		t.Fatalf("inbox depths = %d %d %d", in0.Len(), in1.Len(), in2.Len())
+	if in1.Backlog() != 3 || in0.Backlog() != 2 || in2.Backlog() != 2 {
+		t.Fatalf("inbox depths = %d %d %d", in0.Backlog(), in1.Backlog(), in2.Backlog())
 	}
 	// Per-inbox arrival order matches batch order.
-	var kinds []types.Kind
-	for {
-		m, ok := in1.TryPop()
-		if !ok {
-			break
-		}
-		kinds = append(kinds, m.Kind)
-	}
 	want := []types.Kind{types.KindData, types.KindCrashNotice, types.KindData}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("in1 arrival order %v, want %v", kinds, want)
+	for i, got := range drain(in1) {
+		if got.Kind != want[i] {
+			t.Fatalf("in1 arrival %d is %v, want order %v", i, got.Kind, want)
 		}
 	}
 	if got := m.BusBatches.Load(); got != 1 {
@@ -80,8 +72,8 @@ func TestBroadcastBatchFaultRetryWithinBatch(t *testing.T) {
 	if err != nil || sent != 3 {
 		t.Fatalf("sent=%d err=%v", sent, err)
 	}
-	if in1.Len() != 3 {
-		t.Fatalf("delivered %d, want 3", in1.Len())
+	if in1.Backlog() != 3 {
+		t.Fatalf("delivered %d, want 3", in1.Backlog())
 	}
 	if m.BusRetries.Load() != 1 {
 		t.Fatalf("bus_retries = %d, want 1", m.BusRetries.Load())
@@ -112,13 +104,13 @@ func TestBroadcastBatchTruncatesOnFailure(t *testing.T) {
 	if sent != 2 {
 		t.Fatalf("sent = %d, want 2", sent)
 	}
-	if in1.Len() != 2 {
-		t.Fatalf("delivered %d, want 2", in1.Len())
+	got := drain(in1)
+	if len(got) != 2 {
+		t.Fatalf("delivered %d, want 2", len(got))
 	}
-	for _, want := range []string{"a", "b"} {
-		got, _ := in1.TryPop()
-		if string(got.Payload) != want {
-			t.Fatalf("delivered %q, want %q", got.Payload, want)
+	for i, want := range []string{"a", "b"} {
+		if string(got[i].Payload) != want {
+			t.Fatalf("delivered %q, want %q", got[i].Payload, want)
 		}
 	}
 }
@@ -140,13 +132,13 @@ func TestBroadcastBatchBothBusesDown(t *testing.T) {
 	if err == nil || sent != 0 {
 		t.Fatalf("sent=%d err=%v, want 0 and error", sent, err)
 	}
-	if in1.Len() != 0 {
+	if in1.Backlog() != 0 {
 		t.Fatal("message delivered with both buses down")
 	}
 }
 
 // TestInboxPeakWatermark: the inbox_peak metric records the deepest queue
-// observed across pushes, batch or not.
+// observed across batches.
 func TestInboxPeakWatermark(t *testing.T) {
 	m := &trace.Metrics{}
 	b := New(m, nil)
@@ -158,21 +150,12 @@ func TestInboxPeakWatermark(t *testing.T) {
 	if _, err := b.BroadcastBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if in1.Peak() != 10 {
-		t.Fatalf("Inbox.Peak = %d, want 10", in1.Peak())
-	}
 	if got := m.InboxPeak.Load(); got != 10 {
 		t.Fatalf("inbox_peak = %d, want 10", got)
 	}
 	// Draining then refilling shallower must not lower the watermark.
-	for {
-		if _, ok := in1.TryPop(); !ok {
-			break
-		}
-	}
-	if err := b.Broadcast(dataMsg(1, 2, types.Route{Dst: 1}, "one")); err != nil {
-		t.Fatal(err)
-	}
+	drain(in1)
+	send(t, b, dataMsg(1, 2, types.Route{Dst: 1}, "one"))
 	if got := m.InboxPeak.Load(); got != 10 {
 		t.Fatalf("inbox_peak dropped to %d", got)
 	}
@@ -182,7 +165,8 @@ func TestInboxPeakWatermark(t *testing.T) {
 // queue — the producer blocks instead of growing the inbox, every message
 // is still delivered exactly once, and the peak never exceeds the limit.
 func TestInboxBoundedBackpressure(t *testing.T) {
-	b := New(&trace.Metrics{}, nil)
+	m := &trace.Metrics{}
+	b := New(m, nil)
 	in1 := b.Attach(1)
 	in1.SetLimit(4)
 
@@ -191,14 +175,15 @@ func TestInboxBoundedBackpressure(t *testing.T) {
 	var got int
 	go func() { // slow consumer
 		defer close(done)
+		var buf []types.Message
 		for got < total {
-			if _, ok := in1.Pop(); !ok {
+			ms, ok := in1.PopAll(buf)
+			if !ok {
 				return
 			}
-			got++
-			if got%10 == 0 {
-				time.Sleep(time.Millisecond)
-			}
+			got += len(ms)
+			buf = ms
+			time.Sleep(100 * time.Microsecond)
 		}
 	}()
 	for i := 0; i < total; i += 5 {
@@ -214,30 +199,29 @@ func TestInboxBoundedBackpressure(t *testing.T) {
 	if got != total {
 		t.Fatalf("consumer saw %d messages, want %d", got, total)
 	}
-	if peak := in1.Peak(); peak > 4 {
+	if peak := m.InboxPeak.Load(); peak > 4 {
 		t.Fatalf("bounded inbox peaked at %d, limit 4", peak)
 	}
 }
 
-// TestInboxCloseUnblocksBoundedPush: closing a full bounded inbox releases
+// TestInboxCloseUnblocksBoundedSend: closing a full bounded inbox releases
 // a blocked producer instead of wedging the bus forever.
-func TestInboxCloseUnblocksBoundedPush(t *testing.T) {
+func TestInboxCloseUnblocksBoundedSend(t *testing.T) {
 	b := New(&trace.Metrics{}, nil)
 	in1 := b.Attach(1)
 	in1.SetLimit(1)
-	if err := b.Broadcast(dataMsg(1, 2, types.Route{Dst: 1}, "fill")); err != nil {
-		t.Fatal(err)
-	}
+	send(t, b, dataMsg(1, 2, types.Route{Dst: 1}, "fill"))
 	released := make(chan error, 1)
 	go func() {
-		released <- b.Broadcast(dataMsg(1, 2, types.Route{Dst: 1}, "blocked"))
+		_, err := b.BroadcastBatch([]*types.Message{dataMsg(1, 2, types.Route{Dst: 1}, "blocked")})
+		released <- err
 	}()
-	time.Sleep(5 * time.Millisecond) // let the push reach the wait
+	time.Sleep(5 * time.Millisecond) // let the delivery reach the wait
 	in1.Close()
 	select {
 	case <-released:
 	case <-time.After(2 * time.Second):
-		t.Fatal("blocked push not released by Close")
+		t.Fatal("blocked delivery not released by Close")
 	}
 }
 
@@ -283,8 +267,8 @@ func TestBroadcastBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkBroadcast is the unbatched baseline: one critical-section
-// acquisition per message.
+// BenchmarkBroadcast is the per-message baseline: batches of one, so one
+// critical-section acquisition per message.
 func BenchmarkBroadcast(b *testing.B) {
 	bus := New(&trace.Metrics{}, nil)
 	for c := types.ClusterID(0); c < 3; c++ {
@@ -302,11 +286,11 @@ func BenchmarkBroadcast(b *testing.B) {
 		}()
 	}
 	route := types.Route{Dst: 0, DstBackup: 1, SrcBackup: 2}
-	m := dataMsg(1, 2, route, string(make([]byte, 64)))
+	one := []*types.Message{dataMsg(1, 2, route, string(make([]byte, 64)))}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := bus.Broadcast(m); err != nil {
+		if _, err := bus.BroadcastBatch(one); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -345,7 +329,7 @@ func BenchmarkBroadcastBatch64(b *testing.B) {
 	}
 }
 
-// BenchmarkBroadcastContended measures per-message Broadcast with GOMAXPROCS
+// BenchmarkBroadcastContended measures batches of one with GOMAXPROCS
 // producers contending for the critical section.
 func BenchmarkBroadcastContended(b *testing.B) {
 	bus := New(&trace.Metrics{}, nil)
@@ -365,9 +349,9 @@ func BenchmarkBroadcastContended(b *testing.B) {
 	payload := string(make([]byte, 64))
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
-		m := dataMsg(1, 2, route, payload)
+		one := []*types.Message{dataMsg(1, 2, route, payload)}
 		for pb.Next() {
-			if err := bus.Broadcast(m); err != nil {
+			if _, err := bus.BroadcastBatch(one); err != nil {
 				b.Fatal(err)
 			}
 		}

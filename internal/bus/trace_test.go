@@ -25,15 +25,12 @@ func TestBroadcastMintsMonotonicMessageIDs(t *testing.T) {
 	in1 := b.Attach(1)
 	route := types.Route{Dst: 0, DstBackup: 1}
 	for i := 0; i < 3; i++ {
-		if err := b.Broadcast(dataMsg(1, 2, route, "x")); err != nil {
-			t.Fatal(err)
-		}
+		send(t, b, dataMsg(1, 2, route, "x"))
 	}
-	for want := uint64(1); want <= 3; want++ {
-		m0, _ := in0.Pop()
-		m1, _ := in1.Pop()
-		if m0.ID != want || m1.ID != want {
-			t.Fatalf("copies carry IDs %d/%d, want both %d", m0.ID, m1.ID, want)
+	ms0, ms1 := drain(in0), drain(in1)
+	for i, want := 0, uint64(1); want <= 3; i, want = i+1, want+1 {
+		if ms0[i].ID != want || ms1[i].ID != want {
+			t.Fatalf("copies carry IDs %d/%d, want both %d", ms0[i].ID, ms1[i].ID, want)
 		}
 	}
 	// One EvTransmit per multicast, one EvReceive per copy.
@@ -143,7 +140,7 @@ func TestTraceOrderingPropertyAcrossClusterPairs(t *testing.T) {
 			for i := 0; i < perSender; i++ {
 				route := routes[(s+i)%len(routes)]
 				m := dataMsg(types.PID(100+s), 7, route, fmt.Sprintf("%d/%d", s, i))
-				if err := b.Broadcast(m); err != nil {
+				if _, err := b.BroadcastBatch([]*types.Message{m}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -171,27 +168,27 @@ func TestTraceOrderingPropertyAcrossClusterPairs(t *testing.T) {
 
 func TestDisabledLogBroadcastAllocs(t *testing.T) {
 	// The acceptance bar for the tracing subsystem: with the event log
-	// disabled (nil), Broadcast's hot path must not allocate for tracing.
-	// Broadcasting to a detached target isolates the path from inbox
-	// appends and message clones; the one remaining allocation is
-	// Route.Targets' slice, which predates tracing.
+	// disabled (nil), the send path must not allocate for tracing. Sending
+	// to a detached target isolates the path from inbox appends; the one
+	// remaining allocation is the batch's payload slab, which predates
+	// tracing.
 	if raceEnabled {
 		t.Skip("AllocsPerRun unreliable under -race")
 	}
 	b := New(&trace.Metrics{}, nil)
-	m := &types.Message{
+	one := []*types.Message{{
 		Kind:    types.KindData,
 		Src:     1,
 		Dst:     2,
 		Route:   types.Route{Dst: 5, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
 		Payload: []byte("abcdefgh"),
-	}
+	}}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if err := b.Broadcast(m); err != nil {
+		if _, err := b.BroadcastBatch(one); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 1 {
-		t.Fatalf("Broadcast with disabled log allocates %.1f times per op, want <= 1 (route slice only)", allocs)
+		t.Fatalf("BroadcastBatch with disabled log allocates %.1f times per op, want <= 1 (payload slab only)", allocs)
 	}
 }

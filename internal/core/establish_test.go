@@ -37,7 +37,7 @@ func TestEstablishmentAbortsWhenTargetDies(t *testing.T) {
 
 	// Restore cluster 3 — establishment begins — then kill it again
 	// immediately, racing the handshake.
-	if err := sys.RestoreCluster(3); err != nil {
+	if err := sys.Repair(3); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Crash(3); err != nil {
@@ -76,7 +76,7 @@ func TestEstablishmentSurvivesConcurrentTraffic(t *testing.T) {
 			}
 			// Restore mid-flight: the establishment handshake races live
 			// request/reply traffic.
-			if err := sys.RestoreCluster(3); err != nil {
+			if err := sys.Repair(3); err != nil {
 				t.Fatal(err)
 			}
 			if err := sys.WaitBackups([]types.PID{counterPID}, 15*time.Second); err != nil {

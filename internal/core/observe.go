@@ -35,7 +35,7 @@ func NewObservability(eventLogLimit int) Observability {
 
 // NewBareBus mints a standalone intercluster bus wired to obs, for
 // benchmarks and tests that exercise the bus without a full System. It is
-// the sanctioned constructor site outside New/RestoreCluster: aurolint's
+// the sanctioned constructor site outside New/Repair: aurolint's
 // AURO006 check flags direct bus.New calls elsewhere so every bus shares
 // its system's observability sinks.
 func NewBareBus(obs Observability) *bus.Bus {

@@ -34,15 +34,8 @@ func (s *System) PartitionCluster(c types.ClusterID, inbound, outbound bool, bus
 		}
 	}
 	for _, i := range buses {
-		if inbound {
-			if err := s.bus.Cut(i, types.NoCluster, c); err != nil {
-				return err
-			}
-		}
-		if outbound {
-			if err := s.bus.Cut(i, c, types.NoCluster); err != nil {
-				return err
-			}
+		if err := s.bus.Cut(i, c, inbound, outbound); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -75,10 +68,10 @@ func (s *System) HealPartitions() {
 
 	for _, c := range stale {
 		cn := &kernel.CrashNotice{Crashed: c, Inc: s.dir.Incarnation(c)}
-		_ = s.bus.BroadcastAll(&types.Message{
+		_, _ = s.bus.BroadcastBatch([]*types.Message{{
 			Kind:    types.KindCrashNotice,
 			Payload: cn.Encode(),
-		})
+		}})
 	}
 }
 

@@ -16,10 +16,10 @@ func TestStaleIncarnationMessageFenced(t *testing.T) {
 	sys := newTestSystem(t, 3)
 
 	cn := &kernel.CrashNotice{Crashed: 2, Inc: 5}
-	if err := sys.bus.BroadcastAll(&types.Message{
+	if _, err := sys.bus.BroadcastBatch([]*types.Message{{
 		Kind:    types.KindCrashNotice,
 		Payload: cn.Encode(),
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -40,7 +40,7 @@ func TestStaleIncarnationMessageFenced(t *testing.T) {
 		Origin: 2,
 		Inc:    1,
 	}
-	if err := sys.bus.Broadcast(stale); err != nil {
+	if _, err := sys.bus.BroadcastBatch([]*types.Message{stale}); err != nil {
 		t.Fatal(err)
 	}
 	for sys.Metrics().FencedRejects.Load() == 0 {

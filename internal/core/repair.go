@@ -469,3 +469,26 @@ func (s *System) WaitRedundant(timeout time.Duration) error {
 		time.Sleep(500 * time.Microsecond)
 	}
 }
+
+// WaitBackups blocks until every given process has a backup cluster
+// recorded, or the timeout elapses.
+func (s *System) WaitBackups(pids []types.PID, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		all := true
+		for _, pid := range pids {
+			loc, ok := s.dir.Proc(pid)
+			if !ok || loc.BackupCluster == types.NoCluster {
+				all = false
+				break
+			}
+		}
+		if all {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("core: backups not established after %v", timeout)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}

@@ -44,7 +44,7 @@ func TestHalfbackRebackupOnRestore(t *testing.T) {
 
 	// Cluster 2 returns to service: the halfback gets a new backup there,
 	// established online while the exchange keeps running.
-	if err := sys.RestoreCluster(2); err != nil {
+	if err := sys.Repair(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.WaitBackups([]types.PID{counterPID}, 10*time.Second); err != nil {
@@ -96,7 +96,7 @@ func TestRestoreServerCluster(t *testing.T) {
 	waitForTTY(t, sys, 1, "final=2000", 20*time.Second)
 
 	// Restore cluster 0: server twins mount there.
-	if err := sys.RestoreCluster(0); err != nil {
+	if err := sys.Repair(0); err != nil {
 		t.Fatal(err)
 	}
 	sys.Settle(2 * time.Second)

@@ -315,7 +315,7 @@ func (s *System) EventLog() *trace.EventLog { return s.log }
 // and tooling).
 func (s *System) Directory() *directory.Directory { return s.dir }
 
-// Kernel returns the kernel of cluster c (the current one: RestoreCluster
+// Kernel returns the kernel of cluster c (the current one: Repair
 // replaces a crashed cluster's kernel with a fresh boot).
 func (s *System) Kernel(c types.ClusterID) *kernel.Kernel {
 	s.mu.Lock()
@@ -489,10 +489,10 @@ func (s *System) handleDetectedCrash(c types.ClusterID) {
 	s.metrics.Crashes.Add(1)
 	s.dir.ApplyCrash(c)
 	cn := &kernel.CrashNotice{Crashed: c, Inc: s.dir.Incarnation(c)}
-	_ = s.bus.BroadcastAll(&types.Message{
+	_, _ = s.bus.BroadcastBatch([]*types.Message{{
 		Kind:    types.KindCrashNotice,
 		Payload: cn.Encode(),
-	})
+	}})
 }
 
 // FailBus takes one of the two physical intercluster buses down (0-based).

@@ -98,7 +98,7 @@ func TestVMEstablishmentWhileBlockedInRecv(t *testing.T) {
 	if err := sys.Crash(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.RestoreCluster(3); err != nil {
+	if err := sys.Repair(3); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.WaitBackups([]types.PID{adderPID}, 15*time.Second); err != nil {

@@ -462,13 +462,13 @@ func E9BusAtomicity(targets, msgs int) *Row {
 	payload := make([]byte, 256)
 	start := time.Now()
 	for i := 0; i < msgs; i++ {
-		_ = b.Broadcast(&types.Message{Kind: types.KindData, Route: route, Payload: payload})
+		_, _ = b.BroadcastBatch([]*types.Message{{Kind: types.KindData, Route: route, Payload: payload}})
 	}
 	elapsed := time.Since(start)
-	// Pushes are synchronous: every delivery is already queued.
+	// Deliveries are synchronous: every one is already queued.
 	total := 0
 	for i := 0; i < targets; i++ {
-		total += inboxes[i].Len()
+		total += inboxes[i].Backlog()
 		b.Detach(types.ClusterID(i))
 	}
 	row := NewRow().
@@ -553,8 +553,8 @@ func throughputRoute(ft bool) types.Route {
 
 // E12BusThroughput measures single-producer send throughput through the
 // bus ordering critical section: `msgs` messages of `size` bytes offered
-// in batches of `batch` (batch=1 is the unbatched per-message baseline).
-// This is the microbenchmark behind the tentpole: one critical-section
+// in batches of `batch` (batch=1 is the per-message baseline: a batch of
+// one). This is the microbenchmark behind batching: one critical-section
 // acquisition per batch instead of per message.
 func E12BusThroughput(msgs, size, batch int) *Row {
 	b, m, stop := busThroughputRig()
@@ -567,18 +567,12 @@ func E12BusThroughput(msgs, size, batch int) *Row {
 	// pooled wire writers rely on.
 	tmpl := newSendRing(batch, route, payload)
 	start := time.Now()
-	if batch <= 1 {
-		for i := 0; i < msgs; i++ {
-			_ = b.Broadcast(tmpl[0])
+	for off := 0; off < msgs; off += len(tmpl) {
+		n := len(tmpl)
+		if msgs-off < n {
+			n = msgs - off
 		}
-	} else {
-		for off := 0; off < msgs; off += batch {
-			n := batch
-			if msgs-off < n {
-				n = msgs - off
-			}
-			_, _ = b.BroadcastBatch(tmpl[:n])
-		}
+		_, _ = b.BroadcastBatch(tmpl[:n])
 	}
 	elapsed := time.Since(start)
 	stop()
@@ -596,8 +590,8 @@ func E12BusThroughput(msgs, size, batch int) *Row {
 }
 
 // E13Saturation is the multi-producer saturation point: `producers`
-// goroutines each push `msgsPerProducer` messages of `size` bytes,
-// batched or not, with fault tolerance (three-way routes) on or off.
+// goroutines each push `msgsPerProducer` messages of `size` bytes in
+// batches of `batch`, with fault tolerance (three-way routes) on or off.
 // Contention for the ordering critical section is exactly what batching
 // amortizes, so the batched speedup GROWS with producer count.
 func E13Saturation(producers, msgsPerProducer, size, batch int, ft bool) *Row {
@@ -612,14 +606,8 @@ func E13Saturation(producers, msgsPerProducer, size, batch int, ft bool) *Row {
 			defer wg.Done()
 			// Per-producer reusable messages; see E12BusThroughput.
 			tmpl := newSendRing(batch, route, payload)
-			if batch <= 1 {
-				for i := 0; i < msgsPerProducer; i++ {
-					_ = b.Broadcast(tmpl[0])
-				}
-				return
-			}
-			for off := 0; off < msgsPerProducer; off += batch {
-				n := batch
+			for off := 0; off < msgsPerProducer; off += len(tmpl) {
+				n := len(tmpl)
 				if msgsPerProducer-off < n {
 					n = msgsPerProducer - off
 				}

@@ -240,7 +240,7 @@ func (s *Server) HandlePageRequest(pid types.PID) []memory.Page {
 // peer — the resilver step when a pager cluster returns to service after a
 // failure. Call before exposing this instance to bus traffic; page-outs
 // processed by the source during the copy are not reflected, so the caller
-// restores service locations only afterwards (see core.RestoreCluster).
+// restores service locations only afterwards (see core.System.Repair).
 func (s *Server) CloneFrom(src *Server) error {
 	src.mu.Lock()
 	type acctPage struct {
@@ -353,19 +353,26 @@ func (s *Server) Fingerprint() uint64 {
 			mix(byte(v >> (8 * i)))
 		}
 	}
-	pids := make([]types.PID, 0, len(s.primary)+len(s.backup))
+	// The pid set is every pid any table knows: an empty account hashes like
+	// an absent one (CloneFrom re-creates only accounts that hold pages), so
+	// a pid that has synced but never paged out still contributes its epoch
+	// on both the source and its clone.
 	seen := make(map[types.PID]bool)
 	for pid := range s.primary {
-		if !seen[pid] {
-			seen[pid] = true
-			pids = append(pids, pid)
-		}
+		seen[pid] = true
 	}
 	for pid := range s.backup {
-		if !seen[pid] {
-			seen[pid] = true
-			pids = append(pids, pid)
-		}
+		seen[pid] = true
+	}
+	for pid := range s.epoch {
+		seen[pid] = true
+	}
+	for pid := range s.primaryCluster {
+		seen[pid] = true
+	}
+	pids := make([]types.PID, 0, len(seen))
+	for pid := range seen {
+		pids = append(pids, pid)
 	}
 	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
 	hashAcct := func(tag byte, pid types.PID, acct account) {

@@ -201,7 +201,7 @@ func (r Route) AppendTargets(dst []ClusterID) []ClusterID {
 // (§5.1).
 type Message struct {
 	// ID is the bus-minted monotonic transmission ID, assigned once per
-	// Broadcast and shared by every per-cluster copy of the transmission.
+	// transmission and shared by every per-cluster copy of it.
 	// Zero until the bus accepts the message. Trace events carry it so the
 	// causal history of one message can be followed across clusters.
 	ID uint64

@@ -6,9 +6,9 @@ import "sync"
 // send path. Ownership rules (see DESIGN.md, "Buffer-pool ownership"):
 //
 //   - GetWriter transfers exclusive ownership to the caller.
-//   - The caller may hand w.Bytes() to the bus, because the bus clones the
-//     payload for every destination inside the critical section; once
-//     Broadcast/BroadcastBatch returns, no component retains the slice.
+//   - The caller may hand w.Bytes() to the bus, because the bus copies the
+//     payload into its own memory inside the critical section; once
+//     BroadcastBatch returns, no component retains the slice.
 //   - PutWriter returns ownership to the pool. After that, neither the
 //     Writer nor any slice previously obtained from Bytes() may be used:
 //     the next GetWriter anywhere in the process may recycle the storage.
