@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"auragen/internal/directory"
@@ -27,6 +28,10 @@ var ErrRepairAborted = errors.New("core: repair aborted by a new failure")
 // repairEstablishTimeout bounds the per-process retry loop while the
 // directory catches up with the kernels during re-backup.
 const repairEstablishTimeout = 5 * time.Second
+
+// rebackYields is how many times rebackOne yields the processor, polling in
+// between, before it starts sleeping between polls.
+const rebackYields = 64
 
 // Repair returns a failed cluster to service and drives the system back to
 // full redundancy — the paper's availability story (§2, §7.3, §7.10): a
@@ -314,7 +319,7 @@ func (s *System) rebackAll(c types.ClusterID) error {
 func (s *System) rebackOne(c types.ClusterID, pid types.PID) error {
 	deadline := time.Now().Add(repairEstablishTimeout)
 	var lastState string
-	for {
+	for yields := 0; ; {
 		s.mu.Lock()
 		crashedAgain := s.crashed[c]
 		stopped := s.stopped
@@ -373,7 +378,17 @@ func (s *System) rebackOne(c types.ClusterID, pid types.PID) error {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("core: re-backing %s: backup not viable after %v (%s)", pid, repairEstablishTimeout, lastState)
 		}
-		time.Sleep(200 * time.Microsecond)
+		// Establishment is a few message hops, tens of microseconds when the
+		// process is at a read point: give the kernels the processor a few
+		// times before falling back to the timed poll. A sleep that ends
+		// after the system has gone idle is woken by the runtime's idle
+		// path, which on a one-processor guest can take milliseconds.
+		if yields < rebackYields {
+			yields++
+			runtime.Gosched()
+		} else {
+			time.Sleep(200 * time.Microsecond)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ func (k *Kernel) DumpState() string {
 	defer k.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s strategy=%s crashed=%v stopped=%v outgoing=%d held=%d arrival=%d\n",
-		k.id, k.strategy.Name(), k.crashed, k.stopped, len(k.outgoing), len(k.held), k.arrival)
+		k.id, k.strategy.Name(), k.crashed, k.stopped, k.outgoing.Len(), len(k.held), k.arrival)
 
 	var pids []int
 	for pid := range k.procs {

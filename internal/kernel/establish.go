@@ -156,9 +156,7 @@ func (k *Kernel) finalizeEstablishLocked(p *PCB) {
 	var pending []queued
 	for _, e := range entries {
 		e.OwnerBackupCluster = target
-		for i, n := 0, e.QueueLen(); i < n; i++ {
-			m, _ := e.Dequeue()
-			e.Enqueue(m) // rotate: keep the local queue intact
+		for _, m := range e.Queued() {
 			pending = append(pending, queued{seq: m.Seq, m: m})
 		}
 	}

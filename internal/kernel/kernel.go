@@ -64,11 +64,19 @@ const DefaultTxBatch = 64
 // account's hosts died too — a multiple failure).
 const DefaultPageFetchTimeout = 10 * time.Second
 
-// rxDedupWindow is how many recently delivered message IDs the receive
-// loop remembers for duplicate suppression. It only needs to outlast the
-// reordering the wire can produce (armed delays are tens of transmissions);
-// sweep-length runs mint far fewer IDs than this window.
+// rxDedupWindow is the size of the receive loop's duplicate window: a
+// direct-mapped array indexed by id & (rxDedupWindow-1), each slot holding
+// the whole ID last delivered there. A repeat is recognised iff its slot
+// still holds it, so there is no false positive, and a duplicate is missed
+// only if another ID congruent mod rxDedupWindow reached this cluster
+// between the two copies. The wire cannot produce that: it stages both
+// copies of an armed duplicate back to back under the bus lock
+// (lossyWire.copiesLocked → Bus.stageLocked), and an armed delay withholds
+// a frame for tens of transmissions, not thousands.
 const rxDedupWindow = 4096
+
+// The slot index is a mask, so the window must be a power of two.
+var _ [0]struct{} = [rxDedupWindow & (rxDedupWindow - 1)]struct{}{}
 
 // Config assembles a kernel's dependencies.
 type Config struct {
@@ -147,14 +155,13 @@ type Kernel struct {
 	inc types.Incarnation
 
 	// Receiver-side duplicate suppression, owned exclusively by the
-	// receive-loop goroutine: a bounded window of recently delivered
-	// bus-minted message IDs. Legitimate delivery hands each transmission
-	// to a cluster exactly once, so a repeat ID is always the wire lying
-	// (FaultBusDuplicate); a window rather than a high-water mark because
-	// delayed transmissions legitimately arrive out of ID order.
-	rxSeen     map[uint64]struct{}
-	rxSeenRing []uint64
-	rxSeenPos  int
+	// receive-loop goroutine: the bus-minted message IDs most recently
+	// delivered here, direct-mapped (see rxDedupWindow). Legitimate delivery
+	// hands each transmission to a cluster exactly once, so a repeat ID is
+	// always the wire lying (FaultBusDuplicate); a window rather than a
+	// high-water mark because delayed transmissions legitimately arrive out
+	// of ID order.
+	rxSeen [rxDedupWindow]uint64
 
 	mu     sync.Mutex
 	txCond *sync.Cond
@@ -165,7 +172,7 @@ type Kernel struct {
 	// carry the bump that advances it.
 	incView map[types.ClusterID]types.Incarnation
 
-	outgoing []*types.Message
+	outgoing routing.Queue
 	// txHold parks the transmit loop without stopping enqueues, so tests
 	// can deterministically open the window between batch-enqueue and
 	// batch-transmit (see HoldTransmit).
@@ -279,8 +286,6 @@ func New(cfg Config) *Kernel {
 		syncTicks:  cfg.SyncTicks,
 		strategy:   cfg.Strategy,
 		inc:        cfg.Dir.Incarnation(cfg.ID),
-		rxSeen:     make(map[uint64]struct{}),
-		rxSeenRing: make([]uint64, rxDedupWindow),
 		incView:    make(map[types.ClusterID]types.Incarnation),
 		held:       make(map[types.PID][]*types.Message),
 		table:      routing.NewTable(),
@@ -310,9 +315,6 @@ func (k *Kernel) ID() types.ClusterID { return k.id }
 // Incarnation returns the cluster incarnation this kernel was born into.
 func (k *Kernel) Incarnation() types.Incarnation { return k.inc }
 
-// Table exposes the routing table (tests and the scenario renderer).
-func (k *Kernel) Table() *routing.Table { return k.table }
-
 // Metrics returns the shared metrics sink.
 func (k *Kernel) Metrics() *trace.Metrics { return k.metrics }
 
@@ -340,7 +342,7 @@ func (k *Kernel) Start() {
 func (k *Kernel) Crash() {
 	k.mu.Lock()
 	k.crashed = true
-	k.outgoing = nil
+	k.outgoing = routing.Queue{}
 	for _, p := range k.procs {
 		p.crashed = true
 		p.cond.Broadcast()
@@ -406,7 +408,7 @@ func (k *Kernel) enterDegraded(cause error) {
 		return
 	}
 	k.degraded = true
-	k.outgoing = nil
+	k.outgoing = routing.Queue{}
 	for _, p := range k.procs {
 		p.cond.Broadcast()
 	}
@@ -504,7 +506,7 @@ func (k *Kernel) sendLocked(m *types.Message) {
 	if k.crashed || k.stopped || k.degraded {
 		return
 	}
-	k.outgoing = append(k.outgoing, m)
+	k.outgoing.Push(m)
 	k.txCond.Signal()
 }
 
@@ -547,7 +549,7 @@ func (k *Kernel) HoldTransmit(hold bool) {
 func (k *Kernel) OutgoingBacklog() int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return len(k.outgoing)
+	return k.outgoing.Len()
 }
 
 // txLoop is the executive processor's transmit half: it drains the
@@ -564,14 +566,14 @@ func (k *Kernel) txLoop() {
 	)
 	for {
 		k.mu.Lock()
-		for (len(k.outgoing) == 0 || k.txHold) && !k.crashed && !k.stopped && !k.degraded {
+		for (k.outgoing.Len() == 0 || k.txHold) && !k.crashed && !k.stopped && !k.degraded {
 			k.txCond.Wait()
 		}
 		if k.crashed || k.stopped || k.degraded {
 			k.mu.Unlock()
 			return
 		}
-		n := len(k.outgoing)
+		n := k.outgoing.Len()
 		if n > k.maxBatch {
 			n = k.maxBatch
 		}
@@ -581,8 +583,8 @@ func (k *Kernel) txLoop() {
 			// delivery are unchanged — only where batches split.
 			n = 1 + k.drainJitter.Intn(n)
 		}
-		batch = append(batch[:0], k.outgoing[:n]...)
-		k.outgoing = k.outgoing[n:]
+		batch = append(batch[:0], k.outgoing.Live()[:n]...)
+		k.outgoing.Drop(n)
 		k.mu.Unlock()
 
 		// Resolve deferred payloads into pooled buffers. Encoders touch
@@ -618,6 +620,7 @@ func (k *Kernel) txLoop() {
 				wire.PutWriter(w)
 			}
 		}
+		clear(batch) // transmitted: do not pin the messages until the next batch
 		if err != nil {
 			// Both physical buses down past the retry budget: an
 			// untolerated multiple failure. The cluster is cut off;
@@ -679,8 +682,9 @@ func (k *Kernel) rxLoop() {
 				k.metrics.DupDeliveriesSuppressed.Add(1)
 				continue
 			}
-			// dispatch copies the message before any mutation or retention,
-			// which is what lets the buffer be recycled on the next PopAll.
+			// dispatch never writes to the buffer's message and keeps only
+			// copies of it, which is what lets the buffer be recycled on the
+			// next PopAll.
 			k.dispatch(&ms[i])
 		}
 		buf = ms
@@ -693,15 +697,11 @@ func (k *Kernel) rxDuplicate(id uint64) bool {
 	if id == 0 {
 		return false
 	}
-	if _, ok := k.rxSeen[id]; ok {
+	slot := &k.rxSeen[id&(rxDedupWindow-1)]
+	if *slot == id {
 		return true
 	}
-	if old := k.rxSeenRing[k.rxSeenPos]; old != 0 {
-		delete(k.rxSeen, old)
-	}
-	k.rxSeenRing[k.rxSeenPos] = id
-	k.rxSeenPos = (k.rxSeenPos + 1) % len(k.rxSeenRing)
-	k.rxSeen[id] = struct{}{}
+	*slot = id
 	return false
 }
 
@@ -726,24 +726,28 @@ func (k *Kernel) logMsg(kind trace.EventKind, m *types.Message, pid types.PID, a
 // message protocol lets the executive determine whether it is for the
 // primary destination, the destination's backup, or the sender's backup,
 // and a single cluster may play several of those roles for one message.
-func (k *Kernel) dispatch(m *types.Message) {
-	// Batched deliveries hand the SAME message value to every target
-	// cluster (§5.1: copies are executive work, not bus work). Take a
-	// private shallow copy before stamping any arrival state so sibling
-	// executives never observe this cluster's writes; the payload bytes
-	// and nondet words stay shared and are treated as read-only.
-	cp := *m
-	m = &cp
-
+func (k *Kernel) dispatch(in *types.Message) {
 	// Page requests are served outside the critical section: the handler
 	// performs a synchronous read-back RPC against the page store, and
 	// holding k.mu across a cross-component blocking call is the deadlock
 	// shape aurolint's AURO004 forbids. The receive loop is single-
 	// threaded, so handling the request here preserves arrival order.
-	if m.Kind == types.KindPageRequest {
-		k.dispatchPageRequest(m)
+	if in.Kind == types.KindPageRequest {
+		k.dispatchPageRequest(in)
 		return
 	}
+
+	// Batched deliveries hand the SAME message value to every target
+	// cluster (§5.1: copies are executive work, not bus work). Arrival
+	// state is stamped on a private copy so sibling executives never
+	// observe this cluster's writes; the payload bytes and nondet words
+	// stay shared and are treated as read-only. The copy lives on this
+	// stack frame: a role that keeps the message (queue, save, server
+	// request) makes its own heap copy with retain, and a role that does
+	// not (count-and-discard, a fenced or decoded-and-dropped kind)
+	// allocates nothing.
+	cp := *in
+	m := &cp
 
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -834,7 +838,7 @@ func (k *Kernel) dispatch(m *types.Message) {
 		k.dispatchServerSync(m)
 	case types.KindKernelReport:
 		if host, ok := k.servers[m.Dst]; ok && host.role == routing.Primary {
-			host.impl.Receive(k.serverCtx(host), m)
+			host.impl.Receive(k.serverCtx(host), retain(m, false))
 		}
 	case types.KindPageRequest:
 		// Handled above, before the critical section.
@@ -844,8 +848,20 @@ func (k *Kernel) dispatch(m *types.Message) {
 	}
 }
 
+// retain returns the heap copy of an arriving message that a queue or server
+// keeps; m itself is dispatch's stack copy and dies with the call. own makes
+// the copy deep (private payload and nondet words), for a cluster that keeps
+// the message twice.
+func retain(m *types.Message, own bool) *types.Message {
+	if own {
+		return m.Clone()
+	}
+	c := *m
+	return &c
+}
+
 // dispatchChannelMessage handles the three §5.1 roles for channel-carried
-// messages.
+// messages. m is not retained: every role that keeps it keeps a copy.
 func (k *Kernel) dispatchChannelMessage(m *types.Message) {
 	// Signals sent without a resolved channel id are bound to the target's
 	// signal channel on arrival.
@@ -867,14 +883,14 @@ func (k *Kernel) dispatchChannelMessage(m *types.Message) {
 				// twin to discard its saved copy (§7.9).
 				host.requestsHandled[m.Channel]++
 				host.servicedCum[m.Channel]++
-				host.impl.Receive(k.serverCtx(host), m)
+				host.impl.Receive(k.serverCtx(host), retain(m, false))
 			}
 		} else {
 			if m.Kind == types.KindOpenReply {
 				k.adoptOpenReplyLocked(m, routing.Primary)
 			}
 			if e, ok := k.table.Lookup(m.Channel, m.Dst, routing.Primary); ok && !e.Closed {
-				e.Enqueue(m)
+				e.Enqueue(retain(m, false))
 				k.metrics.PrimaryDeliveries.Add(1)
 				k.logMsg(trace.EvDeliver, m, m.Dst, 0)
 				if p, ok := k.procs[m.Dst]; ok {
@@ -893,42 +909,39 @@ func (k *Kernel) dispatchChannelMessage(m *types.Message) {
 	// save-only copy to the new backup if one exists. Dropping it would
 	// lose a message the failed destination never saw.
 	if m.Route.DstBackup == k.id {
-		saved := m
-		if m.Route.Dst == k.id {
-			// The same cluster plays both roles; keep independent copies.
-			saved = m.Clone()
-			saved.Seq = m.Seq
-		}
+		// If the same cluster plays both roles the two copies it keeps are
+		// independent, payload included.
+		both := m.Route.Dst == k.id
 		if host, ok := k.servers[m.Dst]; ok {
 			switch {
 			case host.role == routing.Backup:
-				host.saved = append(host.saved, saved)
+				host.saved = append(host.saved, retain(m, both))
 				k.metrics.BackupSaves.Add(1)
 				k.logMsg(trace.EvSave, m, m.Dst, 0)
-			case m.Route.Dst != k.id:
+			case !both:
 				// Promoted twin: service the straggler as primary.
 				k.metrics.PrimaryDeliveries.Add(1)
 				k.logMsg(trace.EvDeliver, m, m.Dst, 0)
 				host.requestsHandled[m.Channel]++
 				host.servicedCum[m.Channel]++
-				host.impl.Receive(k.serverCtx(host), saved)
+				host.impl.Receive(k.serverCtx(host), retain(m, false))
 			}
 		} else {
 			if m.Kind == types.KindOpenReply {
-				k.adoptOpenReplyLocked(saved, routing.Backup)
+				k.adoptOpenReplyLocked(m, routing.Backup)
 			}
 			if e, ok := k.table.Lookup(m.Channel, m.Dst, routing.Backup); ok {
-				e.Enqueue(saved)
+				e.Enqueue(retain(m, both))
 				k.metrics.BackupSaves.Add(1)
 				k.logMsg(trace.EvSave, m, m.Dst, 0)
-			} else if p, ok := k.procs[m.Dst]; ok && m.Route.Dst != k.id {
+			} else if p, ok := k.procs[m.Dst]; ok && !both {
 				if pe, ok := k.table.Lookup(m.Channel, m.Dst, routing.Primary); ok && !pe.Closed {
-					pe.Enqueue(saved)
+					pe.Enqueue(retain(m, false))
 					k.metrics.PrimaryDeliveries.Add(1)
 					k.logMsg(trace.EvDeliver, m, m.Dst, 0)
 					p.cond.Broadcast()
 					if p.backupCluster != types.NoCluster {
-						fwd := saved.Clone()
+						fwd := m.Clone()
 						fwd.Seq = 0
 						fwd.Route = types.Route{
 							Dst:       types.NoCluster,

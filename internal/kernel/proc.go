@@ -195,7 +195,7 @@ func (pr *Proc) ReadAny(fds []types.FD) (types.FD, []byte, error) {
 	var gotFD types.FD
 	var msg *types.Message
 	err := k.waitLocked(p, func() bool {
-		fd, e := k.lowestSeqLocked(p, fds)
+		fd, e := lowestSeq(p, k.table.OwnedBy(p.pid, routing.Primary), fds)
 		if e == nil {
 			return false
 		}
@@ -212,9 +212,11 @@ func (pr *Proc) ReadAny(fds []types.FD) (types.FD, []byte, error) {
 	return gotFD, msg.Payload, nil
 }
 
-// lowestSeqLocked finds the open descriptor among fds whose head message
-// has the lowest arrival sequence number.
-func (k *Kernel) lowestSeqLocked(p *PCB, fds []types.FD) (types.FD, *routing.Entry) {
+// lowestSeq finds the open descriptor among fds whose head message has the
+// lowest arrival sequence number. entries is the process's primary entries
+// (one table access per call, not one per descriptor); the caller holds the
+// kernel mutex.
+func lowestSeq(p *PCB, entries []*routing.Entry, fds []types.FD) (types.FD, *routing.Entry) {
 	var bestFD types.FD = types.NoFD
 	var bestEntry *routing.Entry
 	var bestSeq types.Seq
@@ -223,7 +225,7 @@ func (k *Kernel) lowestSeqLocked(p *PCB, fds []types.FD) (types.FD, *routing.Ent
 		if !ok {
 			continue
 		}
-		e, ok := k.table.Lookup(ch, p.pid, routing.Primary)
+		e, ok := routing.Find(entries, ch)
 		if !ok {
 			continue
 		}
@@ -399,7 +401,12 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 			}
 		}
 
-		sigEntry, _ := k.table.Lookup(p.signalCh, p.pid, routing.Primary)
+		// One table access serves the whole pass: the signal channel's
+		// entry and every open descriptor's are among the owner's entries.
+		// Every path below that drops the lock or changes the table starts
+		// the loop again.
+		entries := k.table.OwnedBy(p.pid, routing.Primary)
+		sigEntry, _ := routing.Find(entries, p.signalCh)
 
 		// Rule 1: consume ignored signals.
 		if sigEntry != nil {
@@ -495,7 +502,7 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 		}
 
 		// Rule 4: lowest-sequence message across open channels.
-		if fd, e := k.lowestSeqLocked(p, p.openFDs()); e != nil {
+		if fd, e := lowestSeq(p, entries, p.openFDs()); e != nil {
 			m, _ := e.Dequeue()
 			e.ReadsSinceSync++
 			p.readsSinceSync++

@@ -84,8 +84,7 @@ func (k *Kernel) handleProcCrashLocked(crashed types.ClusterID, pid types.PID) {
 	}
 
 	// Outgoing queue fixup, scoped to this destination.
-	kept := k.outgoing[:0]
-	for _, m := range k.outgoing {
+	for _, m := range k.outgoing.Take() {
 		if m.Dst == pid && m.Route.Dst == crashed {
 			loc, ok := k.dir.Proc(pid)
 			if !ok || loc.Cluster == types.NoCluster {
@@ -98,9 +97,8 @@ func (k *Kernel) handleProcCrashLocked(crashed types.ClusterID, pid types.PID) {
 			}
 			m.Route.DstBackup = loc.BackupCluster
 		}
-		kept = append(kept, m)
+		k.outgoing.Push(m)
 	}
-	k.outgoing = kept
 
 	if k.pager != nil {
 		k.pager.HandleCrashPID(pid)

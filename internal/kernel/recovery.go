@@ -189,7 +189,7 @@ func (k *Kernel) stepDownLocked(super types.Incarnation) {
 		}
 	}
 	k.crashed = true
-	k.outgoing = nil
+	k.outgoing = routing.Queue{}
 	for _, p := range k.procs {
 		p.crashed = true
 		p.cond.Broadcast()
@@ -308,8 +308,7 @@ func (k *Kernel) promoteLocked(b *BackupPCB, noticeNanos int64) {
 	// queues become the input queues; the writes-since-sync counts become
 	// the suppression budget (§5.4).
 	replayed := 0
-	for _, e := range entries {
-		k.table.Remove(e.Channel, pid, routing.Backup)
+	for _, e := range k.table.RemoveOwnedBy(pid, routing.Backup) {
 		if e.WritesSinceSync > 0 {
 			p.suppress[e.Channel] = e.WritesSinceSync
 			p.suppressTotal += e.WritesSinceSync
@@ -320,11 +319,8 @@ func (k *Kernel) promoteLocked(b *BackupPCB, noticeNanos int64) {
 		e.ReadsSinceSync = 0
 		if k.log != nil {
 			// Record one replay step per saved message, in the order the
-			// promoted primary will re-read them (rotate keeps the queue
-			// intact).
-			for i, n := 0, e.QueueLen(); i < n; i++ {
-				m, _ := e.Dequeue()
-				e.Enqueue(m)
+			// promoted primary will re-read them.
+			for _, m := range e.Queued() {
 				k.log.Append(trace.Event{
 					Kind:    trace.EvReplay,
 					Cluster: k.id,
@@ -400,9 +396,7 @@ func (k *Kernel) sendBackupImageLocked(b *BackupPCB, entries []*routing.Entry, t
 		if e.WritesSinceSync > 0 {
 			img.Writes[e.Channel] = e.WritesSinceSync
 		}
-		for i, n := 0, e.QueueLen(); i < n; i++ {
-			m, _ := e.Dequeue()
-			e.Enqueue(m) // rotate: keep the local queue intact
+		for _, m := range e.Queued() {
 			queued = append(queued, SavedMessage{
 				Channel: m.Channel,
 				Kind:    m.Kind,
@@ -550,8 +544,7 @@ func (k *Kernel) handleBackupUpLocked(bu *BackupUp) {
 // messages to fullback destinations are held until the new backup's
 // location is known.
 func (k *Kernel) fixOutgoingLocked(crashed types.ClusterID) {
-	kept := k.outgoing[:0]
-	for _, m := range k.outgoing {
+	for _, m := range k.outgoing.Take() {
 		r := &m.Route
 		if r.Dst == crashed {
 			loc, ok := k.dir.Proc(m.Dst)
@@ -559,7 +552,7 @@ func (k *Kernel) fixOutgoingLocked(crashed types.ClusterID) {
 				if svc, sok := k.dir.Service(m.Dst); sok && svc.Primary != types.NoCluster {
 					r.Dst = svc.Primary
 					r.DstBackup = svc.Backup
-					kept = append(kept, m)
+					k.outgoing.Push(m)
 				}
 				// Destination unrecoverable: the message is dropped with
 				// the crashed cluster.
@@ -578,9 +571,8 @@ func (k *Kernel) fixOutgoingLocked(crashed types.ClusterID) {
 		if r.SrcBackup == crashed {
 			r.SrcBackup = types.NoCluster
 		}
-		kept = append(kept, m)
+		k.outgoing.Push(m)
 	}
-	k.outgoing = kept
 }
 
 // sortedProcsLocked returns the live PCBs in ascending pid order, for
