@@ -158,10 +158,11 @@ func DefaultConfig(module string) *Config {
 		EmitLocalFuncs: []string{"sendLocked", "logMsg"},
 		PooledWirePkgs: []string{in("kernel"), in("bus")},
 		OrderedLockClasses: map[string][]string{
-			// BroadcastBatch stages one batch into every port inbox while
-			// holding the bus lock; it acquires the per-inbox mutexes in
-			// ascending cluster order (DESIGN.md §10), which makes the
-			// same-class nesting deadlock-free. No other function may hold
+			// BroadcastBatch stages one batch into the inboxes of the ports
+			// it reaches and holds them to the end of the batch. It does so
+			// under the bus lock, so no two such acquisitions overlap
+			// (DESIGN.md §10), which makes the same-class nesting
+			// deadlock-free whatever the order. No other function may hold
 			// two Inbox locks at once.
 			in("bus") + ".Inbox.mu": {in("bus") + ".Bus.BroadcastBatch"},
 		},
@@ -174,7 +175,7 @@ func DefaultConfig(module string) *Config {
 				// Message intake, replay classification, and trace
 				// rendering each make a per-kind decision; every kind must
 				// appear explicitly in all three.
-				in("kernel") + ".Kernel.dispatch",
+				in("kernel") + ".Kernel.dispatchLocked",
 				in("kernel") + ".replayableKind",
 				in("types") + ".Kind.String",
 			},

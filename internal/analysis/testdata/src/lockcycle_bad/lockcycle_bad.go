@@ -46,7 +46,7 @@ func (l *List) PushPair() {
 }
 
 // Ordered nests the same class but is listed in the fixture config's
-// OrderedLockClasses (modeling bus.BroadcastBatch's uniform-cluster-order
+// OrderedLockClasses (modeling bus.BroadcastBatch's under-the-bus-lock
 // discipline), so it is not flagged.
 func (l *List) Ordered() {
 	l.mu.Lock()

@@ -52,8 +52,7 @@ type Bus struct {
 	// IDs are assigned in the bus's total transmission order.
 	nextID uint64
 	// ports holds the attached clusters sorted by cluster id: a linear scan
-	// over a handful of clusters beats a map lookup per message per target,
-	// and the order is the uniform inbox-lock order of a batch.
+	// over a handful of clusters beats a map lookup per message per target.
 	ports []*busPort
 	// wire is the lossy-wire fault model (lossy.go). It stays nil until a
 	// fault setter is first called, so a bus that never armed a fault reads
@@ -61,13 +60,13 @@ type Bus struct {
 	wire *lossyWire
 }
 
-// busPort is one attached cluster. dirty is scratch state of the batch in
-// flight: whether this port received any appends and must be signalled at
-// flush (only touched under both b.mu and the port's inbox lock).
+// busPort is one attached cluster. locked is scratch state of the batch in
+// flight (guarded by b.mu): BroadcastBatch holds in.mu, taken at the first
+// message it staged here, and owes the port a signal and an unlock.
 type busPort struct {
-	c     types.ClusterID
-	in    *Inbox
-	dirty bool
+	c      types.ClusterID
+	in     *Inbox
+	locked bool
 }
 
 // New returns an empty bus reporting into the given shared metrics sink.
@@ -263,7 +262,6 @@ func (b *Bus) stageLocked(p *busPort, m *types.Message, payload []byte, nondet [
 		if !p.in.stageLocked(m, payload, nondet) {
 			break
 		}
-		p.dirty = true
 		n++
 		if b.log != nil {
 			b.log.Append(trace.Event{
@@ -287,11 +285,14 @@ func (b *Bus) stageLocked(p *busPort, m *types.Message, payload []byte, nondet [
 // ID, transmit event, and per-target delivery to the live clusters of its
 // Route (messages of a membership-level kind reach every live cluster, so
 // that every kernel sees a crash notice at the same point in the total
-// message order, §7.10.1). Every target inbox is acquired once for the
-// whole batch (uniform ascending-cluster order; consumers only ever take
-// their own inbox lock, so the nesting cannot deadlock), and each delivered
-// message value is written exactly once, directly into its target queues —
-// no staging list, no second copy at flush.
+// message order, §7.10.1). An inbox is acquired at the first message the
+// batch delivers to it and held to the end of the batch; an inbox the batch
+// never reaches is never touched. Inboxes are taken in whatever order the
+// batch reaches them, which cannot deadlock: every multi-inbox acquisition
+// happens under b.mu, so no two of them overlap, and a consumer only ever
+// takes its own inbox lock. Each delivered message value is written exactly
+// once, directly into its target queues — no staging list, no second copy
+// at flush.
 //
 // Message values are written straight into each target's receive buffers
 // and all payload bytes are copied into one shared per-batch slab: §5.1
@@ -326,15 +327,6 @@ func (b *Bus) BroadcastBatch(msgs []*types.Message) (int, error) {
 	payloadSlab := make([]byte, 0, payloadTotal)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// Acquire every attached cluster's receive buffer for the duration of
-	// the batch. Nothing can close or replace an inbox while b.mu is held,
-	// and bounded inboxes only exist in benchmark rigs whose consumers
-	// never send, so waiting for receive-buffer space inside this nesting
-	// cannot deadlock.
-	for _, p := range b.ports {
-		p.in.mu.Lock()
-		p.dirty = false
-	}
 	// The fault model is consulted through this one pointer, at the two
 	// points where a wire can interfere: an attempt (inside offerLocked)
 	// and the delivery of an accepted frame (below).
@@ -383,6 +375,15 @@ func (b *Bus) BroadcastBatch(msgs []*types.Message) (int, error) {
 			nondet = append([]uint64(nil), m.Nondet...)
 		}
 		for _, p := range ports {
+			if !p.locked {
+				// The receive buffer stays acquired for the rest of the
+				// batch. Nothing can close or replace an inbox while b.mu is
+				// held, and bounded inboxes only exist in benchmark rigs
+				// whose consumers never send, so waiting for receive-buffer
+				// space inside this nesting cannot deadlock.
+				p.in.mu.Lock()
+				p.locked = true
+			}
 			deliveries += b.stageLocked(p, m, payload, nondet, copies)
 		}
 	}
@@ -391,15 +392,16 @@ func (b *Bus) BroadcastBatch(msgs []*types.Message) (int, error) {
 	b.metrics.BusTransmissions.Add(uint64(sent))
 	b.metrics.BusBytes.Add(txBytes)
 	b.metrics.BusDeliveries.Add(deliveries)
-	// Release the receive buffers in the same uniform order, waking each
-	// consumer that got messages. Still inside the bus critical section, so
-	// no observer can distinguish this from per-message deliveries.
+	// Release the receive buffers the batch took, waking their consumers.
+	// Still inside the bus critical section, so no observer can distinguish
+	// this from per-message deliveries.
 	for _, p := range b.ports {
-		if p.dirty {
+		if p.locked {
+			p.locked = false
 			b.metrics.MaxInboxPeak(uint64(p.in.peak))
 			p.in.cond.Signal()
+			p.in.mu.Unlock()
 		}
-		p.in.mu.Unlock()
 	}
 	if w != nil {
 		// Held frames whose release point this batch passed go out now that
@@ -480,7 +482,7 @@ func (in *Inbox) SetDrainJitter(rng *types.RNG) {
 // stageLocked appends one delivered message value behind the queue, with
 // payload and nondet swapped for the bus-owned copies (m itself stays
 // caller-owned; its slices are never shared with receivers). Caller
-// already holds in.mu — the batch path acquires every target inbox once
+// already holds in.mu — the batch path acquires each target inbox once
 // for the whole batch and signals the consumer once at release. A bounded
 // queue that is out of receive-buffer space wakes its consumer and waits
 // for room (space.Wait releases in.mu, so the consumer can drain mid-

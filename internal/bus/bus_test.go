@@ -375,7 +375,7 @@ func TestPersistentFaultExhaustsRetries(t *testing.T) {
 	}
 
 	// Removing the hook restores service; the sender's retry discipline
-	// (kernel txLoop) can then succeed on a later batch.
+	// (kernel transmitBatch) can then succeed on a later batch.
 	b.SetFaultHook(nil)
 	send(t, b, dataMsg(1, 2, types.Route{Dst: 0}, "x"))
 	if in0.Backlog() != 1 {

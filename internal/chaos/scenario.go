@@ -58,7 +58,7 @@ const proberTerm = 52
 // double-applied xfer conserves the total but moves two balances.
 // SaturatedBankScenario is the burst campaigns' workload: the same bank
 // scenario with enough accounts and transfers that the teller keeps the
-// transmit loop coalescing continuously, so burst injections land while
+// executive coalescing continuously, so burst injections land while
 // the bus is saturated rather than idle.
 func SaturatedBankScenario(name string) Scenario {
 	return BankScenario(name, 8, 40, 2)

@@ -85,7 +85,9 @@ type API interface {
 	ReadAny(fds []types.FD) (types.FD, []byte, error)
 
 	// Write sends a message on fd. It returns as soon as the message is
-	// placed on the cluster's outgoing queue (§7.5.1).
+	// placed on the cluster's outgoing queue (§7.5.1); the message leaves
+	// the cluster no later than the process's next blocking call, sync
+	// point, full transmit batch or exit.
 	Write(fd types.FD, data []byte) error
 
 	// Call writes a request on fd and blocks for the next message on fd

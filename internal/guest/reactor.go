@@ -107,9 +107,15 @@ func (r *reactor) Run(p API) error {
 			return err
 		}
 		r.started = true
-		p.Tick(1)
-		if err := p.SyncPoint(); err != nil {
-			return err
+		// An exit inside Start goes without a sync, as below: the exit latch
+		// is not part of the captured state, so a backup brought up from a
+		// sync taken here would skip Start and wait for input that never
+		// comes. Without one it re-runs Start and exits again.
+		if !r.st.exited {
+			p.Tick(1)
+			if err := p.SyncPoint(); err != nil {
+				return err
+			}
 		}
 	}
 

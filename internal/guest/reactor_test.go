@@ -143,6 +143,11 @@ func TestReactorExitInStartSkipsLoop(t *testing.T) {
 	if len(api.events) != 1 {
 		t.Fatal("loop consumed events after Exit in Start")
 	}
+	// The exit latch is not captured state: a sync here would bring up a
+	// backup that skips Start and then waits in NextEvent forever.
+	if api.syncs != 0 {
+		t.Fatalf("%d sync points after Exit in Start, want none", api.syncs)
+	}
 }
 
 // TestReactorRecoveryResumesFromHeap emulates a crash and roll-forward: the

@@ -47,7 +47,9 @@ func (k *Kernel) EstablishBackup(pid types.PID, target types.ClusterID) error {
 	if !ok {
 		return fmt.Errorf("kernel: establish %s: %w", pid, types.ErrNoProcess)
 	}
-	return k.establishBackupLocked(p, target)
+	err := k.establishBackupLocked(p, target)
+	k.transmitLocked()
+	return err
 }
 
 // establishBackupLocked starts the protocol for a PCB the caller already
@@ -207,13 +209,10 @@ func (k *Kernel) establishGateLocked(p *PCB) (retry bool, err error) {
 		if k.stopped {
 			return false, types.ErrShutdown
 		}
-		p.cond.Wait()
+		k.blockLocked(p)
 	}
 	if p.establishSyncPending {
-		k.mu.Unlock()
-		err := k.syncProcess(p, false)
-		k.mu.Lock()
-		if err != nil {
+		if err := k.syncProcessLocked(p, false); err != nil {
 			return false, err
 		}
 		return true, nil

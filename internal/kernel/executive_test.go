@@ -26,6 +26,14 @@ func bareKernel(id types.ClusterID) *Kernel {
 	})
 }
 
+// dispatch routes one arriving message, taking k.mu itself: what
+// dispatchBatch does for a batch of one that is no duplicate.
+func (k *Kernel) dispatch(in *types.Message) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.dispatchLocked(in)
+}
+
 func TestRxDuplicateWindow(t *testing.T) {
 	t.Run("the last window of IDs is remembered", func(t *testing.T) {
 		k := bareKernel(2)

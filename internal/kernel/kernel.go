@@ -5,10 +5,14 @@
 // functions — scheduling processes (goroutines), local routing tables,
 // message handling — while globally consistent services live in server
 // processes (page server, file server, process server, tty server). The
-// executive processor is modeled by two goroutines: a transmit loop that
-// drains the cluster's outgoing queue onto the intercluster bus in FIFO
-// order, and a receive loop that dispatches arriving messages to primary
-// destinations, backup save queues, and sender-backup write counts (§7.4.2).
+// executive processor is modeled by one goroutine and one function. The
+// goroutine is the receive loop, which dispatches arriving messages to
+// primary destinations, backup save queues, and sender-backup write counts
+// (§7.4.2). The function is transmitPending, which drains the cluster's
+// outgoing queue onto the intercluster bus in FIFO order; it has no goroutine
+// of its own but runs, one caller at a time, on whichever goroutine queued
+// the output — a process when it is about to block, the receive loop after a
+// drained batch (see transmitLocked for the exact points).
 //
 // Kernels are not synchronized and are not backed up; only an independent
 // copy runs in each cluster (§7.2). All state a backup process needs is
@@ -53,7 +57,7 @@ const (
 	txBackoff     = 2 * time.Millisecond
 )
 
-// DefaultTxBatch is how many queued outbound messages the transmit loop
+// DefaultTxBatch is how many queued outbound messages the executive
 // coalesces into one bus offer when Config.MaxBatch is zero. One batch
 // acquires the bus ordering critical section once, so the per-message cost
 // of the §5.1 no-interleaving guarantee is amortized across the batch.
@@ -108,8 +112,8 @@ type Config struct {
 	// it so abandoned recoveries surface quickly.
 	PageFetchTimeout time.Duration
 
-	// MaxBatch caps how many outbound messages the transmit loop
-	// coalesces into one bus transmission. Zero selects DefaultTxBatch;
+	// MaxBatch caps how many outbound messages the executive coalesces
+	// into one bus transmission. Zero selects DefaultTxBatch;
 	// 1 disables coalescing (the pre-batching behavior).
 	MaxBatch int
 
@@ -120,12 +124,13 @@ type Config struct {
 	ReportEvery uint64
 
 	// DrainJitter, when non-nil, randomizes how many queued messages each
-	// transmit-loop pass coalesces (1..n instead of always n), and
-	// RxJitter does the same for inbox draining (see bus.Inbox
-	// SetDrainJitter) — the schedule perturber's hooks for exploring
-	// batching/interleaving schedules without violating FIFO order. Both
-	// RNGs become goroutine-owned by the kernel; split a parent RNG per
-	// kernel (see core.Options.ScheduleSeed). Nil (the default) keeps the
+	// bus offer coalesces (1..n instead of always n), and RxJitter does
+	// the same for inbox draining (see bus.Inbox SetDrainJitter) — the
+	// schedule perturber's hooks for exploring batching/interleaving
+	// schedules without violating FIFO order. Both RNGs become owned by
+	// the kernel (DrainJitter is drawn under its mutex, RxJitter under the
+	// inbox's); split a parent RNG per kernel (see
+	// core.Options.ScheduleSeed). Nil (the default) keeps the
 	// deterministic full-batch behavior.
 	DrainJitter *types.RNG
 	RxJitter    *types.RNG
@@ -150,8 +155,8 @@ type Kernel struct {
 
 	// inc is this kernel's cluster incarnation, fixed at construction (a
 	// kernel never changes lives: repair boots a replacement kernel with
-	// the bumped incarnation). The transmit loop stamps it into every
-	// outgoing message.
+	// the bumped incarnation). offerBatch stamps it into every outgoing
+	// message.
 	inc types.Incarnation
 
 	// Receiver-side duplicate suppression, owned exclusively by the
@@ -163,8 +168,7 @@ type Kernel struct {
 	// of ID order.
 	rxSeen [rxDedupWindow]uint64
 
-	mu     sync.Mutex
-	txCond *sync.Cond
+	mu sync.Mutex
 
 	// incView is the kernel's local knowledge of every cluster's current
 	// incarnation (guarded by mu; absent entries mean "nothing learned
@@ -173,16 +177,28 @@ type Kernel struct {
 	incView map[types.ClusterID]types.Incarnation
 
 	outgoing routing.Queue
-	// txHold parks the transmit loop without stopping enqueues, so tests
-	// can deterministically open the window between batch-enqueue and
+	// transmitting is the single-transmitter flag (guarded by mu): set
+	// while one goroutine is between taking a batch off outgoing and the
+	// bus accepting it, which it does outside mu. Anyone else who finds it
+	// set leaves their output queued — the holder looks at the queue again,
+	// under mu, before it clears the flag — so bus order is queue order.
+	transmitting bool
+	// txBatch is the batch being offered and txWriters the pooled buffers
+	// its lazy payloads were encoded into (parallel to txBatch, nil for
+	// eager payloads). Both belong to the holder of the transmitting flag
+	// and are reused from one batch to the next.
+	txBatch   []*types.Message
+	txWriters []*wire.Writer
+	// txHold stops transmission without stopping enqueues, so tests can
+	// deterministically open the window between batch-enqueue and
 	// batch-transmit (see HoldTransmit).
 	txHold bool
 	// maxBatch caps the messages coalesced per bus offer (Config.MaxBatch).
 	maxBatch int
 	// reportEvery is the KindKernelReport cadence (Config.ReportEvery).
 	reportEvery uint64
-	// drainJitter perturbs the per-pass coalesce count (Config.DrainJitter).
-	// Drawn only by the txLoop goroutine.
+	// drainJitter perturbs the per-offer coalesce count (Config.DrainJitter).
+	// Drawn under mu.
 	drainJitter *types.RNG
 	// held parks outgoing messages whose fullback destination lost its
 	// backup, until a BackupUp notice arrives (§7.10.1 step 4).
@@ -191,7 +207,7 @@ type Kernel struct {
 	crashed bool
 	stopped bool
 	// degraded marks the cluster cut off from the intercluster bus after
-	// the transmit loop exhausted its retries — a multiple failure the §6
+	// a bus offer exhausted its retries — a multiple failure the §6
 	// contract does not cover. Blocked syscalls return
 	// types.ErrTooManyFailures so process goroutines unwind instead of
 	// deadlocking.
@@ -303,7 +319,6 @@ func New(cfg Config) *Kernel {
 
 		pageFetchTimeout: cfg.PageFetchTimeout,
 	}
-	k.txCond = sync.NewCond(&k.mu)
 	k.inbox = cfg.Bus.Attach(cfg.ID)
 	k.inbox.SetDrainJitter(cfg.RxJitter)
 	return k
@@ -328,10 +343,9 @@ func (k *Kernel) SetPager(p PagerSink) {
 	k.pager = p
 }
 
-// Start launches the executive processor loops.
+// Start launches the executive processor's receive loop.
 func (k *Kernel) Start() {
-	k.wg.Add(2)
-	go k.txLoop()
+	k.wg.Add(1)
 	go k.rxLoop()
 }
 
@@ -347,7 +361,6 @@ func (k *Kernel) Crash() {
 		p.crashed = true
 		p.cond.Broadcast()
 	}
-	k.txCond.Broadcast()
 	k.closeDieLocked()
 	k.mu.Unlock()
 	// Detach closes the inbox, ending the receive loop.
@@ -372,13 +385,13 @@ func (k *Kernel) Stop() {
 		p.crashed = true
 		p.cond.Broadcast()
 	}
-	k.txCond.Broadcast()
 	k.closeDieLocked()
 	k.mu.Unlock()
 	k.bus.Detach(k.id)
 }
 
-// Wait blocks until the executive loops have exited (after Crash or Stop).
+// Wait blocks until the receive loop and every process goroutine have exited
+// (after Crash or Stop).
 func (k *Kernel) Wait() { k.wg.Wait() }
 
 // Crashed reports whether the cluster has failed.
@@ -396,7 +409,7 @@ func (k *Kernel) Degraded() bool {
 	return k.degraded
 }
 
-// enterDegraded is the transmit loop's response to an unrecoverable bus
+// enterDegraded is the executive's response to an unrecoverable bus
 // failure: freeze the outgoing queue, wake every blocked process goroutine
 // (their syscalls return types.ErrTooManyFailures), and leave receive-side
 // state intact for post-mortem inspection. Unlike Crash, the cluster
@@ -412,7 +425,6 @@ func (k *Kernel) enterDegraded(cause error) {
 	for _, p := range k.procs {
 		p.cond.Broadcast()
 	}
-	k.txCond.Broadcast()
 	k.closeDieLocked()
 	k.mu.Unlock()
 	k.log.Add(trace.EvNote, fmt.Sprintf("%s: degraded, bus unreachable after %d attempts: %v",
@@ -499,15 +511,15 @@ func (k *Kernel) NumProcs() int {
 	return len(k.procs)
 }
 
-// sendLocked places a message on the cluster's outgoing queue. The caller
-// holds k.mu. Messages leave the cluster in the order they are placed here
-// (§7.8's safety argument for sync messages depends on this FIFO order).
+// sendLocked places a message on the cluster's outgoing queue, and only
+// that: when it leaves is transmitLocked's business. The caller holds k.mu.
+// Messages leave the cluster in the order they are placed here (§7.8's
+// safety argument for sync messages depends on this FIFO order).
 func (k *Kernel) sendLocked(m *types.Message) {
 	if k.crashed || k.stopped || k.degraded {
 		return
 	}
 	k.outgoing.Push(m)
-	k.txCond.Signal()
 }
 
 // sendKernelReportLocked enqueues a load summary for the process server's
@@ -533,15 +545,16 @@ func (k *Kernel) sendKernelReportLocked() {
 	})
 }
 
-// HoldTransmit pauses (hold=true) or resumes (hold=false) the transmit
-// loop. Enqueues continue, so a held kernel accumulates an outgoing
-// backlog; tests use the hold to open the batch-enqueue → batch-transmit
-// window deterministically (e.g. to land a crash inside it).
+// HoldTransmit stops (hold=true) or resumes (hold=false) transmission.
+// Enqueues continue, so a held kernel accumulates an outgoing backlog that
+// nobody offers to the bus; tests use the hold to open the batch-enqueue →
+// batch-transmit window deterministically (e.g. to land a crash inside it).
+// Releasing the hold transmits the backlog before returning.
 func (k *Kernel) HoldTransmit(hold bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.txHold = hold
-	k.txCond.Broadcast()
+	k.transmitLocked()
 }
 
 // OutgoingBacklog returns the number of messages queued but not yet
@@ -552,84 +565,131 @@ func (k *Kernel) OutgoingBacklog() int {
 	return k.outgoing.Len()
 }
 
-// txLoop is the executive processor's transmit half: it drains the
+// transmitLocked is the executive processor's transmit half. It drains the
 // outgoing queue onto the bus in FIFO order, coalescing up to maxBatch
-// queued messages into one bus offer. Lazy payloads are resolved into
-// pooled wire buffers here — off the kernel lock and off the enqueuing
-// process's critical path — and the buffers are released once the bus has
-// cloned the payload for every destination.
-func (k *Kernel) txLoop() {
-	defer k.wg.Done()
-	var (
-		batch   []*types.Message
-		writers []*wire.Writer // parallel to batch; nil for eager payloads
-	)
-	for {
-		k.mu.Lock()
-		for (k.outgoing.Len() == 0 || k.txHold) && !k.crashed && !k.stopped && !k.degraded {
-			k.txCond.Wait()
-		}
-		if k.crashed || k.stopped || k.degraded {
-			k.mu.Unlock()
-			return
-		}
-		n := k.outgoing.Len()
-		if n > k.maxBatch {
-			n = k.maxBatch
-		}
-		if k.drainJitter != nil && n > 1 {
-			// Schedule perturbation: coalesce a random FIFO prefix so the
-			// same workload exercises many batch boundaries. Order and
-			// delivery are unchanged — only where batches split.
-			n = 1 + k.drainJitter.Intn(n)
-		}
-		batch = append(batch[:0], k.outgoing.Live()[:n]...)
-		k.outgoing.Drop(n)
+// queued messages into one bus offer, and reports whether it let go of k.mu
+// to do so: the caller holds k.mu on entry and on return, but not across an
+// offer, so a true result means whatever the caller knew about kernel state
+// must be looked at again.
+//
+// There is no transmit goroutine. The goroutine that queued the output runs
+// this itself, at the moments a separate executive processor would have got
+// to the queue anyway:
+//
+//   - a process goroutine is about to block in the kernel (blockLocked, the
+//     page fetch of a promoted backup);
+//   - a process leaves SyncPoint — a capture's page-out and sync message go
+//     with whatever it wrote before them — or exits;
+//   - Write has filled a batch (the queue reached maxBatch);
+//   - the receive loop has dispatched a drained batch (server replies,
+//     forwards, promotion traffic);
+//   - any other exported entry that queues output is on its way out (Spawn,
+//     EstablishBackup, CrashProcess, Signal, ServerInject,
+//     HoldTransmit(false)).
+//
+// So a process's output leaves no later than its next blocking call, sync
+// point, full batch or exit; Write and Tick alone return with it still
+// queued. Transmitting at every kernel exit instead would split a request
+// from the sync that follows it and, on one processor, let two primaries
+// hand the processor back and forth while their backups' executives starve
+// (DESIGN.md §10.1).
+//
+// One goroutine transmits at a time (the transmitting flag); another that
+// arrives meanwhile returns at once and its output goes out in the holder's
+// next batch. A held, crashed, stopped or degraded kernel transmits nothing.
+func (k *Kernel) transmitLocked() bool {
+	if k.transmitting {
+		return false
+	}
+	released := false
+	for k.takeBatchLocked() {
+		k.transmitting = true
 		k.mu.Unlock()
+		k.offerBatch()
+		k.mu.Lock()
+		released = true
+	}
+	k.transmitting = false
+	return released
+}
 
-		// Resolve deferred payloads into pooled buffers. Encoders touch
-		// only data the enqueuer handed off (captured pages, retired sync
-		// state), so running them here is race-free.
-		writers = writers[:0]
-		for _, m := range batch {
-			// Stamp the sender's identity and incarnation: this is what
-			// lets receivers fence the whole batch if this kernel turns
-			// out to be a superseded primary. k.inc is immutable after New.
-			if m.Origin == types.NoCluster {
-				m.Origin = k.id
-				m.Inc = k.inc
-			}
-			var w *wire.Writer
-			if m.Lazy != nil {
-				w = wire.GetWriter()
-				m.Lazy.EncodePayload(w)
-				m.Payload = w.Bytes()
-				m.Lazy = nil
-			}
-			writers = append(writers, w)
-		}
+// blockLocked is how a process goroutine blocks in the kernel: it transmits
+// what is queued — its own output first of all, or the reply it is about to
+// wait for could never come — and only if there was nothing to transmit
+// does it wait on its condition variable. Either way k.mu was released, so
+// every caller sits in a loop that re-evaluates its predicate.
+func (k *Kernel) blockLocked(p *PCB) {
+	if !k.transmitLocked() {
+		p.cond.Wait()
+	}
+}
 
-		err := k.transmitBatch(batch)
+// takeBatchLocked moves the next batch from the outgoing queue into
+// k.txBatch and reports whether there was one to take. The caller holds
+// k.mu and the transmitting flag (or is about to set it).
+func (k *Kernel) takeBatchLocked() bool {
+	n := min(k.outgoing.Len(), k.maxBatch)
+	if n == 0 || k.txHold || k.crashed || k.stopped || k.degraded {
+		return false
+	}
+	if k.drainJitter != nil && n > 1 {
+		// Schedule perturbation: coalesce a random FIFO prefix so the
+		// same workload exercises many batch boundaries. Order and
+		// delivery are unchanged — only where batches split.
+		n = 1 + k.drainJitter.Intn(n)
+	}
+	k.txBatch = append(k.txBatch[:0], k.outgoing.Live()[:n]...)
+	k.outgoing.Drop(n)
+	return true
+}
 
-		// The bus deep-clones payloads per destination inside its critical
-		// section, so once the offer returns the pooled buffers are ours
-		// again. Drop the aliases before recycling.
-		for i, w := range writers {
-			if w != nil {
-				batch[i].Payload = nil
-				wire.PutWriter(w)
-			}
+// offerBatch puts k.txBatch on the bus. Every transmission of this cluster
+// goes through here, under the transmitting flag and outside k.mu. Lazy
+// payloads are resolved into pooled wire buffers here — off the kernel lock
+// — and the buffers are released once the bus has cloned the payload for
+// every destination.
+func (k *Kernel) offerBatch() {
+	// Resolve deferred payloads into pooled buffers. Encoders touch only
+	// data the enqueuer handed off (captured pages, retired sync state), so
+	// running them here is race-free.
+	k.txWriters = k.txWriters[:0]
+	for _, m := range k.txBatch {
+		// Stamp the sender's identity and incarnation: this is what lets
+		// receivers fence the whole batch if this kernel turns out to be a
+		// superseded primary. k.inc is immutable after New.
+		if m.Origin == types.NoCluster {
+			m.Origin = k.id
+			m.Inc = k.inc
 		}
-		clear(batch) // transmitted: do not pin the messages until the next batch
-		if err != nil {
-			// Both physical buses down past the retry budget: an
-			// untolerated multiple failure. The cluster is cut off;
-			// degrade so blocked processes unwind with
-			// types.ErrTooManyFailures instead of stalling forever.
-			k.log.Add(trace.EvNote, fmt.Sprintf("%s: bus failure: %v", k.id, err))
-			k.enterDegraded(err)
-			return
+		var w *wire.Writer
+		if m.Lazy != nil {
+			w = wire.GetWriter()
+			m.Lazy.EncodePayload(w)
+			m.Payload = w.Bytes()
+			m.Lazy = nil
 		}
+		k.txWriters = append(k.txWriters, w)
+	}
+
+	err := k.transmitBatch(k.txBatch)
+
+	// The bus deep-clones payloads per destination inside its critical
+	// section, so once the offer returns the pooled buffers are ours
+	// again. Drop the aliases before recycling.
+	for i, w := range k.txWriters {
+		if w != nil {
+			k.txBatch[i].Payload = nil
+			wire.PutWriter(w)
+		}
+	}
+	clear(k.txBatch) // transmitted: do not pin the messages until the next batch
+	if err != nil {
+		// Both physical buses down past the retry budget: an untolerated
+		// multiple failure. The cluster is cut off; degrade so blocked
+		// processes unwind with types.ErrTooManyFailures instead of
+		// stalling forever.
+		k.log.Add(trace.EvNote, fmt.Sprintf("%s: bus failure: %v", k.id, err))
+		k.enterDegraded(err)
 	}
 }
 
@@ -644,14 +704,20 @@ func (k *Kernel) transmitBatch(batch []*types.Message) error {
 		if attempt > 0 {
 			//lint:ignore AURO001 bounded backoff between bus retries, not an input to execution: a healthy run never sleeps here
 			time.Sleep(txBackoff)
-			k.mu.Lock()
-			dead := k.crashed || k.stopped
-			k.mu.Unlock()
-			if dead {
-				// The cluster died while retrying; the messages are lost
-				// with it, which is not a bus fault.
-				return nil
-			}
+		}
+		// The batch was taken under k.mu and k.mu then released, which is
+		// exactly when a Crash that was waiting for it gets in. Looking
+		// again here, with the payloads already encoded and nothing left to
+		// do but take the bus, keeps a dead cluster's last batch from
+		// trailing its own crash notice onto the bus by more than the few
+		// instructions between this check and the bus lock.
+		k.mu.Lock()
+		dead := k.crashed || k.stopped
+		k.mu.Unlock()
+		if dead {
+			// The messages are lost with the cluster, which is not a bus
+			// fault.
+			return nil
 		}
 		var sent int
 		sent, err = k.bus.BroadcastBatch(batch)
@@ -674,25 +740,35 @@ func (k *Kernel) rxLoop() {
 		if !ok {
 			return
 		}
-		for i := range ms {
-			if k.rxDuplicate(ms[i].ID) {
-				// The wire delivered the same bus-minted transmission
-				// twice; the at-least-once lie dies here, before any
-				// arrival state is stamped.
-				k.metrics.DupDeliveriesSuppressed.Add(1)
-				continue
-			}
-			// dispatch never writes to the buffer's message and keeps only
-			// copies of it, which is what lets the buffer be recycled on the
-			// next PopAll.
-			k.dispatch(&ms[i])
-		}
+		k.dispatchBatch(ms)
 		buf = ms
 	}
 }
 
+// dispatchBatch dispatches one drained batch under a single acquisition of
+// k.mu and then transmits what the batch queued (server replies, forwards,
+// promotion traffic), so the receive loop never goes back to sleep on
+// output of its own. The kernel never writes to the buffer's messages and
+// keeps only copies of them, which is what lets rxLoop recycle the buffer on
+// its next PopAll.
+func (k *Kernel) dispatchBatch(ms []types.Message) {
+	k.mu.Lock()
+	for i := range ms {
+		if k.rxDuplicate(ms[i].ID) {
+			// The wire delivered the same bus-minted transmission twice;
+			// the at-least-once lie dies here, before any arrival state is
+			// stamped.
+			k.metrics.DupDeliveriesSuppressed.Add(1)
+		} else {
+			k.dispatchLocked(&ms[i])
+		}
+	}
+	k.transmitLocked()
+	k.mu.Unlock()
+}
+
 // rxDuplicate records id in the receive loop's dedup window and reports
-// whether it was already delivered. Owned by the rxLoop goroutine; no lock.
+// whether it was already delivered. Owned by the rxLoop goroutine.
 func (k *Kernel) rxDuplicate(id uint64) bool {
 	if id == 0 {
 		return false
@@ -722,18 +798,16 @@ func (k *Kernel) logMsg(kind trace.EventKind, m *types.Message, pid types.PID, a
 	})
 }
 
-// dispatch routes one arriving message according to the §5.1 protocol: the
-// message protocol lets the executive determine whether it is for the
-// primary destination, the destination's backup, or the sender's backup,
-// and a single cluster may play several of those roles for one message.
-func (k *Kernel) dispatch(in *types.Message) {
-	// Page requests are served outside the critical section: the handler
-	// performs a synchronous read-back RPC against the page store, and
-	// holding k.mu across a cross-component blocking call is the deadlock
-	// shape aurolint's AURO004 forbids. The receive loop is single-
-	// threaded, so handling the request here preserves arrival order.
+// dispatchLocked routes one arriving message according to the §5.1
+// protocol: the message protocol lets the executive determine whether it is
+// for the primary destination, the destination's backup, or the sender's
+// backup, and a single cluster may play several of those roles for one
+// message. The caller holds k.mu.
+func (k *Kernel) dispatchLocked(in *types.Message) {
+	// A page request lets go of k.mu around its disk read; it is neither
+	// fenced nor given an arrival number.
 	if in.Kind == types.KindPageRequest {
-		k.dispatchPageRequest(in)
+		k.dispatchPageRequestLocked(in)
 		return
 	}
 
@@ -748,9 +822,6 @@ func (k *Kernel) dispatch(in *types.Message) {
 	// allocates nothing.
 	cp := *in
 	m := &cp
-
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if k.crashed || k.stopped {
 		return
 	}
@@ -841,7 +912,7 @@ func (k *Kernel) dispatch(in *types.Message) {
 			host.impl.Receive(k.serverCtx(host), retain(m, false))
 		}
 	case types.KindPageRequest:
-		// Handled above, before the critical section.
+		// Handled above, before any arrival state is stamped.
 	case types.KindInvalid, types.KindHeartbeat:
 		// KindInvalid is never transmitted; heartbeats are answered by the
 		// failure detector's probe path, not the executive processor.
@@ -849,7 +920,7 @@ func (k *Kernel) dispatch(in *types.Message) {
 }
 
 // retain returns the heap copy of an arriving message that a queue or server
-// keeps; m itself is dispatch's stack copy and dies with the call. own makes
+// keeps; m itself is dispatchLocked's stack copy and dies with the call. own makes
 // the copy deep (private payload and nondet words), for a cluster that keeps
 // the message twice.
 func retain(m *types.Message, own bool) *types.Message {
@@ -1042,26 +1113,25 @@ func (k *Kernel) freshPeerLoc(or *OpenReply) (peer, backup types.ClusterID) {
 	return or.PeerCluster, or.PeerBackupCluster
 }
 
-// dispatchPageRequest serves a recovery page fetch if this cluster hosts
-// the page server primary. It runs on the receive loop but outside k.mu:
-// the page-account read is a blocking disk RPC, so only the reply
-// enqueueing takes the kernel lock.
-func (k *Kernel) dispatchPageRequest(m *types.Message) {
-	k.mu.Lock()
+// dispatchPageRequestLocked serves a recovery page fetch if this cluster
+// hosts the page server primary. The caller holds k.mu, which is released
+// around the page-account read: that is a synchronous read-back RPC against
+// the page store, and holding k.mu across a cross-component blocking call is
+// the deadlock shape aurolint's AURO004 forbids. The receive loop is single-
+// threaded, so serving the request in place preserves arrival order.
+func (k *Kernel) dispatchPageRequestLocked(m *types.Message) {
 	pager := k.pager
-	dead := k.crashed || k.stopped
-	k.mu.Unlock()
-	if m.Route.Dst != k.id || pager == nil || dead {
+	if m.Route.Dst != k.id || pager == nil || k.crashed || k.stopped {
 		return
 	}
 	pr, err := DecodePageRequest(m.Payload)
 	if err != nil {
 		return
 	}
+	k.mu.Unlock()
 	pages := pager.HandlePageRequest(pr.PID)
-	reply := &PageReply{PID: pr.PID, Pages: pages}
 	k.mu.Lock()
-	defer k.mu.Unlock()
+	reply := &PageReply{PID: pr.PID, Pages: pages}
 	k.sendLocked(&types.Message{
 		Kind:    types.KindPageReply,
 		Dst:     pr.PID,
@@ -1188,7 +1258,8 @@ func (k *Kernel) dispatchServerSync(m *types.Message) {
 // variable until pred returns true or the process/cluster dies. Returns
 // an error when interrupted.
 func (k *Kernel) waitLocked(p *PCB, pred func() bool) error {
-	for !pred() {
+	for {
+		done := pred()
 		if p.crashed || k.crashed {
 			return types.ErrCrashed
 		}
@@ -1198,18 +1269,11 @@ func (k *Kernel) waitLocked(p *PCB, pred func() bool) error {
 		if k.degraded {
 			return types.ErrTooManyFailures
 		}
-		p.cond.Wait()
+		if done {
+			return nil
+		}
+		k.blockLocked(p)
 	}
-	if p.crashed || k.crashed {
-		return types.ErrCrashed
-	}
-	if k.stopped {
-		return types.ErrShutdown
-	}
-	if k.degraded {
-		return types.ErrTooManyFailures
-	}
-	return nil
 }
 
 // nowNanos is the kernel's local clock. It is environmental state (§7.5):

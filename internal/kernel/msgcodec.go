@@ -10,7 +10,7 @@ import (
 // Message-frame codec: the wire representation of one batched bus
 // transmission. The in-process bus hands message pointers across clusters,
 // so nothing on the hot path serializes whole messages — but the batch the
-// executive coalesces (see Kernel.txLoop / bus.BroadcastBatch) is
+// executive coalesces (see Kernel.transmitLocked / bus.BroadcastBatch) is
 // conceptually one framed transmission on the physical bus, and this codec
 // pins that format: a wire batch (checksummed, fail-closed) holding one
 // frame per message. The property tests in msgcodec_test.go keep the

@@ -13,7 +13,7 @@ import (
 // Message.Payload, saved queues, backup images), so it must NOT alias a
 // pooled buffer — returning one to the pool while the payload lives would
 // corrupt it. Hot paths defer encoding via types.PayloadEncoder instead and
-// let the transmit loop use wire.GetWriter/PutWriter. Keeping the one
+// let Kernel.offerBatch use wire.GetWriter/PutWriter. Keeping the one
 // sanctioned allocation in this funnel is what lets aurolint's AURO009 flag
 // any other wire.NewWriter in this package.
 func newPayloadWriter(capHint int) *wire.Writer {
@@ -122,8 +122,8 @@ func (s *SyncMsg) Encode() []byte {
 }
 
 // EncodePayload appends the sync message to w. SyncMsg implements
-// types.PayloadEncoder so the executive's transmit loop can serialize it
-// into a pooled buffer off the syncing process's critical path; every field
+// types.PayloadEncoder so the executive can serialize it into a pooled
+// buffer at transmit time, outside the kernel lock; every field
 // is exclusively owned by the message (or immutable, like Args) once the
 // sync is enqueued.
 func (s *SyncMsg) EncodePayload(w *wire.Writer) {
@@ -254,8 +254,8 @@ func (d *DecisionMsg) Encode() []byte {
 }
 
 // EncodePayload appends the decision entry to w (types.PayloadEncoder: the
-// entry is immutable once enqueued, so the transmit loop may serialize it
-// into a pooled buffer).
+// entry is immutable once enqueued, so the executive may serialize it into
+// a pooled buffer at transmit time).
 func (d *DecisionMsg) EncodePayload(w *wire.Writer) {
 	w.U64(uint64(d.PID))
 	w.U64(d.Seq)
@@ -481,7 +481,7 @@ type PageOut struct {
 	From types.ClusterID
 	// Pages is the dirty set in ascending page order. With copy-on-write
 	// capture these slices alias frozen pages of the live address space;
-	// they are immutable, so deferring the encode to the transmit loop
+	// they are immutable, so deferring the encode to transmit time
 	// (via Message.Lazy) is race-free. In a decoded PageOut they alias the
 	// message payload instead (see DecodePageOut).
 	Pages []memory.Page

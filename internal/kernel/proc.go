@@ -56,7 +56,9 @@ func (pr *Proc) IgnoreSignal(sig types.Signal, ignore bool) error {
 }
 
 // Write implements guest.API (§7.4.2: the message is placed on the
-// cluster's outgoing queue and the call returns).
+// cluster's outgoing queue and the call returns). The message stays queued
+// until the process next blocks, reaches a sync point or exits, unless it is
+// the one that fills a batch.
 func (pr *Proc) Write(fd types.FD, data []byte) error {
 	k, p := pr.k, pr.p
 	k.mu.Lock()
@@ -123,6 +125,9 @@ func (k *Kernel) writeLocked(p *PCB, fd types.FD, kind types.Kind, data []byte) 
 		p.nondetPending = nil
 	}
 	k.sendLocked(msg)
+	if k.outgoing.Len() >= k.maxBatch {
+		k.transmitLocked()
+	}
 	return nil
 }
 
@@ -465,7 +470,7 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 				}
 				// Position reached but the pinned signal is still in flight:
 				// block so no later input overtakes the recorded order.
-				p.cond.Wait()
+				k.blockLocked(p)
 				continue
 			}
 		} else if p.suppressTotal == 0 && sigEntry != nil && sigEntry.QueueLen() > 0 {
@@ -491,11 +496,9 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 			}
 			// threeway/msglog: force a capture; the signal is the first
 			// event of the new interval. (Whether the capture travels as a
-			// delta sync or a full checkpoint is syncProcess's business.)
-			k.mu.Unlock()
-			err := k.syncProcess(p, true)
-			k.mu.Lock()
-			if err != nil {
+			// delta sync or a full checkpoint is syncProcessLocked's
+			// business.)
+			if err := k.syncProcessLocked(p, true); err != nil {
 				return guest.Event{}, err
 			}
 			continue
@@ -510,7 +513,7 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 			return guest.Event{FD: fd, Data: m.Payload}, nil
 		}
 
-		p.cond.Wait()
+		k.blockLocked(p)
 	}
 }
 
@@ -518,7 +521,9 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 // says one is due (§7.8 for threeway's read/tick triggers; msglog scales
 // the same cadence for its full-image checkpoints; llft never captures
 // after establishment). It is also the universal establishment pause
-// point — the guest has declared its state capturable here.
+// point — the guest has declared its state capturable here. Whether or not
+// a capture was due, the process's queued output leaves the cluster before
+// SyncPoint returns.
 func (pr *Proc) SyncPoint() error {
 	k, p := pr.k, pr.p
 	k.mu.Lock()
@@ -528,12 +533,13 @@ func (pr *Proc) SyncPoint() error {
 			return err
 		}
 	}
-	due := k.strategy.CaptureDue(uint64(p.readsSinceSync), p.ticksSinceSync, uint64(p.syncReads), p.syncTicks)
-	k.mu.Unlock()
-	if !due {
-		return nil
+	var err error
+	if k.strategy.CaptureDue(uint64(p.readsSinceSync), p.ticksSinceSync, uint64(p.syncReads), p.syncTicks) {
+		err = k.syncProcessLocked(p, false)
 	}
-	return k.syncProcess(p, false)
+	k.transmitLocked()
+	k.mu.Unlock()
+	return err
 }
 
 // Time implements guest.API (§7.5.1: "Time sends a request via message,

@@ -58,6 +58,7 @@ func (k *Kernel) CrashProcess(pid types.PID) error {
 		Dst:     pid,
 		Payload: cn.Encode(),
 	})
+	k.transmitLocked()
 	return nil
 }
 

@@ -194,7 +194,6 @@ func (k *Kernel) stepDownLocked(super types.Incarnation) {
 		p.crashed = true
 		p.cond.Broadcast()
 	}
-	k.txCond.Broadcast()
 	k.closeDieLocked()
 	k.wg.Add(1)
 	go func() {

@@ -263,6 +263,7 @@ func (k *Kernel) ServerInject(pid types.PID, fn func(*ServerCtx, Server)) bool {
 		return false
 	}
 	fn(k.serverCtx(host), host.impl)
+	k.transmitLocked()
 	return true
 }
 
@@ -284,6 +285,7 @@ func (k *Kernel) Signal(pid types.PID, sig types.Signal) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.signalLocked(pid, sig, directory.PIDKernel)
+	k.transmitLocked()
 }
 
 // signalLocked routes a signal message to pid's signal channel and its

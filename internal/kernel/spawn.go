@@ -57,6 +57,7 @@ func (k *Kernel) Spawn(program string, args []byte, opts SpawnOpts) (*PCB, *Birt
 	}
 	p.fullCheckpoint = opts.FullCheckpoint
 	k.startProcessLocked(p)
+	k.transmitLocked()
 	return p, bn, nil
 }
 
@@ -286,6 +287,8 @@ func (k *Kernel) restorePages(p *PCB) error {
 		Route:   types.Route{Dst: pagerLoc.Primary, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
 		Payload: req.Encode(),
 	})
+	// About to block on the reply: the request leaves first.
+	k.transmitLocked()
 	k.mu.Unlock()
 
 	select {
@@ -371,6 +374,8 @@ func (k *Kernel) exitProcess(p *PCB) {
 		})
 	}
 	k.dir.RemoveProc(p.pid)
+	// The process's last output, and the notice behind it, leave with it.
+	k.transmitLocked()
 }
 
 // forkLocked implements the fork syscall (§7.7): create the child locally,

@@ -10,9 +10,10 @@ import (
 	"auragen/internal/types"
 )
 
-// syncProcess synchronizes a primary with its backup (§7.8). It runs on the
-// process's own goroutine ("the sync operation at the primary's end"), in
-// two parts:
+// syncProcessLocked synchronizes a primary with its backup (§7.8). It runs
+// on the process's own goroutine ("the sync operation at the primary's
+// end"); the caller holds k.mu, which is released while guest code runs and
+// held again on return. Two parts:
 //
 //  1. The paging mechanism ships every page modified since the last sync to
 //     the page server.
@@ -30,11 +31,9 @@ import (
 // signalNext records that the process is about to handle an asynchronous
 // signal (§7.5.2); the backup then handles that signal first on recovery,
 // at exactly the same place as the primary.
-func (k *Kernel) syncProcess(p *PCB, signalNext bool) error {
-	k.mu.Lock()
+func (k *Kernel) syncProcessLocked(p *PCB, signalNext bool) error {
 	backup := p.backupCluster
 	if p.crashed || k.crashed {
-		k.mu.Unlock()
 		return types.ErrCrashed
 	}
 	if backup == types.NoCluster {
@@ -49,21 +48,20 @@ func (k *Kernel) syncProcess(p *PCB, signalNext bool) error {
 		for _, e := range k.table.OwnedBy(p.pid, routing.Primary) {
 			e.ReadsSinceSync = 0
 		}
-		if signalNext {
-			p.signalNext = true
-		}
-		k.mu.Unlock()
+		p.signalNext = p.signalNext || signalNext
+		// An establishment sync still pending is for a backup that died
+		// before the process got to it: moot, and the gate that called us
+		// would otherwise come straight back without ever releasing k.mu.
+		p.establishSyncPending = false
 		return nil
 	}
-	k.mu.Unlock()
 
 	// Part 1a: let the guest put all of its state into the address space.
 	// Guest code runs outside the kernel lock, in "user mode".
+	k.mu.Unlock()
 	p.g.FlushState()
 	regs := p.g.MarshalRegs()
-
 	k.mu.Lock()
-	defer k.mu.Unlock()
 	if p.crashed || k.crashed {
 		return types.ErrCrashed
 	}
@@ -82,8 +80,8 @@ func (k *Kernel) syncProcess(p *PCB, signalNext bool) error {
 	// captured copy-on-write — the PageOut aliases frozen pages, the
 	// primary resumes immediately, and only pages it rewrites while the
 	// sync streams out pay a copy. Serialization is deferred (Message.Lazy)
-	// to the transmit loop, which encodes into a pooled wire buffer off
-	// this process's critical path. In the baseline mode the entire
+	// to offerBatch, which encodes into a pooled wire buffer off the
+	// kernel lock. In the baseline mode the entire
 	// resident data space goes instead, copied eagerly, reproducing the §2
 	// strawman's cost profile.
 	var pages []memory.Page
@@ -182,8 +180,8 @@ func (k *Kernel) syncProcess(p *PCB, signalNext bool) error {
 
 	// The sync message is also encoded lazily: every SyncMsg field is
 	// exclusively owned by the message (the delta slices were detached from
-	// the PCB below; Args/Regs are immutable once marshaled), so the
-	// transmit loop can serialize it into a pooled buffer. Under a
+	// the PCB below; Args/Regs are immutable once marshaled), so
+	// offerBatch can serialize it into a pooled buffer. Under a
 	// full-image strategy (msglog) the state travels as a KindCheckpoint
 	// manifest wrapping the same image, so checkpoints are distinguishable
 	// on the wire and in traces from threeway's delta syncs.

@@ -1,0 +1,488 @@
+package kernel
+
+import (
+	"errors"
+	"runtime"
+	"slices"
+	"testing"
+
+	"auragen/internal/bus"
+	"auragen/internal/directory"
+	"auragen/internal/guest"
+	"auragen/internal/routing"
+	"auragen/internal/trace"
+	"auragen/internal/types"
+)
+
+// These tests drive the executive's transmit half without a goroutine, in
+// the manner of executive_test.go: a never-started kernel on a bare bus, its
+// syscalls and entry points called one at a time, and what left the cluster
+// read off the bus's own event log (one EvTransmit per transmission, in
+// bus-minted ID order) and batch counters.
+
+// stubGuest is a process body with no state; the tests make its syscalls for
+// it.
+type stubGuest struct{}
+
+func (stubGuest) Run(guest.API) error        { return nil }
+func (stubGuest) FlushState()                {}
+func (stubGuest) MarshalRegs() []byte        { return nil }
+func (stubGuest) UnmarshalRegs([]byte) error { return nil }
+
+// txRig is cluster 1 of a four-cluster bus. Clusters 0 (page server), 2 (the
+// peer) and 3 (the process's backup) are attached ports nobody drains. One
+// process lives on the kernel, with a data channel on descriptor fd to a
+// peer on cluster 2.
+type txRig struct {
+	k       *Kernel
+	bus     *bus.Bus
+	log     *trace.EventLog
+	metrics *trace.Metrics
+	p       *PCB
+	pr      *Proc
+	fd      types.FD
+	entry   *routing.Entry
+}
+
+func newTxRig(maxBatch int) *txRig {
+	r := &txRig{log: trace.NewEventLog(1 << 12), metrics: new(trace.Metrics), fd: 2}
+	r.bus = bus.New(r.metrics, r.log)
+	for _, c := range []types.ClusterID{0, 2, 3} {
+		r.bus.Attach(c)
+	}
+	dir := directory.New()
+	dir.SetService(directory.PIDPageServer, directory.ServiceLoc{Primary: 0, Backup: types.NoCluster})
+	reg := guest.NewRegistry()
+	reg.Register("stub", func() guest.Guest { return stubGuest{} })
+	r.k = New(Config{ID: 1, Bus: r.bus, Dir: dir, Registry: reg, Metrics: r.metrics, MaxBatch: maxBatch})
+
+	k := r.k
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	pid := dir.AllocPID()
+	r.p, _ = k.createProcessLocked(pid, "stub", nil, types.Halfback, pid, types.NoPID, 3)
+	r.entry = &routing.Entry{
+		Channel: dir.AllocChannel(), Owner: pid, Peer: fixDst, Role: routing.Primary,
+		PeerCluster: 2, PeerBackupCluster: types.NoCluster, OwnerBackupCluster: 3,
+	}
+	k.table.Add(r.entry)
+	r.p.fds[r.fd] = r.entry.Channel
+	r.p.fdOrder = nil
+	r.pr = &Proc{k: k, p: r.p}
+	return r
+}
+
+func (r *txRig) write(t *testing.T, payload string) {
+	t.Helper()
+	if err := r.pr.Write(r.fd, []byte(payload)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// transmit runs the transmit half as an entry point that does not hold k.mu
+// would.
+func (r *txRig) transmit() bool {
+	r.k.mu.Lock()
+	defer r.k.mu.Unlock()
+	return r.k.transmitLocked()
+}
+
+// sent returns the transmit event of every transmission so far, in bus
+// order.
+func (r *txRig) sent() []trace.Event {
+	var evs []trace.Event
+	for _, e := range r.log.Events() {
+		if e.Kind == trace.EvTransmit {
+			evs = append(evs, e)
+		}
+	}
+	return evs
+}
+
+// expect checks the kinds transmitted so far, the number of bus offers they
+// took, and what is still queued.
+func (r *txRig) expect(t *testing.T, batches uint64, backlog int, kinds ...types.Kind) {
+	t.Helper()
+	var got []types.Kind
+	for _, e := range r.sent() {
+		got = append(got, e.MsgKind)
+	}
+	if !slices.Equal(got, kinds) {
+		t.Fatalf("transmitted %v, want %v", got, kinds)
+	}
+	if n := r.metrics.BusBatches.Load(); n != batches {
+		t.Fatalf("%d bus offers, want %d", n, batches)
+	}
+	if n := r.k.OutgoingBacklog(); n != backlog {
+		t.Fatalf("outgoing backlog %d, want %d", n, backlog)
+	}
+}
+
+func repeatKind(k types.Kind, n int) []types.Kind {
+	out := make([]types.Kind, n)
+	for i := range out {
+		out[i] = k
+	}
+	return out
+}
+
+// TestWhenOutputLeaves is the table behind guest.API.Write's promise: output
+// leaves no later than the process's next blocking call, sync point, full
+// batch or exit — and no earlier than the first of them.
+func TestWhenOutputLeaves(t *testing.T) {
+	t.Run("Write and Tick leave it queued", func(t *testing.T) {
+		r := newTxRig(0)
+		r.write(t, "a")
+		r.pr.Tick(1)
+		r.write(t, "b")
+		r.expect(t, 0, 2)
+	})
+	t.Run("the Write that fills a batch sends the batch", func(t *testing.T) {
+		const maxBatch = 4
+		r := newTxRig(maxBatch)
+		for i := 0; i < maxBatch-1; i++ {
+			r.write(t, "x")
+		}
+		r.expect(t, 0, maxBatch-1)
+		r.write(t, "x")
+		r.expect(t, 1, 0, repeatKind(types.KindData, maxBatch)...)
+	})
+	t.Run("a sync point with no capture due sends what is queued", func(t *testing.T) {
+		r := newTxRig(0)
+		r.write(t, "a")
+		r.write(t, "b")
+		if err := r.pr.SyncPoint(); err != nil {
+			t.Fatal(err)
+		}
+		r.expect(t, 1, 0, types.KindData, types.KindData)
+		if n := r.metrics.Syncs.Load(); n != 0 {
+			t.Fatalf("%d captures, want none", n)
+		}
+	})
+	t.Run("a capture leaves in one batch behind the data queued before it", func(t *testing.T) {
+		r := newTxRig(0)
+		r.write(t, "a")
+		r.pr.Space().WriteAt(0, []byte("dirty"))
+		r.pr.Tick(DefaultSyncTicks)
+		if err := r.pr.SyncPoint(); err != nil {
+			t.Fatal(err)
+		}
+		r.expect(t, 1, 0, types.KindData, types.KindPageOut, types.KindSync)
+	})
+	t.Run("a read transmits before it parks and looks again afterwards", func(t *testing.T) {
+		r := newTxRig(0)
+		r.write(t, "request")
+		// The reply arrives while the reader is on the bus with the request
+		// and k.mu is released. Had Read parked without transmitting, or
+		// parked without re-evaluating, this test would hang.
+		r.bus.SetFaultHook(func(int, *types.Message, int) bool {
+			r.k.mu.Lock()
+			defer r.k.mu.Unlock()
+			r.entry.Enqueue(&types.Message{Kind: types.KindData, Payload: []byte("reply")})
+			return false
+		})
+		got, err := r.pr.Read(r.fd)
+		if err != nil || string(got) != "reply" {
+			t.Fatalf("Read = %q, %v", got, err)
+		}
+		r.expect(t, 1, 0, types.KindData)
+	})
+	t.Run("exit sends the last output and the notice behind it", func(t *testing.T) {
+		r := newTxRig(0)
+		r.write(t, "last words")
+		r.k.exitProcess(r.p)
+		r.expect(t, 1, 0, types.KindData, types.KindExitNotice)
+	})
+	t.Run("an entry point that is no syscall transmits on its way out", func(t *testing.T) {
+		r := newTxRig(0)
+		r.write(t, "a")
+		r.k.Signal(r.p.pid, types.SigUser)
+		r.expect(t, 1, 0, types.KindData, types.KindSignal)
+	})
+	t.Run("the receive loop transmits what a drained batch queued", func(t *testing.T) {
+		r := newTxRig(0)
+		bu := &BackupUp{PID: fixDst, BackupCluster: 3, Origin: 2, NeedAck: true}
+		r.k.dispatchBatch([]types.Message{{ID: 1, Kind: types.KindBackupUp, Payload: bu.Encode()}})
+		r.expect(t, 1, 0, types.KindBackupAck)
+	})
+}
+
+// TestSingleTransmitter: a second caller that arrives while one goroutine is
+// on the bus returns at once, and its output goes out behind the holder's, in
+// queue order, in the holder's next batch.
+func TestSingleTransmitter(t *testing.T) {
+	r := newTxRig(0)
+	r.write(t, "first")
+	arrived := false
+	r.bus.SetFaultHook(func(int, *types.Message, int) bool {
+		if arrived {
+			return false
+		}
+		arrived = true
+		// The holder is inside BroadcastBatch, outside k.mu.
+		r.write(t, "second")
+		r.k.mu.Lock()
+		defer r.k.mu.Unlock()
+		if !r.k.transmitting {
+			t.Error("the transmitting flag is not set during an offer")
+		} else if r.k.transmitLocked() {
+			t.Error("a second transmitter released k.mu while the flag was held")
+		}
+		return false
+	})
+	if !r.transmit() {
+		t.Fatal("transmitLocked reports it never released k.mu")
+	}
+	r.expect(t, 2, 0, types.KindData, types.KindData)
+	if r.k.transmitting {
+		t.Fatal("the transmitting flag outlived the drain")
+	}
+	tx := r.sent()
+	if tx[0].Arg != trace.HashPayload([]byte("first")) || tx[1].Arg != trace.HashPayload([]byte("second")) ||
+		tx[0].MsgID >= tx[1].MsgID {
+		t.Fatalf("bus order is not queue order: %v", tx)
+	}
+}
+
+// TestNothingLeavesAHeldOrDeadKernel: once hold, crash, stop or degrade has
+// been observed under k.mu nothing more reaches the bus, and OutgoingBacklog
+// reads what it read when a transmit loop did the draining.
+func TestNothingLeavesAHeldOrDeadKernel(t *testing.T) {
+	t.Run("hold", func(t *testing.T) {
+		r := newTxRig(0)
+		r.k.HoldTransmit(true)
+		r.write(t, "a")
+		r.write(t, "b")
+		if err := r.pr.SyncPoint(); err != nil {
+			t.Fatal(err)
+		}
+		r.expect(t, 0, 2)
+		r.k.HoldTransmit(false)
+		r.expect(t, 1, 0, types.KindData, types.KindData)
+	})
+	t.Run("crash", func(t *testing.T) {
+		r := newTxRig(0)
+		r.write(t, "a")
+		r.k.Crash()
+		r.transmit()
+		r.write(t, "b") // dropped: the cluster is dead
+		r.expect(t, 0, 0)
+	})
+	t.Run("stop", func(t *testing.T) {
+		r := newTxRig(0)
+		r.write(t, "a")
+		r.k.Stop()
+		r.transmit()
+		r.expect(t, 0, 1)
+	})
+	t.Run("degrade", func(t *testing.T) {
+		r := newTxRig(0)
+		for i := 0; i < bus.NumBuses; i++ {
+			if err := r.bus.FailBus(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.write(t, "a")
+		r.write(t, "b")
+		r.transmit() // exhausts the retry budget
+		if !r.k.Degraded() {
+			t.Fatal("both buses down past the retry budget did not degrade the kernel")
+		}
+		if err := r.bus.RepairBus(0); err != nil {
+			t.Fatal(err)
+		}
+		r.write(t, "c")
+		r.transmit()
+		r.expect(t, txMaxAttempts, 0) // every offer failed; none since
+		if _, err := r.pr.Read(r.fd); !errors.Is(err, types.ErrTooManyFailures) {
+			t.Fatalf("Read on a degraded kernel = %v", err)
+		}
+	})
+}
+
+// TestCrashBetweenTakeAndOffer: a batch taken off the queue before the
+// cluster crashed is not offered after it.
+func TestCrashBetweenTakeAndOffer(t *testing.T) {
+	r := newTxRig(0)
+	r.write(t, "a")
+	r.k.mu.Lock()
+	took := r.k.takeBatchLocked()
+	r.k.mu.Unlock()
+	if !took {
+		t.Fatal("no batch to take")
+	}
+	r.k.Crash()
+	r.k.offerBatch()
+	r.expect(t, 0, 0)
+}
+
+// TestTransmitAllocations pins the steady-state cost of one one-message
+// transmit at what a transmit-loop iteration cost: the bus's payload slab
+// and nothing of the kernel's.
+func TestTransmitAllocations(t *testing.T) {
+	metrics := new(trace.Metrics)
+	b := bus.New(metrics, nil)
+	peer := b.Attach(2)
+	k := New(Config{ID: 1, Bus: b, Dir: directory.New(), Registry: guest.NewRegistry(), Metrics: metrics})
+	m := &types.Message{
+		Kind:    types.KindData,
+		Route:   types.Route{Dst: 2, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
+		Payload: make([]byte, 64),
+	}
+	var buf []types.Message
+	one := func() {
+		k.mu.Lock()
+		k.sendLocked(m)
+		k.transmitLocked()
+		k.mu.Unlock()
+		buf, _ = peer.PopAll(buf)
+	}
+	for i := 0; i < 100; i++ {
+		one() // warm the queue, batch and receive-buffer capacities
+	}
+	if n := testing.AllocsPerRun(200, one); n != 1 {
+		t.Fatalf("a one-message transmit allocated %v times, want 1 (the bus's payload slab)", n)
+	}
+
+	t.Run("pooled writers are returned", func(t *testing.T) {
+		lazy := func() {
+			m.Payload, m.Lazy = nil, &DecisionMsg{PID: fixSrc, Seq: 1, Reads: 2}
+			one()
+		}
+		for i := 0; i < 100; i++ {
+			lazy()
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10000; i++ {
+			lazy()
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 64<<10 {
+			t.Fatalf("heap grew %d bytes over 10000 lazy transmits", grown)
+		}
+	})
+}
+
+// TestRoadmapHypothesis1bStragglerBatch pins what ROADMAP item 1's
+// hypothesis (b) asks about: a cluster crashes while its executive holds a
+// batch it has taken off the queue but not yet put on the bus. It records
+// behaviour; whether that behaviour is the exactly-once bug is item 1's call.
+//
+// Observed:
+//
+//   - A crash that lands between the take and the offer loses the batch with
+//     the cluster (TestCrashBetweenTakeAndOffer): transmitBatch looks at the
+//     kernel once more before it takes the bus.
+//   - A crash that lands after that look — here, from inside the bus's
+//     critical section, the latest point there is — does not stop the batch.
+//     Every message reaches every target, ahead of the crash notice, which is
+//     broadcast only after Kernel.Crash has returned and Crash's Detach queues
+//     behind the batch on the bus lock. In bus order that is a cluster that
+//     died just after transmitting, and receivers accept the batch as such.
+//   - The batch carries NO incarnation. offerBatch stamps a message whose
+//     Origin is types.NoCluster (-1), but a message built by the kernel has
+//     Origin 0, so nothing a kernel sends is ever stamped: Origin stays 0 and
+//     Inc stays 0 on every cluster. The dispatch fence skips Inc 0, so the
+//     same frames offered again AFTER the receiver has dispatched the notice
+//     (a transmitter delayed past the notice, a wire that delays) are queued
+//     for reading like any other. The fence that partition_test.go exercises
+//     with hand-stamped frames never sees a stamped frame in a running system.
+func TestRoadmapHypothesis1bStragglerBatch(t *testing.T) {
+	metrics := new(trace.Metrics)
+	b := bus.New(metrics, nil)
+	dir := directory.New()
+	newKernel := func(id types.ClusterID) *Kernel {
+		return New(Config{ID: id, Bus: b, Dir: dir, Registry: guest.NewRegistry(), Metrics: metrics})
+	}
+	sender, receiver := newKernel(1), newKernel(2)
+	queue := addEntry(receiver, fixDst, fixSrc, routing.Primary)
+
+	route := types.Route{Dst: 2, DstBackup: types.NoCluster, SrcBackup: types.NoCluster}
+	sender.mu.Lock()
+	for _, payload := range []string{"one", "two"} {
+		sender.sendLocked(&types.Message{
+			Kind: types.KindData, Channel: fixCh, Src: fixSrc, Dst: fixDst, Route: route, Payload: []byte(payload),
+		})
+	}
+	sender.takeBatchLocked()
+	sender.mu.Unlock()
+
+	// The crash lands once the executive is past its last look at the
+	// kernel: Crash runs its critical section while the batch holds the bus,
+	// and its Detach waits for the batch to finish.
+	crashed := make(chan struct{})
+	b.SetFaultHook(func(int, *types.Message, int) bool {
+		if !sender.Crashed() {
+			go func() {
+				sender.Crash()
+				close(crashed)
+			}()
+			for !sender.Crashed() {
+				runtime.Gosched()
+			}
+		}
+		return false
+	})
+	sender.offerBatch()
+	<-crashed
+	b.SetFaultHook(nil)
+
+	// What core.handleDetectedCrash does once Kernel.Crash has returned.
+	dir.ApplyCrash(1)
+	notice := &CrashNotice{Crashed: 1, Inc: dir.Incarnation(1)}
+	if _, err := b.BroadcastBatch([]*types.Message{{Kind: types.KindCrashNotice, Payload: notice.Encode()}}); err != nil {
+		t.Fatal(err)
+	}
+
+	arrived, _ := receiver.inbox.PopAll(nil)
+	var kinds []types.Kind
+	for _, m := range arrived {
+		kinds = append(kinds, m.Kind)
+	}
+	if !slices.Equal(kinds, []types.Kind{types.KindData, types.KindData, types.KindCrashNotice}) {
+		t.Fatalf("receiver's inbox holds %v, want the two stragglers ahead of the notice", kinds)
+	}
+	straggler := arrived[0]
+	if straggler.Origin != 0 || straggler.Inc != 0 {
+		t.Fatalf("straggler stamped Origin %v Inc %d; it was observed unstamped (0, 0) — if stamping now works, "+
+			"this test's last assertion should flip too", straggler.Origin, straggler.Inc)
+	}
+	receiver.dispatchBatch(arrived)
+	if got := queue.QueueLen(); got != 2 {
+		t.Fatalf("%d stragglers queued for reading, want both: they precede the notice in bus order", got)
+	}
+	if view := receiver.incView[1]; view != notice.Inc {
+		t.Fatalf("receiver's view of cluster 1 is incarnation %d after the notice, want %d", view, notice.Inc)
+	}
+
+	// The same frame again, now behind the notice.
+	straggler.ID = 0
+	receiver.dispatchBatch([]types.Message{straggler})
+	if fenced := metrics.FencedRejects.Load(); fenced != 0 || queue.QueueLen() != 3 {
+		t.Fatalf("a dead cluster's frame behind its crash notice: fenced %d, queued %d; observed 0 and 3 "+
+			"(never fenced, because never stamped)", fenced, queue.QueueLen())
+	}
+}
+
+// TestEstablishmentSyncForADeadBackupIsDropped: the new backup's cluster
+// crashed between the establishment cutover and the process's establishment
+// sync. The sync point must come back (it used to spin through the gate,
+// releasing k.mu on the way; it no longer releases it) and a later
+// establishment starts clean.
+func TestEstablishmentSyncForADeadBackupIsDropped(t *testing.T) {
+	r := newTxRig(0)
+	r.k.mu.Lock()
+	r.p.backupCluster = types.NoCluster
+	r.p.establishSyncPending = true
+	r.k.mu.Unlock()
+	if err := r.pr.SyncPoint(); err != nil {
+		t.Fatal(err)
+	}
+	if r.p.establishSyncPending {
+		t.Fatal("the establishment sync is still pending for a backup that no longer exists")
+	}
+	r.expect(t, 0, 0)
+}

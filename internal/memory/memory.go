@@ -204,8 +204,8 @@ func (a *AddressSpace) thawLocked(n PageNo, p []byte) []byte {
 // and clears the dirty set. The aliased pages are frozen: the next write to
 // any of them copies the page first (copy-on-write), so the returned slices
 // are immutable from the caller's point of view and may be read from
-// another goroutine (the transmit loop encoding a sync) without
-// synchronization. The primary keeps executing; only pages it actually
+// another goroutine (whichever one transmits the sync and encodes it)
+// without synchronization. The primary keeps executing; only pages it actually
 // rewrites while the capture is in flight pay a copy.
 func (a *AddressSpace) CaptureDirty() []Page {
 	a.mu.Lock()

@@ -237,12 +237,12 @@ type Message struct {
 	// roll-forward.
 	Nondet []uint64
 	// Lazy, when non-nil, supplies Payload at transmit time: the sending
-	// executive's transmit loop encodes it into a pooled wire buffer just
-	// before offering the message to the bus, then clears it. It lets a
-	// syncing primary enqueue captured state by reference and resume
-	// immediately; the serialization cost moves off the process's critical
-	// path. The encoder must be safe to run on the transmit goroutine
-	// (exclusively owned or immutable data). A message must never reach
+	// executive encodes it into a pooled wire buffer just before offering
+	// the message to the bus, then clears it. It lets a
+	// syncing primary enqueue captured state by reference; the
+	// serialization cost moves out of the kernel's critical section. The
+	// encoder must be safe to run without the kernel lock, on whichever
+	// goroutine transmits (exclusively owned or immutable data). A message must never reach
 	// the bus with Lazy still set.
 	Lazy PayloadEncoder
 }
