@@ -26,6 +26,11 @@ const NoBlock BlockID = 0
 // NumMirrors is the replication factor of a mirrored pair.
 const NumMirrors = 2
 
+// maxSpare bounds the spare list: enough for the blocks one sync of a large
+// process frees on both mirrors, small enough that a disk whose accounts
+// were all freed at once gives the rest back to the collector.
+const maxSpare = 256
+
 // Disk is a dual-ported, mirrored block store. All methods are safe for
 // concurrent use.
 type Disk struct {
@@ -37,6 +42,12 @@ type Disk struct {
 	next   BlockID
 	mirror [NumMirrors]map[BlockID][]byte
 	failed [NumMirrors]bool
+	// spare holds the buffers of freed blocks for Write to reuse, at most
+	// maxSpare of them. Every stored buffer has capacity blockSize and its
+	// stored length is the length last written, and no stored slice ever
+	// leaves the package (Read copies), so a buffer's previous contents are
+	// unreachable once it is re-sliced for its next tenant.
+	spare [][]byte
 
 	reads, writes uint64
 }
@@ -109,7 +120,7 @@ func (d *Disk) Resilver(i int) error {
 	}
 	fresh := make(map[BlockID][]byte, len(d.mirror[src]))
 	for id, b := range d.mirror[src] {
-		c := make([]byte, len(b))
+		c := make([]byte, len(b), d.blockSize)
 		copy(c, b)
 		fresh[id] = c
 	}
@@ -173,6 +184,20 @@ func (d *Disk) Alloc(from types.ClusterID) (BlockID, error) {
 	return id, nil
 }
 
+// bufferLocked returns the n-byte buffer mirror i stores block id in from now
+// on: the block's own when it has one, otherwise a spare, otherwise a new
+// one. The caller holds d.mu and fills all n bytes.
+func (d *Disk) bufferLocked(i int, id BlockID, n int) []byte {
+	b, ok := d.mirror[i][id]
+	if last := len(d.spare) - 1; !ok && last >= 0 {
+		b, d.spare = d.spare[last], d.spare[:last]
+	} else if !ok {
+		b = make([]byte, 0, d.blockSize)
+	}
+	d.mirror[i][id] = b[:n]
+	return b[:n]
+}
+
 // Write stores data (at most BlockSize bytes) in block id on every healthy
 // mirror.
 func (d *Disk) Write(from types.ClusterID, id BlockID, data []byte) error {
@@ -189,9 +214,7 @@ func (d *Disk) Write(from types.ClusterID, id BlockID, data []byte) error {
 		if d.failed[i] {
 			continue
 		}
-		c := make([]byte, len(data))
-		copy(c, data)
-		d.mirror[i][id] = c
+		copy(d.bufferLocked(i, id, len(data)), data)
 		healthy = true
 	}
 	if !healthy {
@@ -234,9 +257,13 @@ func (d *Disk) Free(from types.ClusterID, id BlockID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for i := range d.mirror {
-		if !d.failed[i] {
-			delete(d.mirror[i], id)
+		if d.failed[i] {
+			continue
 		}
+		if b, ok := d.mirror[i][id]; ok && len(d.spare) < maxSpare {
+			d.spare = append(d.spare, b)
+		}
+		delete(d.mirror[i], id)
 	}
 	return nil
 }

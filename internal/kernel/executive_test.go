@@ -60,6 +60,36 @@ func TestRxDuplicateWindow(t *testing.T) {
 			}
 		}
 	})
+	t.Run("the window's edge", func(t *testing.T) {
+		// What the wire can do to two copies of one transmission, against
+		// the one thing that would make the second copy slip through.
+		for _, tc := range []struct {
+			name    string
+			between []uint64 // IDs delivered between the two copies of ID 1000
+			caught  bool
+		}{
+			{"copies back to back", nil, true},
+			{"a full window less one of other IDs between", idRange(1001, rxDedupWindow-1), true},
+			{"a held copy released behind newer traffic", idRange(1001, 40), true},
+			{"an older held frame released between the copies", []uint64{1000 - 30}, true},
+			{"the ID exactly one window later between", []uint64{1000 + rxDedupWindow}, false},
+			{"the ID exactly one window earlier between", []uint64{1000 - rxDedupWindow}, false},
+			{"two windows later between", []uint64{1000 + 2*rxDedupWindow}, false},
+		} {
+			k := bareKernel(2)
+			if k.rxDuplicate(1000) {
+				t.Fatalf("%s: first copy reported duplicate", tc.name)
+			}
+			for _, id := range tc.between {
+				if k.rxDuplicate(id) {
+					t.Fatalf("%s: fresh ID %d reported duplicate", tc.name, id)
+				}
+			}
+			if got := k.rxDuplicate(1000); got != tc.caught {
+				t.Errorf("%s: second copy reported duplicate = %v, want %v", tc.name, got, tc.caught)
+			}
+		}
+	})
 	t.Run("ID 0 is never a duplicate", func(t *testing.T) {
 		k := bareKernel(2)
 		for i := 0; i < 3; i++ {
@@ -89,6 +119,15 @@ func TestRxDuplicateWindow(t *testing.T) {
 			t.Fatal("second copy of delayed ID 40 accepted")
 		}
 	})
+}
+
+// idRange returns n consecutive IDs starting at first.
+func idRange(first uint64, n int) []uint64 {
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = first + uint64(i)
+	}
+	return ids
 }
 
 // The fixture is one data message from pid 101 (cluster 1, backup on

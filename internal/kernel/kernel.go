@@ -76,8 +76,9 @@ const DefaultPageFetchTimeout = 10 * time.Second
 // between the two copies. The wire cannot produce that: it stages both
 // copies of an armed duplicate back to back under the bus lock
 // (lossyWire.copiesLocked → Bus.stageLocked), and an armed delay withholds
-// a frame for tens of transmissions, not thousands.
-const rxDedupWindow = 4096
+// a frame for tens of transmissions, not hundreds. That argument sets the
+// size: the array is zeroed at every kernel boot, and a repair boots one.
+const rxDedupWindow = 256
 
 // The slot index is a mask, so the window must be a power of two.
 var _ [0]struct{} = [rxDedupWindow & (rxDedupWindow - 1)]struct{}{}
@@ -646,8 +647,9 @@ func (k *Kernel) takeBatchLocked() bool {
 // offerBatch puts k.txBatch on the bus. Every transmission of this cluster
 // goes through here, under the transmitting flag and outside k.mu. Lazy
 // payloads are resolved into pooled wire buffers here — off the kernel lock
-// — and the buffers are released once the bus has cloned the payload for
-// every destination.
+// — what they borrowed (a page-out's captured pages) is handed back as soon
+// as it is encoded, and the buffers are released once the bus has cloned the
+// payload for every destination.
 func (k *Kernel) offerBatch() {
 	// Resolve deferred payloads into pooled buffers. Encoders touch only
 	// data the enqueuer handed off (captured pages, retired sync state), so
@@ -665,6 +667,9 @@ func (k *Kernel) offerBatch() {
 		if m.Lazy != nil {
 			w = wire.GetWriter()
 			m.Lazy.EncodePayload(w)
+			if r, ok := m.Lazy.(types.PayloadRetirer); ok {
+				r.RetirePayload()
+			}
 			m.Payload = w.Bytes()
 			m.Lazy = nil
 		}
@@ -849,9 +854,9 @@ func (k *Kernel) dispatchLocked(in *types.Message) {
 	case types.KindData, types.KindOpenRequest, types.KindOpenReply, types.KindSignal:
 		k.dispatchChannelMessage(m)
 	case types.KindSync:
-		k.dispatchSync(m)
+		k.dispatchSync(m, m.Payload)
 	case types.KindCheckpoint:
-		k.dispatchCheckpoint(m)
+		k.dispatchSync(m, checkpointImage(m.Payload))
 	case types.KindDecision:
 		if m.Route.Dst == k.id {
 			k.dispatchDecision(m)

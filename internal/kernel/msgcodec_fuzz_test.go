@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"auragen/internal/types"
@@ -101,6 +102,88 @@ func FuzzDecodeMessageBatch(f *testing.F) {
 				t.Fatalf("byte %d flip: decoded %d messages, err=%v", i, len(got), err)
 			}
 			mut[i] ^= 0x20
+		}
+	})
+}
+
+// randomSyncMsg builds a sync image with pseudo-random contents, biased
+// towards the common shape (no child to free, no roll-forward debt).
+func randomSyncMsg(rng *rand.Rand) *SyncMsg {
+	s := &SyncMsg{
+		PID:            types.PID(rng.Uint64()),
+		Epoch:          types.Epoch(rng.Uint32()),
+		Program:        "prog-" + string(rune('a'+rng.Intn(26))),
+		Mode:           types.BackupMode(rng.Intn(3)),
+		Family:         types.PID(rng.Uint64()),
+		Parent:         types.PID(rng.Uint64()),
+		PrimaryCluster: types.ClusterID(rng.Intn(5) - 1),
+		NextFD:         types.FD(rng.Intn(16)),
+		SignalNext:     rng.Intn(2) == 0,
+		SignalChannel:  types.ChannelID(rng.Uint64()),
+		Establish:      rng.Intn(4) == 0,
+		TotalReads:     rng.Uint64(),
+	}
+	s.Args = make([]byte, rng.Intn(40))
+	rng.Read(s.Args)
+	s.Regs = make([]byte, rng.Intn(40))
+	rng.Read(s.Regs)
+	for i, n := 0, rng.Intn(5); i < n; i++ {
+		s.Channels = append(s.Channels, ChannelInfo{Channel: types.ChannelID(rng.Uint64()), FD: types.FD(i), Reads: rng.Uint32(), Peer: types.PID(rng.Uint64())})
+	}
+	for i, n := 0, rng.Intn(3); i < n; i++ {
+		s.ClosedChannels = append(s.ClosedChannels, types.ChannelID(rng.Uint64()))
+	}
+	if rng.Intn(3) == 0 {
+		for i, n := 0, 1+rng.Intn(4); i < n; i++ {
+			s.FreePIDs = append(s.FreePIDs, types.PID(rng.Uint64()))
+		}
+	}
+	if rng.Intn(4) == 0 {
+		s.Suppress = map[types.ChannelID]uint32{types.ChannelID(rng.Uint64()): rng.Uint32()}
+		s.NondetRemaining = []uint64{rng.Uint64(), rng.Uint64()}
+	}
+	return s
+}
+
+// FuzzDecodeSyncCommit holds the page servers' short decoder against the
+// backup's full one: on any input it never panics; whatever DecodeSyncMsg
+// accepts DecodeSyncCommit accepts too, with the same PID, epoch and free
+// list; and what DecodeSyncCommit rejects DecodeSyncMsg rejects. (The reverse
+// does not hold and need not: the short decoder validates only what it
+// reads.) The seed corpus is the batch codec's — every payload its seeds
+// carry, the checkpoint's wrapped image among them — plus seeded random sync
+// images whole and cut short at every length.
+func FuzzDecodeSyncCommit(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for i, n := 0, rng.Intn(6); i < n; i++ {
+			f.Add(randomMessage(rng).Payload)
+		}
+		image := randomSyncMsg(rng).Encode()
+		if _, err := DecodeSyncMsg(image); err != nil {
+			f.Fatalf("seed %d: the corpus holds no accepted image: %v", seed, err)
+		}
+		for cut := 0; cut <= len(image); cut++ {
+			f.Add(image[:cut])
+		}
+		f.Add((&CheckpointMsg{Pages: 2, Bytes: 8192, Sync: randomSyncMsg(rng)}).Encode())
+	}
+	f.Add(checkpointImage((&CheckpointMsg{Pages: 2, Bytes: 8192,
+		Sync: &SyncMsg{PID: 21, Epoch: 5, Program: "sig-server"}}).Encode()))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, image := range [][]byte{b, checkpointImage(b)} {
+			pid, epoch, free, cerr := DecodeSyncCommit(image)
+			sm, err := DecodeSyncMsg(image)
+			if err != nil {
+				continue
+			}
+			if cerr != nil {
+				t.Fatalf("DecodeSyncMsg accepts what DecodeSyncCommit rejects: %v", cerr)
+			}
+			if pid != sm.PID || epoch != sm.Epoch || !slices.Equal(free, sm.FreePIDs) {
+				t.Fatalf("commit (%d, %d, %v) disagrees with sync message (%d, %d, %v)", pid, epoch, free, sm.PID, sm.Epoch, sm.FreePIDs)
+			}
 		}
 	})
 }

@@ -127,8 +127,14 @@ func (s *SyncMsg) Encode() []byte {
 // is exclusively owned by the message (or immutable, like Args) once the
 // sync is enqueued.
 func (s *SyncMsg) EncodePayload(w *wire.Writer) {
+	// The commit — all the page-server pair reads — goes first, so that
+	// DecodeSyncCommit can stop there.
 	w.U64(uint64(s.PID))
 	w.U32(uint32(s.Epoch))
+	w.U32(uint32(len(s.FreePIDs)))
+	for _, p := range s.FreePIDs {
+		w.U64(uint64(p))
+	}
 	w.String(s.Program)
 	w.U8(uint8(s.Mode))
 	w.U64(uint64(s.Family))
@@ -151,10 +157,6 @@ func (s *SyncMsg) EncodePayload(w *wire.Writer) {
 	for _, ch := range s.ClosedChannels {
 		w.U64(uint64(ch))
 	}
-	w.U32(uint32(len(s.FreePIDs)))
-	for _, p := range s.FreePIDs {
-		w.U64(uint64(p))
-	}
 	w.U32(uint32(len(s.Suppress)))
 	for _, ch := range sortedChannels(s.Suppress) {
 		w.U64(uint64(ch))
@@ -173,12 +175,39 @@ func (s *SyncMsg) EncodePayload(w *wire.Writer) {
 	w.U64(s.TotalReads)
 }
 
+// decodeSyncCommit reads the head of a sync image: whose page account to
+// commit, at which epoch, and which exited children's accounts to free.
+func decodeSyncCommit(r *wire.Reader) (pid types.PID, epoch types.Epoch, free []types.PID) {
+	pid, epoch = types.PID(r.U64()), types.Epoch(r.U32())
+	n := r.U32()
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		free = append(free, types.PID(r.U64()))
+	}
+	return pid, epoch, free
+}
+
+// DecodeSyncCommit reads a sync image the way a page-server cluster needs
+// it: the commit and nothing after it — no program, registers or channel
+// list is built, and with no child to free nothing is allocated. Only the
+// commit is validated; what follows it is the backup's kernel's business
+// (DecodeSyncMsg), and both read the same bytes for these three fields.
+func DecodeSyncCommit(b []byte) (types.PID, types.Epoch, []types.PID, error) {
+	r := wire.NewReader(b)
+	pid, epoch, free := decodeSyncCommit(r)
+	if err := r.Err(); err != nil {
+		return 0, 0, nil, fmt.Errorf("kernel: sync commit: %w", err)
+	}
+	return pid, epoch, free, nil
+}
+
 // DecodeSyncMsg parses a sync message payload.
 func DecodeSyncMsg(b []byte) (*SyncMsg, error) {
 	r := wire.NewReader(b)
+	pid, epoch, free := decodeSyncCommit(r)
 	s := &SyncMsg{
-		PID:            types.PID(r.U64()),
-		Epoch:          types.Epoch(r.U32()),
+		PID:            pid,
+		Epoch:          epoch,
+		FreePIDs:       free,
 		Program:        r.String(),
 		Mode:           types.BackupMode(r.U8()),
 		Family:         types.PID(r.U64()),
@@ -201,10 +230,6 @@ func DecodeSyncMsg(b []byte) (*SyncMsg, error) {
 	nCl := r.U32()
 	for i := uint32(0); i < nCl && r.Err() == nil; i++ {
 		s.ClosedChannels = append(s.ClosedChannels, types.ChannelID(r.U64()))
-	}
-	nFr := r.U32()
-	for i := uint32(0); i < nFr && r.Err() == nil; i++ {
-		s.FreePIDs = append(s.FreePIDs, types.PID(r.U64()))
 	}
 	nSup := r.U32()
 	if nSup > 0 {
@@ -294,6 +319,19 @@ func (c *CheckpointMsg) Encode() []byte {
 	return w.Bytes()
 }
 
+// checkpointManifestLen is the manifest's fixed head (Pages, Bytes); the
+// wrapped sync image follows it.
+const checkpointManifestLen = 4 + 8
+
+// checkpointImage returns the sync image a checkpoint manifest wraps, nil
+// for a payload too short to hold one.
+func checkpointImage(b []byte) []byte {
+	if len(b) < checkpointManifestLen {
+		return nil
+	}
+	return b[checkpointManifestLen:]
+}
+
 // EncodePayload appends the manifest to w (types.PayloadEncoder, same
 // exclusive-ownership argument as SyncMsg).
 func (c *CheckpointMsg) EncodePayload(w *wire.Writer) {
@@ -304,20 +342,12 @@ func (c *CheckpointMsg) EncodePayload(w *wire.Writer) {
 
 // DecodeCheckpointMsg parses a checkpoint manifest payload.
 func DecodeCheckpointMsg(b []byte) (*CheckpointMsg, error) {
-	r := wire.NewReader(b)
-	c := &CheckpointMsg{
-		Pages: r.U32(),
-		Bytes: r.U64(),
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("kernel: checkpoint message: %w", err)
-	}
-	sm, err := DecodeSyncMsg(r.Rest())
+	sm, err := DecodeSyncMsg(checkpointImage(b))
 	if err != nil {
 		return nil, fmt.Errorf("kernel: checkpoint message: %w", err)
 	}
-	c.Sync = sm
-	return c, nil
+	r := wire.NewReader(b) // long enough: it holds an image behind the head
+	return &CheckpointMsg{Pages: r.U32(), Bytes: r.U64(), Sync: sm}, nil
 }
 
 // BirthNotice is the payload of a KindBirthNotice message (§7.7): enough
@@ -485,6 +515,20 @@ type PageOut struct {
 	// (via Message.Lazy) is race-free. In a decoded PageOut they alias the
 	// message payload instead (see DecodePageOut).
 	Pages []memory.Page
+
+	// captured is the address space Pages was captured from, nil when they
+	// are copies (a full image) or decoded: RetirePayload releases the
+	// capture there.
+	captured *memory.AddressSpace
+}
+
+// RetirePayload ends the copy-on-write capture once the pages have been
+// encoded (types.PayloadRetirer): from here on the primary writes them in
+// place again.
+func (p *PageOut) RetirePayload() {
+	if p.captured != nil {
+		p.captured.Release(p.Pages)
+	}
 }
 
 // EncodePayload appends the page-out to w: a fixed header followed by a
@@ -533,6 +577,9 @@ func DecodePageOut(b []byte) (*PageOut, error) {
 		return nil, fmt.Errorf("kernel: page-out: %w", r.Err())
 	}
 	br := wire.NewBatchReader(r.Rest())
+	// One allocation for the page list, not one per doubling. The frame
+	// count is input: a page frame is at least 12 bytes, which bounds it.
+	p.Pages = make([]memory.Page, 0, min(br.Len(), len(b)/12))
 	for {
 		f, ok := br.Next()
 		if !ok {

@@ -298,6 +298,7 @@ func TestDecodersNeverPanicOnArbitraryBytes(t *testing.T) {
 		// Every decoder must fail gracefully on corrupt payloads; the
 		// kernel drops bad messages rather than crashing the cluster.
 		DecodeSyncMsg(b)
+		DecodeSyncCommit(b)
 		DecodeBirthNotice(b)
 		DecodeOpenRequest(b)
 		DecodeOpenReply(b)

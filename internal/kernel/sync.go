@@ -78,22 +78,23 @@ func (k *Kernel) syncProcessLocked(p *PCB, signalNext bool) error {
 	// Part 1b: ship the pages modified since the last sync to the page
 	// server (primary account) as ONE PageOut message. The dirty set is
 	// captured copy-on-write — the PageOut aliases frozen pages, the
-	// primary resumes immediately, and only pages it rewrites while the
-	// sync streams out pay a copy. Serialization is deferred (Message.Lazy)
-	// to offerBatch, which encodes into a pooled wire buffer off the
-	// kernel lock. In the baseline mode the entire
-	// resident data space goes instead, copied eagerly, reproducing the §2
-	// strawman's cost profile.
+	// primary resumes immediately, and only pages it rewrites before the
+	// page-out has been encoded pay a copy. Serialization is deferred
+	// (Message.Lazy) to offerBatch, which encodes into a pooled wire buffer
+	// off the kernel lock and then releases the capture. In the baseline
+	// mode the entire resident data space goes instead, copied eagerly,
+	// reproducing the §2 strawman's cost profile; copies need no release.
 	var pages []memory.Page
+	captured := p.space
 	if p.fullCheckpoint || k.strategy.FullImage() {
-		pages = p.space.SnapshotAll()
+		pages, captured = p.space.SnapshotAll(), nil
 		p.space.ClearDirty()
 	} else {
 		pages = p.space.CaptureDirty()
 	}
 	var pageBytes uint64
 	if len(pages) > 0 {
-		po := &PageOut{PID: p.pid, Epoch: epoch, From: k.id, Pages: pages}
+		po := &PageOut{PID: p.pid, Epoch: epoch, From: k.id, Pages: pages, captured: captured}
 		k.sendLocked(&types.Message{
 			Kind:  types.KindPageOut,
 			Src:   p.pid,
@@ -246,43 +247,28 @@ func pagerMirror(primary types.ClusterID) types.ClusterID {
 	return 1 - primary
 }
 
-// dispatchSync handles a KindSync arrival: the backup's kernel brings the
-// backup record up to the primary's state; the page server (and its mirror)
-// commits the backup page account for the same epoch. One cluster may play
-// both roles.
-func (k *Kernel) dispatchSync(m *types.Message) {
-	sm, err := DecodeSyncMsg(m.Payload)
-	if err != nil {
-		return
-	}
+// dispatchSync handles the arrival of a sync image — a KindSync payload, or
+// the image a KindCheckpoint manifest (msglog) wraps, applied exactly like a
+// sync at checkpoint cadence. The backup's kernel brings the backup record up
+// to the primary's state; the page server and its mirror commit the backup
+// page account for the same epoch, and read no more of the image than that
+// takes. One cluster may play both roles.
+func (k *Kernel) dispatchSync(m *types.Message, image []byte) {
 	if m.Route.Dst == k.id {
+		sm, err := DecodeSyncMsg(image)
+		if err != nil {
+			return
+		}
 		k.applySyncLocked(sm)
 	}
 	if k.pager != nil && (m.Route.DstBackup == k.id || m.Route.SrcBackup == k.id) {
-		k.pager.HandleSyncCommit(sm.PID, sm.Epoch)
-		if len(sm.FreePIDs) > 0 {
-			k.pager.HandleFree(sm.FreePIDs)
+		pid, epoch, free, err := DecodeSyncCommit(image)
+		if err != nil {
+			return
 		}
-	}
-}
-
-// dispatchCheckpoint handles a KindCheckpoint arrival (msglog strategy):
-// the manifest wraps an ordinary sync image, so the backup's kernel applies
-// it exactly like a sync, and the page-server pair commits the full backup
-// page account at the checkpoint epoch — the same atomic-multicast
-// guarantee as §7.8, at checkpoint cadence.
-func (k *Kernel) dispatchCheckpoint(m *types.Message) {
-	cm, err := DecodeCheckpointMsg(m.Payload)
-	if err != nil {
-		return
-	}
-	if m.Route.Dst == k.id {
-		k.applySyncLocked(cm.Sync)
-	}
-	if k.pager != nil && (m.Route.DstBackup == k.id || m.Route.SrcBackup == k.id) {
-		k.pager.HandleSyncCommit(cm.Sync.PID, cm.Sync.Epoch)
-		if len(cm.Sync.FreePIDs) > 0 {
-			k.pager.HandleFree(cm.Sync.FreePIDs)
+		k.pager.HandleSyncCommit(pid, epoch)
+		if len(free) > 0 {
+			k.pager.HandleFree(free)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -314,6 +315,70 @@ func TestCrashBetweenTakeAndOffer(t *testing.T) {
 	r.k.Crash()
 	r.k.offerBatch()
 	r.expect(t, 0, 0)
+}
+
+// TestCaptureLivesUntilTransmit: a sync's captured pages stay frozen while
+// the page-out waits on the outgoing queue — a write meanwhile goes to a
+// clone and the bus carries the sync-point bytes — and are released when the
+// page-out has been encoded. A page-out that dies with its cluster is never
+// released.
+func TestCaptureLivesUntilTransmit(t *testing.T) {
+	const pageSize = 1024
+	capture := func(t *testing.T) (*txRig, *bus.Inbox) {
+		r := newTxRig(0)
+		pagerInbox := r.bus.Attach(0) // replaces the port nobody drains
+		r.pr.Space().WriteAt(0, []byte("page 0 at the sync point"))
+		r.pr.Space().WriteAt(pageSize, []byte("page 1 at the sync point"))
+		r.k.HoldTransmit(true)
+		r.pr.Tick(DefaultSyncTicks)
+		if err := r.pr.SyncPoint(); err != nil {
+			t.Fatal(err)
+		}
+		r.expect(t, 0, 2)
+		if n := r.pr.Space().FrozenCount(); n != 2 {
+			t.Fatalf("FrozenCount = %d with the page-out queued, want 2", n)
+		}
+		return r, pagerInbox
+	}
+	t.Run("released once encoded", func(t *testing.T) {
+		r, pagerInbox := capture(t)
+		r.pr.Space().WriteAt(0, []byte("page 0 written after it"))
+		if n := r.pr.Space().FrozenCount(); n != 1 {
+			t.Fatalf("FrozenCount = %d after one captured page was rewritten, want 1", n)
+		}
+		r.k.HoldTransmit(false)
+		r.expect(t, 1, 0, types.KindPageOut, types.KindSync)
+		arrived, _ := pagerInbox.PopAll(nil)
+		po, err := DecodePageOut(arrived[0].Payload)
+		if err != nil || len(po.Pages) != 2 {
+			t.Fatalf("page-out on the bus: %+v, %v", po, err)
+		}
+		for i, pg := range po.Pages {
+			want := fmt.Sprintf("page %d at the sync point", i)
+			if len(pg.Data) != pageSize || string(pg.Data[:len(want)]) != want {
+				t.Fatalf("page %d on the bus begins %q, want %q", i, pg.Data[:len(want)], want)
+			}
+		}
+		if n := r.pr.Space().FrozenCount(); n != 0 {
+			t.Fatalf("FrozenCount = %d after the page-out was transmitted, want 0", n)
+		}
+		next := byte(0)
+		if n := testing.AllocsPerRun(10, func() {
+			next++
+			r.pr.Space().WriteAt(pageSize, []byte{next})
+		}); n != 0 {
+			t.Fatalf("a write to a released page allocated %v times", n)
+		}
+	})
+	t.Run("never released if the batch dies", func(t *testing.T) {
+		r, _ := capture(t)
+		r.k.Crash()
+		r.k.HoldTransmit(false)
+		r.expect(t, 0, 0)
+		if n := r.pr.Space().FrozenCount(); n != 2 {
+			t.Fatalf("FrozenCount = %d after the cluster crashed with the page-out queued, want 2", n)
+		}
+	})
 }
 
 // TestTransmitAllocations pins the steady-state cost of one one-message

@@ -1,7 +1,6 @@
 package memory
 
 import (
-	"encoding/binary"
 	"fmt"
 	"testing"
 )
@@ -19,26 +18,6 @@ func BenchmarkWriteAt(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				data[0] = byte(i) // force a real change
 				a.WriteAt(int64(i%64)*1024, data)
-			}
-		})
-	}
-}
-
-func BenchmarkTakeDirty(b *testing.B) {
-	for _, pages := range []int{1, 16, 128} {
-		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
-			a := NewAddressSpace(1024)
-			stamp := make([]byte, 8)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				binary.LittleEndian.PutUint64(stamp, uint64(i)+1)
-				for p := 0; p < pages; p++ {
-					a.WriteAt(int64(p)*1024, stamp)
-				}
-				if got := a.TakeDirty(); len(got) != pages {
-					b.Fatalf("dirty = %d", len(got))
-				}
 			}
 		})
 	}

@@ -124,6 +124,130 @@ func TestCaptureDirtyConcurrentReaders(t *testing.T) {
 	}
 }
 
+// TestReleaseOrders walks one page through the orders in which its capture
+// can be written and released. Release ends a capture only for a page that
+// still lives in the slice captured; thawLocked stays the one place a page is
+// cloned, and after a release it is not reached.
+func TestReleaseOrders(t *testing.T) {
+	const size = 64
+	fill := func(b byte) []byte { return bytes.Repeat([]byte{b}, size) }
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, a *AddressSpace, cap1 []Page)
+		// frozen is FrozenCount at the end; sameBacking says whether the page
+		// still lives in the slice the first capture aliased.
+		frozen      int
+		sameBacking bool
+	}{
+		{"release then write writes in place", func(t *testing.T, a *AddressSpace, cap1 []Page) {
+			sent := append([]byte(nil), cap1[0].Data...)
+			a.Release(cap1)
+			if n := a.FrozenCount(); n != 0 {
+				t.Fatalf("FrozenCount = %d after release, want 0", n)
+			}
+			next := byte(2)
+			if allocs := testing.AllocsPerRun(20, func() {
+				next++
+				a.WriteAt(0, []byte{next})
+			}); allocs != 0 {
+				t.Fatalf("write after release allocates %v times, want 0", allocs)
+			}
+			if !bytes.Equal(sent, fill(1)) {
+				t.Fatal("transmitted bytes are not the capture-time bytes")
+			}
+		}, 0, true},
+		{"write then release keeps the clone", func(t *testing.T, a *AddressSpace, cap1 []Page) {
+			a.WriteAt(0, fill(2))
+			a.Release(cap1)
+			if !bytes.Equal(cap1[0].Data, fill(1)) {
+				t.Fatal("captured page changed under a write before its release")
+			}
+		}, 0, false},
+		{"release of capture N after capture N+1 froze the clone", func(t *testing.T, a *AddressSpace, cap1 []Page) {
+			a.WriteAt(0, fill(2)) // clones
+			cap2 := a.CaptureDirty()
+			a.Release(cap1) // must not unfreeze what cap2 is still reading
+			if n := a.FrozenCount(); n != 1 {
+				t.Fatalf("FrozenCount = %d after releasing the older capture, want 1", n)
+			}
+			a.WriteAt(0, fill(3))
+			if !bytes.Equal(cap2[0].Data, fill(2)) {
+				t.Fatal("second capture changed under a write before its own release")
+			}
+			a.Release(cap2)
+		}, 0, false},
+		{"a released page is captured again where it lives", func(t *testing.T, a *AddressSpace, cap1 []Page) {
+			a.Release(cap1)
+			a.WriteAt(0, fill(2)) // in place
+			cap2 := a.CaptureDirty()
+			if n := a.FrozenCount(); n != 1 {
+				t.Fatalf("FrozenCount = %d after the second capture, want 1", n)
+			}
+			a.Release(cap2)
+		}, 0, true},
+		{"never released costs one clone at the next write", func(t *testing.T, a *AddressSpace, cap1 []Page) {
+			a.WriteAt(0, fill(2))
+			a.WriteAt(0, fill(3))
+			if !bytes.Equal(cap1[0].Data, fill(1)) {
+				t.Fatal("an unreleased capture changed")
+			}
+		}, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewAddressSpace(size)
+			a.WriteAt(0, fill(1))
+			cap1 := a.CaptureDirty()
+			tc.run(t, a, cap1)
+			if n := a.FrozenCount(); n != tc.frozen {
+				t.Errorf("FrozenCount = %d at the end, want %d", n, tc.frozen)
+			}
+			a.mu.Lock()
+			same := &a.pages[0][0] == &cap1[0].Data[0]
+			a.mu.Unlock()
+			if same != tc.sameBacking {
+				t.Errorf("page lives in the captured slice: %v, want %v", same, tc.sameBacking)
+			}
+		})
+	}
+}
+
+// TestReleaseRacesWriter: the transmitting goroutine reads a capture and
+// releases it while the process keeps writing the same pages. Under -race
+// this is what shows that a write in place can only follow the release that
+// ended the last read; the reader checks it saw capture-time bytes.
+func TestReleaseRacesWriter(t *testing.T) {
+	const size, pages, rounds = 128, 8, 200
+	a := NewAddressSpace(size)
+	captures := make(chan []Page)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the transmitter: encode, then release
+		defer wg.Done()
+		for c := range captures {
+			for _, pg := range c {
+				for _, b := range pg.Data[1:] {
+					if b != pg.Data[0] {
+						t.Errorf("page %d torn while captured: %d then %d", pg.No, pg.Data[0], b)
+						break
+					}
+				}
+			}
+			a.Release(c)
+		}
+	}()
+	for r := 0; r < rounds; r++ {
+		for p := int64(0); p < pages; p++ {
+			a.WriteAt(p*size, bytes.Repeat([]byte{byte(r + 1)}, size))
+		}
+		captures <- a.CaptureDirty()
+	}
+	close(captures)
+	wg.Wait()
+	if n := a.FrozenCount(); n != 0 {
+		t.Fatalf("FrozenCount = %d after every capture was released, want 0", n)
+	}
+}
+
 // TestInstallThaws: restoring a page account over frozen pages must not
 // leave stale frozen marks (Install allocates private copies).
 func TestInstallThaws(t *testing.T) {
@@ -152,9 +276,10 @@ func TestResetClearsFrozen(t *testing.T) {
 	}
 }
 
-// BenchmarkCaptureDirty freezes pages instead of copying them (compare
-// BenchmarkTakeDirty in bench_test.go, the stop-the-world baseline): the
-// capture itself is O(dirty) map work with zero page copies.
+// BenchmarkCaptureDirty is one steady-state sync's worth of memory work:
+// write, capture, release. The capture is O(dirty) map work with zero page
+// copies, and because the capture is released before the next round's writes
+// those copy nothing either.
 func BenchmarkCaptureDirty(b *testing.B) {
 	for _, pages := range []int{1, 16, 128} {
 		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
@@ -167,9 +292,11 @@ func BenchmarkCaptureDirty(b *testing.B) {
 				for p := 0; p < pages; p++ {
 					a.WriteAt(int64(p)*1024, stamp)
 				}
-				if got := a.CaptureDirty(); len(got) != pages {
+				got := a.CaptureDirty()
+				if len(got) != pages {
 					b.Fatalf("dirty = %d", len(got))
 				}
+				a.Release(got)
 			}
 		})
 	}

@@ -41,8 +41,9 @@ type AddressSpace struct {
 	pages map[PageNo][]byte
 	dirty map[PageNo]struct{}
 	// frozen marks pages whose backing slices are aliased by an outstanding
-	// CaptureDirty: the next write copies the page first (copy-on-write),
-	// so the captured slices stay immutable while the sync streams out.
+	// CaptureDirty: a write copies the page first (copy-on-write), so the
+	// captured slices stay immutable until the sync has been encoded and
+	// Release ends the capture.
 	frozen map[PageNo]struct{}
 	// ever counts pages ever touched; used for accounting.
 	high PageNo
@@ -172,19 +173,6 @@ func (a *AddressSpace) WriteAt(off int64, data []byte) {
 	}
 }
 
-// Touch marks page n dirty without changing contents. Used by guests that
-// mutate a page through an aliased view. Note the caveat with CaptureDirty:
-// a guest holding an aliased view mutates the captured slice directly,
-// defeating copy-on-write; Touch thaws the page so at least future aliases
-// obtained after the Touch observe a private copy.
-func (a *AddressSpace) Touch(n PageNo) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	p := a.page(n)
-	a.thawLocked(n, p)
-	a.dirty[n] = struct{}{}
-}
-
 // thawLocked gives page n a private backing slice if it is frozen by an
 // outstanding CaptureDirty, returning the writable slice. Caller holds
 // a.mu and must use the returned slice for the write.
@@ -206,7 +194,8 @@ func (a *AddressSpace) thawLocked(n PageNo, p []byte) []byte {
 // are immutable from the caller's point of view and may be read from
 // another goroutine (whichever one transmits the sync and encodes it)
 // without synchronization. The primary keeps executing; only pages it actually
-// rewrites while the capture is in flight pay a copy.
+// rewrites while the capture is in flight pay a copy. The capture is in
+// flight until its holder is done reading the slices and calls Release.
 func (a *AddressSpace) CaptureDirty() []Page {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -227,6 +216,23 @@ func (a *AddressSpace) CaptureDirty() []Page {
 	return out
 }
 
+// Release ends a capture: the caller has finished reading the slices
+// CaptureDirty returned and will not look at them again, so each page that
+// still lives in the slice captured is unfrozen and its next write happens in
+// place. A page written since then already owns a private clone; if a later
+// capture froze that clone it stays frozen, because that capture's holder is
+// still reading it. A capture that is never released (its page-out died with
+// the cluster) costs one clone per page at the next write, nothing else.
+func (a *AddressSpace) Release(pages []Page) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, pg := range pages {
+		if p := a.pages[pg.No]; len(p) > 0 && len(pg.Data) > 0 && &p[0] == &pg.Data[0] {
+			delete(a.frozen, pg.No)
+		}
+	}
+}
+
 // FrozenCount returns the number of pages currently frozen by an
 // outstanding CaptureDirty (tests).
 func (a *AddressSpace) FrozenCount() int {
@@ -240,50 +246,6 @@ func (a *AddressSpace) DirtyCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.dirty)
-}
-
-// TakeDirty returns copies of every dirty page in ascending page order and
-// clears the dirty set. This is the paging mechanism's contribution to sync
-// part one (§7.8): the returned pages are what the kernel ships to the page
-// server.
-func (a *AddressSpace) TakeDirty() []Page {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.dirty) == 0 {
-		return nil
-	}
-	nos := make([]PageNo, 0, len(a.dirty))
-	for n := range a.dirty {
-		nos = append(nos, n)
-	}
-	sort.Slice(nos, func(i, j int) bool { return nos[i] < nos[j] })
-	out := make([]Page, 0, len(nos))
-	for _, n := range nos {
-		d := make([]byte, a.pageSize)
-		copy(d, a.pages[n])
-		out = append(out, Page{No: n, Data: d})
-	}
-	a.dirty = make(map[PageNo]struct{})
-	return out
-}
-
-// PeekDirty returns copies of the dirty pages without clearing the dirty
-// set. Used by the explicit-checkpointing baseline and by tests.
-func (a *AddressSpace) PeekDirty() []Page {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	nos := make([]PageNo, 0, len(a.dirty))
-	for n := range a.dirty {
-		nos = append(nos, n)
-	}
-	sort.Slice(nos, func(i, j int) bool { return nos[i] < nos[j] })
-	out := make([]Page, 0, len(nos))
-	for _, n := range nos {
-		d := make([]byte, a.pageSize)
-		copy(d, a.pages[n])
-		out = append(out, Page{No: n, Data: d})
-	}
-	return out
 }
 
 // SnapshotAll returns copies of every resident page in ascending order,

@@ -52,7 +52,7 @@ func TestWriteSpanningPages(t *testing.T) {
 func TestDirtyOnlyOnChange(t *testing.T) {
 	a := NewAddressSpace(32)
 	a.WriteAt(0, []byte("hello"))
-	a.TakeDirty()
+	a.CaptureDirty()
 	// Rewriting identical bytes must not dirty the page.
 	a.WriteAt(0, []byte("hello"))
 	if n := a.DirtyCount(); n != 0 {
@@ -75,14 +75,14 @@ func TestZeroWriteToAbsentPageIsNoop(t *testing.T) {
 	}
 }
 
-func TestTakeDirtySortedAndClears(t *testing.T) {
+func TestCaptureDirtySortedAndClears(t *testing.T) {
 	a := NewAddressSpace(16)
 	a.WriteAt(16*5, []byte{1})
 	a.WriteAt(16*1, []byte{2})
 	a.WriteAt(16*9, []byte{3})
-	pages := a.TakeDirty()
+	pages := a.CaptureDirty()
 	if len(pages) != 3 {
-		t.Fatalf("TakeDirty returned %d pages", len(pages))
+		t.Fatalf("CaptureDirty returned %d pages", len(pages))
 	}
 	want := []PageNo{1, 5, 9}
 	for i, p := range pages {
@@ -91,20 +91,33 @@ func TestTakeDirtySortedAndClears(t *testing.T) {
 		}
 	}
 	if a.DirtyCount() != 0 {
-		t.Fatal("TakeDirty did not clear the dirty set")
+		t.Fatal("CaptureDirty did not clear the dirty set")
 	}
-	if a.TakeDirty() != nil {
-		t.Fatal("second TakeDirty returned pages")
+	if a.CaptureDirty() != nil {
+		t.Fatal("second CaptureDirty returned pages")
 	}
 }
 
-func TestTakeDirtyReturnsCopies(t *testing.T) {
+// TestCaptureDirtyHoldsSyncPointBytes: what a capture's holder reads is the
+// page as it was at the capture, whether the process writes it before the
+// release (the write goes to a clone) or after (nobody is reading any more).
+func TestCaptureDirtyHoldsSyncPointBytes(t *testing.T) {
 	a := NewAddressSpace(16)
 	a.WriteAt(0, []byte{42})
-	pages := a.TakeDirty()
+	pages := a.CaptureDirty()
 	a.WriteAt(0, []byte{7})
 	if pages[0].Data[0] != 42 {
-		t.Fatal("TakeDirty page aliases live memory")
+		t.Fatal("a write reached a page its capture still held")
+	}
+	sent := append([]byte(nil), pages[0].Data...) // the holder encodes, then releases
+	a.Release(pages)
+	a.WriteAt(0, []byte{9})
+	if sent[0] != 42 {
+		t.Fatal("transmitted bytes are not the capture-time bytes")
+	}
+	got := make([]byte, 1)
+	if a.ReadAt(0, got); got[0] != 9 {
+		t.Fatalf("space reads %d after the last write, want 9", got[0])
 	}
 }
 
@@ -159,9 +172,10 @@ func TestQuickReadWriteConsistency(t *testing.T) {
 }
 
 func TestQuickDirtyPagesSufficientForReplica(t *testing.T) {
-	// Property: applying only TakeDirty deltas to a replica after each
+	// Property: applying only the captured deltas to a replica after each
 	// round keeps the replica identical to the source — the invariant the
-	// page server relies on.
+	// page server relies on — whether or not the capture is released before
+	// the next round writes.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		src := NewAddressSpace(64)
@@ -173,7 +187,11 @@ func TestQuickDirtyPagesSufficientForReplica(t *testing.T) {
 				rng.Read(data)
 				src.WriteAt(int64(off), data)
 			}
-			dst.Install(src.TakeDirty())
+			pages := src.CaptureDirty()
+			dst.Install(pages)
+			if rng.Intn(2) == 0 {
+				src.Release(pages)
+			}
 		}
 		return Equal(src, dst)
 	}

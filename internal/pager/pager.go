@@ -17,6 +17,7 @@
 package pager
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -93,19 +94,24 @@ func (s *Server) decRef(b disk.BlockID) {
 func (s *Server) HandlePageOut(po *kernel.PageOut) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	acct := s.primary[po.PID]
+	if acct == nil {
+		acct = make(account)
+		s.primary[po.PID] = acct
+	}
+	// Recorded first, so that a set cut short below is still rolled back
+	// with its primary's cluster.
+	s.primaryCluster[po.PID] = po.From
 	for i := range po.Pages {
 		pg := &po.Pages[i]
 		id, err := s.disk.Alloc(s.cluster)
+		if err == nil {
+			err = s.disk.Write(s.cluster, id, pg.Data)
+		}
 		if err != nil {
+			_ = s.disk.Free(s.cluster, id) // fails only where Alloc did, with nothing to free
+			s.log.Add(trace.EvNote, fmt.Sprintf("%s: pager: page-out of pid %d cut short at page %d: %v", s.cluster, po.PID, pg.No, err))
 			return
-		}
-		if err := s.disk.Write(s.cluster, id, pg.Data); err != nil {
-			return
-		}
-		acct := s.primary[po.PID]
-		if acct == nil {
-			acct = make(account)
-			s.primary[po.PID] = acct
 		}
 		if old, ok := acct[pg.No]; ok {
 			s.decRef(old)
@@ -114,7 +120,6 @@ func (s *Server) HandlePageOut(po *kernel.PageOut) {
 		s.incRef(id)
 		s.touched[po.PID] = append(s.touched[po.PID], pg.No)
 	}
-	s.primaryCluster[po.PID] = po.From
 }
 
 // HandleSyncCommit makes the backup's account identical to the primary's

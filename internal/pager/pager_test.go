@@ -10,6 +10,7 @@ import (
 	"auragen/internal/disk"
 	"auragen/internal/kernel"
 	"auragen/internal/memory"
+	"auragen/internal/trace"
 	"auragen/internal/types"
 )
 
@@ -372,5 +373,26 @@ func TestPageOutDoesNotKeepThePayload(t *testing.T) {
 	got := s.HandlePageRequest(7)
 	if len(got) != 2 || !bytes.Equal(got[0].Data, page(0, 0xAA).Data) || !bytes.Equal(got[1].Data, page(3, 0xBB).Data) {
 		t.Fatal("the account changed with the payload buffer")
+	}
+}
+
+// TestPageOutCutShortByDiskFailure: a page the disk refuses ends the set
+// there. The block allocated for it is freed, one note says so, and the pages
+// already applied are still rolled back with their primary's cluster.
+func TestPageOutCutShortByDiskFailure(t *testing.T) {
+	s := newServer()
+	log := trace.NewEventLog(16)
+	s.SetEventLog(log)
+	oversize := memory.Page{No: 1, Data: make([]byte, 2048)}
+	s.HandlePageOut(out(7, 1, page(0, 0xAA), oversize, page(2, 0xCC)))
+	if n := len(log.Events()); n != 1 || log.Events()[0].Kind != trace.EvNote {
+		t.Fatalf("events = %v, want one EvNote", log.Events())
+	}
+	if p, _ := s.AccountSizes(7); p != 1 || s.Disk().Blocks() != 1 || len(s.refs) != 1 {
+		t.Fatalf("account %d pages, disk %d blocks, %d refs; want 1 each", p, s.Disk().Blocks(), len(s.refs))
+	}
+	s.HandleCrash(2)
+	if p, _ := s.AccountSizes(7); p != 0 || s.Disk().Blocks() != 0 {
+		t.Fatalf("after the primary's crash: account %d pages, disk %d blocks; want none", p, s.Disk().Blocks())
 	}
 }

@@ -254,6 +254,14 @@ type PayloadEncoder interface {
 	EncodePayload(w *wire.Writer)
 }
 
+// PayloadRetirer is implemented by a PayloadEncoder that borrows what it
+// encodes (a page-out's captured pages): the sending executive calls
+// RetirePayload once, right after EncodePayload, to hand the loan back. A
+// message that dies before it is encoded is never retired.
+type PayloadRetirer interface {
+	RetirePayload()
+}
+
 // Clone returns a deep copy of m. The bus hands independent copies to each
 // destination cluster so that kernels can annotate (e.g. assign Seq)
 // without racing.
