@@ -20,8 +20,8 @@
 //	pid, err := sys.Spawn("hello", nil, auragen.SpawnConfig{Cluster: 2})
 //	sys.Crash(2)  // the process continues from its backup
 //
-// See DESIGN.md for the architecture and EXPERIMENTS.md for the
-// reproduction of the paper's evaluation claims.
+// See DESIGN.md for the architecture; README.md maps each of the paper's
+// evaluation claims to the test that checks it.
 package auragen
 
 import (

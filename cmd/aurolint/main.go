@@ -19,7 +19,7 @@
 // (or directly above) the flagged line; whole-module runs also flag
 // suppressions that no longer match anything.
 //
-// The -diff gate mirrors aurobench's baseline discipline: the checked-in
+// The -diff gate is a baseline discipline: the checked-in
 // LINT_baseline.json records accepted findings (kept empty on a clean
 // tree), and CI fails on any finding not recorded there. Baseline entries
 // match on (file, id, message) — line numbers shift too easily to key on.

@@ -24,7 +24,6 @@ import (
 	"auragen/internal/chaos"
 	"auragen/internal/core"
 	"auragen/internal/guest"
-	"auragen/internal/harness"
 	"auragen/internal/replication"
 	"auragen/internal/trace"
 	"auragen/internal/types"
@@ -154,7 +153,6 @@ func renderTopology(clusters int) string {
 func runScenario(name string, clusters, crash int, mode types.BackupMode, syncReads uint32, restore, timeline bool, seed int64) error {
 	reg := guest.NewRegistry()
 	workload.Register(reg)
-	harness.RegisterGuests(reg)
 	opts := core.Options{Clusters: clusters, SyncReads: syncReads}
 	if timeline {
 		// Large enough that the crash notice and recovery survive the ring

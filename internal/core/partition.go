@@ -67,11 +67,7 @@ func (s *System) HealPartitions() {
 	sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
 
 	for _, c := range stale {
-		cn := &kernel.CrashNotice{Crashed: c, Inc: s.dir.Incarnation(c)}
-		_, _ = s.bus.BroadcastBatch([]*types.Message{{
-			Kind:    types.KindCrashNotice,
-			Payload: cn.Encode(),
-		}})
+		_, _ = s.bus.BroadcastBatch([]*types.Message{crashNotice(c, s.dir.Incarnation(c))})
 	}
 }
 

@@ -4,9 +4,39 @@ import (
 	"testing"
 	"time"
 
+	"auragen/internal/bus"
 	"auragen/internal/kernel"
+	"auragen/internal/trace"
 	"auragen/internal/types"
 )
+
+// TestCrashNoticeCrossesAnyOutboundCut: core, not a cluster, transmits the
+// crash notice, so a partition that severs every outbound link of cluster 0
+// keeps it from no live cluster.
+func TestCrashNoticeCrossesAnyOutboundCut(t *testing.T) {
+	metrics := new(trace.Metrics)
+	b := bus.New(metrics, nil)
+	var inboxes []*bus.Inbox
+	for c := types.ClusterID(0); c < 3; c++ {
+		inboxes = append(inboxes, b.Attach(c))
+	}
+	for i := 0; i < bus.NumBuses; i++ {
+		if err := b.Cut(i, 0, false, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.BroadcastBatch([]*types.Message{crashNotice(2, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	for c, in := range inboxes {
+		if n := in.Backlog(); n != 1 {
+			t.Errorf("cluster %d received %d crash notices, want 1", c, n)
+		}
+	}
+	if drops := metrics.PartitionDrops.Load(); drops != 0 {
+		t.Errorf("partition_drops = %d, want 0", drops)
+	}
+}
 
 // TestStaleIncarnationMessageFenced exercises the dispatch fence directly:
 // once a crash notice announces cluster 2's next incarnation, every kernel

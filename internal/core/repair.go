@@ -125,7 +125,6 @@ func (s *System) Repair(c types.ClusterID) error {
 		PageFetchTimeout: s.opts.PageFetchTimeout,
 		DrainJitter:      drain,
 		RxJitter:         rx,
-		ReportEvery:      s.opts.KernelReportEvery,
 		Strategy:         replicationStrategy(s.opts.Replication),
 	})
 	s.mu.Lock()

@@ -4,8 +4,8 @@
 // terminal), the failure detector, and administrative operations — spawning
 // fault-tolerant processes, injecting cluster crashes, typing at terminals.
 //
-// This is the library's public face: examples and the experiment harness
-// talk to a System.
+// This is the library's public face: examples, the simulator and the
+// benchmark talk to a System.
 package core
 
 import (
@@ -77,11 +77,6 @@ type Options struct {
 	// any schedule they produce is one the §5/§6 contract must survive.
 	// Zero (the default) keeps every jitter hook off.
 	ScheduleSeed uint64
-	// KernelReportEvery, when non-zero, makes every kernel send a
-	// KindKernelReport load summary to the process server after each N
-	// message arrivals (§7.6 system-status information). Zero — the
-	// default — disables reporting so recorded traces are unchanged.
-	KernelReportEvery uint64
 	// Replication selects the backup-protocol strategy every kernel runs:
 	// replication.ThreeWay (the paper's scheme, the zero value),
 	// replication.LLFT (leader-follower decision streaming), or
@@ -227,7 +222,6 @@ func New(opts Options, registry *guest.Registry) (*System, error) {
 			PageFetchTimeout: opts.PageFetchTimeout,
 			DrainJitter:      drain,
 			RxJitter:         rx,
-			ReportEvery:      opts.KernelReportEvery,
 			Strategy:         replicationStrategy(opts.Replication),
 		})
 		s.kernels = append(s.kernels, k)
@@ -488,11 +482,16 @@ func (s *System) handleDetectedCrash(c types.ClusterID) {
 	s.mu.Unlock()
 	s.metrics.Crashes.Add(1)
 	s.dir.ApplyCrash(c)
-	cn := &kernel.CrashNotice{Crashed: c, Inc: s.dir.Incarnation(c)}
-	_, _ = s.bus.BroadcastBatch([]*types.Message{{
-		Kind:    types.KindCrashNotice,
-		Payload: cn.Encode(),
-	}})
+	_, _ = s.bus.BroadcastBatch([]*types.Message{crashNotice(c, s.dir.Incarnation(c))})
+}
+
+// crashNotice is the bus message declaring cluster c crashed, carrying the
+// incarnation its next service life will run under. Core, not a cluster,
+// transmits it: Origin NoCluster, so no cluster's outbound link cut drops it
+// and no incarnation fence applies to it.
+func crashNotice(c types.ClusterID, inc types.Incarnation) *types.Message {
+	cn := &kernel.CrashNotice{Crashed: c, Inc: inc}
+	return &types.Message{Kind: types.KindCrashNotice, Origin: types.NoCluster, Payload: cn.Encode()}
 }
 
 // FailBus takes one of the two physical intercluster buses down (0-based).
@@ -662,7 +661,7 @@ func (s *System) WaitExit(pid types.PID, timeout time.Duration) error {
 
 // Settle waits until the system is quiescent: no queued bus traffic and no
 // runnable syscall activity for two consecutive polls. Best-effort; used by
-// tests and the harness between scenario phases.
+// tests between scenario phases.
 func (s *System) Settle(timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
 	stable := 0

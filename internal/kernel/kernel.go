@@ -118,12 +118,6 @@ type Config struct {
 	// 1 disables coalescing (the pre-batching behavior).
 	MaxBatch int
 
-	// ReportEvery, when non-zero, makes the kernel send a KindKernelReport
-	// load summary to the process server every N message arrivals (§7.6's
-	// system-status information service). Zero — the default — sends
-	// none, so existing deterministic traces are byte-identical.
-	ReportEvery uint64
-
 	// DrainJitter, when non-nil, randomizes how many queued messages each
 	// bus offer coalesces (1..n instead of always n), and RxJitter does
 	// the same for inbox draining (see bus.Inbox SetDrainJitter) — the
@@ -196,8 +190,6 @@ type Kernel struct {
 	txHold bool
 	// maxBatch caps the messages coalesced per bus offer (Config.MaxBatch).
 	maxBatch int
-	// reportEvery is the KindKernelReport cadence (Config.ReportEvery).
-	reportEvery uint64
 	// drainJitter perturbs the per-offer coalesce count (Config.DrainJitter).
 	// Drawn under mu.
 	drainJitter *types.RNG
@@ -235,8 +227,8 @@ type Kernel struct {
 	arrival types.Seq
 
 	// guestErrs retains the most recent guest failures for post-mortems
-	// (software faults are outside the paper's fault model, but tests and
-	// the harness need to see them).
+	// (software faults are outside the paper's fault model, but tests need
+	// to see them).
 	guestErrs []string
 
 	wg sync.WaitGroup
@@ -313,8 +305,6 @@ func New(cfg Config) *Kernel {
 		servers:    make(map[types.PID]*ServerHost),
 		dieCh:      make(chan struct{}),
 		maxBatch:   cfg.MaxBatch,
-
-		reportEvery: cfg.ReportEvery,
 
 		drainJitter: cfg.DrainJitter,
 
@@ -523,29 +513,6 @@ func (k *Kernel) sendLocked(m *types.Message) {
 	k.outgoing.Push(m)
 }
 
-// sendKernelReportLocked enqueues a load summary for the process server's
-// primary instance. The caller holds k.mu; the report rides the normal
-// outgoing queue and bus path, so it carries the same EvTransmit/EvReceive
-// trace pair as any protocol message.
-func (k *Kernel) sendKernelReportLocked() {
-	loc, ok := k.dir.Service(directory.PIDProcServer)
-	if !ok || loc.Primary == types.NoCluster {
-		return
-	}
-	kr := &KernelReport{
-		Cluster: k.id,
-		Procs:   uint32(len(k.procs)),
-		Backups: uint32(len(k.backups)),
-		Arrival: uint64(k.arrival),
-	}
-	k.sendLocked(&types.Message{
-		Kind:    types.KindKernelReport,
-		Dst:     directory.PIDProcServer,
-		Route:   types.Route{Dst: loc.Primary, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-		Payload: kr.Encode(),
-	})
-}
-
 // HoldTransmit stops (hold=true) or resumes (hold=false) transmission.
 // Enqueues continue, so a held kernel accumulates an outgoing backlog that
 // nobody offers to the bus; tests use the hold to open the batch-enqueue →
@@ -658,11 +625,11 @@ func (k *Kernel) offerBatch() {
 	for _, m := range k.txBatch {
 		// Stamp the sender's identity and incarnation: this is what lets
 		// receivers fence the whole batch if this kernel turns out to be a
-		// superseded primary. k.inc is immutable after New.
-		if m.Origin == types.NoCluster {
-			m.Origin = k.id
-			m.Inc = k.inc
-		}
+		// superseded primary, and what the wire's link cuts key on. A
+		// forwarded message that still carries another cluster's stamp is
+		// restamped: the transmitter is this cluster. k.inc is immutable
+		// after New.
+		m.Origin, m.Inc = k.id, k.inc
 		var w *wire.Writer
 		if m.Lazy != nil {
 			w = wire.GetWriter()
@@ -692,8 +659,8 @@ func (k *Kernel) offerBatch() {
 		// Both physical buses down past the retry budget: an untolerated
 		// multiple failure. The cluster is cut off; degrade so blocked
 		// processes unwind with types.ErrTooManyFailures instead of
-		// stalling forever.
-		k.log.Add(trace.EvNote, fmt.Sprintf("%s: bus failure: %v", k.id, err))
+		// stalling forever. A kernel that crashed or stopped meanwhile
+		// stays as it is (enterDegraded looks).
 		k.enterDegraded(err)
 	}
 }
@@ -703,26 +670,17 @@ func (k *Kernel) offerBatch() {
 // detector) does not escalate into a cluster-wide degradation. The bus
 // truncates a batch at the first failed message — it never punches holes —
 // so retrying batch[sent:] preserves FIFO order.
+//
+// A batch taken before its cluster crashed still goes out: the kernel is not
+// looked at again. Bus order then puts the batch either ahead of the crash
+// notice (a cluster that died just after transmitting) or behind it, where
+// every receiver fences it by its superseded incarnation stamp.
 func (k *Kernel) transmitBatch(batch []*types.Message) error {
 	var err error
 	for attempt := 0; attempt < txMaxAttempts; attempt++ {
 		if attempt > 0 {
 			//lint:ignore AURO001 bounded backoff between bus retries, not an input to execution: a healthy run never sleeps here
 			time.Sleep(txBackoff)
-		}
-		// The batch was taken under k.mu and k.mu then released, which is
-		// exactly when a Crash that was waiting for it gets in. Looking
-		// again here, with the payloads already encoded and nothing left to
-		// do but take the bus, keeps a dead cluster's last batch from
-		// trailing its own crash notice onto the bus by more than the few
-		// instructions between this check and the bus lock.
-		k.mu.Lock()
-		dead := k.crashed || k.stopped
-		k.mu.Unlock()
-		if dead {
-			// The messages are lost with the cluster, which is not a bus
-			// fault.
-			return nil
 		}
 		var sent int
 		sent, err = k.bus.BroadcastBatch(batch)
@@ -846,9 +804,6 @@ func (k *Kernel) dispatchLocked(in *types.Message) {
 	}
 	k.arrival++
 	m.Seq = k.arrival
-	if k.reportEvery > 0 && uint64(k.arrival)%k.reportEvery == 0 {
-		k.sendKernelReportLocked()
-	}
 
 	switch m.Kind {
 	case types.KindData, types.KindOpenRequest, types.KindOpenReply, types.KindSignal:
@@ -912,10 +867,6 @@ func (k *Kernel) dispatchLocked(in *types.Message) {
 		}
 	case types.KindServerSync:
 		k.dispatchServerSync(m)
-	case types.KindKernelReport:
-		if host, ok := k.servers[m.Dst]; ok && host.role == routing.Primary {
-			host.impl.Receive(k.serverCtx(host), retain(m, false))
-		}
 	case types.KindPageRequest:
 		// Handled above, before any arrival state is stamped.
 	case types.KindInvalid, types.KindHeartbeat:

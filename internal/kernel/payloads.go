@@ -304,8 +304,8 @@ func DecodeDecisionMsg(b []byte) (*DecisionMsg, error) {
 // CheckpointMsg is the payload of a KindCheckpoint message (msglog
 // strategy): a manifest wrapping a full-image sync. Pages/Bytes describe
 // the page-out that traveled ahead of it on the same FIFO stream, so
-// traces and the E16 harness can attribute checkpoint weight without
-// joining against page-out events.
+// traces can attribute checkpoint weight without joining against page-out
+// events.
 type CheckpointMsg struct {
 	Sync  *SyncMsg
 	Pages uint32
@@ -973,40 +973,4 @@ func DecodeServerSyncMsg(b []byte) (*ServerSyncMsg, error) {
 		return nil, fmt.Errorf("kernel: server sync: %w", err)
 	}
 	return s, nil
-}
-
-// KernelReport is the payload of a KindKernelReport message: a periodic
-// load summary a kernel sends to the process server (§7.6's system-status
-// information service). Reporting is opt-in (Config.ReportEvery); the
-// default simulation sends none so recorded traces are unchanged.
-type KernelReport struct {
-	Cluster types.ClusterID
-	Procs   uint32
-	Backups uint32
-	Arrival uint64
-}
-
-// Encode serializes the kernel report.
-func (kr *KernelReport) Encode() []byte {
-	w := newPayloadWriter(24)
-	w.I32(int32(kr.Cluster))
-	w.U32(kr.Procs)
-	w.U32(kr.Backups)
-	w.U64(kr.Arrival)
-	return w.Bytes()
-}
-
-// DecodeKernelReport parses a kernel report payload.
-func DecodeKernelReport(b []byte) (*KernelReport, error) {
-	r := wire.NewReader(b)
-	kr := &KernelReport{
-		Cluster: types.ClusterID(r.I32()),
-		Procs:   r.U32(),
-		Backups: r.U32(),
-		Arrival: r.U64(),
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("kernel: kernel report: %w", err)
-	}
-	return kr, nil
 }

@@ -320,17 +320,3 @@ func TestDecodersNeverPanicOnArbitraryBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestKernelReportRoundTrip(t *testing.T) {
-	in := &KernelReport{Cluster: 2, Procs: 17, Backups: 3, Arrival: 4096}
-	out, err := DecodeKernelReport(in.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip: got %+v, want %+v", out, in)
-	}
-	if _, err := DecodeKernelReport(in.Encode()[:7]); err == nil {
-		t.Fatal("truncated kernel report decoded without error")
-	}
-}

@@ -219,7 +219,7 @@ func replayableKind(kind types.Kind) bool {
 	case types.KindInvalid, types.KindSync, types.KindBirthNotice,
 		types.KindPageOut, types.KindPageRequest, types.KindPageReply,
 		types.KindCrashNotice, types.KindBackupUp, types.KindServerSync,
-		types.KindKernelReport, types.KindHeartbeat, types.KindExitNotice,
+		types.KindHeartbeat, types.KindExitNotice,
 		types.KindBackupCreate, types.KindBackupAck,
 		types.KindDecision, types.KindCheckpoint:
 		// Decisions and checkpoints are control plane: a decision installs

@@ -302,9 +302,13 @@ func TestNothingLeavesAHeldOrDeadKernel(t *testing.T) {
 }
 
 // TestCrashBetweenTakeAndOffer: a batch taken off the queue before the
-// cluster crashed is not offered after it.
+// cluster crashed still goes out — nothing on the transmit path looks at the
+// kernel again — stamped with the cluster and incarnation that took it, which
+// is what lets a receiver that has already dispatched the crash notice fence
+// it (TestStragglerBatchBehindItsCrashNoticeIsFenced).
 func TestCrashBetweenTakeAndOffer(t *testing.T) {
 	r := newTxRig(0)
+	peer := r.bus.Attach(2) // replaces the port nobody drains
 	r.write(t, "a")
 	r.k.mu.Lock()
 	took := r.k.takeBatchLocked()
@@ -314,7 +318,11 @@ func TestCrashBetweenTakeAndOffer(t *testing.T) {
 	}
 	r.k.Crash()
 	r.k.offerBatch()
-	r.expect(t, 0, 0)
+	r.expect(t, 1, 0, types.KindData)
+	ms, _ := peer.PopAll(nil)
+	if len(ms) != 1 || ms[0].Origin != 1 || ms[0].Inc == 0 || ms[0].Inc != r.k.Incarnation() {
+		t.Fatalf("peer received %v, want one data message stamped cluster1 / %v", ms, r.k.Incarnation())
+	}
 }
 
 // TestCaptureLivesUntilTransmit: a sync's captured pages stay frozen while
@@ -431,31 +439,17 @@ func TestTransmitAllocations(t *testing.T) {
 	})
 }
 
-// TestRoadmapHypothesis1bStragglerBatch pins what ROADMAP item 1's
-// hypothesis (b) asks about: a cluster crashes while its executive holds a
-// batch it has taken off the queue but not yet put on the bus. It records
-// behaviour; whether that behaviour is the exactly-once bug is item 1's call.
-//
-// Observed:
-//
-//   - A crash that lands between the take and the offer loses the batch with
-//     the cluster (TestCrashBetweenTakeAndOffer): transmitBatch looks at the
-//     kernel once more before it takes the bus.
-//   - A crash that lands after that look — here, from inside the bus's
-//     critical section, the latest point there is — does not stop the batch.
-//     Every message reaches every target, ahead of the crash notice, which is
-//     broadcast only after Kernel.Crash has returned and Crash's Detach queues
-//     behind the batch on the bus lock. In bus order that is a cluster that
-//     died just after transmitting, and receivers accept the batch as such.
-//   - The batch carries NO incarnation. offerBatch stamps a message whose
-//     Origin is types.NoCluster (-1), but a message built by the kernel has
-//     Origin 0, so nothing a kernel sends is ever stamped: Origin stays 0 and
-//     Inc stays 0 on every cluster. The dispatch fence skips Inc 0, so the
-//     same frames offered again AFTER the receiver has dispatched the notice
-//     (a transmitter delayed past the notice, a wire that delays) are queued
-//     for reading like any other. The fence that partition_test.go exercises
-//     with hand-stamped frames never sees a stamped frame in a running system.
-func TestRoadmapHypothesis1bStragglerBatch(t *testing.T) {
+// TestStragglerBatchBehindItsCrashNoticeIsFenced: a cluster crashes while
+// its executive holds a batch it has taken off the queue but not yet put on
+// the bus — here the crash runs from inside the bus's critical section, the
+// latest point there is. Nothing on the transmit path looks at the kernel
+// again, so the batch goes out, stamped with the sender's cluster and
+// incarnation. Where bus order puts it decides its fate at every receiver:
+// ahead of the crash notice it is the output of a cluster that died just
+// after transmitting, and is accepted; behind the notice (a transmitter
+// delayed past it, a wire that delays) it is fenced, because dispatching the
+// notice advanced the receiver's view of the cluster's incarnation.
+func TestStragglerBatchBehindItsCrashNoticeIsFenced(t *testing.T) {
 	metrics := new(trace.Metrics)
 	b := bus.New(metrics, nil)
 	dir := directory.New()
@@ -511,9 +505,8 @@ func TestRoadmapHypothesis1bStragglerBatch(t *testing.T) {
 		t.Fatalf("receiver's inbox holds %v, want the two stragglers ahead of the notice", kinds)
 	}
 	straggler := arrived[0]
-	if straggler.Origin != 0 || straggler.Inc != 0 {
-		t.Fatalf("straggler stamped Origin %v Inc %d; it was observed unstamped (0, 0) — if stamping now works, "+
-			"this test's last assertion should flip too", straggler.Origin, straggler.Inc)
+	if straggler.Origin != 1 || straggler.Inc == 0 || straggler.Inc != sender.Incarnation() {
+		t.Fatalf("straggler stamped Origin %v Inc %d, want cluster1 / %v", straggler.Origin, straggler.Inc, sender.Incarnation())
 	}
 	receiver.dispatchBatch(arrived)
 	if got := queue.QueueLen(); got != 2 {
@@ -526,9 +519,44 @@ func TestRoadmapHypothesis1bStragglerBatch(t *testing.T) {
 	// The same frame again, now behind the notice.
 	straggler.ID = 0
 	receiver.dispatchBatch([]types.Message{straggler})
-	if fenced := metrics.FencedRejects.Load(); fenced != 0 || queue.QueueLen() != 3 {
-		t.Fatalf("a dead cluster's frame behind its crash notice: fenced %d, queued %d; observed 0 and 3 "+
-			"(never fenced, because never stamped)", fenced, queue.QueueLen())
+	if fenced := metrics.FencedRejects.Load(); fenced != 1 || queue.QueueLen() != 2 {
+		t.Fatalf("a dead cluster's frame behind its crash notice: fenced %d, queued %d; want 1 and 2",
+			fenced, queue.QueueLen())
+	}
+}
+
+// TestOutboundCutKeysOnTheTransmitter: a partition that severs a cluster's
+// outbound links silences that cluster's kernel and no other, because the
+// wire reads the transmitter from the stamp offerBatch puts on every message.
+func TestOutboundCutKeysOnTheTransmitter(t *testing.T) {
+	for _, tc := range []struct {
+		cut     types.ClusterID
+		dropped bool
+	}{{cut: 2, dropped: true}, {cut: 0, dropped: false}} {
+		t.Run(tc.cut.String(), func(t *testing.T) {
+			metrics := new(trace.Metrics)
+			b := bus.New(metrics, nil)
+			b.Attach(0)
+			peer := b.Attach(1)
+			k := New(Config{ID: 2, Bus: b, Dir: directory.New(), Registry: guest.NewRegistry(), Metrics: metrics})
+			for i := 0; i < bus.NumBuses; i++ {
+				if err := b.Cut(i, tc.cut, false, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			k.mu.Lock()
+			k.sendLocked(&types.Message{
+				Kind: types.KindData, Channel: fixCh, Src: fixSrc, Dst: fixDst, Payload: []byte("from cluster 2"),
+				Route: types.Route{Dst: 1, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
+			})
+			k.transmitLocked()
+			k.mu.Unlock()
+			received, drops := peer.Backlog(), metrics.PartitionDrops.Load()
+			if tc.dropped && (received != 0 || drops != 1) || !tc.dropped && (received != 1 || drops != 0) {
+				t.Fatalf("outbound cut on %v: cluster 1 received %d of kernel 2's messages, %d partition drops",
+					tc.cut, received, drops)
+			}
+		})
 	}
 }
 

@@ -33,11 +33,6 @@ type Server struct {
 	sinceSync int
 	// SyncEvery controls how often the server syncs its twin.
 	SyncEvery int
-	// reports holds the latest KindKernelReport load summary per cluster
-	// (§7.6 system-status information). Soft state: it is rebuilt by the
-	// next reporting interval after a promotion, so it is deliberately
-	// not part of the sync blob.
-	reports map[types.ClusterID]kernel.KernelReport
 }
 
 var _ kernel.Server = (*Server)(nil)
@@ -49,7 +44,6 @@ func New(pid types.PID, k *kernel.Kernel) *Server {
 		k:         k,
 		alarms:    make(map[types.PID]int64),
 		timers:    make(map[types.PID]*time.Timer),
-		reports:   make(map[types.ClusterID]kernel.KernelReport),
 		SyncEvery: 8,
 	}
 }
@@ -64,14 +58,6 @@ func (s *Server) Receive(ctx *kernel.ServerCtx, m *types.Message) {
 		// server's business.
 		reply := &kernel.OpenReply{Err: "process server does not open names"}
 		ctx.Reply(m.Channel, m.Src, types.KindOpenReply, reply.Encode())
-		return
-	}
-	if m.Kind == types.KindKernelReport {
-		if kr, err := kernel.DecodeKernelReport(m.Payload); err == nil {
-			s.mu.Lock()
-			s.reports[kr.Cluster] = *kr
-			s.mu.Unlock()
-		}
 		return
 	}
 	op, arg, err := kernel.DecodeProcRequest(m.Payload)
@@ -103,15 +89,6 @@ func (s *Server) Receive(ctx *kernel.ServerCtx, m *types.Message) {
 	if due {
 		ctx.Sync()
 	}
-}
-
-// ClusterReport returns the latest load report received from cluster c,
-// if any.
-func (s *Server) ClusterReport(c types.ClusterID) (kernel.KernelReport, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	kr, ok := s.reports[c]
-	return kr, ok
 }
 
 // armAlarm schedules a SigAlarm for pid after d (§7.5.2: "alarm requests

@@ -69,10 +69,9 @@ const (
 	// server sends to its active backup (§7.9).
 	KindServerSync
 
-	// KindKernelReport is the periodic report each kernel sends to the
-	// process server (§7.6: "It periodically receives reports from each
-	// kernel").
-	KindKernelReport
+	// Reserved: the retired kernel load report. The slot stays so every
+	// later kind keeps its wire number.
+	_
 
 	// KindHeartbeat is the failure detector's liveness probe (§7.10:
 	// "Periodic polling of every cluster will discover the shutdown").
@@ -134,8 +133,6 @@ func (k Kind) String() string {
 		return "backup-up"
 	case KindServerSync:
 		return "server-sync"
-	case KindKernelReport:
-		return "kernel-report"
 	case KindHeartbeat:
 		return "heartbeat"
 	case KindExitNotice:

@@ -70,8 +70,9 @@ func TestStringers(t *testing.T) {
 	if PID(7).String() != "pid7" || ChannelID(9).String() != "ch9" {
 		t.Error("identifier strings")
 	}
-	for k := KindInvalid; k <= KindBackupCreate; k++ {
-		if strings.HasPrefix(k.String(), "Kind(") {
+	const reserved = KindServerSync + 1 // the retired kernel report's slot
+	for k := KindInvalid; k <= KindCheckpoint; k++ {
+		if k != reserved && strings.HasPrefix(k.String(), "Kind(") {
 			t.Errorf("kind %d unnamed", k)
 		}
 	}

@@ -277,4 +277,6 @@ func Register(reg *guest.Registry) {
 	reg.Register("teller", NewTellerFactory())
 	reg.Register("auditor", NewAuditorFactory())
 	reg.Register("pipe-stage", NewPipeStageFactory())
+	reg.Register("echo-server", guest.ReactorFactory(func() guest.Handler { return EchoServer{} }))
+	reg.Register("echo-client", guest.ReactorFactory(func() guest.Handler { return EchoClient{} }))
 }

@@ -3,7 +3,8 @@
 // that guests may use (seeded from their argument string, never from
 // environmental state — §4's determinism requirement), payload builders,
 // and reusable guest programs (a bank server, teller clients, an auditor,
-// and pipeline stages) shared by the examples and the benchmark harness.
+// pipeline stages, and an echo server and client) shared by the examples,
+// the simulator, the benchmark and the tests.
 package workload
 
 import (
