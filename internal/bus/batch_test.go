@@ -226,10 +226,9 @@ func TestInboxCloseUnblocksBoundedSend(t *testing.T) {
 }
 
 // TestBroadcastBatchSteadyStateAllocs pins the batch path's allocation
-// contract: once queues and slabs are warm, a BroadcastBatch call whose
-// messages carry no payload bytes allocates nothing at all — the only
-// steady-state allocation in the batch path is the per-batch payload slab,
-// which is sized by the batch's payload bytes.
+// contract: once the receive queues are warm, a BroadcastBatch call
+// allocates nothing at all, payload bytes included — the targets share the
+// sender's payload slices instead of copying them.
 func TestBroadcastBatchSteadyStateAllocs(t *testing.T) {
 	bus := New(&trace.Metrics{}, nil)
 	for c := types.ClusterID(0); c < 3; c++ {
@@ -249,7 +248,7 @@ func TestBroadcastBatchSteadyStateAllocs(t *testing.T) {
 	route := types.Route{Dst: 0, DstBackup: 1, SrcBackup: 2}
 	batch := make([]*types.Message, 64)
 	for j := range batch {
-		batch[j] = dataMsg(1, 2, route, "")
+		batch[j] = dataMsg(1, 2, route, "sixty-four bytes or so")
 	}
 	send := func() {
 		if _, err := bus.BroadcastBatch(batch); err != nil {
@@ -260,7 +259,7 @@ func TestBroadcastBatchSteadyStateAllocs(t *testing.T) {
 		send()
 	}
 	if allocs := testing.AllocsPerRun(200, send); allocs > 0 {
-		t.Fatalf("BroadcastBatch allocated %.2f objects per payload-free batch; want 0", allocs)
+		t.Fatalf("BroadcastBatch allocated %.2f objects per batch; want 0", allocs)
 	}
 	for c := types.ClusterID(0); c < 3; c++ {
 		bus.Detach(c)

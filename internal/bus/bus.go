@@ -252,14 +252,14 @@ func (b *Bus) targetsLocked(m *types.Message, dst []*busPort) []*busPort {
 }
 
 // stageLocked is the bus's one delivery step: it appends `copies` copies of
-// the accepted transmission m to port p's receive buffers, carrying the
-// given bus-owned payload and nondet slices, and records each receive.
-// Caller holds b.mu and p.in.mu. Returns the number of copies delivered —
-// zero when the cluster's inbox closed under a bounded-queue wait.
-func (b *Bus) stageLocked(p *busPort, m *types.Message, payload []byte, nondet []uint64, copies int) uint64 {
+// the accepted transmission m to port p's receive buffers and records each
+// receive. Caller holds b.mu and p.in.mu. Returns the number of copies
+// delivered — zero when the cluster's inbox closed under a bounded-queue
+// wait.
+func (b *Bus) stageLocked(p *busPort, m *types.Message, copies int) uint64 {
 	var n uint64
 	for i := 0; i < copies; i++ {
-		if !p.in.stageLocked(m, payload, nondet) {
+		if !p.in.stageLocked(m) {
 			break
 		}
 		n++
@@ -294,16 +294,17 @@ func (b *Bus) stageLocked(p *busPort, m *types.Message, payload []byte, nondet [
 // once, directly into its target queues — no staging list, no second copy
 // at flush.
 //
-// Message values are written straight into each target's receive buffers
-// and all payload bytes are copied into one shared per-batch slab: §5.1
-// says copies are executive work, not bus work, so steady-state delivery
-// allocates nothing per message beyond its payload bytes, and the
-// per-executive private copy happens in the receiving cluster's dispatch
-// loop, off the shared critical section. Receivers must treat payload and
-// nondet slices of delivered messages as read-only (they are shared by
-// all three targets; the kernel's dispatch takes a shallow copy of the
-// message itself before stamping arrival state). The sender keeps
-// ownership of msgs and their buffers: nothing delivered aliases them.
+// Message values are written straight into each target's receive buffers,
+// and the payload and nondet slices are handed off, not copied: every
+// target's value carries the sender's slices. Offering a message therefore
+// gives up ownership of its payload and nondet words — the sender must
+// never write to them again (the executive's payloads are fresh per
+// message, and offerBatch copies a lazily encoded payload out of its pooled
+// writer before the offer) — and receivers treat them as read-only.
+// Per-target headers (Seq, ID, routing stamps) are independent: each target
+// holds its own value, and the sender keeps its *Message headers, which
+// nothing delivered aliases. §5.1 says copies are executive work, not bus
+// work; here delivery allocates nothing per message.
 //
 // Returns the number of messages transmitted. On error, msgs[sent:] were
 // not transmitted and not delivered anywhere (the batch analogue of
@@ -313,18 +314,6 @@ func (b *Bus) BroadcastBatch(msgs []*types.Message) (int, error) {
 	if len(msgs) == 0 {
 		return 0, nil
 	}
-	// All payload bytes of the batch are copied into one contiguous slab —
-	// a single allocation replacing one per message per target. The copies
-	// are safe to share across the three targets because receivers treat
-	// payload bytes and nondet words as read-only (values are decoded out,
-	// never written back). Sizing and allocating the slab reads only the
-	// caller-owned batch, so it happens before the ordering critical
-	// section is entered.
-	payloadTotal := 0
-	for _, m := range msgs {
-		payloadTotal += len(m.Payload)
-	}
-	payloadSlab := make([]byte, 0, payloadTotal)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	// The fault model is consulted through this one pointer, at the two
@@ -364,16 +353,6 @@ func (b *Bus) BroadcastBatch(msgs []*types.Message) (int, error) {
 			copies = w.copiesLocked()
 			ports = w.reachableLocked(idx, m.Origin, ports)
 		}
-		var payload []byte
-		if len(m.Payload) > 0 {
-			off := len(payloadSlab)
-			payloadSlab = append(payloadSlab, m.Payload...)
-			payload = payloadSlab[off:len(payloadSlab):len(payloadSlab)]
-		}
-		var nondet []uint64
-		if len(m.Nondet) > 0 {
-			nondet = append([]uint64(nil), m.Nondet...)
-		}
 		for _, p := range ports {
 			if !p.locked {
 				// The receive buffer stays acquired for the rest of the
@@ -384,7 +363,7 @@ func (b *Bus) BroadcastBatch(msgs []*types.Message) (int, error) {
 				p.in.mu.Lock()
 				p.locked = true
 			}
-			deliveries += b.stageLocked(p, m, payload, nondet, copies)
+			deliveries += b.stageLocked(p, m, copies)
 		}
 	}
 	b.metrics.BusBatches.Add(1)
@@ -427,7 +406,7 @@ type Inbox struct {
 	// q stores message VALUES, not pointers: queue slots are the cluster's
 	// receive buffers, and PopAll recycles their backing arrays between
 	// the bus and the consumer, so steady-state delivery allocates nothing
-	// per message beyond the payload bytes.
+	// per message.
 	q      []types.Message
 	limit  int // 0: unbounded
 	peak   int
@@ -479,16 +458,14 @@ func (in *Inbox) SetDrainJitter(rng *types.RNG) {
 	in.jitter = rng
 }
 
-// stageLocked appends one delivered message value behind the queue, with
-// payload and nondet swapped for the bus-owned copies (m itself stays
-// caller-owned; its slices are never shared with receivers). Caller
+// stageLocked appends one delivered message value behind the queue. Caller
 // already holds in.mu — the batch path acquires each target inbox once
 // for the whole batch and signals the consumer once at release. A bounded
 // queue that is out of receive-buffer space wakes its consumer and waits
 // for room (space.Wait releases in.mu, so the consumer can drain mid-
 // batch). Returns false if the inbox is closed: a powered-off cluster
 // loses its receive buffers and the message is simply not received there.
-func (in *Inbox) stageLocked(m *types.Message, payload []byte, nondet []uint64) bool {
+func (in *Inbox) stageLocked(m *types.Message) bool {
 	for in.limit > 0 && len(in.q) >= in.limit && !in.closed {
 		in.cond.Signal()
 		in.space.Wait()
@@ -497,10 +474,6 @@ func (in *Inbox) stageLocked(m *types.Message, payload []byte, nondet []uint64) 
 		return false
 	}
 	in.q = append(in.q, *m)
-	q := &in.q[len(in.q)-1]
-	q.Payload = payload
-	q.Nondet = nondet
-	q.Lazy = nil
 	if len(in.q) > in.peak {
 		in.peak = len(in.q)
 	}

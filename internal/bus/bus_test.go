@@ -87,27 +87,34 @@ func TestDuplicateTargetsDeliverOnce(t *testing.T) {
 }
 
 func TestCopiesAreIndependent(t *testing.T) {
-	// Each cluster's receive buffers hold their own message value (a kernel
-	// stamps Seq on arrival without racing its peers), and nothing delivered
-	// aliases the sender's buffers — the sender reuses them the moment
-	// BroadcastBatch returns. Payload bytes are shared between targets by
-	// contract (read-only at receivers), so they are not scribbled here.
+	// The hand-off contract of BroadcastBatch. Each cluster's receive
+	// buffers hold their own message value — a kernel stamps Seq on arrival
+	// without racing its peers, and the sender may reuse its header the
+	// moment BroadcastBatch returns — while the payload and nondet words are
+	// the sender's own slices, shared read-only by every target.
 	b := New(&trace.Metrics{}, nil)
 	in0 := b.Attach(0)
 	in1 := b.Attach(1)
-	m := dataMsg(1, 2, types.Route{Dst: 0, DstBackup: 1}, "abc")
+	route := types.Route{Dst: 0, DstBackup: 1}
+	m := dataMsg(1, 2, route, "abc")
 	m.Nondet = []uint64{7}
 	send(t, b, m)
-	m.Payload[0] = 'z'
-	m.Nondet[0] = 8
+	id := m.ID
+	m.ID, m.Seq, m.Route, m.Origin, m.Inc = 0, 55, types.Route{Dst: 9}, 9, 9
 	m0, m1 := drain(in0), drain(in1)
-	m0[0].Seq = 99
-	if m1[0].Seq != 0 {
+	if len(m0) != 1 || len(m1) != 1 {
+		t.Fatalf("delivered %d and %d copies, want one each", len(m0), len(m1))
+	}
+	m0[0].Seq, m0[0].Route.SrcBackup = 99, 8
+	if m1[0].Seq != 0 || m1[0].Route != route {
 		t.Fatal("clusters share a message instance")
 	}
-	for _, got := range []types.Message{m0[0], m1[0]} {
-		if string(got.Payload) != "abc" || got.Nondet[0] != 7 {
-			t.Fatal("delivered message aliases the sender's buffers")
+	for i, got := range []types.Message{m0[0], m1[0]} {
+		if got.ID != id || got.Origin != 0 || got.Inc != 0 {
+			t.Fatalf("cluster %d's header follows the sender's reuse of its own: %+v", i, got)
+		}
+		if &got.Payload[0] != &m.Payload[0] || &got.Nondet[0] != &m.Nondet[0] {
+			t.Fatalf("cluster %d received a copy of the payload or nondet words, want the sender's slices", i)
 		}
 	}
 }

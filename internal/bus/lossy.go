@@ -66,8 +66,10 @@ type linkEnd struct {
 // heldTx is one transmission held back by an armed delay fault: the message
 // was transmitted (ID minted, in order) but its deliveries are withheld
 // until the bus has minted ID `due` — the bus's reordering primitive. m is
-// a private clone, so the sender may reuse its buffers meanwhile; targets
-// are resolved at release time against the clusters live then.
+// a private clone, header and payload, so what a held frame finally
+// delivers is what was sent, whatever becomes of the sender's message
+// meanwhile; targets are resolved at release time against the clusters
+// live then.
 type heldTx struct {
 	m   *types.Message
 	idx int // physical bus chosen at transmit time
@@ -330,7 +332,7 @@ func (w *lossyWire) releaseLocked(all bool) {
 		}
 		for _, p := range w.reachableLocked(d.idx, d.m.Origin, b.targetsLocked(d.m, nil)) {
 			p.in.mu.Lock()
-			if n := b.stageLocked(p, d.m, d.m.Payload, d.m.Nondet, 1); n > 0 {
+			if n := b.stageLocked(p, d.m, 1); n > 0 {
 				b.metrics.BusDeliveries.Add(n)
 				b.metrics.MaxInboxPeak(uint64(p.in.peak))
 				p.in.cond.Signal()

@@ -169,9 +169,8 @@ func TestTraceOrderingPropertyAcrossClusterPairs(t *testing.T) {
 func TestDisabledLogBroadcastAllocs(t *testing.T) {
 	// The acceptance bar for the tracing subsystem: with the event log
 	// disabled (nil), the send path must not allocate for tracing. Sending
-	// to a detached target isolates the path from inbox appends; the one
-	// remaining allocation is the batch's payload slab, which predates
-	// tracing.
+	// to a detached target isolates the path from inbox appends; the bus
+	// copies no payload, so nothing else allocates either.
 	if raceEnabled {
 		t.Skip("AllocsPerRun unreliable under -race")
 	}
@@ -188,7 +187,7 @@ func TestDisabledLogBroadcastAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1 {
-		t.Fatalf("BroadcastBatch with disabled log allocates %.1f times per op, want <= 1 (payload slab only)", allocs)
+	if allocs != 0 {
+		t.Fatalf("BroadcastBatch with disabled log allocates %.1f times per op, want 0", allocs)
 	}
 }

@@ -407,7 +407,7 @@ func (s *System) Spawn(program string, args []byte, cfg SpawnConfig) (types.PID,
 	if k == nil {
 		return types.NoPID, types.ErrNoCluster
 	}
-	pcb, bn, err := k.Spawn(program, args, kernel.SpawnOpts{
+	pcb, err := k.Spawn(program, args, kernel.SpawnOpts{
 		Mode:           cfg.Mode,
 		BackupCluster:  backup,
 		SyncReads:      cfg.SyncReads,
@@ -416,9 +416,6 @@ func (s *System) Spawn(program string, args []byte, cfg SpawnConfig) (types.PID,
 	})
 	if err != nil {
 		return types.NoPID, err
-	}
-	if bk := s.kern(backup); backup != types.NoCluster && bk != nil {
-		bk.CreateBackupShell(bn)
 	}
 	return pcb.PID(), nil
 }

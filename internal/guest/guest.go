@@ -26,7 +26,8 @@ import (
 type Event struct {
 	// FD is the channel descriptor the message arrived on (message events).
 	FD types.FD
-	// Data is the message payload (message events).
+	// Data is the message payload (message events), read-only as Read's
+	// result is.
 	Data []byte
 	// Signal is the delivered signal (signal events).
 	Signal types.Signal
@@ -75,13 +76,17 @@ type API interface {
 	Close(fd types.FD) error
 
 	// Read blocks until a message is available on fd and returns its
-	// payload.
+	// payload. The bytes are shared with the sender and with the copy
+	// saved at the reader's backup (the bus hands one payload to every
+	// target): a guest must not modify them; copy them to keep a mutable
+	// version.
 	Read(fd types.FD) ([]byte, error)
 
 	// ReadAny blocks until a message is available on any of the given
 	// descriptors (the paper's bunch/which, §7.5.1) and returns the
 	// descriptor it arrived on plus the payload. The choice is the
-	// arrival-order-deterministic "lowest sequence number first".
+	// arrival-order-deterministic "lowest sequence number first". The
+	// payload is read-only, as Read's is.
 	ReadAny(fds []types.FD) (types.FD, []byte, error)
 
 	// Write sends a message on fd. It returns as soon as the message is
@@ -91,13 +96,15 @@ type API interface {
 	Write(fd types.FD, data []byte) error
 
 	// Call writes a request on fd and blocks for the next message on fd
-	// (the "writes which require an answer" pattern, §7.5.1).
+	// (the "writes which require an answer" pattern, §7.5.1). The reply
+	// is read-only, as Read's result is.
 	Call(fd types.FD, req []byte) ([]byte, error)
 
 	// NextEvent blocks for the next input across every open descriptor
 	// and the signal channel, applying the deterministic ordering and
 	// sync-before-signal rules. Reactor-style guests drive their main
-	// loop with it.
+	// loop with it. A message event's Data is read-only, as Read's result
+	// is.
 	NextEvent() (Event, error)
 
 	// SyncPoint marks a state-consistent point: all guest state is in the

@@ -19,7 +19,9 @@ type Handler interface {
 	// so the rest of the system sees them exactly once.
 	Start(p API, st *State) error
 
-	// OnMessage handles one message read from a channel.
+	// OnMessage handles one message read from a channel. data is shared
+	// with the sender and with the backup's saved copy: read it, never
+	// modify it.
 	OnMessage(p API, st *State, fd types.FD, data []byte) error
 
 	// OnSignal handles one unignored asynchronous signal.

@@ -15,9 +15,10 @@ import (
 // page" that plain `go test` gates: one steady-state sync of 8 dirty 1 KiB
 // pages — capture at the primary, page-out and sync message through the
 // kernel onto a bare bus, and off it into both page servers and their
-// mirrored disks — may allocate syncAllocBudget bytes. The bus's payload
-// slab, the one copy of the pages the §5.1 broadcast owes, is 9.2 KB of
-// that (8.4 KB of payload in its size class), everything else 2.5 KB; one
+// mirrored disks — may allocate syncAllocBudget bytes. The page-out's copy
+// out of its pooled writer, the one copy of the pages the §5.1 broadcast
+// owes (the bus hands it to both page servers as it is), is 9.2 KB of that
+// (8.4 KB of payload in its size class), everything else 2.8 KB; one
 // more copy of the dirty set anywhere on the path (a page cloned at the
 // primary, a block buffer not recycled) is another 8 KiB and fails. No
 // goroutine runs, so the count repeats to within a slice's amortised growth.
@@ -56,7 +57,7 @@ func TestSyncPathAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perSync := (after.TotalAlloc - before.TotalAlloc) / rounds
 	t.Logf("%d B and %d allocations per sync of %d pages", perSync, (after.Mallocs-before.Mallocs)/rounds, pages)
-	if perSync > syncAllocBudget && !raceEnabled {
+	if perSync > syncAllocBudget && !kernel.RaceEnabled {
 		t.Errorf("one sync of %d dirty pages allocates %d B, budget %d B", pages, perSync, syncAllocBudget)
 	}
 

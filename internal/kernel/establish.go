@@ -153,13 +153,14 @@ func (k *Kernel) finalizeEstablishLocked(p *PCB) {
 	entries := k.table.OwnedBy(p.pid, routing.Primary)
 	type queued struct {
 		seq types.Seq
-		m   *types.Message
+		m   *types.Message // a queue slot: nothing below enqueues to these entries
 	}
 	var pending []queued
 	for _, e := range entries {
 		e.OwnerBackupCluster = target
-		for _, m := range e.Queued() {
-			pending = append(pending, queued{seq: m.Seq, m: m})
+		q := e.Queued()
+		for i := range q {
+			pending = append(pending, queued{seq: q[i].Seq, m: &q[i]})
 		}
 	}
 	// Forward in original arrival order so the which/lowest-seq replay at

@@ -173,8 +173,10 @@ func TestDispatchRoles(t *testing.T) {
 		if len(q) != 2 || q[0].Seq != 1 || q[1].Seq != 2 {
 			t.Fatalf("primary queue = %v, want two messages with Seq 1, 2", q)
 		}
-		if q[0] == &shared || q[0] == q[1] {
-			t.Fatal("the queue holds the caller's message, not its own copy")
+		for i := range q {
+			if q[i].ID != shared.ID || q[i].Src != fixSrc || &q[i].Payload[0] != &shared.Payload[0] {
+				t.Fatalf("queued message %d = %+v, want the delivered value with its shared payload", i, q[i])
+			}
 		}
 		if got := k.metrics.PrimaryDeliveries.Load(); got != 2 {
 			t.Fatalf("PrimaryDeliveries = %d", got)
@@ -185,7 +187,7 @@ func TestDispatchRoles(t *testing.T) {
 		k := bareKernel(4)
 		e := addEntry(k, fixDst, fixSrc, routing.Backup)
 		k.dispatch(&shared)
-		if q := e.Queued(); len(q) != 1 || q[0].Seq != 1 || q[0] == &shared {
+		if q := e.Queued(); len(q) != 1 || q[0].Seq != 1 || q[0].ID != shared.ID || &q[0].Payload[0] != &shared.Payload[0] {
 			t.Fatalf("saved queue = %v", q)
 		}
 		if got := k.metrics.BackupSaves.Load(); got != 1 {
@@ -215,7 +217,7 @@ func TestDispatchRoles(t *testing.T) {
 		if len(pq) != 1 || len(bq) != 1 || pq[0].Seq != 1 || bq[0].Seq != 1 {
 			t.Fatalf("primary queue %v, saved queue %v; want one message each, Seq 1", pq, bq)
 		}
-		if pq[0] == bq[0] || &pq[0].Payload[0] == &bq[0].Payload[0] {
+		if &pq[0].Payload[0] == &bq[0].Payload[0] {
 			t.Fatal("the saved copy aliases the primary's")
 		}
 		if &bq[0].Payload[0] == &both.Payload[0] || string(bq[0].Payload) != string(both.Payload) {
@@ -224,8 +226,9 @@ func TestDispatchRoles(t *testing.T) {
 	})
 }
 
-// TestDispatchAllocatesOnlyWhatItKeeps pins tentpole part 4: a message this
-// cluster does not retain costs no heap allocation.
+// TestDispatchAllocatesOnlyWhatItKeeps: a message this cluster does not
+// retain costs no heap allocation, and one it queues costs none either once
+// the queue's array has grown — its one copy is into a slot of that array.
 func TestDispatchAllocatesOnlyWhatItKeeps(t *testing.T) {
 	t.Run("sender's backup only", func(t *testing.T) {
 		k := bareKernel(3)
@@ -255,8 +258,8 @@ func TestDispatchAllocatesOnlyWhatItKeeps(t *testing.T) {
 			k.dispatch(&m)
 			e.Dequeue()
 		})
-		if n != 1 {
-			t.Fatalf("queue-for-reading allocated %v times per message, want 1", n)
+		if n != 0 {
+			t.Fatalf("queue-for-reading allocated %v times per message, want 0", n)
 		}
 	})
 }

@@ -5,6 +5,10 @@ import (
 	"auragen/internal/types"
 )
 
+// RaceEnabled reports whether the race detector is on; budget_test.go's
+// allocation gate does not hold under it.
+const RaceEnabled = raceEnabled
+
 // SyncRig lets budget_test.go drive the goroutine-free rig of
 // transmit_test.go from package kernel_test, where it has to live: it needs
 // the real page server, and package pager imports this one.

@@ -22,6 +22,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -171,19 +172,16 @@ type Kernel struct {
 	// carry the bump that advances it.
 	incView map[types.ClusterID]types.Incarnation
 
-	outgoing routing.Queue
+	outgoing routing.Queue[*types.Message]
 	// transmitting is the single-transmitter flag (guarded by mu): set
 	// while one goroutine is between taking a batch off outgoing and the
 	// bus accepting it, which it does outside mu. Anyone else who finds it
 	// set leaves their output queued — the holder looks at the queue again,
 	// under mu, before it clears the flag — so bus order is queue order.
 	transmitting bool
-	// txBatch is the batch being offered and txWriters the pooled buffers
-	// its lazy payloads were encoded into (parallel to txBatch, nil for
-	// eager payloads). Both belong to the holder of the transmitting flag
-	// and are reused from one batch to the next.
-	txBatch   []*types.Message
-	txWriters []*wire.Writer
+	// txBatch is the batch being offered. It belongs to the holder of the
+	// transmitting flag and is reused from one batch to the next.
+	txBatch []*types.Message
 	// txHold stops transmission without stopping enqueues, so tests can
 	// deterministically open the window between batch-enqueue and
 	// batch-transmit (see HoldTransmit).
@@ -347,7 +345,7 @@ func (k *Kernel) Start() {
 func (k *Kernel) Crash() {
 	k.mu.Lock()
 	k.crashed = true
-	k.outgoing = routing.Queue{}
+	k.outgoing = routing.Queue[*types.Message]{}
 	for _, p := range k.procs {
 		p.crashed = true
 		p.cond.Broadcast()
@@ -412,7 +410,7 @@ func (k *Kernel) enterDegraded(cause error) {
 		return
 	}
 	k.degraded = true
-	k.outgoing = routing.Queue{}
+	k.outgoing = routing.Queue[*types.Message]{}
 	for _, p := range k.procs {
 		p.cond.Broadcast()
 	}
@@ -510,7 +508,7 @@ func (k *Kernel) sendLocked(m *types.Message) {
 	if k.crashed || k.stopped || k.degraded {
 		return
 	}
-	k.outgoing.Push(m)
+	k.outgoing.Push(&m)
 }
 
 // HoldTransmit stops (hold=true) or resumes (hold=false) transmission.
@@ -613,15 +611,14 @@ func (k *Kernel) takeBatchLocked() bool {
 
 // offerBatch puts k.txBatch on the bus. Every transmission of this cluster
 // goes through here, under the transmitting flag and outside k.mu. Lazy
-// payloads are resolved into pooled wire buffers here — off the kernel lock
-// — what they borrowed (a page-out's captured pages) is handed back as soon
-// as it is encoded, and the buffers are released once the bus has cloned the
-// payload for every destination.
+// payloads are resolved here — off the kernel lock — each encoded into a
+// pooled wire buffer and copied out of it, so the payload the bus hands to
+// every destination is the message's own and no pooled buffer ever reaches
+// a receiver; what an encoder borrowed (a page-out's captured pages) is
+// handed back as soon as it is encoded.
 func (k *Kernel) offerBatch() {
-	// Resolve deferred payloads into pooled buffers. Encoders touch only
-	// data the enqueuer handed off (captured pages, retired sync state), so
-	// running them here is race-free.
-	k.txWriters = k.txWriters[:0]
+	// Encoders touch only data the enqueuer handed off (captured pages,
+	// retired sync state), so running them here is race-free.
 	for _, m := range k.txBatch {
 		// Stamp the sender's identity and incarnation: this is what lets
 		// receivers fence the whole batch if this kernel turns out to be a
@@ -630,30 +627,19 @@ func (k *Kernel) offerBatch() {
 		// restamped: the transmitter is this cluster. k.inc is immutable
 		// after New.
 		m.Origin, m.Inc = k.id, k.inc
-		var w *wire.Writer
 		if m.Lazy != nil {
-			w = wire.GetWriter()
+			w := wire.GetWriter()
 			m.Lazy.EncodePayload(w)
 			if r, ok := m.Lazy.(types.PayloadRetirer); ok {
 				r.RetirePayload()
 			}
-			m.Payload = w.Bytes()
+			m.Payload = append([]byte(nil), w.Bytes()...)
 			m.Lazy = nil
-		}
-		k.txWriters = append(k.txWriters, w)
-	}
-
-	err := k.transmitBatch(k.txBatch)
-
-	// The bus deep-clones payloads per destination inside its critical
-	// section, so once the offer returns the pooled buffers are ours
-	// again. Drop the aliases before recycling.
-	for i, w := range k.txWriters {
-		if w != nil {
-			k.txBatch[i].Payload = nil
 			wire.PutWriter(w)
 		}
 	}
+
+	err := k.transmitBatch(k.txBatch)
 	clear(k.txBatch) // transmitted: do not pin the messages until the next batch
 	if err != nil {
 		// Both physical buses down past the retry budget: an untolerated
@@ -774,15 +760,14 @@ func (k *Kernel) dispatchLocked(in *types.Message) {
 		return
 	}
 
-	// Batched deliveries hand the SAME message value to every target
-	// cluster (§5.1: copies are executive work, not bus work). Arrival
-	// state is stamped on a private copy so sibling executives never
-	// observe this cluster's writes; the payload bytes and nondet words
-	// stay shared and are treated as read-only. The copy lives on this
-	// stack frame: a role that keeps the message (queue, save, server
-	// request) makes its own heap copy with retain, and a role that does
-	// not (count-and-discard, a fenced or decoded-and-dropped kind)
-	// allocates nothing.
+	// Arrival state is stamped on a private copy of the delivered value, so
+	// the receive buffer the rxLoop recycles is never written; the payload
+	// bytes and nondet words are the sender's, shared by every target, and
+	// treated as read-only. The copy lives on this stack frame: a routing
+	// queue that keeps the message copies it by value into a slot of its
+	// own array, a server keeps a heap copy made with retain, and a role
+	// that keeps nothing (count-and-discard, a fenced or decoded-and-dropped
+	// kind) allocates nothing.
 	cp := *in
 	m := &cp
 	if k.crashed || k.stopped {
@@ -875,16 +860,29 @@ func (k *Kernel) dispatchLocked(in *types.Message) {
 	}
 }
 
-// retain returns the heap copy of an arriving message that a queue or server
-// keeps; m itself is dispatchLocked's stack copy and dies with the call. own makes
-// the copy deep (private payload and nondet words), for a cluster that keeps
-// the message twice.
+// retain returns the heap copy of an arriving message that a system server
+// keeps; m itself is dispatchLocked's stack copy and dies with the call. own
+// makes the copy deep (private payload and nondet words), for a cluster that
+// keeps the message twice.
 func retain(m *types.Message, own bool) *types.Message {
 	if own {
 		return m.Clone()
 	}
 	c := *m
 	return &c
+}
+
+// enqueueOwned queues a copy of m at e whose payload and nondet words are
+// its own, for a cluster that is both a message's destination and the
+// destination's backup: the two copies it keeps are independent. Kept out
+// of line so the copy's frame is not dispatchChannelMessage's.
+//
+//go:noinline
+func enqueueOwned(e *routing.Entry, m *types.Message) {
+	c := *m
+	c.Payload = slices.Clone(m.Payload)
+	c.Nondet = slices.Clone(m.Nondet)
+	e.Enqueue(&c)
 }
 
 // dispatchChannelMessage handles the three §5.1 roles for channel-carried
@@ -917,7 +915,7 @@ func (k *Kernel) dispatchChannelMessage(m *types.Message) {
 				k.adoptOpenReplyLocked(m, routing.Primary)
 			}
 			if e, ok := k.table.Lookup(m.Channel, m.Dst, routing.Primary); ok && !e.Closed {
-				e.Enqueue(retain(m, false))
+				e.Enqueue(m)
 				k.metrics.PrimaryDeliveries.Add(1)
 				k.logMsg(trace.EvDeliver, m, m.Dst, 0)
 				if p, ok := k.procs[m.Dst]; ok {
@@ -958,12 +956,16 @@ func (k *Kernel) dispatchChannelMessage(m *types.Message) {
 				k.adoptOpenReplyLocked(m, routing.Backup)
 			}
 			if e, ok := k.table.Lookup(m.Channel, m.Dst, routing.Backup); ok {
-				e.Enqueue(retain(m, both))
+				if both {
+					enqueueOwned(e, m)
+				} else {
+					e.Enqueue(m)
+				}
 				k.metrics.BackupSaves.Add(1)
 				k.logMsg(trace.EvSave, m, m.Dst, 0)
 			} else if p, ok := k.procs[m.Dst]; ok && !both {
 				if pe, ok := k.table.Lookup(m.Channel, m.Dst, routing.Primary); ok && !pe.Closed {
-					pe.Enqueue(retain(m, false))
+					pe.Enqueue(m)
 					k.metrics.PrimaryDeliveries.Add(1)
 					k.logMsg(trace.EvDeliver, m, m.Dst, 0)
 					p.cond.Broadcast()

@@ -150,8 +150,8 @@ func (pr *Proc) read(fd types.FD, gated bool) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("kernel: %s fd %d: %w", p.pid, fd, types.ErrBadFD)
 	}
-	var msg *types.Message
-	for msg == nil {
+	var payload []byte
+	for read := false; !read; {
 		// For guests whose reads are state-capturable points (the VM),
 		// a read is also an establishment pause point.
 		if gated && p.readSafe && (p.establishing || p.establishSyncPending) {
@@ -170,14 +170,12 @@ func (pr *Proc) read(fd types.FD, gated bool) ([]byte, error) {
 			if !ok {
 				return false
 			}
-			m, ok := e.Dequeue()
-			if !ok {
+			if payload, read = e.Dequeue(); !read {
 				return false
 			}
 			e.ReadsSinceSync++
 			p.readsSinceSync++
 			p.totalReads++
-			msg = m
 			return true
 		})
 		if err != nil {
@@ -187,7 +185,7 @@ func (pr *Proc) read(fd types.FD, gated bool) ([]byte, error) {
 			continue
 		}
 	}
-	return msg.Payload, nil
+	return payload, nil
 }
 
 // ReadAny implements guest.API: the bunch/which multiplexed read (§7.5.1).
@@ -198,23 +196,23 @@ func (pr *Proc) ReadAny(fds []types.FD) (types.FD, []byte, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	var gotFD types.FD
-	var msg *types.Message
+	var payload []byte
 	err := k.waitLocked(p, func() bool {
 		fd, e := lowestSeq(p, k.table.OwnedBy(p.pid, routing.Primary), fds)
 		if e == nil {
 			return false
 		}
-		m, _ := e.Dequeue()
+		payload, _ = e.Dequeue()
 		e.ReadsSinceSync++
 		p.readsSinceSync++
 		p.totalReads++
-		gotFD, msg = fd, m
+		gotFD = fd
 		return true
 	})
 	if err != nil {
 		return types.NoFD, nil, err
 	}
-	return gotFD, msg.Payload, nil
+	return gotFD, payload, nil
 }
 
 // lowestSeq finds the open descriptor among fds whose head message has the
@@ -420,7 +418,7 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 				if !ok {
 					break
 				}
-				sig := decodeSignal(m)
+				sig := decodeSignal(m.Payload)
 				if !p.sigIgnore[sig] {
 					break
 				}
@@ -433,12 +431,12 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 		// Rule 2: a capture or decision recorded the signal-handling point.
 		if p.signalNext {
 			if sigEntry != nil {
-				if m, ok := sigEntry.Dequeue(); ok {
+				if sig, ok := sigEntry.Dequeue(); ok {
 					sigEntry.ReadsSinceSync++
 					p.readsSinceSync++
 					p.totalReads++
 					p.signalNext = false
-					return guest.Event{Signal: decodeSignal(m), IsSignal: true}, nil
+					return guest.Event{Signal: decodeSignal(sig), IsSignal: true}, nil
 				}
 			}
 			p.signalNext = false
@@ -449,7 +447,9 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 			if p.totalReads >= p.signalPlan[0] {
 				pos := p.signalPlan[0]
 				if sigEntry != nil {
-					if m, ok := sigEntry.Dequeue(); ok {
+					if m, ok := sigEntry.Peek(); ok {
+						id := m.ID
+						sig, _ := sigEntry.Dequeue()
 						sigEntry.ReadsSinceSync++
 						p.readsSinceSync++
 						p.totalReads++
@@ -458,14 +458,14 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 							k.log.Append(trace.Event{
 								Kind:    trace.EvReplay,
 								Cluster: k.id,
-								MsgID:   m.ID,
+								MsgID:   id,
 								MsgKind: types.KindDecision,
 								PID:     p.pid,
 								Channel: p.signalCh,
 								Arg:     pos,
 							})
 						}
-						return guest.Event{Signal: decodeSignal(m), IsSignal: true}, nil
+						return guest.Event{Signal: decodeSignal(sig), IsSignal: true}, nil
 					}
 				}
 				// Position reached but the pinned signal is still in flight:
@@ -506,11 +506,11 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 
 		// Rule 4: lowest-sequence message across open channels.
 		if fd, e := lowestSeq(p, entries, p.openFDs()); e != nil {
-			m, _ := e.Dequeue()
+			data, _ := e.Dequeue()
 			e.ReadsSinceSync++
 			p.readsSinceSync++
 			p.totalReads++
-			return guest.Event{FD: fd, Data: m.Payload}, nil
+			return guest.Event{FD: fd, Data: data}, nil
 		}
 
 		k.blockLocked(p)
@@ -604,12 +604,12 @@ func (pr *Proc) Fork(program string, args []byte) (types.PID, error) {
 	return k.forkLocked(p, program, args)
 }
 
-// decodeSignal extracts the signal number from a KindSignal message.
-func decodeSignal(m *types.Message) types.Signal {
-	if len(m.Payload) == 0 {
+// decodeSignal extracts the signal number from a KindSignal message payload.
+func decodeSignal(payload []byte) types.Signal {
+	if len(payload) == 0 {
 		return types.SigNone
 	}
-	return types.Signal(m.Payload[0])
+	return types.Signal(payload[0])
 }
 
 // Process-server request ops, shared by the kernel syscalls and the

@@ -98,7 +98,7 @@ func (k *Kernel) handleProcCrashLocked(crashed types.ClusterID, pid types.PID) {
 			}
 			m.Route.DstBackup = loc.BackupCluster
 		}
-		k.outgoing.Push(m)
+		k.outgoing.Push(&m)
 	}
 
 	if k.pager != nil {

@@ -1,5 +1,5 @@
 //go:build !race
 
-package kernel_test
+package kernel
 
 const raceEnabled = false

@@ -1,7 +1,8 @@
 //go:build race
 
-package kernel_test
+package kernel
 
-// raceEnabled gates the allocation budget: under -race sync.Pool drops what
-// is put back at random, so pooled wire buffers are allocated afresh.
+// raceEnabled gates the allocation tests: under -race sync.Pool drops what
+// is put back at random, so pooled wire buffers are allocated afresh, and
+// the detector's own bookkeeping allocates.
 const raceEnabled = true

@@ -189,7 +189,7 @@ func (k *Kernel) stepDownLocked(super types.Incarnation) {
 		}
 	}
 	k.crashed = true
-	k.outgoing = routing.Queue{}
+	k.outgoing = routing.Queue[*types.Message]{}
 	for _, p := range k.procs {
 		p.crashed = true
 		p.cond.Broadcast()
@@ -319,7 +319,9 @@ func (k *Kernel) promoteLocked(b *BackupPCB, noticeNanos int64) {
 		if k.log != nil {
 			// Record one replay step per saved message, in the order the
 			// promoted primary will re-read them.
-			for _, m := range e.Queued() {
+			q := e.Queued()
+			for i := range q {
+				m := &q[i]
 				k.log.Append(trace.Event{
 					Kind:    trace.EvReplay,
 					Cluster: k.id,
@@ -395,7 +397,9 @@ func (k *Kernel) sendBackupImageLocked(b *BackupPCB, entries []*routing.Entry, t
 		if e.WritesSinceSync > 0 {
 			img.Writes[e.Channel] = e.WritesSinceSync
 		}
-		for _, m := range e.Queued() {
+		q := e.Queued()
+		for i := range q {
+			m := &q[i]
 			queued = append(queued, SavedMessage{
 				Channel: m.Channel,
 				Kind:    m.Kind,
@@ -551,7 +555,7 @@ func (k *Kernel) fixOutgoingLocked(crashed types.ClusterID) {
 				if svc, sok := k.dir.Service(m.Dst); sok && svc.Primary != types.NoCluster {
 					r.Dst = svc.Primary
 					r.DstBackup = svc.Backup
-					k.outgoing.Push(m)
+					k.outgoing.Push(&m)
 				}
 				// Destination unrecoverable: the message is dropped with
 				// the crashed cluster.
@@ -570,7 +574,7 @@ func (k *Kernel) fixOutgoingLocked(crashed types.ClusterID) {
 		if r.SrcBackup == crashed {
 			r.SrcBackup = types.NoCluster
 		}
-		k.outgoing.Push(m)
+		k.outgoing.Push(&m)
 	}
 }
 

@@ -33,20 +33,23 @@ type SpawnOpts struct {
 }
 
 // Spawn creates a head-of-family process on this cluster (§7.7: "Backups
-// for heads of families are created when the primary is created"). It is an
-// administrative operation invoked by the system facade at boot or from a
-// shell, so the backup shell on the backup cluster is created by the
-// caller via CreateBackupShell using the returned birth notice.
-func (k *Kernel) Spawn(program string, args []byte, opts SpawnOpts) (*PCB, *BirthNotice, error) {
+// for heads of families are created when the primary is created"). The
+// backup shell is created where the backup cluster dispatches the birth
+// notice queued here, ahead of anything the process sends: in bus order, so
+// every kernel that handles a crash notice for this cluster after the
+// notice left has already created the shell it must promote, and a peer's
+// reply to the process's first request finds the shell at the backup
+// cluster.
+func (k *Kernel) Spawn(program string, args []byte, opts SpawnOpts) (*PCB, error) {
 	if _, ok := k.reg.New(program); !ok {
-		return nil, nil, fmt.Errorf("kernel: spawn %q: %w", program, types.ErrNotFound)
+		return nil, fmt.Errorf("kernel: spawn %q: %w", program, types.ErrNotFound)
 	}
 	pid := k.dir.AllocPID()
 
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if k.crashed || k.stopped {
-		return nil, nil, types.ErrCrashed
+		return nil, types.ErrCrashed
 	}
 	p, bn := k.createProcessLocked(pid, program, args, opts.Mode, pid /*family*/, types.NoPID, opts.BackupCluster)
 	if opts.SyncReads != 0 {
@@ -56,25 +59,17 @@ func (k *Kernel) Spawn(program string, args []byte, opts SpawnOpts) (*PCB, *Birt
 		p.syncTicks = opts.SyncTicks
 	}
 	p.fullCheckpoint = opts.FullCheckpoint
+	if opts.BackupCluster != types.NoCluster {
+		k.sendLocked(&types.Message{
+			Kind:    types.KindBirthNotice,
+			Dst:     pid,
+			Route:   types.Route{Dst: opts.BackupCluster, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
+			Payload: bn.Encode(),
+		})
+	}
 	k.startProcessLocked(p)
 	k.transmitLocked()
-	return p, bn, nil
-}
-
-// CreateBackupShell installs the eager backup record for a newly spawned
-// head of family on this (backup) cluster. It reuses the birth-notice
-// machinery: the record carries no state beyond identity and the initial
-// channels, exactly like a fork-time birth notice.
-func (k *Kernel) CreateBackupShell(bn *BirthNotice) {
-	m := &types.Message{
-		Kind:    types.KindBirthNotice,
-		Dst:     bn.Child,
-		Route:   types.Route{Dst: k.id, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-		Payload: bn.Encode(),
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.applyBirthNoticeLocked(m)
+	return p, nil
 }
 
 // createProcessLocked builds a PCB with its control channels (a channel to

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"sort"
 
 	"auragen/internal/directory"
@@ -421,9 +422,10 @@ func (k *Kernel) rebuildEstablishQueuesLocked(sm *SyncMsg) {
 	}
 	var forwards, directs []saved
 	for _, e := range entries {
-		for i, n := 0, e.QueueLen(); i < n; i++ {
-			m, _ := e.Dequeue()
-			if m.Route.Dst == types.NoCluster {
+		q := slices.Clone(e.Queued()) // detached: the queue is refilled below
+		e.DiscardFront(uint32(len(q)))
+		for i := range q {
+			if m := &q[i]; m.Route.Dst == types.NoCluster {
 				forwards = append(forwards, saved{e, m})
 			} else {
 				directs = append(directs, saved{e, m})

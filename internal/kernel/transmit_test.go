@@ -390,8 +390,9 @@ func TestCaptureLivesUntilTransmit(t *testing.T) {
 }
 
 // TestTransmitAllocations pins the steady-state cost of one one-message
-// transmit at what a transmit-loop iteration cost: the bus's payload slab
-// and nothing of the kernel's.
+// transmit: nothing for an eager payload, which the bus hands to its
+// destination as it is, and exactly the copy out of the pooled writer for a
+// lazy one.
 func TestTransmitAllocations(t *testing.T) {
 	metrics := new(trace.Metrics)
 	b := bus.New(metrics, nil)
@@ -413,17 +414,24 @@ func TestTransmitAllocations(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		one() // warm the queue, batch and receive-buffer capacities
 	}
-	if n := testing.AllocsPerRun(200, one); n != 1 {
-		t.Fatalf("a one-message transmit allocated %v times, want 1 (the bus's payload slab)", n)
+	if n := testing.AllocsPerRun(200, one); n != 0 {
+		t.Fatalf("a one-message transmit allocated %v times, want 0", n)
 	}
 
 	t.Run("pooled writers are returned", func(t *testing.T) {
+		dm := &DecisionMsg{PID: fixSrc, Seq: 1, Reads: 2}
 		lazy := func() {
-			m.Payload, m.Lazy = nil, &DecisionMsg{PID: fixSrc, Seq: 1, Reads: 2}
+			m.Payload, m.Lazy = nil, dm
 			one()
 		}
 		for i := 0; i < 100; i++ {
 			lazy()
+		}
+		if n := testing.AllocsPerRun(200, lazy); n != 1 {
+			t.Fatalf("a lazy one-message transmit allocated %v times, want 1 (its payload's copy-out)", n)
+		}
+		if got, _ := DecodeDecisionMsg(buf[0].Payload); got == nil || *got != *dm {
+			t.Fatalf("the destination decoded %+v, want %+v", got, dm)
 		}
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -437,6 +445,107 @@ func TestTransmitAllocations(t *testing.T) {
 			t.Fatalf("heap grew %d bytes over 10000 lazy transmits", grown)
 		}
 	})
+}
+
+// TestOneMessageWriteToRead follows one data message the whole way on four
+// never-started kernels: Write at the sender's cluster, the transmit, each
+// receiving executive's drain and dispatch — queue at the destination, save
+// at its backup, count at the sender's backup — and Read at the
+// destination. In steady state that costs exactly two heap objects: the
+// outgoing message and its payload copy, both made by Write. Every target
+// shares that payload; the queues hold message values in arrays they reuse.
+func TestOneMessageWriteToRead(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under -race")
+	}
+	metrics := new(trace.Metrics)
+	b := bus.New(metrics, nil)
+	dir := directory.New()
+	reg := guest.NewRegistry()
+	reg.Register("stub", func() guest.Guest { return stubGuest{} })
+	newKernel := func(id types.ClusterID) *Kernel {
+		return New(Config{ID: id, Bus: b, Dir: dir, Registry: reg, Metrics: metrics})
+	}
+	src, dst, dstBackup, srcBackup := newKernel(1), newKernel(2), newKernel(4), newKernel(3)
+	const fd types.FD = 2
+	proc := func(k *Kernel, pid, peer types.PID, peerCluster, peerBackup, backup types.ClusterID) *Proc {
+		k.mu.Lock()
+		defer k.mu.Unlock()
+		p, _ := k.createProcessLocked(pid, "stub", nil, types.Halfback, pid, types.NoPID, backup)
+		k.table.Add(&routing.Entry{
+			Channel: fixCh, Owner: pid, Peer: peer, Role: routing.Primary,
+			PeerCluster: peerCluster, PeerBackupCluster: peerBackup, OwnerBackupCluster: backup,
+		})
+		p.fds[fd] = fixCh
+		p.fdOrder = nil
+		return &Proc{k: k, p: p}
+	}
+	writer := proc(src, fixSrc, fixDst, 2, 4, 3)
+	reader := proc(dst, fixDst, fixSrc, 1, 3, 4)
+	saved := addEntry(dstBackup, fixDst, fixSrc, routing.Backup)
+	counted := addEntry(srcBackup, fixSrc, fixDst, routing.Backup)
+
+	payload := fixtureMessage(types.Route{}).Payload
+	bufs := make([][]types.Message, 3)
+	one := func() {
+		if err := writer.Write(fd, payload); err != nil {
+			t.Fatal(err)
+		}
+		src.mu.Lock()
+		src.transmitLocked()
+		src.mu.Unlock()
+		for i, k := range [...]*Kernel{dst, dstBackup, srcBackup} {
+			ms, _ := k.inbox.PopAll(bufs[i])
+			k.dispatchBatch(ms)
+			bufs[i] = ms
+		}
+		got, err := reader.Read(fd)
+		if err != nil || string(got) != string(payload) {
+			t.Fatalf("Read = %q, %v", got, err)
+		}
+		saved.DiscardFront(1) // what the reader's next sync does at its backup
+	}
+	for i := 0; i < 100; i++ {
+		one() // grow the queues, receive buffers and batch to their working size
+	}
+	if n := testing.AllocsPerRun(200, one); n != 2 {
+		t.Fatalf("one message from Write to Read allocated %v objects, want 2 (the outgoing message and its payload)", n)
+	}
+	if counted.WritesSinceSync != 301 || metrics.PrimaryDeliveries.Load() != 301 || metrics.BackupSaves.Load() != 301 {
+		t.Fatalf("roles played: %d counts, %d deliveries, %d saves; want 301 each",
+			counted.WritesSinceSync, metrics.PrimaryDeliveries.Load(), metrics.BackupSaves.Load())
+	}
+}
+
+// TestSpawnShellTravelsTheBus: a spawned process's backup shell is created
+// where the backup cluster dispatches the birth notice the primary puts on
+// the bus ahead of anything the process sends, so a crash notice for the
+// primary's cluster that follows it in bus order always finds the shell to
+// promote.
+func TestSpawnShellTravelsTheBus(t *testing.T) {
+	metrics := new(trace.Metrics)
+	b := bus.New(metrics, nil)
+	dir := directory.New()
+	reg := guest.NewRegistry()
+	reg.Register("stub", func() guest.Guest { return stubGuest{} })
+	primary := New(Config{ID: 1, Bus: b, Dir: dir, Registry: reg, Metrics: metrics})
+	backup := New(Config{ID: 0, Bus: b, Dir: dir, Registry: reg, Metrics: metrics})
+	p, err := primary.Spawn("stub", nil, SpawnOpts{BackupCluster: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if backup.backups[p.PID()] != nil {
+		t.Fatal("the backup shell exists before its birth notice was dispatched")
+	}
+	arrived, _ := backup.inbox.PopAll(nil)
+	if len(arrived) == 0 || arrived[0].Kind != types.KindBirthNotice || arrived[0].Dst != p.PID() {
+		t.Fatalf("the backup cluster's first arrival is %v, want %v's birth notice", arrived, p.PID())
+	}
+	backup.dispatch(&arrived[0])
+	if bp := backup.backups[p.PID()]; bp == nil || bp.primaryCluster != 1 {
+		t.Fatalf("backup shell after the birth notice = %+v", bp)
+	}
+	primary.Stop()
 }
 
 // TestStragglerBatchBehindItsCrashNoticeIsFenced: a cluster crashes while

@@ -65,9 +65,11 @@ type Entry struct {
 	// Closed marks a channel whose peer end has closed.
 	Closed bool
 
-	// queue holds incoming messages in arrival order (already stamped with
-	// cluster arrival sequence numbers by the kernel).
-	queue Queue
+	// queue holds incoming messages by value, in arrival order (already
+	// stamped with cluster arrival sequence numbers by the kernel): queuing
+	// one copies it into a slot of an array the queue reuses, so a delivered
+	// message costs no allocation of its own.
+	queue Queue[types.Message]
 
 	// ReadsSinceSync counts messages the owner has read from this channel
 	// since its last sync (Primary entries; reported in sync messages).
@@ -80,18 +82,31 @@ type Entry struct {
 	WritesSinceSync uint32
 }
 
-// Enqueue appends a message to the entry's queue.
+// Enqueue appends a copy of m to the entry's queue. m is not retained.
 func (e *Entry) Enqueue(m *types.Message) { e.queue.Push(m) }
 
-// Dequeue removes and returns the oldest queued message.
-func (e *Entry) Dequeue() (*types.Message, bool) { return e.queue.Pop() }
+// Dequeue removes the oldest queued message and returns its payload, which
+// is all a reader consumes. Kept out of line: clearing the vacated slot is a
+// call, and inlined into a reader's wait predicate it would spill the
+// payload into every reader's frame.
+//
+//go:noinline
+func (e *Entry) Dequeue() ([]byte, bool) {
+	if e.queue.Len() == 0 {
+		return nil, false
+	}
+	p := e.queue.Live()[0].Payload
+	e.queue.Drop(1)
+	return p, true
+}
 
-// Peek returns the oldest queued message without removing it.
+// Peek returns the oldest queued message without removing it. The pointer
+// is into the queue's slot: read it before the next Enqueue or Dequeue.
 func (e *Entry) Peek() (*types.Message, bool) {
 	if e.queue.Len() == 0 {
 		return nil, false
 	}
-	return e.queue.Live()[0], true
+	return &e.queue.Live()[0], true
 }
 
 // QueueLen returns the number of queued messages.
@@ -99,8 +114,9 @@ func (e *Entry) QueueLen() int { return e.queue.Len() }
 
 // Queued returns the queued messages, oldest first, without consuming them
 // (roll-forward replay records, backup images, establishment forwarding).
-// The slice aliases the queue: read it before the next Enqueue or Dequeue.
-func (e *Entry) Queued() []*types.Message { return e.queue.Live() }
+// The slice aliases the queue: read it before the next Enqueue or Dequeue,
+// and index it (m := &q[i]) rather than range over copies of its values.
+func (e *Entry) Queued() []types.Message { return e.queue.Live() }
 
 // DiscardFront drops up to n messages from the front of the queue and
 // returns how many were dropped. Sync processing at the backup cluster uses

@@ -24,7 +24,7 @@ func entry(ch types.ChannelID, owner, peer types.PID, role Role) *Entry {
 }
 
 func msg(seq types.Seq) *types.Message {
-	return &types.Message{Kind: types.KindData, Seq: seq}
+	return &types.Message{Kind: types.KindData, Seq: seq, Payload: []byte{byte(seq)}}
 }
 
 func TestQueueFIFO(t *testing.T) {
@@ -36,9 +36,9 @@ func TestQueueFIFO(t *testing.T) {
 		t.Fatal("Peek wrong")
 	}
 	for i := 1; i <= 3; i++ {
-		m, ok := e.Dequeue()
-		if !ok || m.Seq != types.Seq(i) {
-			t.Fatalf("dequeue %d: got %v ok=%v", i, m, ok)
+		p, ok := e.Dequeue()
+		if !ok || len(p) != 1 || p[0] != byte(i) {
+			t.Fatalf("dequeue %d: got payload %v ok=%v", i, p, ok)
 		}
 	}
 	if _, ok := e.Dequeue(); ok {
@@ -383,15 +383,16 @@ func TestTableMatchesReference(t *testing.T) {
 
 // TestConsumedMessagesAreCollectable is the dead-pointer regression: once a
 // message is dequeued or discarded the queue's backing array must not keep
-// it (and its payload) reachable. Re-slicing from the front did.
+// its payload reachable. Re-slicing from the front did. Slots hold message
+// values, so the finalizers watch the payloads.
 func TestConsumedMessagesAreCollectable(t *testing.T) {
 	e := entry(1, 10, 20, Primary)
 	var freed atomic.Int32
 	const n = 8
 	for i := 0; i < n; i++ {
-		m := &types.Message{Seq: types.Seq(i + 1), Payload: make([]byte, 1024)}
-		runtime.SetFinalizer(m, func(*types.Message) { freed.Add(1) })
-		e.Enqueue(m)
+		payload := new([1024]byte)
+		runtime.SetFinalizer(payload, func(*[1024]byte) { freed.Add(1) })
+		e.Enqueue(&types.Message{Seq: types.Seq(i + 1), Payload: payload[:]})
 	}
 	e.Dequeue()
 	e.DiscardFront(n - 2) // one message stays queued, so the array stays live
@@ -412,15 +413,16 @@ func TestConsumedMessagesAreCollectable(t *testing.T) {
 // growing: draining restarts it at the array's start, and a queue that
 // never quite drains slides its live part down instead of re-allocating.
 func TestQueueReusesItsArray(t *testing.T) {
-	var q Queue
+	var q Queue[types.Message]
 	next, want := types.Seq(0), types.Seq(0)
 	push := func() { next++; q.Push(msg(next)) }
 	pop := func() {
 		t.Helper()
 		want++
-		if m, ok := q.Pop(); !ok || m.Seq != want {
-			t.Fatalf("Pop = %v, want seq %d", m, want)
+		if q.Len() == 0 || q.Live()[0].Seq != want {
+			t.Fatalf("front of %v, want seq %d", q.Live(), want)
 		}
+		q.Drop(1)
 	}
 	for i := 0; i < 4; i++ {
 		push()
@@ -441,9 +443,9 @@ func TestQueueReusesItsArray(t *testing.T) {
 	if c := cap(q.buf); c > 16 {
 		t.Fatalf("array grew to %d slots for a queue never longer than 2", c)
 	}
-	for _, m := range q.buf[:q.head] {
-		if m != nil {
-			t.Fatal("consumed slot still holds its message")
+	for i := range q.buf[:q.head] {
+		if q.buf[i].Payload != nil {
+			t.Fatal("consumed slot still holds its message's payload")
 		}
 	}
 	push()
