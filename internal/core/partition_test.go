@@ -48,7 +48,7 @@ func TestStaleIncarnationMessageFenced(t *testing.T) {
 	cn := &kernel.CrashNotice{Crashed: 2, Inc: 5}
 	if _, err := sys.bus.BroadcastBatch([]*types.Message{{
 		Kind:    types.KindCrashNotice,
-		Payload: cn.Encode(),
+		Payload: kernel.Encode(cn),
 	}}); err != nil {
 		t.Fatal(err)
 	}

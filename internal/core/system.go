@@ -488,7 +488,7 @@ func (s *System) handleDetectedCrash(c types.ClusterID) {
 // and no incarnation fence applies to it.
 func crashNotice(c types.ClusterID, inc types.Incarnation) *types.Message {
 	cn := &kernel.CrashNotice{Crashed: c, Inc: inc}
-	return &types.Message{Kind: types.KindCrashNotice, Origin: types.NoCluster, Payload: cn.Encode()}
+	return &types.Message{Kind: types.KindCrashNotice, Origin: types.NoCluster, Payload: kernel.Encode(cn)}
 }
 
 // FailBus takes one of the two physical intercluster buses down (0-based).

@@ -34,29 +34,11 @@ type Request struct {
 	Data   []byte
 }
 
-// Encode serializes a request.
-func (q *Request) Encode() []byte {
-	w := wire.NewWriter(16 + len(q.Data))
-	w.U8(q.Op)
-	w.I64(q.Offset)
-	w.U32(q.Count)
-	w.Bytes32(q.Data)
-	return w.Bytes()
-}
-
-// DecodeRequest parses a file-channel request.
-func DecodeRequest(b []byte) (*Request, error) {
-	r := wire.NewReader(b)
-	q := &Request{
-		Op:     r.U8(),
-		Offset: r.I64(),
-		Count:  r.U32(),
-		Data:   r.Bytes32(),
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("fileserver: request: %w", err)
-	}
-	return q, nil
+func (q *Request) codec(c *wire.Codec) {
+	c.U8(&q.Op)
+	c.I64(&q.Offset)
+	c.U32(&q.Count)
+	c.Bytes32(&q.Data)
 }
 
 // Reply is one file-channel reply.
@@ -66,24 +48,16 @@ type Reply struct {
 	Data []byte
 }
 
-// Encode serializes a reply.
-func (p *Reply) Encode() []byte {
-	w := wire.NewWriter(16 + len(p.Data))
-	w.String(p.Err)
-	w.I64(p.Size)
-	w.Bytes32(p.Data)
-	return w.Bytes()
+func (p *Reply) codec(c *wire.Codec) {
+	c.String(&p.Err)
+	c.I64(&p.Size)
+	c.Bytes32(&p.Data)
 }
 
 // DecodeReply parses a file-channel reply.
 func DecodeReply(b []byte) (*Reply, error) {
-	r := wire.NewReader(b)
-	p := &Reply{
-		Err:  r.String(),
-		Size: r.I64(),
-		Data: r.Bytes32(),
-	}
-	if err := r.Done(); err != nil {
+	p := new(Reply)
+	if err := wire.Decode(b, p.codec); err != nil {
 		return nil, fmt.Errorf("fileserver: reply: %w", err)
 	}
 	return p, nil
@@ -92,22 +66,24 @@ func DecodeReply(b []byte) (*Reply, error) {
 // Client-side helpers for guests.
 
 // ReadReq builds an OpRead request.
-func ReadReq(n uint32) []byte { return (&Request{Op: OpRead, Count: n}).Encode() }
+func ReadReq(n uint32) []byte { return request(Request{Op: OpRead, Count: n}) }
 
 // WriteReq builds an OpWrite request.
-func WriteReq(data []byte) []byte { return (&Request{Op: OpWrite, Data: data}).Encode() }
+func WriteReq(data []byte) []byte { return request(Request{Op: OpWrite, Data: data}) }
 
 // AppendReq builds an OpAppend request.
-func AppendReq(data []byte) []byte { return (&Request{Op: OpAppend, Data: data}).Encode() }
+func AppendReq(data []byte) []byte { return request(Request{Op: OpAppend, Data: data}) }
 
 // SeekReq builds an OpSeek request.
-func SeekReq(off int64) []byte { return (&Request{Op: OpSeek, Offset: off}).Encode() }
+func SeekReq(off int64) []byte { return request(Request{Op: OpSeek, Offset: off}) }
 
 // StatReq builds an OpStat request.
-func StatReq() []byte { return (&Request{Op: OpStat}).Encode() }
+func StatReq() []byte { return request(Request{Op: OpStat}) }
 
 // TruncReq builds an OpTrunc request.
-func TruncReq(size int64) []byte { return (&Request{Op: OpTrunc, Offset: size}).Encode() }
+func TruncReq(size int64) []byte { return request(Request{Op: OpTrunc, Offset: size}) }
 
 // UnlinkReq builds an OpUnlink request.
-func UnlinkReq() []byte { return (&Request{Op: OpUnlink}).Encode() }
+func UnlinkReq() []byte { return request(Request{Op: OpUnlink}) }
+
+func request(q Request) []byte { return wire.Encode(q.codec) }

@@ -7,37 +7,34 @@ import (
 
 	"auragen/internal/disk"
 	"auragen/internal/types"
+	"auragen/internal/wire"
 )
 
 func TestServerRecordRoundTrip(t *testing.T) {
-	blob := []byte("state-blob")
-	counts := map[types.ChannelID]uint64{7: 3, 9: 12}
-	log := []requestRecord{
-		{ReqCh: 7, Replies: []loggedReply{
-			{Ch: 7, Dst: 101, Kind: types.KindData, Payload: []byte("ok 1")},
-		}},
-		{ReqCh: 9, Replies: []loggedReply{
-			{Ch: 9, Dst: 102, Kind: types.KindOpenReply, Payload: []byte{1, 2}},
-			{Ch: 11, Dst: 103, Kind: types.KindOpenReply, Payload: []byte{3}},
-		}},
+	in := &serverRecord{
+		Blob:   []byte("state-blob"),
+		Counts: map[types.ChannelID]uint64{7: 3, 9: 12},
+		Log: []requestRecord{
+			{ReqCh: 7, Replies: []loggedReply{
+				{Ch: 7, Dst: 101, Kind: types.KindData, Payload: []byte("ok 1")},
+			}},
+			{ReqCh: 9, Replies: []loggedReply{
+				{Ch: 9, Dst: 102, Kind: types.KindOpenReply, Payload: []byte{1, 2}},
+				{Ch: 11, Dst: 103, Kind: types.KindOpenReply, Payload: []byte{3}},
+			}},
+		},
 	}
-	gotBlob, gotCounts, gotLog, err := decodeServerRecord(encodeServerRecord(blob, counts, log))
-	if err != nil {
+	out := new(serverRecord)
+	if err := wire.Decode(wire.Encode(in.codec), out.codec); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gotBlob, blob) {
-		t.Errorf("blob = %q", gotBlob)
-	}
-	if !reflect.DeepEqual(gotCounts, counts) {
-		t.Errorf("counts = %v", gotCounts)
-	}
-	if !reflect.DeepEqual(gotLog, log) {
-		t.Errorf("log = %+v", gotLog)
+	if !reflect.DeepEqual(out, in) {
+		t.Errorf("record = %+v", out)
 	}
 }
 
 func TestServerRecordRejectsGarbage(t *testing.T) {
-	if _, _, _, err := decodeServerRecord([]byte{1, 2, 3}); err == nil {
+	if err := wire.Decode([]byte{1, 2, 3}, new(serverRecord).codec); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

@@ -2,7 +2,6 @@ package fileserver
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"auragen/internal/directory"
@@ -34,6 +33,13 @@ type pendingPair struct {
 	OpenerBackup  types.ClusterID
 }
 
+func (p *pendingPair) codec(c *wire.Codec) {
+	c.U64((*uint64)(&p.Opener))
+	c.U64((*uint64)(&p.ControlCh))
+	c.I32((*int32)(&p.OpenerCluster))
+	c.I32((*int32)(&p.OpenerBackup))
+}
+
 // serviceReg records one "serve:" listener: later openers of the same name
 // are each connected to it over a fresh channel, announced by an accept
 // notice on the listening channel.
@@ -42,6 +48,65 @@ type serviceReg struct {
 	ListenCh        types.ChannelID
 	ListenerCluster types.ClusterID
 	ListenerBackup  types.ClusterID
+}
+
+// replicated is the file server's state that the explicit server sync
+// carries to the twin (§7.9): channel bindings, pending pairings, and the
+// channel-allocation cursor — everything not recoverable from the
+// dual-ported disk.
+type replicated struct {
+	// nextChan drives deterministic channel-id allocation: ids are
+	// (pid<<40)|counter and the counter rides in the sync blob, so a twin
+	// replaying saved opens allocates exactly the ids the failed primary
+	// handed out after its last sync.
+	nextChan uint64
+	bindings map[types.ChannelID]*binding
+	pending  map[string]pendingPair
+	services map[string]serviceReg
+	// pendingServe holds clients that opened a "serve:" name before its
+	// listener registered.
+	pendingServe map[string][]pendingPair
+}
+
+func newReplicated() replicated {
+	return replicated{
+		nextChan:     1,
+		bindings:     make(map[types.ChannelID]*binding),
+		pending:      make(map[string]pendingPair),
+		services:     make(map[string]serviceReg),
+		pendingServe: make(map[string][]pendingPair),
+	}
+}
+
+func (st *replicated) codec(c *wire.Codec) {
+	c.U64(&st.nextChan)
+	wire.Map(c, &st.bindings, 29, func(ch *types.ChannelID, b **binding) {
+		if *b == nil { // decoding
+			*b = new(binding)
+		}
+		c.U64((*uint64)(ch))
+		c.U8(&(*b).Kind)
+		c.String(&(*b).Name)
+		c.I64(&(*b).Offset)
+		c.U64((*uint64)(&(*b).User))
+	})
+	wire.Map(c, &st.pending, 28, func(name *string, p *pendingPair) {
+		c.String(name)
+		p.codec(c)
+	})
+	wire.Map(c, &st.services, 28, func(name *string, v *serviceReg) {
+		c.String(name)
+		c.U64((*uint64)(&v.Listener))
+		c.U64((*uint64)(&v.ListenCh))
+		c.I32((*int32)(&v.ListenerCluster))
+		c.I32((*int32)(&v.ListenerBackup))
+	})
+	wire.Map(c, &st.pendingServe, 8, func(name *string, list *[]pendingPair) {
+		c.String(name)
+		for i := range wire.Grow(c, list, 24) {
+			(*list)[i].codec(c)
+		}
+	})
 }
 
 // Server is one file-server instance (primary or active backup twin). It
@@ -56,18 +121,7 @@ type Server struct {
 	super   disk.BlockID
 	vol     *fsVolume
 
-	bindings map[types.ChannelID]*binding
-	pending  map[string]pendingPair
-	services map[string]serviceReg
-	// pendingServe holds clients that opened a "serve:" name before its
-	// listener registered.
-	pendingServe map[string][]pendingPair
-
-	// nextChan drives deterministic channel-id allocation: ids are
-	// (pid<<40)|counter and the counter rides in the sync blob, so a twin
-	// replaying saved opens allocates exactly the ids the failed primary
-	// handed out after its last sync.
-	nextChan uint64
+	replicated
 
 	sinceSync int
 	// SyncEvery sets how many requests are serviced between explicit
@@ -109,16 +163,12 @@ var _ kernel.Server = (*Server)(nil)
 // of the dual-ported disk is only needed then).
 func New(pid types.PID, cluster types.ClusterID, d *disk.Disk, super disk.BlockID, mountNow bool) (*Server, error) {
 	s := &Server{
-		pid:          pid,
-		cluster:      cluster,
-		disk:         d,
-		super:        super,
-		bindings:     make(map[types.ChannelID]*binding),
-		pending:      make(map[string]pendingPair),
-		services:     make(map[string]serviceReg),
-		pendingServe: make(map[string][]pendingPair),
-		nextChan:     1,
-		SyncEvery:    16,
+		pid:        pid,
+		cluster:    cluster,
+		disk:       d,
+		super:      super,
+		replicated: newReplicated(),
+		SyncEvery:  16,
 	}
 	if mountNow {
 		v, err := mount(d, cluster, super)
@@ -192,81 +242,51 @@ func (s *Server) SyncNow(ctx *kernel.ServerCtx) { s.syncNow(ctx) }
 func (s *Server) syncNow(ctx *kernel.ServerCtx) {
 	s.sinceSync = 0
 	if s.vol != nil {
-		if _, err := s.vol.flush(encodeServerRecord(s.SyncBlob(), ctx.ServicedCounts(), s.replyLog)); err != nil {
+		rec := &serverRecord{Blob: s.SyncBlob(), Counts: ctx.ServicedCounts(), Log: s.replyLog}
+		if _, err := s.vol.flush(wire.Encode(rec.codec)); err != nil {
 			return
 		}
 	}
 	ctx.Sync()
 }
 
-// encodeServerRecord packs the sync blob, the cumulative serviced counts,
-// and the retained reply log for on-disk persistence.
-func encodeServerRecord(blob []byte, counts map[types.ChannelID]uint64, log []requestRecord) []byte {
-	w := wire.NewWriter(64 + len(blob))
-	w.Bytes32(blob)
-	chans := make([]types.ChannelID, 0, len(counts))
-	for ch := range counts {
-		chans = append(chans, ch)
-	}
-	sort.Slice(chans, func(i, j int) bool { return chans[i] < chans[j] })
-	w.U32(uint32(len(chans)))
-	for _, ch := range chans {
-		w.U64(uint64(ch))
-		w.U64(counts[ch])
-	}
-	w.U32(uint32(len(log)))
-	for _, rec := range log {
-		w.U64(uint64(rec.ReqCh))
-		w.U32(uint32(len(rec.Replies)))
-		for _, rp := range rec.Replies {
-			w.U64(uint64(rp.Ch))
-			w.U64(uint64(rp.Dst))
-			w.U8(uint8(rp.Kind))
-			w.Bytes32(rp.Payload)
-		}
-	}
-	return w.Bytes()
+// serverRecord is what a flush commits beside the file system: the sync
+// blob, the cumulative per-channel serviced counts, and the retained reply
+// log.
+type serverRecord struct {
+	Blob   []byte
+	Counts map[types.ChannelID]uint64
+	Log    []requestRecord
 }
 
-// decodeServerRecord unpacks an on-disk server record.
-func decodeServerRecord(b []byte) (blob []byte, counts map[types.ChannelID]uint64, log []requestRecord, err error) {
-	r := wire.NewReader(b)
-	blob = r.Bytes32()
-	n := r.U32()
-	counts = make(map[types.ChannelID]uint64, n)
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		ch := types.ChannelID(r.U64())
-		counts[ch] = r.U64()
-	}
-	nL := r.U32()
-	for i := uint32(0); i < nL && r.Err() == nil; i++ {
-		rec := requestRecord{ReqCh: types.ChannelID(r.U64())}
-		nR := r.U32()
-		for j := uint32(0); j < nR && r.Err() == nil; j++ {
-			rec.Replies = append(rec.Replies, loggedReply{
-				Ch:      types.ChannelID(r.U64()),
-				Dst:     types.PID(r.U64()),
-				Kind:    types.Kind(r.U8()),
-				Payload: r.Bytes32(),
-			})
+func (sr *serverRecord) codec(c *wire.Codec) {
+	c.Bytes32(&sr.Blob)
+	wire.Map(c, &sr.Counts, 16, func(ch *types.ChannelID, n *uint64) {
+		c.U64((*uint64)(ch))
+		c.U64(n)
+	})
+	for i := range wire.Grow(c, &sr.Log, 12) {
+		rec := &sr.Log[i]
+		c.U64((*uint64)(&rec.ReqCh))
+		for j := range wire.Grow(c, &rec.Replies, 21) {
+			rp := &rec.Replies[j]
+			c.U64((*uint64)(&rp.Ch))
+			c.U64((*uint64)(&rp.Dst))
+			c.U8((*uint8)(&rp.Kind))
+			c.Bytes32(&rp.Payload)
 		}
-		log = append(log, rec)
 	}
-	if err := r.Done(); err != nil {
-		return nil, nil, nil, fmt.Errorf("fileserver: server record: %w", err)
-	}
-	return blob, counts, log, nil
 }
 
 // handleOpen services one open request (§7.4.1).
 func (s *Server) handleOpen(ctx *kernel.ServerCtx, m *types.Message) {
-	req, err := kernel.DecodeOpenRequest(m.Payload)
+	req, err := kernel.Decode[kernel.OpenRequest](m.Payload)
 	if err != nil {
 		return
 	}
 	fail := func(msg string) {
 		r := &kernel.OpenReply{Err: msg}
-		s.sendReply(ctx, m.Channel, m.Src, types.KindOpenReply, r.Encode())
+		s.sendReply(ctx, m.Channel, m.Src, types.KindOpenReply, kernel.Encode(r))
 	}
 	switch {
 	case strings.HasPrefix(req.Name, "chan:"):
@@ -285,8 +305,8 @@ func (s *Server) handleOpen(ctx *kernel.ServerCtx, m *types.Message) {
 				PeerCluster:       p.OpenerCluster,
 				PeerBackupCluster: p.OpenerBackup,
 			}
-			s.sendReply(ctx, p.ControlCh, p.Opener, types.KindOpenReply, toFirst.Encode())
-			s.sendReply(ctx, m.Channel, m.Src, types.KindOpenReply, toSecond.Encode())
+			s.sendReply(ctx, p.ControlCh, p.Opener, types.KindOpenReply, kernel.Encode(toFirst))
+			s.sendReply(ctx, m.Channel, m.Src, types.KindOpenReply, kernel.Encode(toSecond))
 			return
 		}
 		s.pending[req.Name] = pendingPair{
@@ -320,7 +340,7 @@ func (s *Server) handleOpen(ctx *kernel.ServerCtx, m *types.Message) {
 			PeerBackupCluster: loc.Backup,
 			PeerIsServer:      true,
 		}
-		s.sendReply(ctx, m.Channel, m.Src, types.KindOpenReply, reply.Encode())
+		s.sendReply(ctx, m.Channel, m.Src, types.KindOpenReply, kernel.Encode(reply))
 		// Clients that dialed early connect now, in arrival order; their
 		// accept notices trail the registration reply in FIFO order.
 		for _, pp := range s.pendingServe[svcName] {
@@ -370,7 +390,7 @@ func (s *Server) handleOpen(ctx *kernel.ServerCtx, m *types.Message) {
 			PeerBackupCluster: ttyLoc.Backup,
 			PeerIsServer:      true,
 		}
-		s.sendReply(ctx, m.Channel, m.Src, types.KindOpenReply, reply.Encode())
+		s.sendReply(ctx, m.Channel, m.Src, types.KindOpenReply, kernel.Encode(reply))
 		return
 
 	default: // ordinary file
@@ -389,7 +409,7 @@ func (s *Server) handleOpen(ctx *kernel.ServerCtx, m *types.Message) {
 			PeerBackupCluster: loc.Backup,
 			PeerIsServer:      true,
 		}
-		s.sendReply(ctx, m.Channel, m.Src, types.KindOpenReply, reply.Encode())
+		s.sendReply(ctx, m.Channel, m.Src, types.KindOpenReply, kernel.Encode(reply))
 		return
 	}
 }
@@ -411,8 +431,8 @@ func (s *Server) connectClient(ctx *kernel.ServerCtx, svc serviceReg, pp pending
 		PeerCluster:       svc.ListenerCluster,
 		PeerBackupCluster: svc.ListenerBackup,
 	}
-	s.sendReply(ctx, svc.ListenCh, svc.Listener, types.KindOpenReply, accept.Encode())
-	s.sendReply(ctx, pp.ControlCh, pp.Opener, types.KindOpenReply, toClient.Encode())
+	s.sendReply(ctx, svc.ListenCh, svc.Listener, types.KindOpenReply, kernel.Encode(accept))
+	s.sendReply(ctx, pp.ControlCh, pp.Opener, types.KindOpenReply, kernel.Encode(toClient))
 }
 
 // handleFileOp services one request on a bound file channel.
@@ -420,17 +440,17 @@ func (s *Server) handleFileOp(ctx *kernel.ServerCtx, m *types.Message) {
 	b, ok := s.bindings[m.Channel]
 	if !ok || b.Kind != bindFile {
 		r := &Reply{Err: "unknown channel"}
-		s.sendReply(ctx, m.Channel, m.Src, types.KindData, r.Encode())
+		s.sendReply(ctx, m.Channel, m.Src, types.KindData, wire.Encode(r.codec))
 		return
 	}
-	req, err := DecodeRequest(m.Payload)
-	if err != nil {
+	req := new(Request)
+	if err := wire.Decode(m.Payload, req.codec); err != nil {
 		r := &Reply{Err: "bad request"}
-		s.sendReply(ctx, m.Channel, m.Src, types.KindData, r.Encode())
+		s.sendReply(ctx, m.Channel, m.Src, types.KindData, wire.Encode(r.codec))
 		return
 	}
 	reply := s.execute(b, req)
-	s.sendReply(ctx, m.Channel, b.User, types.KindData, reply.Encode())
+	s.sendReply(ctx, m.Channel, b.User, types.KindData, wire.Encode(reply.codec))
 }
 
 // execute applies one file operation to the volume and the channel cursor.
@@ -497,135 +517,15 @@ func (s *Server) execute(b *binding, req *Request) *Reply {
 	}
 }
 
-// SyncBlob implements kernel.Server: channel bindings, pending pairings,
-// and the channel-allocation cursor — everything not recoverable from the
-// dual-ported disk.
-func (s *Server) SyncBlob() []byte {
-	w := wire.NewWriter(64)
-	w.U64(s.nextChan)
-	chans := make([]types.ChannelID, 0, len(s.bindings))
-	for ch := range s.bindings {
-		chans = append(chans, ch)
-	}
-	sort.Slice(chans, func(i, j int) bool { return chans[i] < chans[j] })
-	w.U32(uint32(len(chans)))
-	for _, ch := range chans {
-		b := s.bindings[ch]
-		w.U64(uint64(ch))
-		w.U8(b.Kind)
-		w.String(b.Name)
-		w.I64(b.Offset)
-		w.U64(uint64(b.User))
-	}
-	names := make([]string, 0, len(s.pending))
-	for n := range s.pending {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	w.U32(uint32(len(names)))
-	for _, n := range names {
-		p := s.pending[n]
-		w.String(n)
-		w.U64(uint64(p.Opener))
-		w.U64(uint64(p.ControlCh))
-		w.I32(int32(p.OpenerCluster))
-		w.I32(int32(p.OpenerBackup))
-	}
-	svcNames := make([]string, 0, len(s.services))
-	for n := range s.services {
-		svcNames = append(svcNames, n)
-	}
-	sort.Strings(svcNames)
-	w.U32(uint32(len(svcNames)))
-	for _, n := range svcNames {
-		v := s.services[n]
-		w.String(n)
-		w.U64(uint64(v.Listener))
-		w.U64(uint64(v.ListenCh))
-		w.I32(int32(v.ListenerCluster))
-		w.I32(int32(v.ListenerBackup))
-	}
-	psNames := make([]string, 0, len(s.pendingServe))
-	for n := range s.pendingServe {
-		psNames = append(psNames, n)
-	}
-	sort.Strings(psNames)
-	w.U32(uint32(len(psNames)))
-	for _, n := range psNames {
-		list := s.pendingServe[n]
-		w.String(n)
-		w.U32(uint32(len(list)))
-		for _, p := range list {
-			w.U64(uint64(p.Opener))
-			w.U64(uint64(p.ControlCh))
-			w.I32(int32(p.OpenerCluster))
-			w.I32(int32(p.OpenerBackup))
-		}
-	}
-	return w.Bytes()
-}
+// SyncBlob implements kernel.Server.
+func (s *Server) SyncBlob() []byte { return wire.Encode(s.replicated.codec) }
 
 // ApplySync implements kernel.Server.
 func (s *Server) ApplySync(blob []byte) {
-	r := wire.NewReader(blob)
-	nextChan := r.U64()
-	nB := r.U32()
-	bindings := make(map[types.ChannelID]*binding, nB)
-	for i := uint32(0); i < nB && r.Err() == nil; i++ {
-		ch := types.ChannelID(r.U64())
-		bindings[ch] = &binding{
-			Kind:   r.U8(),
-			Name:   r.String(),
-			Offset: r.I64(),
-			User:   types.PID(r.U64()),
-		}
+	st := newReplicated()
+	if wire.Decode(blob, st.codec) == nil {
+		s.replicated = st
 	}
-	nP := r.U32()
-	pending := make(map[string]pendingPair, nP)
-	for i := uint32(0); i < nP && r.Err() == nil; i++ {
-		n := r.String()
-		pending[n] = pendingPair{
-			Opener:        types.PID(r.U64()),
-			ControlCh:     types.ChannelID(r.U64()),
-			OpenerCluster: types.ClusterID(r.I32()),
-			OpenerBackup:  types.ClusterID(r.I32()),
-		}
-	}
-	nS := r.U32()
-	services := make(map[string]serviceReg, nS)
-	for i := uint32(0); i < nS && r.Err() == nil; i++ {
-		n := r.String()
-		services[n] = serviceReg{
-			Listener:        types.PID(r.U64()),
-			ListenCh:        types.ChannelID(r.U64()),
-			ListenerCluster: types.ClusterID(r.I32()),
-			ListenerBackup:  types.ClusterID(r.I32()),
-		}
-	}
-	nPS := r.U32()
-	pendingServe := make(map[string][]pendingPair, nPS)
-	for i := uint32(0); i < nPS && r.Err() == nil; i++ {
-		n := r.String()
-		cnt := r.U32()
-		var list []pendingPair
-		for j := uint32(0); j < cnt && r.Err() == nil; j++ {
-			list = append(list, pendingPair{
-				Opener:        types.PID(r.U64()),
-				ControlCh:     types.ChannelID(r.U64()),
-				OpenerCluster: types.ClusterID(r.I32()),
-				OpenerBackup:  types.ClusterID(r.I32()),
-			})
-		}
-		pendingServe[n] = list
-	}
-	if r.Done() != nil {
-		return
-	}
-	s.nextChan = nextChan
-	s.bindings = bindings
-	s.pending = pending
-	s.services = services
-	s.pendingServe = pendingServe
 }
 
 // Promote implements kernel.Server: mount the committed file system from
@@ -645,9 +545,9 @@ func (s *Server) Promote(ctx *kernel.ServerCtx, saved []*types.Message) {
 	}
 	s.vol = v
 	if v.persisted != nil {
-		blob, diskCum, replyLog, err := decodeServerRecord(v.persisted)
-		if err == nil {
-			s.ApplySync(blob)
+		sr := new(serverRecord)
+		if wire.Decode(v.persisted, sr.codec) == nil {
+			s.ApplySync(sr.Blob)
 			applied := ctx.DiscardedCounts()
 			// Drop, per channel and oldest first, the requests the disk
 			// already reflects beyond what live syncs discarded — and
@@ -655,7 +555,7 @@ func (s *Server) Promote(ctx *kernel.ServerCtx, saved []*types.Message) {
 			// the ones that already escaped the failed primary).
 			extra := make(map[types.ChannelID]uint64)
 			total := uint64(0)
-			for ch, n := range diskCum {
+			for ch, n := range sr.Counts {
 				if n > applied[ch] {
 					extra[ch] = n - applied[ch]
 					total += n - applied[ch]
@@ -664,7 +564,7 @@ func (s *Server) Promote(ctx *kernel.ServerCtx, saved []*types.Message) {
 			// The log holds the most recent serviced requests per
 			// channel; skip the prefix already covered by live syncs.
 			logByCh := make(map[types.ChannelID][]requestRecord)
-			for _, rec := range replyLog {
+			for _, rec := range sr.Log {
 				logByCh[rec.ReqCh] = append(logByCh[rec.ReqCh], rec)
 			}
 			for ch, lst := range logByCh {
@@ -691,7 +591,7 @@ func (s *Server) Promote(ctx *kernel.ServerCtx, saved []*types.Message) {
 				}
 				saved = kept
 			}
-			s.replyLog = append([]requestRecord(nil), replyLog...)
+			s.replyLog = sr.Log
 		}
 	}
 	for _, m := range saved {

@@ -89,13 +89,13 @@ func (k *Kernel) establishBackupLocked(p *PCB, target types.ClusterID) error {
 		Kind:    types.KindBirthNotice,
 		Dst:     pid,
 		Route:   types.Route{Dst: target, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-		Payload: bn.Encode(),
+		Payload: Encode(bn),
 	})
 	bu := &BackupUp{PID: pid, BackupCluster: target, Origin: k.id, NeedAck: true}
 	k.sendLocked(&types.Message{
 		Kind:    types.KindBackupUp,
 		Dst:     pid,
-		Payload: bu.Encode(),
+		Payload: Encode(bu),
 	})
 	return nil
 }

@@ -16,61 +16,31 @@ import (
 // frame per message. The property tests in msgcodec_test.go keep the
 // encoding honest; a future split-memory transport can adopt it unchanged.
 
-// EncodeMessageFrame appends one message to w in frame layout.
-func EncodeMessageFrame(w *wire.Writer, m *types.Message) {
-	w.U64(m.ID)
-	w.U8(uint8(m.Kind))
-	w.U64(uint64(m.Channel))
-	w.U64(uint64(m.Src))
-	w.U64(uint64(m.Dst))
-	w.I32(int32(m.Route.Dst))
-	w.I32(int32(m.Route.DstBackup))
-	w.I32(int32(m.Route.SrcBackup))
-	w.I32(int32(m.Origin))
-	w.U32(uint32(m.Inc))
-	w.U64(uint64(m.Seq))
-	w.Bytes32(m.Payload)
-	w.U32(uint32(len(m.Nondet)))
-	for _, v := range m.Nondet {
-		w.U64(v)
-	}
-}
-
-// DecodeMessageFrame parses one message frame. Empty Payload/Nondet decode
-// to nil so a round trip is DeepEqual to its input.
-func DecodeMessageFrame(r *wire.Reader) *types.Message {
-	m := &types.Message{
-		ID:      r.U64(),
-		Kind:    types.Kind(r.U8()),
-		Channel: types.ChannelID(r.U64()),
-		Src:     types.PID(r.U64()),
-		Dst:     types.PID(r.U64()),
-		Route: types.Route{
-			Dst:       types.ClusterID(r.I32()),
-			DstBackup: types.ClusterID(r.I32()),
-			SrcBackup: types.ClusterID(r.I32()),
-		},
-		Origin: types.ClusterID(r.I32()),
-		Inc:    types.Incarnation(r.U32()),
-		Seq:    types.Seq(r.U64()),
-	}
-	if p := r.Bytes32(); len(p) > 0 {
-		m.Payload = append([]byte(nil), p...)
-	}
-	n := r.U32()
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		m.Nondet = append(m.Nondet, r.U64())
-	}
-	return m
+// messageFrame codes one message in frame layout.
+func messageFrame(c *wire.Codec, m *types.Message) {
+	c.U64(&m.ID)
+	c.U8((*uint8)(&m.Kind))
+	c.U64((*uint64)(&m.Channel))
+	c.U64((*uint64)(&m.Src))
+	c.U64((*uint64)(&m.Dst))
+	c.I32((*int32)(&m.Route.Dst))
+	c.I32((*int32)(&m.Route.DstBackup))
+	c.I32((*int32)(&m.Route.SrcBackup))
+	c.I32((*int32)(&m.Origin))
+	c.U32((*uint32)(&m.Inc))
+	c.U64((*uint64)(&m.Seq))
+	c.Bytes32(&m.Payload)
+	wire.U64s(c, &m.Nondet)
 }
 
 // EncodeMessageBatch appends msgs to w as one checksummed wire batch, one
 // frame per message.
 func EncodeMessageBatch(w *wire.Writer, msgs []*types.Message) {
 	bw := wire.NewBatchWriter(w)
+	c := wire.EncodeTo(w)
 	for _, m := range msgs {
 		bw.BeginFrame()
-		EncodeMessageFrame(w, m)
+		messageFrame(c, m)
 		bw.EndFrame()
 	}
 	bw.Finish()
@@ -89,7 +59,8 @@ func DecodeMessageBatch(b []byte) ([]*types.Message, error) {
 			break
 		}
 		fr := wire.NewReader(f)
-		m := DecodeMessageFrame(fr)
+		m := new(types.Message)
+		messageFrame(wire.DecodeFrom(fr), m)
 		if err := fr.Done(); err != nil {
 			return nil, fmt.Errorf("kernel: message frame: %w", err)
 		}

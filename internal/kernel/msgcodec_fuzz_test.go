@@ -43,11 +43,11 @@ func FuzzDecodeMessageBatch(f *testing.F) {
 	strategic := []*types.Message{
 		{ID: 90, Kind: types.KindDecision, Src: 21, Dst: 21,
 			Route:   types.Route{Dst: 3, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-			Payload: (&DecisionMsg{PID: 21, Seq: 4, Reads: 37}).Encode()},
+			Payload: Encode(&DecisionMsg{PID: 21, Seq: 4, Reads: 37})},
 		{ID: 91, Kind: types.KindCheckpoint, Src: 21, Dst: 21,
 			Route: types.Route{Dst: 3, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-			Payload: (&CheckpointMsg{Pages: 2, Bytes: 8192,
-				Sync: &SyncMsg{PID: 21, Epoch: 5, Program: "sig-server"}}).Encode()},
+			Payload: Encode(&CheckpointMsg{Pages: 2, Bytes: 8192,
+				Sync: &SyncMsg{PID: 21, Epoch: 5, Program: "sig-server"}})},
 	}
 	sw := wire.NewWriter(0)
 	EncodeMessageBatch(sw, strategic)
@@ -146,9 +146,9 @@ func randomSyncMsg(rng *rand.Rand) *SyncMsg {
 }
 
 // FuzzDecodeSyncCommit holds the page servers' short decoder against the
-// backup's full one: on any input it never panics; whatever DecodeSyncMsg
+// backup's full one: on any input it never panics; whatever Decode[SyncMsg]
 // accepts DecodeSyncCommit accepts too, with the same PID, epoch and free
-// list; and what DecodeSyncCommit rejects DecodeSyncMsg rejects. (The reverse
+// list; and what DecodeSyncCommit rejects Decode[SyncMsg] rejects. (The reverse
 // does not hold and need not: the short decoder validates only what it
 // reads.) The seed corpus is the batch codec's — every payload its seeds
 // carry, the checkpoint's wrapped image among them — plus seeded random sync
@@ -159,27 +159,27 @@ func FuzzDecodeSyncCommit(f *testing.F) {
 		for i, n := 0, rng.Intn(6); i < n; i++ {
 			f.Add(randomMessage(rng).Payload)
 		}
-		image := randomSyncMsg(rng).Encode()
-		if _, err := DecodeSyncMsg(image); err != nil {
+		image := Encode(randomSyncMsg(rng))
+		if _, err := Decode[SyncMsg](image); err != nil {
 			f.Fatalf("seed %d: the corpus holds no accepted image: %v", seed, err)
 		}
 		for cut := 0; cut <= len(image); cut++ {
 			f.Add(image[:cut])
 		}
-		f.Add((&CheckpointMsg{Pages: 2, Bytes: 8192, Sync: randomSyncMsg(rng)}).Encode())
+		f.Add(Encode(&CheckpointMsg{Pages: 2, Bytes: 8192, Sync: randomSyncMsg(rng)}))
 	}
-	f.Add(checkpointImage((&CheckpointMsg{Pages: 2, Bytes: 8192,
-		Sync: &SyncMsg{PID: 21, Epoch: 5, Program: "sig-server"}}).Encode()))
+	f.Add(checkpointImage(Encode(&CheckpointMsg{Pages: 2, Bytes: 8192,
+		Sync: &SyncMsg{PID: 21, Epoch: 5, Program: "sig-server"}})))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, image := range [][]byte{b, checkpointImage(b)} {
 			pid, epoch, free, cerr := DecodeSyncCommit(image)
-			sm, err := DecodeSyncMsg(image)
+			sm, err := Decode[SyncMsg](image)
 			if err != nil {
 				continue
 			}
 			if cerr != nil {
-				t.Fatalf("DecodeSyncMsg accepts what DecodeSyncCommit rejects: %v", cerr)
+				t.Fatalf("Decode[SyncMsg] accepts what DecodeSyncCommit rejects: %v", cerr)
 			}
 			if pid != sm.PID || epoch != sm.Epoch || !slices.Equal(free, sm.FreePIDs) {
 				t.Fatalf("commit (%d, %d, %v) disagrees with sync message (%d, %d, %v)", pid, epoch, free, sm.PID, sm.Epoch, sm.FreePIDs)

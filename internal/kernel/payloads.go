@@ -8,17 +8,55 @@ import (
 	"auragen/internal/wire"
 )
 
-// newPayloadWriter allocates a fresh Writer for the cold-path Encode()
-// methods below. Their product is a retained []byte (stored in
-// Message.Payload, saved queues, backup images), so it must NOT alias a
-// pooled buffer — returning one to the pool while the payload lives would
-// corrupt it. Hot paths defer encoding via types.PayloadEncoder instead and
-// let Kernel.offerBatch use wire.GetWriter/PutWriter. Keeping the one
-// sanctioned allocation in this funnel is what lets aurolint's AURO009 flag
-// any other wire.NewWriter in this package.
+// newPayloadWriter allocates a fresh Writer for Encode. Its product is a
+// retained []byte (stored in Message.Payload, saved queues, backup images),
+// so it must NOT alias a pooled buffer — returning one to the pool while
+// the payload lives would corrupt it. Hot paths defer encoding via
+// types.PayloadEncoder instead and let Kernel.offerBatch use
+// wire.GetWriter/PutWriter. Keeping the one sanctioned allocation in this
+// funnel is what lets aurolint's AURO009 flag any other wire.NewWriter in
+// this package.
 func newPayloadWriter(capHint int) *wire.Writer {
 	//lint:ignore AURO009 cold-path payload encoding builds retained []byte values that must not alias pooled buffers
 	return wire.NewWriter(capHint)
+}
+
+// Payload is a kernel message body. Its codec method is its one wire
+// description — the order of its calls is the wire order — and serves
+// Encode and Decode alike (wire.Codec).
+type Payload interface {
+	codec(c *wire.Codec)
+}
+
+// Encode serializes p into a fresh buffer the caller may retain.
+func Encode(p Payload) []byte {
+	w := newPayloadWriter(64)
+	p.codec(wire.EncodeTo(w))
+	return w.Bytes()
+}
+
+// Decode parses b as one T. Truncation, an impossible count and trailing
+// bytes all fail it.
+func Decode[T any, P interface {
+	*T
+	Payload
+}](b []byte) (*T, error) {
+	p := P(new(T))
+	r := wire.NewReader(b)
+	p.codec(wire.DecodeFrom(r))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("kernel: decoding %T: %w", p, err)
+	}
+	return p, nil
+}
+
+// channelCounts codes a per-channel count map: suppression debts,
+// establishment duplicates, writes-since-sync, serviced requests.
+func channelCounts(c *wire.Codec, m *map[types.ChannelID]uint32) {
+	wire.Map(c, m, 12, func(ch *types.ChannelID, n *uint32) {
+		c.U64((*uint64)(ch))
+		c.U32(n)
+	})
 }
 
 // ChannelInfo describes one channel end in a sync message, birth notice, or
@@ -36,26 +74,17 @@ type ChannelInfo struct {
 	PeerIsServer      bool
 }
 
-func (ci ChannelInfo) encode(w *wire.Writer) {
-	w.U64(uint64(ci.Channel))
-	w.I32(int32(ci.FD))
-	w.U32(ci.Reads)
-	w.U64(uint64(ci.Peer))
-	w.I32(int32(ci.PeerCluster))
-	w.I32(int32(ci.PeerBackupCluster))
-	w.Bool(ci.PeerIsServer)
-}
+// channelInfoSize is a ChannelInfo's encoded size.
+const channelInfoSize = 33
 
-func decodeChannelInfo(r *wire.Reader) ChannelInfo {
-	return ChannelInfo{
-		Channel:           types.ChannelID(r.U64()),
-		FD:                types.FD(r.I32()),
-		Reads:             r.U32(),
-		Peer:              types.PID(r.U64()),
-		PeerCluster:       types.ClusterID(r.I32()),
-		PeerBackupCluster: types.ClusterID(r.I32()),
-		PeerIsServer:      r.Bool(),
-	}
+func (ci *ChannelInfo) codec(c *wire.Codec) {
+	c.U64((*uint64)(&ci.Channel))
+	c.I32((*int32)(&ci.FD))
+	c.U32(&ci.Reads)
+	c.U64((*uint64)(&ci.Peer))
+	c.I32((*int32)(&ci.PeerCluster))
+	c.I32((*int32)(&ci.PeerBackupCluster))
+	c.Bool(&ci.PeerIsServer)
 }
 
 // SyncMsg is the payload of a KindSync message (§5.2, §7.8): the
@@ -114,149 +143,60 @@ type SyncMsg struct {
 	TotalReads uint64
 }
 
-// Encode serializes the sync message.
-func (s *SyncMsg) Encode() []byte {
-	w := newPayloadWriter(256)
-	s.EncodePayload(w)
-	return w.Bytes()
-}
-
 // EncodePayload appends the sync message to w. SyncMsg implements
 // types.PayloadEncoder so the executive can serialize it into a pooled
 // buffer at transmit time, outside the kernel lock; every field
 // is exclusively owned by the message (or immutable, like Args) once the
 // sync is enqueued.
-func (s *SyncMsg) EncodePayload(w *wire.Writer) {
-	// The commit — all the page-server pair reads — goes first, so that
-	// DecodeSyncCommit can stop there.
-	w.U64(uint64(s.PID))
-	w.U32(uint32(s.Epoch))
-	w.U32(uint32(len(s.FreePIDs)))
-	for _, p := range s.FreePIDs {
-		w.U64(uint64(p))
-	}
-	w.String(s.Program)
-	w.U8(uint8(s.Mode))
-	w.U64(uint64(s.Family))
-	w.U64(uint64(s.Parent))
-	w.Bytes32(s.Args)
-	w.I32(int32(s.PrimaryCluster))
-	w.Bytes32(s.Regs)
-	w.I32(int32(s.NextFD))
-	w.Bool(s.SignalNext)
-	w.U32(uint32(len(s.SigIgnore)))
-	for _, sg := range s.SigIgnore {
-		w.U8(uint8(sg))
-	}
-	w.U64(uint64(s.SignalChannel))
-	w.U32(uint32(len(s.Channels)))
-	for _, ci := range s.Channels {
-		ci.encode(w)
-	}
-	w.U32(uint32(len(s.ClosedChannels)))
-	for _, ch := range s.ClosedChannels {
-		w.U64(uint64(ch))
-	}
-	w.U32(uint32(len(s.Suppress)))
-	for _, ch := range sortedChannels(s.Suppress) {
-		w.U64(uint64(ch))
-		w.U32(s.Suppress[ch])
-	}
-	w.U32(uint32(len(s.NondetRemaining)))
-	for _, v := range s.NondetRemaining {
-		w.U64(v)
-	}
-	w.Bool(s.Establish)
-	w.U32(uint32(len(s.EstablishDupes)))
-	for _, ch := range sortedChannels(s.EstablishDupes) {
-		w.U64(uint64(ch))
-		w.U32(s.EstablishDupes[ch])
-	}
-	w.U64(s.TotalReads)
+func (s *SyncMsg) EncodePayload(w *wire.Writer) { s.codec(wire.EncodeTo(w)) }
+
+// syncCommit codes the head of a sync image: whose page account to commit,
+// at which epoch, and which exited children's accounts to free. It goes
+// first, so that DecodeSyncCommit can stop there.
+func syncCommit(c *wire.Codec, pid *types.PID, epoch *types.Epoch, free *[]types.PID) {
+	c.U64((*uint64)(pid))
+	c.U32((*uint32)(epoch))
+	wire.U64s(c, free)
 }
 
-// decodeSyncCommit reads the head of a sync image: whose page account to
-// commit, at which epoch, and which exited children's accounts to free.
-func decodeSyncCommit(r *wire.Reader) (pid types.PID, epoch types.Epoch, free []types.PID) {
-	pid, epoch = types.PID(r.U64()), types.Epoch(r.U32())
-	n := r.U32()
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		free = append(free, types.PID(r.U64()))
+func (s *SyncMsg) codec(c *wire.Codec) {
+	syncCommit(c, &s.PID, &s.Epoch, &s.FreePIDs)
+	c.String(&s.Program)
+	c.U8((*uint8)(&s.Mode))
+	c.U64((*uint64)(&s.Family))
+	c.U64((*uint64)(&s.Parent))
+	c.Bytes32(&s.Args)
+	c.I32((*int32)(&s.PrimaryCluster))
+	c.Bytes32(&s.Regs)
+	c.I32((*int32)(&s.NextFD))
+	c.Bool(&s.SignalNext)
+	for i := range wire.Grow(c, &s.SigIgnore, 1) {
+		c.U8((*uint8)(&s.SigIgnore[i]))
 	}
-	return pid, epoch, free
+	c.U64((*uint64)(&s.SignalChannel))
+	for i := range wire.Grow(c, &s.Channels, channelInfoSize) {
+		s.Channels[i].codec(c)
+	}
+	wire.U64s(c, &s.ClosedChannels)
+	channelCounts(c, &s.Suppress)
+	wire.U64s(c, &s.NondetRemaining)
+	c.Bool(&s.Establish)
+	channelCounts(c, &s.EstablishDupes)
+	c.U64(&s.TotalReads)
 }
 
 // DecodeSyncCommit reads a sync image the way a page-server cluster needs
 // it: the commit and nothing after it — no program, registers or channel
 // list is built, and with no child to free nothing is allocated. Only the
 // commit is validated; what follows it is the backup's kernel's business
-// (DecodeSyncMsg), and both read the same bytes for these three fields.
-func DecodeSyncCommit(b []byte) (types.PID, types.Epoch, []types.PID, error) {
+// (Decode[SyncMsg]), and both read these three fields with one codec.
+func DecodeSyncCommit(b []byte) (pid types.PID, epoch types.Epoch, free []types.PID, err error) {
 	r := wire.NewReader(b)
-	pid, epoch, free := decodeSyncCommit(r)
+	syncCommit(wire.DecodeFrom(r), &pid, &epoch, &free)
 	if err := r.Err(); err != nil {
 		return 0, 0, nil, fmt.Errorf("kernel: sync commit: %w", err)
 	}
 	return pid, epoch, free, nil
-}
-
-// DecodeSyncMsg parses a sync message payload.
-func DecodeSyncMsg(b []byte) (*SyncMsg, error) {
-	r := wire.NewReader(b)
-	pid, epoch, free := decodeSyncCommit(r)
-	s := &SyncMsg{
-		PID:            pid,
-		Epoch:          epoch,
-		FreePIDs:       free,
-		Program:        r.String(),
-		Mode:           types.BackupMode(r.U8()),
-		Family:         types.PID(r.U64()),
-		Parent:         types.PID(r.U64()),
-		Args:           r.Bytes32(),
-		PrimaryCluster: types.ClusterID(r.I32()),
-		Regs:           r.Bytes32(),
-		NextFD:         types.FD(r.I32()),
-		SignalNext:     r.Bool(),
-	}
-	nIgn := r.U32()
-	for i := uint32(0); i < nIgn && r.Err() == nil; i++ {
-		s.SigIgnore = append(s.SigIgnore, types.Signal(r.U8()))
-	}
-	s.SignalChannel = types.ChannelID(r.U64())
-	nCh := r.U32()
-	for i := uint32(0); i < nCh && r.Err() == nil; i++ {
-		s.Channels = append(s.Channels, decodeChannelInfo(r))
-	}
-	nCl := r.U32()
-	for i := uint32(0); i < nCl && r.Err() == nil; i++ {
-		s.ClosedChannels = append(s.ClosedChannels, types.ChannelID(r.U64()))
-	}
-	nSup := r.U32()
-	if nSup > 0 {
-		s.Suppress = make(map[types.ChannelID]uint32, nSup)
-	}
-	for i := uint32(0); i < nSup && r.Err() == nil; i++ {
-		ch := types.ChannelID(r.U64())
-		s.Suppress[ch] = r.U32()
-	}
-	nND := r.U32()
-	for i := uint32(0); i < nND && r.Err() == nil; i++ {
-		s.NondetRemaining = append(s.NondetRemaining, r.U64())
-	}
-	s.Establish = r.Bool()
-	nDup := r.U32()
-	if nDup > 0 {
-		s.EstablishDupes = make(map[types.ChannelID]uint32, nDup)
-	}
-	for i := uint32(0); i < nDup && r.Err() == nil; i++ {
-		ch := types.ChannelID(r.U64())
-		s.EstablishDupes[ch] = r.U32()
-	}
-	s.TotalReads = r.U64()
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("kernel: sync message: %w", err)
-	}
-	return s, nil
 }
 
 // DecisionMsg is the payload of a KindDecision message (llft strategy):
@@ -271,34 +211,15 @@ type DecisionMsg struct {
 	Reads uint64
 }
 
-// Encode serializes the decision entry.
-func (d *DecisionMsg) Encode() []byte {
-	w := newPayloadWriter(32)
-	d.EncodePayload(w)
-	return w.Bytes()
-}
-
 // EncodePayload appends the decision entry to w (types.PayloadEncoder: the
 // entry is immutable once enqueued, so the executive may serialize it into
 // a pooled buffer at transmit time).
-func (d *DecisionMsg) EncodePayload(w *wire.Writer) {
-	w.U64(uint64(d.PID))
-	w.U64(d.Seq)
-	w.U64(d.Reads)
-}
+func (d *DecisionMsg) EncodePayload(w *wire.Writer) { d.codec(wire.EncodeTo(w)) }
 
-// DecodeDecisionMsg parses a decision-log entry payload.
-func DecodeDecisionMsg(b []byte) (*DecisionMsg, error) {
-	r := wire.NewReader(b)
-	d := &DecisionMsg{
-		PID:   types.PID(r.U64()),
-		Seq:   r.U64(),
-		Reads: r.U64(),
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("kernel: decision message: %w", err)
-	}
-	return d, nil
+func (d *DecisionMsg) codec(c *wire.Codec) {
+	c.U64((*uint64)(&d.PID))
+	c.U64(&d.Seq)
+	c.U64(&d.Reads)
 }
 
 // CheckpointMsg is the payload of a KindCheckpoint message (msglog
@@ -310,13 +231,6 @@ type CheckpointMsg struct {
 	Sync  *SyncMsg
 	Pages uint32
 	Bytes uint64
-}
-
-// Encode serializes the checkpoint manifest.
-func (c *CheckpointMsg) Encode() []byte {
-	w := newPayloadWriter(256)
-	c.EncodePayload(w)
-	return w.Bytes()
 }
 
 // checkpointManifestLen is the manifest's fixed head (Pages, Bytes); the
@@ -334,20 +248,15 @@ func checkpointImage(b []byte) []byte {
 
 // EncodePayload appends the manifest to w (types.PayloadEncoder, same
 // exclusive-ownership argument as SyncMsg).
-func (c *CheckpointMsg) EncodePayload(w *wire.Writer) {
-	w.U32(c.Pages)
-	w.U64(c.Bytes)
-	c.Sync.EncodePayload(w)
-}
+func (cm *CheckpointMsg) EncodePayload(w *wire.Writer) { cm.codec(wire.EncodeTo(w)) }
 
-// DecodeCheckpointMsg parses a checkpoint manifest payload.
-func DecodeCheckpointMsg(b []byte) (*CheckpointMsg, error) {
-	sm, err := DecodeSyncMsg(checkpointImage(b))
-	if err != nil {
-		return nil, fmt.Errorf("kernel: checkpoint message: %w", err)
+func (cm *CheckpointMsg) codec(c *wire.Codec) {
+	c.U32(&cm.Pages)
+	c.U64(&cm.Bytes)
+	if cm.Sync == nil { // decoding
+		cm.Sync = new(SyncMsg)
 	}
-	r := wire.NewReader(b) // long enough: it holds an image behind the head
-	return &CheckpointMsg{Pages: r.U32(), Bytes: r.U64(), Sync: sm}, nil
+	cm.Sync.codec(c)
 }
 
 // BirthNotice is the payload of a KindBirthNotice message (§7.7): enough
@@ -375,47 +284,19 @@ type BirthNotice struct {
 	Established bool
 }
 
-// Encode serializes the birth notice.
-func (bn *BirthNotice) Encode() []byte {
-	w := newPayloadWriter(128)
-	w.U64(uint64(bn.Parent))
-	w.U64(uint64(bn.Child))
-	w.String(bn.Program)
-	w.Bytes32(bn.Args)
-	w.U8(uint8(bn.Mode))
-	w.U64(uint64(bn.Family))
-	w.I32(int32(bn.PrimaryCluster))
-	w.U64(uint64(bn.SignalChannel))
-	w.U32(uint32(len(bn.Channels)))
-	for _, ci := range bn.Channels {
-		ci.encode(w)
+func (bn *BirthNotice) codec(c *wire.Codec) {
+	c.U64((*uint64)(&bn.Parent))
+	c.U64((*uint64)(&bn.Child))
+	c.String(&bn.Program)
+	c.Bytes32(&bn.Args)
+	c.U8((*uint8)(&bn.Mode))
+	c.U64((*uint64)(&bn.Family))
+	c.I32((*int32)(&bn.PrimaryCluster))
+	c.U64((*uint64)(&bn.SignalChannel))
+	for i := range wire.Grow(c, &bn.Channels, channelInfoSize) {
+		bn.Channels[i].codec(c)
 	}
-	w.Bool(bn.Established)
-	return w.Bytes()
-}
-
-// DecodeBirthNotice parses a birth notice payload.
-func DecodeBirthNotice(b []byte) (*BirthNotice, error) {
-	r := wire.NewReader(b)
-	bn := &BirthNotice{
-		Parent:         types.PID(r.U64()),
-		Child:          types.PID(r.U64()),
-		Program:        r.String(),
-		Args:           r.Bytes32(),
-		Mode:           types.BackupMode(r.U8()),
-		Family:         types.PID(r.U64()),
-		PrimaryCluster: types.ClusterID(r.I32()),
-		SignalChannel:  types.ChannelID(r.U64()),
-	}
-	n := r.U32()
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		bn.Channels = append(bn.Channels, decodeChannelInfo(r))
-	}
-	bn.Established = r.Bool()
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("kernel: birth notice: %w", err)
-	}
-	return bn, nil
+	c.Bool(&bn.Established)
 }
 
 // OpenRequest is the payload of a KindOpenRequest message sent to a file,
@@ -429,29 +310,11 @@ type OpenRequest struct {
 	OpenerBackupCluster types.ClusterID
 }
 
-// Encode serializes the open request.
-func (o *OpenRequest) Encode() []byte {
-	w := newPayloadWriter(64)
-	w.U64(uint64(o.Opener))
-	w.String(o.Name)
-	w.I32(int32(o.OpenerCluster))
-	w.I32(int32(o.OpenerBackupCluster))
-	return w.Bytes()
-}
-
-// DecodeOpenRequest parses an open request payload.
-func DecodeOpenRequest(b []byte) (*OpenRequest, error) {
-	r := wire.NewReader(b)
-	o := &OpenRequest{
-		Opener:              types.PID(r.U64()),
-		Name:                r.String(),
-		OpenerCluster:       types.ClusterID(r.I32()),
-		OpenerBackupCluster: types.ClusterID(r.I32()),
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("kernel: open request: %w", err)
-	}
-	return o, nil
+func (o *OpenRequest) codec(c *wire.Codec) {
+	c.U64((*uint64)(&o.Opener))
+	c.String(&o.Name)
+	c.I32((*int32)(&o.OpenerCluster))
+	c.I32((*int32)(&o.OpenerBackupCluster))
 }
 
 // OpenReply is the payload of a KindOpenReply message, sent to the opener
@@ -469,33 +332,13 @@ type OpenReply struct {
 	Err string
 }
 
-// Encode serializes the open reply.
-func (o *OpenReply) Encode() []byte {
-	w := newPayloadWriter(64)
-	w.U64(uint64(o.Channel))
-	w.U64(uint64(o.Peer))
-	w.I32(int32(o.PeerCluster))
-	w.I32(int32(o.PeerBackupCluster))
-	w.Bool(o.PeerIsServer)
-	w.String(o.Err)
-	return w.Bytes()
-}
-
-// DecodeOpenReply parses an open reply payload.
-func DecodeOpenReply(b []byte) (*OpenReply, error) {
-	r := wire.NewReader(b)
-	o := &OpenReply{
-		Channel:           types.ChannelID(r.U64()),
-		Peer:              types.PID(r.U64()),
-		PeerCluster:       types.ClusterID(r.I32()),
-		PeerBackupCluster: types.ClusterID(r.I32()),
-		PeerIsServer:      r.Bool(),
-		Err:               r.String(),
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("kernel: open reply: %w", err)
-	}
-	return o, nil
+func (o *OpenReply) codec(c *wire.Codec) {
+	c.U64((*uint64)(&o.Channel))
+	c.U64((*uint64)(&o.Peer))
+	c.I32((*int32)(&o.PeerCluster))
+	c.I32((*int32)(&o.PeerBackupCluster))
+	c.Bool(&o.PeerIsServer)
+	c.String(&o.Err)
 }
 
 // PageOut is the payload of a KindPageOut message: the modified pages of
@@ -531,15 +374,20 @@ func (p *PageOut) RetirePayload() {
 	}
 }
 
-// EncodePayload appends the page-out to w: a fixed header followed by a
-// wire batch with one frame per page. PageOut implements
+// head codes the page-out's fixed header; the page batch follows it.
+func (p *PageOut) head(c *wire.Codec) {
+	c.U64((*uint64)(&p.PID))
+	c.U32((*uint32)(&p.Epoch))
+	c.I32((*int32)(&p.From))
+}
+
+// EncodePayload appends the page-out to w: the header followed by a wire
+// batch with one checksummed frame per page. PageOut implements
 // types.PayloadEncoder; syncs enqueue it lazily so serialization of the
 // page data happens on the transmit goroutine, off the syncing process's
 // critical path.
 func (p *PageOut) EncodePayload(w *wire.Writer) {
-	w.U64(uint64(p.PID))
-	w.U32(uint32(p.Epoch))
-	w.I32(int32(p.From))
+	p.head(wire.EncodeTo(w))
 	bw := wire.NewBatchWriter(w)
 	for _, pg := range p.Pages {
 		bw.BeginFrame()
@@ -550,17 +398,6 @@ func (p *PageOut) EncodePayload(w *wire.Writer) {
 	bw.Finish()
 }
 
-// Encode serializes the page-out (cold path; see EncodePayload).
-func (p *PageOut) Encode() []byte {
-	size := 32
-	for _, pg := range p.Pages {
-		size += 12 + len(pg.Data)
-	}
-	w := newPayloadWriter(size)
-	p.EncodePayload(w)
-	return w.Bytes()
-}
-
 // DecodePageOut parses a page-out payload. It fails closed: a truncated or
 // corrupted page batch yields an error and no pages, never a partial
 // prefix. The decoded pages alias b, so they are valid only as long as b
@@ -568,11 +405,8 @@ func (p *PageOut) Encode() []byte {
 // the page server keeps only the copies its disk makes.
 func DecodePageOut(b []byte) (*PageOut, error) {
 	r := wire.NewReader(b)
-	p := &PageOut{
-		PID:   types.PID(r.U64()),
-		Epoch: types.Epoch(r.U32()),
-		From:  types.ClusterID(r.I32()),
-	}
+	p := &PageOut{}
+	p.head(wire.DecodeFrom(r))
 	if r.Err() != nil {
 		return nil, fmt.Errorf("kernel: page-out: %w", r.Err())
 	}
@@ -605,25 +439,9 @@ type PageRequest struct {
 	ReplyTo types.ClusterID
 }
 
-// Encode serializes the page request.
-func (p *PageRequest) Encode() []byte {
-	w := newPayloadWriter(16)
-	w.U64(uint64(p.PID))
-	w.I32(int32(p.ReplyTo))
-	return w.Bytes()
-}
-
-// DecodePageRequest parses a page request payload.
-func DecodePageRequest(b []byte) (*PageRequest, error) {
-	r := wire.NewReader(b)
-	p := &PageRequest{
-		PID:     types.PID(r.U64()),
-		ReplyTo: types.ClusterID(r.I32()),
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("kernel: page request: %w", err)
-	}
-	return p, nil
+func (p *PageRequest) codec(c *wire.Codec) {
+	c.U64((*uint64)(&p.PID))
+	c.I32((*int32)(&p.ReplyTo))
 }
 
 // PageReply is the payload of a KindPageReply message: the backup page
@@ -633,37 +451,12 @@ type PageReply struct {
 	Pages []memory.Page
 }
 
-// Encode serializes the page reply.
-func (p *PageReply) Encode() []byte {
-	size := 16
-	for _, pg := range p.Pages {
-		size += 8 + len(pg.Data)
+func (p *PageReply) codec(c *wire.Codec) {
+	c.U64((*uint64)(&p.PID))
+	for i := range wire.Grow(c, &p.Pages, 8) {
+		c.U32((*uint32)(&p.Pages[i].No))
+		c.Bytes32(&p.Pages[i].Data)
 	}
-	w := newPayloadWriter(size)
-	w.U64(uint64(p.PID))
-	w.U32(uint32(len(p.Pages)))
-	for _, pg := range p.Pages {
-		w.U32(uint32(pg.No))
-		w.Bytes32(pg.Data)
-	}
-	return w.Bytes()
-}
-
-// DecodePageReply parses a page reply payload.
-func DecodePageReply(b []byte) (*PageReply, error) {
-	r := wire.NewReader(b)
-	p := &PageReply{PID: types.PID(r.U64())}
-	n := r.U32()
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		var pg memory.Page
-		pg.No = memory.PageNo(r.U32())
-		pg.Data = r.Bytes32()
-		p.Pages = append(p.Pages, pg)
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("kernel: page reply: %w", err)
-	}
-	return p, nil
 }
 
 // ExitNotice is the payload of a KindExitNotice message.
@@ -679,35 +472,11 @@ type ExitNotice struct {
 	FreePIDs []types.PID
 }
 
-// Encode serializes the exit notice.
-func (e *ExitNotice) Encode() []byte {
-	w := newPayloadWriter(32)
-	w.U64(uint64(e.PID))
-	w.U64(uint64(e.Parent))
-	w.Bool(e.NeverSynced)
-	w.U32(uint32(len(e.FreePIDs)))
-	for _, p := range e.FreePIDs {
-		w.U64(uint64(p))
-	}
-	return w.Bytes()
-}
-
-// DecodeExitNotice parses an exit notice payload.
-func DecodeExitNotice(b []byte) (*ExitNotice, error) {
-	r := wire.NewReader(b)
-	e := &ExitNotice{
-		PID:         types.PID(r.U64()),
-		Parent:      types.PID(r.U64()),
-		NeverSynced: r.Bool(),
-	}
-	n := r.U32()
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		e.FreePIDs = append(e.FreePIDs, types.PID(r.U64()))
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("kernel: exit notice: %w", err)
-	}
-	return e, nil
+func (e *ExitNotice) codec(c *wire.Codec) {
+	c.U64((*uint64)(&e.PID))
+	c.U64((*uint64)(&e.Parent))
+	c.Bool(&e.NeverSynced)
+	wire.U64s(c, &e.FreePIDs)
 }
 
 // CrashNotice is the payload of a KindCrashNotice message. PID == NoPID
@@ -726,27 +495,10 @@ type CrashNotice struct {
 	Inc types.Incarnation
 }
 
-// Encode serializes the crash notice.
-func (c *CrashNotice) Encode() []byte {
-	w := newPayloadWriter(16)
-	w.I32(int32(c.Crashed))
-	w.U64(uint64(c.PID))
-	w.U32(uint32(c.Inc))
-	return w.Bytes()
-}
-
-// DecodeCrashNotice parses a crash notice payload.
-func DecodeCrashNotice(b []byte) (*CrashNotice, error) {
-	r := wire.NewReader(b)
-	c := &CrashNotice{
-		Crashed: types.ClusterID(r.I32()),
-		PID:     types.PID(r.U64()),
-		Inc:     types.Incarnation(r.U32()),
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("kernel: crash notice: %w", err)
-	}
-	return c, nil
+func (cn *CrashNotice) codec(c *wire.Codec) {
+	c.I32((*int32)(&cn.Crashed))
+	c.U64((*uint64)(&cn.PID))
+	c.U32((*uint32)(&cn.Inc))
 }
 
 // BackupUp is the payload of a KindBackupUp message: a fullback's new
@@ -763,29 +515,11 @@ type BackupUp struct {
 	NeedAck bool
 }
 
-// Encode serializes the backup-up notice.
-func (b *BackupUp) Encode() []byte {
-	w := newPayloadWriter(24)
-	w.U64(uint64(b.PID))
-	w.I32(int32(b.BackupCluster))
-	w.I32(int32(b.Origin))
-	w.Bool(b.NeedAck)
-	return w.Bytes()
-}
-
-// DecodeBackupUp parses a backup-up payload.
-func DecodeBackupUp(data []byte) (*BackupUp, error) {
-	r := wire.NewReader(data)
-	b := &BackupUp{
-		PID:           types.PID(r.U64()),
-		BackupCluster: types.ClusterID(r.I32()),
-		Origin:        types.ClusterID(r.I32()),
-		NeedAck:       r.Bool(),
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("kernel: backup-up: %w", err)
-	}
-	return b, nil
+func (b *BackupUp) codec(c *wire.Codec) {
+	c.U64((*uint64)(&b.PID))
+	c.I32((*int32)(&b.BackupCluster))
+	c.I32((*int32)(&b.Origin))
+	c.Bool(&b.NeedAck)
 }
 
 // BackupAck is the payload of a KindBackupAck message: cluster From has
@@ -795,25 +529,9 @@ type BackupAck struct {
 	From types.ClusterID
 }
 
-// Encode serializes the backup ack.
-func (b *BackupAck) Encode() []byte {
-	w := newPayloadWriter(16)
-	w.U64(uint64(b.PID))
-	w.I32(int32(b.From))
-	return w.Bytes()
-}
-
-// DecodeBackupAck parses a backup ack payload.
-func DecodeBackupAck(data []byte) (*BackupAck, error) {
-	r := wire.NewReader(data)
-	b := &BackupAck{
-		PID:  types.PID(r.U64()),
-		From: types.ClusterID(r.I32()),
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("kernel: backup-ack: %w", err)
-	}
-	return b, nil
+func (b *BackupAck) codec(c *wire.Codec) {
+	c.U64((*uint64)(&b.PID))
+	c.I32((*int32)(&b.From))
 }
 
 // SavedMessage is one saved queue element inside a BackupImage.
@@ -845,92 +563,25 @@ type BackupImage struct {
 	Decisions []uint64
 }
 
-// Encode serializes the backup image.
-func (bi *BackupImage) Encode() []byte {
-	w := newPayloadWriter(512)
-	w.Bytes32(bi.Sync.Encode())
-	w.U32(uint32(len(bi.Queues)))
-	for _, sm := range bi.Queues {
-		w.U64(uint64(sm.Channel))
-		w.U8(uint8(sm.Kind))
-		w.U64(uint64(sm.Src))
-		w.U64(uint64(sm.Seq))
-		w.Bytes32(sm.Payload)
+func (bi *BackupImage) codec(c *wire.Codec) {
+	if bi.Sync == nil { // decoding
+		bi.Sync = new(SyncMsg)
 	}
-	w.U32(uint32(len(bi.Writes)))
-	for _, ch := range sortedChannels(bi.Writes) {
-		w.U64(uint64(ch))
-		w.U32(bi.Writes[ch])
+	c.Embed(bi.Sync.codec)
+	for i := range wire.Grow(c, &bi.Queues, 29) {
+		q := &bi.Queues[i]
+		c.U64((*uint64)(&q.Channel))
+		c.U8((*uint8)(&q.Kind))
+		c.U64((*uint64)(&q.Src))
+		c.U64((*uint64)(&q.Seq))
+		c.Bytes32(&q.Payload)
 	}
-	w.U32(uint32(len(bi.BornChildren)))
-	for _, b := range bi.BornChildren {
-		w.Bytes32(b)
+	channelCounts(c, &bi.Writes)
+	for i := range wire.Grow(c, &bi.BornChildren, 4) {
+		c.Bytes32(&bi.BornChildren[i])
 	}
-	w.U32(uint32(len(bi.NondetLog)))
-	for _, v := range bi.NondetLog {
-		w.U64(v)
-	}
-	w.U32(uint32(len(bi.Decisions)))
-	for _, v := range bi.Decisions {
-		w.U64(v)
-	}
-	return w.Bytes()
-}
-
-// DecodeBackupImage parses a backup image payload.
-func DecodeBackupImage(b []byte) (*BackupImage, error) {
-	r := wire.NewReader(b)
-	syncBytes := r.Bytes32()
-	bi := &BackupImage{Writes: make(map[types.ChannelID]uint32)}
-	nQ := r.U32()
-	for i := uint32(0); i < nQ && r.Err() == nil; i++ {
-		bi.Queues = append(bi.Queues, SavedMessage{
-			Channel: types.ChannelID(r.U64()),
-			Kind:    types.Kind(r.U8()),
-			Src:     types.PID(r.U64()),
-			Seq:     types.Seq(r.U64()),
-			Payload: r.Bytes32(),
-		})
-	}
-	nW := r.U32()
-	for i := uint32(0); i < nW && r.Err() == nil; i++ {
-		ch := types.ChannelID(r.U64())
-		bi.Writes[ch] = r.U32()
-	}
-	nB := r.U32()
-	for i := uint32(0); i < nB && r.Err() == nil; i++ {
-		bi.BornChildren = append(bi.BornChildren, r.Bytes32())
-	}
-	nND := r.U32()
-	for i := uint32(0); i < nND && r.Err() == nil; i++ {
-		bi.NondetLog = append(bi.NondetLog, r.U64())
-	}
-	nDec := r.U32()
-	for i := uint32(0); i < nDec && r.Err() == nil; i++ {
-		bi.Decisions = append(bi.Decisions, r.U64())
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("kernel: backup image: %w", err)
-	}
-	s, err := DecodeSyncMsg(syncBytes)
-	if err != nil {
-		return nil, err
-	}
-	bi.Sync = s
-	return bi, nil
-}
-
-func sortedChannels(m map[types.ChannelID]uint32) []types.ChannelID {
-	out := make([]types.ChannelID, 0, len(m))
-	for ch := range m {
-		out = append(out, ch)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	wire.U64s(c, &bi.NondetLog)
+	wire.U64s(c, &bi.Decisions)
 }
 
 // ServerSyncMsg is the payload of a KindServerSync message: the explicit,
@@ -943,34 +594,8 @@ type ServerSyncMsg struct {
 	Discards map[types.ChannelID]uint32
 }
 
-// Encode serializes the server sync.
-func (s *ServerSyncMsg) Encode() []byte {
-	w := newPayloadWriter(64 + len(s.Blob))
-	w.U64(uint64(s.PID))
-	w.Bytes32(s.Blob)
-	w.U32(uint32(len(s.Discards)))
-	for _, ch := range sortedChannels(s.Discards) {
-		w.U64(uint64(ch))
-		w.U32(s.Discards[ch])
-	}
-	return w.Bytes()
-}
-
-// DecodeServerSyncMsg parses a server sync payload.
-func DecodeServerSyncMsg(b []byte) (*ServerSyncMsg, error) {
-	r := wire.NewReader(b)
-	s := &ServerSyncMsg{
-		PID:      types.PID(r.U64()),
-		Blob:     r.Bytes32(),
-		Discards: make(map[types.ChannelID]uint32),
-	}
-	n := r.U32()
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		ch := types.ChannelID(r.U64())
-		s.Discards[ch] = r.U32()
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("kernel: server sync: %w", err)
-	}
-	return s, nil
+func (s *ServerSyncMsg) codec(c *wire.Codec) {
+	c.U64((*uint64)(&s.PID))
+	c.Bytes32(&s.Blob)
+	channelCounts(c, &s.Discards)
 }

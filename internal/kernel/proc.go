@@ -271,11 +271,11 @@ func (pr *Proc) Open(name string) (types.FD, error) {
 		OpenerCluster:       k.id,
 		OpenerBackupCluster: p.backupCluster,
 	}
-	replyBytes, err := pr.callKind(0, types.KindOpenRequest, req.Encode())
+	replyBytes, err := pr.callKind(0, types.KindOpenRequest, Encode(req))
 	if err != nil {
 		return types.NoFD, err
 	}
-	reply, err := DecodeOpenReply(replyBytes)
+	reply, err := Decode[OpenReply](replyBytes)
 	if err != nil {
 		return types.NoFD, err
 	}
@@ -318,7 +318,7 @@ func (pr *Proc) bindChannel(reply *OpenReply) (types.FD, error) {
 // notice (an open reply delivered on a listening channel) to a fresh
 // descriptor.
 func (pr *Proc) Accept(notice []byte) (types.FD, error) {
-	reply, err := DecodeOpenReply(notice)
+	reply, err := Decode[OpenReply](notice)
 	if err != nil {
 		return types.NoFD, err
 	}
@@ -546,20 +546,20 @@ func (pr *Proc) SyncPoint() error {
 // and receives its answer via message. The backup will have the same
 // response available.")
 func (pr *Proc) Time() (int64, error) {
-	reply, err := pr.Call(1, EncodeProcRequest(ProcOpTime, 0))
+	reply, err := pr.Call(1, Encode(&ProcMsg{Op: ProcOpTime}))
 	if err != nil {
 		return 0, err
 	}
-	op, val, err := DecodeProcReply(reply)
-	if err != nil || op != ProcOpTime {
+	rep, err := Decode[ProcMsg](reply)
+	if err != nil || rep.Op != ProcOpTime {
 		return 0, fmt.Errorf("kernel: bad time reply: %v", err)
 	}
-	return int64(val), nil
+	return int64(rep.Arg), nil
 }
 
 // Alarm implements guest.API (§7.5.2).
 func (pr *Proc) Alarm(d time.Duration) error {
-	return pr.Write(1, EncodeProcRequest(ProcOpAlarm, uint64(d)))
+	return pr.Write(1, Encode(&ProcMsg{Op: ProcOpAlarm, Arg: uint64(d)}))
 }
 
 // Nondet implements guest.API (§10): log-and-replay for nondeterministic
@@ -626,34 +626,14 @@ const (
 	ProcOpCount uint8 = 4
 )
 
-// EncodeProcRequest builds a process-server request.
-func EncodeProcRequest(op uint8, arg uint64) []byte {
-	w := newPayloadWriter(9)
-	w.U8(op)
-	w.U64(arg)
-	return w.Bytes()
+// ProcMsg is a process-server request (Arg is the op's argument) or reply
+// (Arg is its result).
+type ProcMsg struct {
+	Op  uint8
+	Arg uint64
 }
 
-// DecodeProcRequest parses a process-server request.
-func DecodeProcRequest(b []byte) (op uint8, arg uint64, err error) {
-	r := wire.NewReader(b)
-	op = r.U8()
-	arg = r.U64()
-	return op, arg, r.Done()
-}
-
-// EncodeProcReply builds a process-server reply.
-func EncodeProcReply(op uint8, val uint64) []byte {
-	w := newPayloadWriter(9)
-	w.U8(op)
-	w.U64(val)
-	return w.Bytes()
-}
-
-// DecodeProcReply parses a process-server reply.
-func DecodeProcReply(b []byte) (op uint8, val uint64, err error) {
-	r := wire.NewReader(b)
-	op = r.U8()
-	val = r.U64()
-	return op, val, r.Done()
+func (m *ProcMsg) codec(c *wire.Codec) {
+	c.U8(&m.Op)
+	c.U64(&m.Arg)
 }

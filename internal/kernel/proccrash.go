@@ -56,7 +56,7 @@ func (k *Kernel) CrashProcess(pid types.PID) error {
 	k.sendLocked(&types.Message{
 		Kind:    types.KindCrashNotice,
 		Dst:     pid,
-		Payload: cn.Encode(),
+		Payload: Encode(cn),
 	})
 	k.transmitLocked()
 	return nil

@@ -253,7 +253,7 @@ func (k *Kernel) promoteLocked(b *BackupPCB, noticeNanos int64) {
 		k.sendLocked(&types.Message{
 			Kind:    types.KindBackupUp,
 			Dst:     pid,
-			Payload: bu.Encode(),
+			Payload: Encode(bu),
 		})
 	}
 
@@ -413,7 +413,7 @@ func (k *Kernel) sendBackupImageLocked(b *BackupPCB, entries []*routing.Entry, t
 	img.Queues = queued
 
 	for _, bn := range k.births[b.pid] {
-		img.BornChildren = append(img.BornChildren, bn.Encode())
+		img.BornChildren = append(img.BornChildren, Encode(bn))
 	}
 	img.NondetLog = append([]uint64(nil), k.nondetLogs[b.pid]...)
 	// Carry the decision log so a second failure before the next capture
@@ -425,14 +425,14 @@ func (k *Kernel) sendBackupImageLocked(b *BackupPCB, entries []*routing.Entry, t
 		Kind:    types.KindBackupCreate,
 		Dst:     b.pid,
 		Route:   types.Route{Dst: target, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-		Payload: img.Encode(),
+		Payload: Encode(img),
 	})
 	k.metrics.BackupsCreated.Add(1)
 }
 
 // applyBackupImageLocked installs a fullback's new backup on this cluster.
 func (k *Kernel) applyBackupImageLocked(m *types.Message) {
-	img, err := DecodeBackupImage(m.Payload)
+	img, err := Decode[BackupImage](m.Payload)
 	if err != nil {
 		return
 	}
@@ -497,7 +497,7 @@ func (k *Kernel) applyBackupImageLocked(m *types.Message) {
 		k.arrival = maxSeq
 	}
 	for _, raw := range img.BornChildren {
-		if bn, err := DecodeBirthNotice(raw); err == nil {
+		if bn, err := Decode[BirthNotice](raw); err == nil {
 			k.births[sm.PID] = append(k.births[sm.PID], bn)
 		}
 	}
@@ -523,7 +523,7 @@ func (k *Kernel) handleBackupUpLocked(bu *BackupUp) {
 			Kind:    types.KindBackupAck,
 			Dst:     bu.PID,
 			Route:   types.Route{Dst: bu.Origin, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-			Payload: ack.Encode(),
+			Payload: Encode(ack),
 		})
 	}
 	if held := k.held[bu.PID]; len(held) > 0 {

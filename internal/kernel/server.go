@@ -215,7 +215,7 @@ func (c *ServerCtx) Sync() {
 		Src:     c.host.impl.PID(),
 		Dst:     c.host.impl.PID(),
 		Route:   types.Route{Dst: twin, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-		Payload: ss.Encode(),
+		Payload: Encode(ss),
 	})
 	c.k.metrics.Syncs.Add(1)
 }

@@ -64,7 +64,7 @@ func (k *Kernel) Spawn(program string, args []byte, opts SpawnOpts) (*PCB, error
 			Kind:    types.KindBirthNotice,
 			Dst:     pid,
 			Route:   types.Route{Dst: opts.BackupCluster, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-			Payload: bn.Encode(),
+			Payload: Encode(bn),
 		})
 	}
 	k.startProcessLocked(p)
@@ -162,7 +162,7 @@ func (k *Kernel) createProcessLocked(pid types.PID, program string, args []byte,
 // primary. ... The birth notice does not contain complete state information
 // and does not cause the creation of a backup process.")
 func (k *Kernel) applyBirthNoticeLocked(m *types.Message) {
-	bn, err := DecodeBirthNotice(m.Payload)
+	bn, err := Decode[BirthNotice](m.Payload)
 	if err != nil {
 		return
 	}
@@ -216,6 +216,7 @@ func (k *Kernel) startProcessLocked(p *PCB) {
 // a promoted backup, run the guest, then exit or unwind on crash.
 func (k *Kernel) runProcess(p *PCB) {
 	defer k.wg.Done()
+	growStack()
 	defer close(p.done)
 
 	if p.recovered {
@@ -280,7 +281,7 @@ func (k *Kernel) restorePages(p *PCB) error {
 		Src:     p.pid,
 		Dst:     directory.PIDPageServer,
 		Route:   types.Route{Dst: pagerLoc.Primary, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-		Payload: req.Encode(),
+		Payload: Encode(req),
 	})
 	// About to block on the reply: the request leaves first.
 	k.transmitLocked()
@@ -365,7 +366,7 @@ func (k *Kernel) exitProcess(p *PCB) {
 			Src:     p.pid,
 			Dst:     p.pid,
 			Route:   route,
-			Payload: en.Encode(),
+			Payload: Encode(en),
 		})
 	}
 	k.dir.RemoveProc(p.pid)
@@ -421,7 +422,7 @@ func (k *Kernel) forkLocked(parent *PCB, program string, args []byte) (types.PID
 			Src:     parent.pid,
 			Dst:     pid,
 			Route:   types.Route{Dst: parent.backupCluster, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-			Payload: bn.Encode(),
+			Payload: Encode(bn),
 		})
 	}
 	k.startProcessLocked(child)

@@ -256,7 +256,7 @@ func pagerMirror(primary types.ClusterID) types.ClusterID {
 // takes. One cluster may play both roles.
 func (k *Kernel) dispatchSync(m *types.Message, image []byte) {
 	if m.Route.Dst == k.id {
-		sm, err := DecodeSyncMsg(image)
+		sm, err := Decode[SyncMsg](image)
 		if err != nil {
 			return
 		}
@@ -283,7 +283,7 @@ func (k *Kernel) dispatchSync(m *types.Message, image []byte) {
 // dead leader sent after this delivery escaped either, so the promoted
 // primary is free to re-decide and the straggler is dropped.
 func (k *Kernel) dispatchDecision(m *types.Message) {
-	dm, err := DecodeDecisionMsg(m.Payload)
+	dm, err := Decode[DecisionMsg](m.Payload)
 	if err != nil {
 		return
 	}

@@ -203,7 +203,7 @@ func TestWhenOutputLeaves(t *testing.T) {
 	t.Run("the receive loop transmits what a drained batch queued", func(t *testing.T) {
 		r := newTxRig(0)
 		bu := &BackupUp{PID: fixDst, BackupCluster: 3, Origin: 2, NeedAck: true}
-		r.k.dispatchBatch([]types.Message{{ID: 1, Kind: types.KindBackupUp, Payload: bu.Encode()}})
+		r.k.dispatchBatch([]types.Message{{ID: 1, Kind: types.KindBackupUp, Payload: Encode(bu)}})
 		r.expect(t, 1, 0, types.KindBackupAck)
 	})
 }
@@ -430,7 +430,7 @@ func TestTransmitAllocations(t *testing.T) {
 		if n := testing.AllocsPerRun(200, lazy); n != 1 {
 			t.Fatalf("a lazy one-message transmit allocated %v times, want 1 (its payload's copy-out)", n)
 		}
-		if got, _ := DecodeDecisionMsg(buf[0].Payload); got == nil || *got != *dm {
+		if got, _ := Decode[DecisionMsg](buf[0].Payload); got == nil || *got != *dm {
 			t.Fatalf("the destination decoded %+v, want %+v", got, dm)
 		}
 		var before, after runtime.MemStats
@@ -601,7 +601,7 @@ func TestStragglerBatchBehindItsCrashNoticeIsFenced(t *testing.T) {
 	// What core.handleDetectedCrash does once Kernel.Crash has returned.
 	dir.ApplyCrash(1)
 	notice := &CrashNotice{Crashed: 1, Inc: dir.Incarnation(1)}
-	if _, err := b.BroadcastBatch([]*types.Message{{Kind: types.KindCrashNotice, Payload: notice.Encode()}}); err != nil {
+	if _, err := b.BroadcastBatch([]*types.Message{{Kind: types.KindCrashNotice, Payload: Encode(notice)}}); err != nil {
 		t.Fatal(err)
 	}
 

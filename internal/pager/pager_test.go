@@ -12,6 +12,7 @@ import (
 	"auragen/internal/memory"
 	"auragen/internal/trace"
 	"auragen/internal/types"
+	"auragen/internal/wire"
 )
 
 func newServer() *Server {
@@ -360,7 +361,9 @@ func TestCommitPageOutCrashCommit(t *testing.T) {
 // the call, so the account must survive the payload being overwritten.
 func TestPageOutDoesNotKeepThePayload(t *testing.T) {
 	s := newServer()
-	payload := out(7, 1, page(0, 0xAA), page(3, 0xBB)).Encode()
+	w := wire.NewWriter(0)
+	out(7, 1, page(0, 0xAA), page(3, 0xBB)).EncodePayload(w)
+	payload := w.Bytes()
 	po, err := kernel.DecodePageOut(payload)
 	if err != nil {
 		t.Fatal(err)

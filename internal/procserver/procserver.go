@@ -57,27 +57,29 @@ func (s *Server) Receive(ctx *kernel.ServerCtx, m *types.Message) {
 		// The process server is not a name server; opens are the file
 		// server's business.
 		reply := &kernel.OpenReply{Err: "process server does not open names"}
-		ctx.Reply(m.Channel, m.Src, types.KindOpenReply, reply.Encode())
+		ctx.Reply(m.Channel, m.Src, types.KindOpenReply, kernel.Encode(reply))
 		return
 	}
-	op, arg, err := kernel.DecodeProcRequest(m.Payload)
+	req, err := kernel.Decode[kernel.ProcMsg](m.Payload)
 	if err != nil {
 		return
 	}
-	switch op {
+	reply := func(v uint64) {
+		ctx.Reply(m.Channel, m.Src, types.KindData, kernel.Encode(&kernel.ProcMsg{Op: req.Op, Arg: v}))
+	}
+	switch req.Op {
 	case kernel.ProcOpTime:
-		ctx.Reply(m.Channel, m.Src, types.KindData, kernel.EncodeProcReply(op, uint64(ctx.Now())))
+		reply(uint64(ctx.Now()))
 	case kernel.ProcOpAlarm:
-		s.armAlarm(m.Src, time.Duration(arg))
+		s.armAlarm(m.Src, time.Duration(req.Arg))
 	case kernel.ProcOpWhere:
 		cluster := uint64(0xFFFFFFFF)
-		if loc, ok := ctx.Directory().Proc(types.PID(arg)); ok {
+		if loc, ok := ctx.Directory().Proc(types.PID(req.Arg)); ok {
 			cluster = uint64(uint32(loc.Cluster))
 		}
-		ctx.Reply(m.Channel, m.Src, types.KindData, kernel.EncodeProcReply(op, cluster))
+		reply(cluster)
 	case kernel.ProcOpCount:
-		n := uint64(len(ctx.Directory().Procs()))
-		ctx.Reply(m.Channel, m.Src, types.KindData, kernel.EncodeProcReply(op, n))
+		reply(uint64(len(ctx.Directory().Procs())))
 	}
 	s.mu.Lock()
 	s.sinceSync++
@@ -125,30 +127,26 @@ func (s *Server) fireAlarm(pid types.PID) {
 func (s *Server) SyncBlob() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	w := wire.NewWriter(8 + 16*len(s.alarms))
-	w.U32(uint32(len(s.alarms)))
-	for pid, dl := range s.alarms {
-		w.U64(uint64(pid))
-		w.I64(dl)
-	}
-	return w.Bytes()
+	return wire.Encode(func(c *wire.Codec) { alarmTable(c, &s.alarms) })
 }
 
 // ApplySync implements kernel.Server.
 func (s *Server) ApplySync(blob []byte) {
-	r := wire.NewReader(blob)
-	n := r.U32()
-	alarms := make(map[types.PID]int64, n)
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		pid := types.PID(r.U64())
-		alarms[pid] = r.I64()
-	}
-	if r.Done() != nil {
+	alarms := make(map[types.PID]int64)
+	if wire.Decode(blob, func(c *wire.Codec) { alarmTable(c, &alarms) }) != nil {
 		return
 	}
 	s.mu.Lock()
 	s.alarms = alarms
 	s.mu.Unlock()
+}
+
+// alarmTable codes the pending alarms: pid and deadline in Unix nanoseconds.
+func alarmTable(c *wire.Codec, alarms *map[types.PID]int64) {
+	wire.Map(c, alarms, 16, func(pid *types.PID, deadline *int64) {
+		c.U64((*uint64)(pid))
+		c.I64(deadline)
+	})
 }
 
 // Promote implements kernel.Server: re-arm pending alarms (overdue ones

@@ -106,17 +106,15 @@ func ReadReq() []byte {
 type ttyBinding struct {
 	Term int
 	User types.PID
+	// Serial numbers the channel's terminal writes so the device can
+	// deduplicate replayed writes after a promotion.
+	Serial uint64
 }
 
-// Server is one tty-server instance.
-type Server struct {
-	pid    types.PID
-	device *Device
-
+// replicated is the tty server's state that the explicit server sync
+// carries to the twin.
+type replicated struct {
 	bindings map[types.ChannelID]ttyBinding
-	// writeSerials numbers each channel's terminal writes so the device
-	// can deduplicate replayed writes after a promotion.
-	writeSerials map[types.ChannelID]uint64
 	// inputs holds typed-but-unread lines per terminal.
 	inputs map[int][]string
 	// pendingReads holds read requests awaiting input, per terminal, in
@@ -124,18 +122,45 @@ type Server struct {
 	pendingReads map[int][]types.ChannelID
 }
 
+func newReplicated() replicated {
+	return replicated{
+		bindings:     make(map[types.ChannelID]ttyBinding),
+		inputs:       make(map[int][]string),
+		pendingReads: make(map[int][]types.ChannelID),
+	}
+}
+
+func (st *replicated) codec(c *wire.Codec) {
+	wire.Map(c, &st.bindings, 32, func(ch *types.ChannelID, b *ttyBinding) {
+		c.U64((*uint64)(ch))
+		c.Int(&b.Term)
+		c.U64((*uint64)(&b.User))
+		c.U64(&b.Serial)
+	})
+	wire.Map(c, &st.inputs, 12, func(term *int, lines *[]string) {
+		c.Int(term)
+		for i := range wire.Grow(c, lines, 4) {
+			c.String(&(*lines)[i])
+		}
+	})
+	wire.Map(c, &st.pendingReads, 12, func(term *int, chans *[]types.ChannelID) {
+		c.Int(term)
+		wire.U64s(c, chans)
+	})
+}
+
+// Server is one tty-server instance.
+type Server struct {
+	pid    types.PID
+	device *Device
+	replicated
+}
+
 var _ kernel.Server = (*Server)(nil)
 
 // New creates a tty-server instance over the shared device.
 func New(pid types.PID, device *Device) *Server {
-	return &Server{
-		pid:          pid,
-		device:       device,
-		bindings:     make(map[types.ChannelID]ttyBinding),
-		writeSerials: make(map[types.ChannelID]uint64),
-		inputs:       make(map[int][]string),
-		pendingReads: make(map[int][]types.ChannelID),
-	}
+	return &Server{pid: pid, device: device, replicated: newReplicated()}
 }
 
 // PID implements kernel.Server.
@@ -153,7 +178,9 @@ func (s *Server) Receive(ctx *kernel.ServerCtx, m *types.Message) {
 		term := int(r.I64())
 		user := types.PID(r.U64())
 		if r.Done() == nil {
-			s.bindings[ch] = ttyBinding{Term: term, User: user}
+			b := s.bindings[ch]
+			b.Term, b.User = term, user
+			s.bindings[ch] = b
 		}
 	case opWrite:
 		line := r.String()
@@ -164,8 +191,9 @@ func (s *Server) Receive(ctx *kernel.ServerCtx, m *types.Message) {
 		if !ok {
 			return
 		}
-		s.writeSerials[m.Channel]++
-		s.device.writeDedup(b.Term, line, m.Channel, s.writeSerials[m.Channel])
+		b.Serial++
+		s.bindings[m.Channel] = b
+		s.device.writeDedup(b.Term, line, m.Channel, b.Serial)
 		ctx.Sync()
 	case opRead:
 		b, ok := s.bindings[m.Channel]
@@ -219,86 +247,14 @@ func (s *Server) InjectInterrupt(ctx *kernel.ServerCtx, term int) {
 }
 
 // SyncBlob implements kernel.Server.
-func (s *Server) SyncBlob() []byte {
-	w := wire.NewWriter(64)
-	chans := make([]types.ChannelID, 0, len(s.bindings))
-	for ch := range s.bindings {
-		chans = append(chans, ch)
-	}
-	sort.Slice(chans, func(i, j int) bool { return chans[i] < chans[j] })
-	w.U32(uint32(len(chans)))
-	for _, ch := range chans {
-		b := s.bindings[ch]
-		w.U64(uint64(ch))
-		w.I64(int64(b.Term))
-		w.U64(uint64(b.User))
-		w.U64(s.writeSerials[ch])
-	}
-	terms := make([]int, 0, len(s.inputs))
-	for t := range s.inputs {
-		terms = append(terms, t)
-	}
-	sort.Ints(terms)
-	w.U32(uint32(len(terms)))
-	for _, t := range terms {
-		w.I64(int64(t))
-		w.U32(uint32(len(s.inputs[t])))
-		for _, line := range s.inputs[t] {
-			w.String(line)
-		}
-	}
-	pterms := make([]int, 0, len(s.pendingReads))
-	for t := range s.pendingReads {
-		pterms = append(pterms, t)
-	}
-	sort.Ints(pterms)
-	w.U32(uint32(len(pterms)))
-	for _, t := range pterms {
-		w.I64(int64(t))
-		w.U32(uint32(len(s.pendingReads[t])))
-		for _, ch := range s.pendingReads[t] {
-			w.U64(uint64(ch))
-		}
-	}
-	return w.Bytes()
-}
+func (s *Server) SyncBlob() []byte { return wire.Encode(s.replicated.codec) }
 
 // ApplySync implements kernel.Server.
 func (s *Server) ApplySync(blob []byte) {
-	r := wire.NewReader(blob)
-	nB := r.U32()
-	bindings := make(map[types.ChannelID]ttyBinding, nB)
-	serials := make(map[types.ChannelID]uint64, nB)
-	for i := uint32(0); i < nB && r.Err() == nil; i++ {
-		ch := types.ChannelID(r.U64())
-		bindings[ch] = ttyBinding{Term: int(r.I64()), User: types.PID(r.U64())}
-		serials[ch] = r.U64()
+	st := newReplicated()
+	if wire.Decode(blob, st.codec) == nil {
+		s.replicated = st
 	}
-	nT := r.U32()
-	inputs := make(map[int][]string, nT)
-	for i := uint32(0); i < nT && r.Err() == nil; i++ {
-		t := int(r.I64())
-		n := r.U32()
-		for j := uint32(0); j < n && r.Err() == nil; j++ {
-			inputs[t] = append(inputs[t], r.String())
-		}
-	}
-	nP := r.U32()
-	pending := make(map[int][]types.ChannelID, nP)
-	for i := uint32(0); i < nP && r.Err() == nil; i++ {
-		t := int(r.I64())
-		n := r.U32()
-		for j := uint32(0); j < n && r.Err() == nil; j++ {
-			pending[t] = append(pending[t], types.ChannelID(r.U64()))
-		}
-	}
-	if r.Done() != nil {
-		return
-	}
-	s.bindings = bindings
-	s.writeSerials = serials
-	s.inputs = inputs
-	s.pendingReads = pending
 }
 
 // Promote implements kernel.Server.

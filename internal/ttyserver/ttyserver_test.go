@@ -43,9 +43,8 @@ func TestEncodersDecodeInReceiveShapes(t *testing.T) {
 // an identical blob — state transferred losslessly.
 func TestSyncBlobRoundTrip(t *testing.T) {
 	a := New(5, NewDevice())
-	a.bindings[10] = ttyBinding{Term: 1, User: 100}
+	a.bindings[10] = ttyBinding{Term: 1, User: 100, Serial: 7}
 	a.bindings[11] = ttyBinding{Term: 2, User: 101}
-	a.writeSerials[10] = 7
 	a.inputs[1] = []string{"line1", "line2"}
 	a.pendingReads[2] = []types.ChannelID{11}
 
@@ -61,8 +60,8 @@ func TestSyncBlobRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(a.pendingReads, b.pendingReads) {
 		t.Fatalf("pending: %v vs %v", a.pendingReads, b.pendingReads)
 	}
-	if b.writeSerials[10] != 7 {
-		t.Fatalf("write serials lost: %v", b.writeSerials)
+	if b.bindings[10].Serial != 7 {
+		t.Fatalf("write serials lost: %v", b.bindings)
 	}
 	// Deterministic serialization.
 	if string(blob) != string(b.SyncBlob()) {

@@ -143,6 +143,19 @@ func (r *Reader) take(n int) []byte {
 	return b
 }
 
+// count consumes a uint32 element count. A count of elements at least
+// minSize bytes each that cannot fit in the remaining bytes fails the
+// decode (ErrTruncated) and returns 0, so a corrupt count never sizes an
+// allocation.
+func (r *Reader) count(minSize int) int {
+	n := r.U32()
+	if uint64(n)*uint64(minSize) > uint64(r.Remaining()) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
+
 // U8 consumes one byte.
 func (r *Reader) U8() uint8 {
 	b := r.take(1)
