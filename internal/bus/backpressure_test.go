@@ -95,43 +95,6 @@ func TestInboxBackpressureProperty(t *testing.T) {
 	runBackpressure(t, nil)
 }
 
-// TestInboxBacklogCountsHeldBatch pins the property the repair snapshot
-// cut depends on: a batch PopAll has swapped out keeps counting toward
-// Backlog (the consumer may not have applied it yet) and stops only at the
-// consumer's next PopAll call. Regression test for the page-server
-// resilver race: the drain-wait looked at the queued depth alone, saw 0
-// while the survivor's executive still held undispatched page-outs, and
-// the clone cut missed them on both sides.
-func TestInboxBacklogCountsHeldBatch(t *testing.T) {
-	b := New(&trace.Metrics{}, nil)
-	in := b.Attach(0)
-	route := types.Route{Dst: 0, DstBackup: types.NoCluster, SrcBackup: types.NoCluster}
-	for i := 0; i < 3; i++ {
-		send(t, b, &types.Message{Kind: types.KindData, Route: route})
-	}
-	if n := in.Backlog(); n != 3 {
-		t.Fatalf("Backlog before pop = %d, want 3", n)
-	}
-	ms, ok := in.PopAll(nil)
-	if !ok || len(ms) != 3 {
-		t.Fatalf("PopAll = %d msgs, ok=%v", len(ms), ok)
-	}
-	if n := in.Backlog(); n != 3 {
-		t.Fatalf("Backlog after pop = %d, want 3 (held batch must count)", n)
-	}
-	send(t, b, &types.Message{Kind: types.KindData, Route: route})
-	if n := in.Backlog(); n != 4 {
-		t.Fatalf("Backlog with held batch + queued = %d, want 4", n)
-	}
-	ms, ok = in.PopAll(ms) // returning for more ends the previous loan
-	if !ok || len(ms) != 1 {
-		t.Fatalf("second PopAll = %d msgs, ok=%v", len(ms), ok)
-	}
-	if n := in.Backlog(); n != 1 {
-		t.Fatalf("Backlog after second pop = %d, want 1", n)
-	}
-}
-
 // TestInboxBackpressureUnderJitter reruns the property with the schedule
 // perturber's partial drains on: a random FIFO prefix per PopAll must not
 // weaken any of the three invariants.

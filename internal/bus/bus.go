@@ -228,9 +228,10 @@ func (b *Bus) offerLocked(m *types.Message, w *lossyWire) (int, error) {
 
 // globalKind reports whether a message kind is a membership-level event
 // that every live cluster must observe at the same point in the total
-// message order (§7.10.1), whatever its Route says.
+// message order (§7.10.1), whatever its Route says — or core's mark, the
+// barrier whose whole point is that position.
 func globalKind(k types.Kind) bool {
-	return k == types.KindBackupUp || k == types.KindCrashNotice
+	return k == types.KindBackupUp || k == types.KindCrashNotice || k == types.KindMark
 }
 
 // targetsLocked resolves one message's delivery targets to attached ports:
@@ -411,10 +412,6 @@ type Inbox struct {
 	limit  int // 0: unbounded
 	peak   int
 	closed bool
-	// borrowed is the size of the batch most recently handed out by PopAll
-	// and not yet returned — the consumer signals it is done by coming back
-	// for more (PopAll's contract already requires that). Backlog counts it.
-	borrowed int
 	// jitter, when non-nil, makes PopAll hand back a random FIFO *prefix*
 	// of the queue instead of the whole thing — the schedule perturber's
 	// delivery-order hook. A prefix never reorders messages within the
@@ -492,10 +489,6 @@ func (in *Inbox) stageLocked(m *types.Message) bool {
 func (in *Inbox) PopAll(buf []types.Message) ([]types.Message, bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	// Coming back for more means the previous batch has been fully consumed
-	// (the buffer-recycling contract above); it stops counting toward
-	// Backlog from here on.
-	in.borrowed = 0
 	for len(in.q) == 0 && !in.closed {
 		in.cond.Wait()
 	}
@@ -512,7 +505,6 @@ func (in *Inbox) PopAll(buf []types.Message) ([]types.Message, bool) {
 		if k := 1 + in.jitter.Intn(len(in.q)); k < len(in.q) {
 			ms := in.q[:k:k]
 			in.q = in.q[k:]
-			in.borrowed = k
 			in.cond.Signal() // tail still queued: keep the consumer awake
 			in.space.Broadcast()
 			return ms, true
@@ -520,23 +512,16 @@ func (in *Inbox) PopAll(buf []types.Message) ([]types.Message, bool) {
 	}
 	ms := in.q
 	in.q = buf[:0]
-	in.borrowed = len(ms)
 	in.space.Broadcast()
 	return ms, true
 }
 
-// Backlog returns the number of delivered-but-unconsumed messages: the
-// queued depth plus the batch the consumer currently holds. PopAll swaps
-// the queue out wholesale, so the queued depth alone reads 0 while the
-// consumer is still dispatching dozens of popped messages; anything that
-// needs "has everything delivered so far been APPLIED" — repair's snapshot
-// cut before cloning the page-server replica — needs the held batch
-// counted. The count is conservative: a fully dispatched batch keeps
-// counting until the consumer's next PopAll call returns it.
+// Backlog returns the number of delivered messages still queued: what the
+// consumer has not yet popped.
 func (in *Inbox) Backlog() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return len(in.q) + in.borrowed
+	return len(in.q)
 }
 
 // Close marks the inbox closed and wakes blocked readers and writers.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -72,12 +73,8 @@ func TestCrashProcessWithoutBackupIsLost(t *testing.T) {
 	if err := sys.CrashProcess(pid); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.ProcAlive(pid) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if sys.ProcAlive(pid) {
-		t.Fatal("unbacked process still listed after failure")
+	if err := sys.WaitExit(pid, 5*time.Second); !errors.Is(err, types.ErrTooManyFailures) {
+		t.Fatalf("unbacked process after its failure: %v, want it lost (types.ErrTooManyFailures)", err)
 	}
 	if sys.Kernel(2).Crashed() {
 		t.Fatal("cluster went down")

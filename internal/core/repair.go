@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"auragen/internal/directory"
@@ -25,13 +24,9 @@ import (
 // Repair call.
 var ErrRepairAborted = errors.New("core: repair aborted by a new failure")
 
-// repairEstablishTimeout bounds the per-process retry loop while the
-// directory catches up with the kernels during re-backup.
-const repairEstablishTimeout = 5 * time.Second
-
-// rebackYields is how many times rebackOne yields the processor, polling in
-// between, before it starts sleeping between polls.
-const rebackYields = 64
+// repairTimeout is the watchdog on each of a repair's waits: the
+// page-server clone and every process's re-backup.
+const repairTimeout = 5 * time.Second
 
 // Repair returns a failed cluster to service and drives the system back to
 // full redundancy — the paper's availability story (§2, §7.3, §7.10): a
@@ -45,9 +40,9 @@ const rebackYields = 64
 //	resilvering  failed disk mirrors are resilvered block-for-block from
 //	             their survivors; if the cluster hosted server twins
 //	             (clusters 0 and 1), the page-server replica is cloned from
-//	             the surviving instance's accounts before it rejoins the
-//	             ordered bus stream, and replacement file/process/terminal
-//	             server twins are mounted and synced up.
+//	             the surviving instance at a bus-ordered mark, and
+//	             replacement file/process/terminal server twins are mounted
+//	             and synced up.
 //	rebacking    every live process currently running without a backup —
 //	             promoted quarterbacks and halfbacks alike, not only the
 //	             halfbacks §7.3 ties to this event — gets a fresh backup
@@ -87,6 +82,7 @@ func (s *System) Repair(c types.ClusterID) error {
 	s.repairGen[c]++
 	gen := s.repairGen[c]
 	s.mu.Unlock()
+	s.dir.Notify()
 
 	// Repair replaces the hardware, so any previous kernel still running —
 	// a stale primary that never received its fencing notice — is powered
@@ -104,29 +100,13 @@ func (s *System) Repair(c types.ClusterID) error {
 	// frames still sitting in delay queues — is fenced on arrival.
 	s.dir.BumpIncarnation(c)
 
-	// Construct the replacement kernel outside the critical section:
-	// kernel.New attaches to the bus, a blocking cross-component call that
+	// Construct the replacement kernel outside the critical section: it
+	// attaches to the bus, a blocking cross-component call that
 	// must not run under s.mu (aurolint AURO004). The RepairBooting
 	// transition above already excludes a concurrent Repair of the same
 	// cluster, so publishing the kernel in a second critical section is
 	// race-free.
-	drain, rx := scheduleRNGs(s.opts.ScheduleSeed, c, gen)
-	k := kernel.New(kernel.Config{
-		ID:               c,
-		Bus:              s.bus,
-		Dir:              s.dir,
-		Registry:         s.registry,
-		Metrics:          s.metrics,
-		Log:              s.log,
-		PageSize:         s.opts.PageSize,
-		SyncReads:        s.opts.SyncReads,
-		SyncTicks:        s.opts.SyncTicks,
-		Clock:            s.opts.Clock,
-		PageFetchTimeout: s.opts.PageFetchTimeout,
-		DrainJitter:      drain,
-		RxJitter:         rx,
-		Strategy:         replicationStrategy(s.opts.Replication),
-	})
+	k := s.bootKernel(c, gen)
 	s.mu.Lock()
 	s.kernels[int(c)] = k
 	s.mu.Unlock()
@@ -165,6 +145,7 @@ func (s *System) setRepairPhase(c types.ClusterID, ph types.RepairPhase) {
 	s.mu.Lock()
 	s.repair[c] = ph
 	s.mu.Unlock()
+	s.dir.Notify()
 	s.logRepair(c, ph)
 }
 
@@ -183,10 +164,11 @@ func (s *System) logRepair(c types.ClusterID, ph types.RepairPhase) {
 
 // resilverStorage performs the storage half of a repair: failed disk
 // mirrors are rebuilt from their survivors, and — when the repaired cluster
-// hosted server twins — the page-server replica catches up from the
+// hosted server twins — the page-server replica is cloned from the
 // surviving instance and replacement peripheral-server twins are mounted
-// and synced up. The kernel is started here: after its servers are
-// registered, before the surviving primaries push catch-up syncs.
+// and synced up. The kernel is started here: after the clone and after its
+// servers are registered, before the surviving primaries push catch-up
+// syncs.
 func (s *System) resilverStorage(c types.ClusterID, k *kernel.Kernel) error {
 	// Mirrored pairs first: a mirror failure is a tolerated single fault
 	// (§7.1); repair returns every pair to two-copy redundancy.
@@ -205,81 +187,70 @@ func (s *System) resilverStorage(c types.ClusterID, k *kernel.Kernel) error {
 	other := types.ClusterID(1 - int(c))
 	otherK := s.kern(other)
 
-	// Page server: resilver a fresh replica from the survivor's accounts,
-	// then rejoin the replication set. The clone happens before the new
-	// kernel starts consuming the ordered bus stream, so the replica never
-	// observes a page-out it did not either clone or receive in order.
-	pagerDisk := disk.New(fmt.Sprintf("pager-mirror-%d-restored", c), s.opts.PageSize, 0, 1)
-	np := pager.New(c, pagerDisk)
+	// Page server: the survivor's kernel clones its replica into a fresh one
+	// when it dispatches a mark — Chandy–Lamport with a single marker. The
+	// new kernel attached to the bus before the mark was broadcast, so its
+	// inbox holds everything the bus orders after the mark, and the fresh
+	// replica is attached only when the new kernel dispatches the mark
+	// itself: what precedes it, the clone already holds. The new kernel is
+	// started after the clone; until then its inbox buffers its traffic.
+	np := pager.New(c, disk.New(fmt.Sprintf("pager-mirror-%d-restored", c), s.opts.PageSize, 0, 1))
 	np.SetEventLog(s.log)
-	// The snapshot-and-replay handoff must not lose a page-out: the new
-	// kernel already holds a bus inbox (attached in kernel.New), so every
-	// message broadcast from here on replays through it. What the clone
-	// must cover is everything broadcast BEFORE that attach — so wait for
-	// the survivor to drain its backlog of those, then snapshot under its
-	// kernel lock (dispatch applies page-outs under that lock, so nothing
-	// is mid-application at the cut). Messages in the overlap are applied
-	// twice; pager operations are content-addressed sets, so the replay is
-	// idempotent. Without the drain, a repair started while traffic is
-	// still in flight — e.g. retried immediately after a mid-repair abort —
-	// clones a snapshot missing page-outs the survivor had queued but not
-	// applied, and the replicas diverge permanently.
-	drainDeadline := time.Now().Add(5 * time.Second)
-	for otherK.InboxBacklog() > 0 && time.Now().Before(drainDeadline) {
-		time.Sleep(200 * time.Microsecond)
+	cloned := make(chan error, 1)
+	n := s.marks.Add(1)
+	otherK.AtMark(n, func() { cloned <- np.CloneFrom(s.pagers[int(other)]) })
+	k.SetPagerAt(np, n)
+	if err := s.mark(n); err != nil {
+		return fmt.Errorf("core: resilvering page server: %w", err)
 	}
-	var cloneErr error
-	injected := otherK.ServerInject(directory.PIDFileServer, func(*kernel.ServerCtx, kernel.Server) {
-		cloneErr = np.CloneFrom(s.pagers[int(other)])
+	err := s.awaitRepair(c, "resilvering page server", func() (string, error) {
+		select {
+		case err := <-cloned:
+			if err != nil {
+				return "", fmt.Errorf("core: resilvering page server: %w", err)
+			}
+			return "", nil
+		default:
+		}
+		if otherK.Crashed() {
+			return "", fmt.Errorf("core: %v failed before the page-server clone: %w", other, types.ErrTooManyFailures)
+		}
+		return fmt.Sprintf("%v has not dispatched mark %d", other, n), nil
 	})
-	if !injected {
-		cloneErr = np.CloneFrom(s.pagers[int(other)])
-	}
-	if cloneErr != nil {
-		return fmt.Errorf("core: resilvering page server: %w", cloneErr)
+	if err != nil {
+		return err
 	}
 	s.pagers[int(c)] = np
-	k.SetPager(np)
-	s.dir.SetBackup(directory.PIDPageServer, c)
 
-	// File server twin over the shared dual-ported disk.
-	fsPID := directory.PIDFileServer
-	fsTwin, err := fileserver.New(fsPID, c, s.fsDisk, s.fs[int(other)].Super(), false)
+	// Replacement twins of the other servers: the file server over the
+	// shared dual-ported disk, the terminal server over the shared device.
+	fsTwin, err := fileserver.New(directory.PIDFileServer, c, s.fsDisk, s.fs[int(other)].Super(), false)
 	if err != nil {
 		return fmt.Errorf("core: mounting file server twin: %w", err)
 	}
 	fsTwin.SyncEvery = s.fs[int(other)].SyncEvery
 	s.fs[int(c)] = fsTwin
-	k.RegisterServer(fsTwin, routing.Backup, other)
-	s.dir.SetBackup(fsPID, c)
-
-	// Process server twin.
-	procTwin := procserver.New(directory.PIDProcServer, k)
-	s.procSrv[int(c)] = procTwin
-	k.RegisterServer(procTwin, routing.Backup, other)
-	s.dir.SetBackup(directory.PIDProcServer, c)
-
-	// Terminal server twin over the shared device.
-	ttyTwin := ttyserver.New(directory.PIDTTYServer, s.ttyDevice)
-	s.ttySrv[int(c)] = ttyTwin
-	k.RegisterServer(ttyTwin, routing.Backup, other)
-	s.dir.SetBackup(directory.PIDTTYServer, c)
+	s.procSrv[int(c)] = procserver.New(directory.PIDProcServer, k)
+	s.ttySrv[int(c)] = ttyserver.New(directory.PIDTTYServer, s.ttyDevice)
+	for _, twin := range []kernel.Server{fsTwin, s.procSrv[int(c)], s.ttySrv[int(c)]} {
+		k.RegisterServer(twin, routing.Backup, other)
+	}
+	for _, pid := range []types.PID{directory.PIDPageServer, directory.PIDFileServer, directory.PIDProcServer, directory.PIDTTYServer} {
+		s.dir.SetBackup(pid, c)
+	}
 
 	k.Start()
 
 	// Bring the new twins current: force one sync from each surviving
 	// primary.
-	otherK.ServerInject(fsPID, func(ctx *kernel.ServerCtx, srv kernel.Server) {
+	otherK.ServerInject(directory.PIDFileServer, func(ctx *kernel.ServerCtx, srv kernel.Server) {
 		if fsrv, ok := srv.(*fileserver.Server); ok {
 			fsrv.SyncNow(ctx)
 		}
 	})
-	otherK.ServerInject(directory.PIDProcServer, func(ctx *kernel.ServerCtx, srv kernel.Server) {
-		ctx.Sync()
-	})
-	otherK.ServerInject(directory.PIDTTYServer, func(ctx *kernel.ServerCtx, srv kernel.Server) {
-		ctx.Sync()
-	})
+	for _, pid := range []types.PID{directory.PIDProcServer, directory.PIDTTYServer} {
+		otherK.ServerInject(pid, func(ctx *kernel.ServerCtx, _ kernel.Server) { ctx.Sync() })
+	}
 	return nil
 }
 
@@ -315,80 +286,61 @@ func (s *System) rebackAll(c types.ClusterID) error {
 // on the repaired cluster if the process is unbacked, then wait for the
 // backup shell to come up synced. It returns nil for processes that need
 // nothing (already backed and viable) or that stop existing along the way.
+//
+// Until the backup is viable, every change retries the establishment. The
+// directory is not the authority on whether a process is backed: it runs
+// ahead of the kernels while they catch up with a crash notice, and behind
+// them when an establishment finalizes after its target crashed, leaving a
+// backup recorded on a dead life of that cluster. The primary's kernel is
+// the authority, and EstablishBackup asks it: it refuses while the process
+// is backed or mid-establishment, and starts one otherwise.
 func (s *System) rebackOne(c types.ClusterID, pid types.PID) error {
-	deadline := time.Now().Add(repairEstablishTimeout)
-	var lastState string
-	for yields := 0; ; {
-		s.mu.Lock()
-		crashedAgain := s.crashed[c]
-		stopped := s.stopped
-		s.mu.Unlock()
-		if stopped {
-			return types.ErrShutdown
-		}
-		if crashedAgain {
-			// The cluster under repair failed again: abort cleanly. Crash
-			// handling has already aborted in-flight establishments
-			// targeting c.
-			return fmt.Errorf("core: %v crashed during re-backup: %w", c, ErrRepairAborted)
-		}
-
+	return s.awaitRepair(c, fmt.Sprintf("re-backing %s: backup not viable", pid), func() (string, error) {
 		loc, ok := s.dir.Proc(pid)
-		if !ok || loc.Cluster == types.NoCluster || s.dir.IsLost(pid) {
-			return nil // exited, or destroyed by a concurrent multiple failure
+		if !ok || loc.Cluster == types.NoCluster || loc.Cluster == c || s.dir.IsLost(pid) {
+			// Exited, destroyed by a concurrent multiple failure, or
+			// living on the repaired cluster itself.
+			return "", nil
 		}
-		if loc.Cluster == c {
-			return nil // lives on the repaired cluster itself
-		}
-		if loc.BackupCluster != types.NoCluster {
-			// Backed — pre-existing or just established here. Wait until
-			// the shell is viable (its establishment sync applied), so the
-			// rebacking phase ends only when the backup could actually
-			// take over.
-			if bk := s.kern(loc.BackupCluster); bk != nil && !bk.Crashed() {
-				ep, viable, ok := bk.BackupStatus(pid)
-				if ok && viable {
-					return nil
-				}
-				lastState = fmt.Sprintf("backup on %v: shell=%v viable=%v epoch=%v", loc.BackupCluster, ok, viable, ep)
-			} else {
-				lastState = fmt.Sprintf("backup cluster %v is down", loc.BackupCluster)
+		state := fmt.Sprintf("directory backup %v", loc.BackupCluster)
+		if bk := s.kern(loc.BackupCluster); bk != nil && !bk.Crashed() {
+			ep, viable, ok := bk.BackupStatus(pid)
+			if ok && viable {
+				return "", nil
 			}
-		} else {
-			pk := s.kern(loc.Cluster)
-			if pk == nil || pk.Crashed() {
-				return nil // its cluster just died; the next repair picks it up
-			}
-			err := pk.EstablishBackup(pid, c)
-			switch {
-			case err == nil:
-				lastState = "establishment initiated"
-			case errors.Is(err, types.ErrNoProcess), errors.Is(err, types.ErrExists), errors.Is(err, types.ErrNoCluster):
-				// The directory can run ahead of the kernels (locations
-				// update when the crash is detected; the kernels catch up
-				// when they process the notice): retry on "not promoted
-				// yet", "stale backup field not yet cleared", and
-				// "establishment already in flight".
-				lastState = err.Error()
-			default:
-				return fmt.Errorf("core: re-establishing backup for %s: %w", pid, err)
-			}
+			state += fmt.Sprintf(": shell=%v viable=%v epoch=%v", ok, viable, ep)
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: re-backing %s: backup not viable after %v (%s)", pid, repairEstablishTimeout, lastState)
+		pk := s.kern(loc.Cluster)
+		if pk == nil || pk.Crashed() {
+			return "", nil // its cluster just died; the next repair picks it up
 		}
-		// Establishment is a few message hops, tens of microseconds when the
-		// process is at a read point: give the kernels the processor a few
-		// times before falling back to the timed poll. A sleep that ends
-		// after the system has gone idle is woken by the runtime's idle
-		// path, which on a one-processor guest can take milliseconds.
-		if yields < rebackYields {
-			yields++
-			runtime.Gosched()
-		} else {
-			time.Sleep(200 * time.Microsecond)
+		switch err := pk.EstablishBackup(pid, c); {
+		case err == nil:
+			return state + "; establishment initiated", nil
+		case errors.Is(err, types.ErrNoProcess), errors.Is(err, types.ErrExists), errors.Is(err, types.ErrNoCluster):
+			// "Not promoted yet", "backed or establishing", "target not
+			// attached": look again at the next change.
+			return state + "; " + err.Error(), nil
+		default:
+			return "", fmt.Errorf("core: re-establishing backup for %s: %w", pid, err)
 		}
-	}
+	})
+}
+
+// awaitRepair is await for one step of c's repair: a new crash of c aborts
+// the repair.
+func (s *System) awaitRepair(c types.ClusterID, what string, cond func() (string, error)) error {
+	return s.await(what, repairTimeout, func() (string, error) {
+		s.mu.Lock()
+		crashed := s.crashed[c]
+		s.mu.Unlock()
+		if crashed {
+			// Crash handling has already aborted in-flight establishments
+			// targeting c.
+			return "", fmt.Errorf("core: %v crashed during repair: %w", c, ErrRepairAborted)
+		}
+		return cond()
+	})
 }
 
 // RedundancyGaps reports everything still standing between the system and
@@ -398,7 +350,7 @@ func (s *System) rebackOne(c types.ClusterID, pid types.PID) error {
 // has a standby twin, every mirrored pair is block-identical, and both
 // page-server replicas hold identical content. Transient gaps (a sync in
 // flight, an establishment mid-protocol) are expected while traffic flows;
-// WaitRedundant polls until they close.
+// WaitRedundant waits for them to close.
 func (s *System) RedundancyGaps() []string {
 	var gaps []string
 
@@ -467,42 +419,26 @@ func (s *System) RedundancyGaps() []string {
 	return gaps
 }
 
-// WaitRedundant blocks until RedundancyGaps is empty or the timeout
-// elapses; the error lists the gaps still open.
+// WaitRedundant blocks until RedundancyGaps is empty; the watchdog error
+// lists the gaps still open.
 func (s *System) WaitRedundant(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	var gaps []string
-	for {
-		gaps = s.RedundancyGaps()
-		if len(gaps) == 0 {
-			return nil
+	return s.await("not redundant", timeout, func() (string, error) {
+		if gaps := s.RedundancyGaps(); len(gaps) > 0 {
+			return fmt.Sprint(gaps), nil
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: not redundant after %v: %v", timeout, gaps)
-		}
-		time.Sleep(500 * time.Microsecond)
-	}
+		return "", nil
+	})
 }
 
 // WaitBackups blocks until every given process has a backup cluster
-// recorded, or the timeout elapses.
+// recorded.
 func (s *System) WaitBackups(pids []types.PID, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		all := true
+	return s.await("backups not established", timeout, func() (string, error) {
 		for _, pid := range pids {
-			loc, ok := s.dir.Proc(pid)
-			if !ok || loc.BackupCluster == types.NoCluster {
-				all = false
-				break
+			if loc, ok := s.dir.Proc(pid); !ok || loc.BackupCluster == types.NoCluster {
+				return pid.String() + " has no backup", nil
 			}
 		}
-		if all {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: backups not established after %v", timeout)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+		return "", nil
+	})
 }

@@ -10,7 +10,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"auragen/internal/bus"
@@ -135,6 +137,8 @@ type System struct {
 	// corruptOnce installs the bus corrupter closure exactly once (see
 	// ArmBusCorrupt in partition.go).
 	corruptOnce sync.Once
+	// marks numbers the marks core broadcasts (KindMark).
+	marks atomic.Uint64
 }
 
 // scheduleRNGs derives one cluster's schedule-perturbation RNG pair
@@ -148,6 +152,28 @@ func scheduleRNGs(seed uint64, c types.ClusterID, gen uint64) (drain, rx *types.
 	}
 	base := types.NewRNG(seed ^ uint64(c+1)*0x9E3779B97F4A7C15 ^ (gen+1)*0xA0761D6478BD642F)
 	return types.NewRNG(base.Next()), types.NewRNG(base.Next())
+}
+
+// bootKernel constructs cluster c's kernel for its gen-th service life (0 at
+// boot, then its repair count) and attaches it to the bus.
+func (s *System) bootKernel(c types.ClusterID, gen uint64) *kernel.Kernel {
+	drain, rx := scheduleRNGs(s.opts.ScheduleSeed, c, gen)
+	return kernel.New(kernel.Config{
+		ID:               c,
+		Bus:              s.bus,
+		Dir:              s.dir,
+		Registry:         s.registry,
+		Metrics:          s.metrics,
+		Log:              s.log,
+		PageSize:         s.opts.PageSize,
+		SyncReads:        s.opts.SyncReads,
+		SyncTicks:        s.opts.SyncTicks,
+		Clock:            s.opts.Clock,
+		PageFetchTimeout: s.opts.PageFetchTimeout,
+		DrainJitter:      drain,
+		RxJitter:         rx,
+		Strategy:         replicationStrategy(s.opts.Replication),
+	})
 }
 
 // SpawnConfig places one process.
@@ -207,24 +233,7 @@ func New(opts Options, registry *guest.Registry) (*System, error) {
 	s.bus = bus.New(s.metrics, s.log)
 
 	for i := 0; i < opts.Clusters; i++ {
-		drain, rx := scheduleRNGs(opts.ScheduleSeed, types.ClusterID(i), 0)
-		k := kernel.New(kernel.Config{
-			ID:               types.ClusterID(i),
-			Bus:              s.bus,
-			Dir:              s.dir,
-			Registry:         registry,
-			Metrics:          s.metrics,
-			Log:              s.log,
-			PageSize:         opts.PageSize,
-			SyncReads:        opts.SyncReads,
-			SyncTicks:        opts.SyncTicks,
-			Clock:            opts.Clock,
-			PageFetchTimeout: opts.PageFetchTimeout,
-			DrainJitter:      drain,
-			RxJitter:         rx,
-			Strategy:         replicationStrategy(opts.Replication),
-		})
-		s.kernels = append(s.kernels, k)
+		s.kernels = append(s.kernels, s.bootKernel(types.ClusterID(i), 0))
 	}
 
 	k0, k1 := s.kernels[0], s.kernels[1]
@@ -311,11 +320,7 @@ func (s *System) Directory() *directory.Directory { return s.dir }
 
 // Kernel returns the kernel of cluster c (the current one: Repair
 // replaces a crashed cluster's kernel with a fresh boot).
-func (s *System) Kernel(c types.ClusterID) *kernel.Kernel {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.kernels[int(c)]
-}
+func (s *System) Kernel(c types.ClusterID) *kernel.Kernel { return s.kern(c) }
 
 // kern is the locked accessor used internally.
 func (s *System) kern(c types.ClusterID) *kernel.Kernel {
@@ -451,6 +456,7 @@ func (s *System) Crash(c types.ClusterID) error {
 	}
 	s.crashed[c] = true
 	s.mu.Unlock()
+	s.dir.Notify()
 
 	// The cluster halts first (volatile state lost) ...
 	s.kern(c).Crash()
@@ -627,60 +633,103 @@ func (s *System) TerminalOutput(term int) []string {
 	return s.ttyDevice.Output(term)
 }
 
-// ProcAlive reports whether pid is currently a live process somewhere.
-func (s *System) ProcAlive(pid types.PID) bool {
-	loc, ok := s.dir.Proc(pid)
-	return ok && loc.Cluster != types.NoCluster
+// WaitExit blocks until pid exits (is removed from the global process
+// table). A process destroyed by a multiple failure, or stranded by a
+// degraded (bus-cut) cluster, is not an exit: WaitExit reports
+// types.ErrTooManyFailures instead of success or a hang.
+func (s *System) WaitExit(pid types.PID, timeout time.Duration) error {
+	return s.await(pid.String()+" still alive", timeout, func() (string, error) {
+		loc, ok := s.dir.Proc(pid)
+		switch {
+		case s.dir.IsLost(pid):
+			return "", fmt.Errorf("core: %s destroyed by multiple failures: %w", pid, types.ErrTooManyFailures)
+		case !ok || loc.Cluster == types.NoCluster:
+			return "", nil
+		case s.Degraded():
+			return "", fmt.Errorf("core: %s stranded, system degraded: %w", pid, types.ErrTooManyFailures)
+		}
+		return fmt.Sprintf("running on %v", loc.Cluster), nil
+	})
 }
 
-// WaitExit blocks until pid exits (is removed from the global process
-// table) or the timeout elapses. A process destroyed by a multiple
-// failure, or stranded by a degraded (bus-cut) cluster, is not an exit:
-// WaitExit reports types.ErrTooManyFailures instead of success or a hang.
-func (s *System) WaitExit(pid types.PID, timeout time.Duration) error {
+// Settle waits until the system is quiescent: every kernel has dispatched
+// what the bus carried and nothing new was transmitted meanwhile. It repeats
+// one barrier round — broadcast a mark, wait for every reachable kernel to
+// dispatch it — until a round carries no transmission but its own mark, or
+// the timeout expires. Best-effort: aurosim, the soak and tests call it
+// between phases.
+func (s *System) Settle(timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
-	for {
-		if s.dir.IsLost(pid) {
-			return fmt.Errorf("core: %s destroyed by multiple failures: %w", pid, types.ErrTooManyFailures)
+	for time.Now().Before(deadline) {
+		live, before, n := s.bus.Live(), s.metrics.BusTransmissions.Load(), s.marks.Add(1)
+		if s.mark(n) != nil {
+			return
 		}
-		if !s.ProcAlive(pid) {
-			return nil
+		err := s.await("settle", time.Until(deadline), func() (string, error) {
+			for _, c := range live {
+				if k := s.kern(c); k.Marked() < n && !k.Crashed() && s.bus.Reachable(c) {
+					return fmt.Sprintf("%v has not dispatched mark %d", c, n), nil
+				}
+			}
+			return "", nil
+		})
+		if err != nil || s.metrics.BusTransmissions.Load() == before+1 {
+			return
 		}
-		if s.Degraded() {
-			return fmt.Errorf("core: %s stranded, system degraded: %w", pid, types.ErrTooManyFailures)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: %s still alive after %v", pid, timeout)
-		}
-		time.Sleep(200 * time.Microsecond)
 	}
 }
 
-// Settle waits until the system is quiescent: no queued bus traffic and no
-// runnable syscall activity for two consecutive polls. Best-effort; used by
-// tests between scenario phases.
-func (s *System) Settle(timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	stable := 0
-	var last trace.Snapshot
-	for time.Now().Before(deadline) && stable < 3 {
-		snap := s.metrics.Snapshot()
-		if last != nil {
-			same := true
-			for k, v := range snap {
-				if last[k] != v {
-					same = false
-					break
-				}
-			}
-			if same {
-				stable++
-			} else {
-				stable = 0
-			}
+// mark broadcasts core's mark n (KindMark). Core transmits it, as it does a
+// crash notice: Origin NoCluster, so no link cut or incarnation fence
+// applies, and every attached cluster receives it.
+func (s *System) mark(n uint64) error {
+	_, err := s.bus.BroadcastBatch([]*types.Message{{
+		Kind:    types.KindMark,
+		Origin:  types.NoCluster,
+		Payload: kernel.Encode(&kernel.Mark{N: n}),
+	}})
+	return err
+}
+
+// await is core's one way to wait. It blocks until cond reports done (no
+// state, no error) or fails, and looks again whenever something changes: a
+// directory write, a kernel's dispatch of control traffic or its
+// degradation, or one of core's own transitions (Directory.Changed). The
+// timeout is only a watchdog: its error reports the state cond describes at
+// that moment — or, if cond holds by then, a lost wakeup, a change nobody
+// announced, which must fail a test rather than pass as a slow success.
+// Stop ends every wait with types.ErrShutdown.
+func (s *System) await(what string, timeout time.Duration, cond func() (state string, err error)) error {
+	watchdog := time.NewTimer(timeout)
+	defer watchdog.Stop()
+	for {
+		changed := s.dir.Changed()
+		s.mu.Lock()
+		stopped := s.stopped
+		s.mu.Unlock()
+		if stopped {
+			return types.ErrShutdown
 		}
-		last = snap
-		time.Sleep(2 * time.Millisecond)
+		state, err := cond()
+		if err != nil || state == "" {
+			return err
+		}
+		select {
+		case <-changed:
+			// Yield once before looking. The close that woke this waiter
+			// gave it the processor's next slot, ahead of the process the
+			// same dispatch woke; a waiter is background work and goes
+			// behind the workload's hand-offs instead.
+			runtime.Gosched()
+		case <-watchdog.C:
+			switch state, err = cond(); {
+			case err != nil:
+				return err
+			case state == "":
+				return fmt.Errorf("core: %s: lost wakeup: the condition held when the %v watchdog fired, but no change announced it", what, timeout)
+			}
+			return fmt.Errorf("core: %s after %v (%s)", what, timeout, state)
+		}
 	}
 }
 
@@ -694,6 +743,7 @@ func (s *System) Stop() {
 	s.stopped = true
 	ks := append([]*kernel.Kernel(nil), s.kernels...)
 	s.mu.Unlock()
+	s.dir.Notify()
 	s.detector.Stop()
 	for _, k := range ks {
 		if !k.Crashed() {

@@ -17,6 +17,7 @@ package directory
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"auragen/internal/types"
 )
@@ -80,6 +81,9 @@ type Directory struct {
 
 	nextPID     types.PID
 	nextChannel types.ChannelID
+
+	// changed is the channel the next Notify closes (nil: nobody waits).
+	changed atomic.Pointer[chan struct{}]
 }
 
 // New returns an empty directory.
@@ -91,6 +95,42 @@ func New() *Directory {
 		incs:        make(map[types.ClusterID]types.Incarnation),
 		nextPID:     FirstUserPID,
 		nextChannel: 1,
+	}
+}
+
+// Changed returns a channel that the next Notify closes. A waiter takes it
+// BEFORE it looks at the state it waits for and then blocks on it: a change
+// made after the look closes the channel, and one made before it is seen by
+// the look, so no change is missed. Every location write notifies (write);
+// kernels notify after dispatching bus-ordered control traffic, and core
+// after its own transitions.
+func (d *Directory) Changed() <-chan struct{} {
+	for {
+		if p := d.changed.Load(); p != nil {
+			return *p
+		}
+		ch := make(chan struct{})
+		if d.changed.CompareAndSwap(nil, &ch) {
+			return ch
+		}
+	}
+}
+
+// Notify wakes everyone holding a Changed channel. With nobody waiting it
+// costs one atomic load.
+func (d *Directory) Notify() {
+	if p := d.changed.Load(); p != nil && d.changed.CompareAndSwap(p, nil) {
+		close(*p)
+	}
+}
+
+// write locks the directory for a location write and returns what ends
+// it: unlock, then Notify.
+func (d *Directory) write() (end func()) {
+	d.mu.Lock()
+	return func() {
+		d.mu.Unlock()
+		d.Notify()
 	}
 }
 
@@ -114,8 +154,7 @@ func (d *Directory) AllocChannel() types.ChannelID {
 
 // SetService records the clusters hosting a server.
 func (d *Directory) SetService(pid types.PID, loc ServiceLoc) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.write()()
 	d.services[pid] = loc
 }
 
@@ -131,8 +170,7 @@ func (d *Directory) Service(pid types.PID) (ServiceLoc, bool) {
 // primary cluster's current incarnation, so every route read back from the
 // directory names the cluster life it was placed in.
 func (d *Directory) SetProc(pid types.PID, loc ProcLoc) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.write()()
 	if loc.Inc == 0 && loc.Cluster != types.NoCluster {
 		loc.Inc = d.incarnationLocked(loc.Cluster)
 	}
@@ -149,8 +187,7 @@ func (d *Directory) Proc(pid types.PID) (ProcLoc, bool) {
 
 // RemoveProc forgets an exited process.
 func (d *Directory) RemoveProc(pid types.PID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.write()()
 	delete(d.procs, pid)
 }
 
@@ -188,8 +225,7 @@ func (d *Directory) IsFullback(pid types.PID) bool {
 // locations are updated the same way. It returns the pids whose primaries
 // moved (i.e. whose backups must be promoted somewhere).
 func (d *Directory) ApplyCrash(crashed types.ClusterID) []types.PID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.write()()
 	// The declared-dead cluster's service life ends here, whether the
 	// declaration was accurate or a detector false positive: if a live
 	// kernel is still running behind a partition it is now a superseded
@@ -252,8 +288,7 @@ func (d *Directory) incarnationLocked(c types.ClusterID) types.Incarnation {
 // on repaired hardware, so the replacement never shares an incarnation
 // with the life the crash (or wrongful declaration) ended.
 func (d *Directory) BumpIncarnation(c types.ClusterID) types.Incarnation {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.write()()
 	d.incs[c] = d.incarnationLocked(c) + 1
 	return d.incs[c]
 }
@@ -263,8 +298,7 @@ func (d *Directory) BumpIncarnation(c types.ClusterID) types.Incarnation {
 // It returns the new primary cluster (NoCluster if the process had no
 // backup and is therefore lost).
 func (d *Directory) ApplyCrashProcess(pid types.PID) types.ClusterID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.write()()
 	l, ok := d.procs[pid]
 	if !ok {
 		return types.NoCluster
@@ -285,8 +319,7 @@ func (d *Directory) ApplyCrashProcess(pid types.PID) types.ClusterID {
 // promoted backup whose page restore could not complete because the page
 // account's hosts were also gone). The location entry, if any, is removed.
 func (d *Directory) MarkLost(pid types.PID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.write()()
 	delete(d.procs, pid)
 	d.lost[pid] = true
 }
@@ -313,8 +346,7 @@ func (d *Directory) Lost() []types.PID {
 // SetBackup records a newly created backup location for pid (fullback
 // re-backup, or a halfback's cluster returning to service).
 func (d *Directory) SetBackup(pid types.PID, backup types.ClusterID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.write()()
 	if l, ok := d.procs[pid]; ok {
 		l.BackupCluster = backup
 		d.procs[pid] = l

@@ -36,7 +36,9 @@ import (
 //     exactly as §5 maintains it.
 //
 // The call is asynchronous; completion is visible as a non-NoCluster
-// backup cluster in the directory.
+// backup cluster in the directory. A promoted process is established only
+// once its roll-forward has regenerated every send its dead primary let
+// escape (its suppression debt is paid).
 func (k *Kernel) EstablishBackup(pid types.PID, target types.ClusterID) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -46,6 +48,13 @@ func (k *Kernel) EstablishBackup(pid types.PID, target types.ClusterID) error {
 	p, ok := k.procs[pid]
 	if !ok {
 		return fmt.Errorf("kernel: establish %s: %w", pid, types.ErrNoProcess)
+	}
+	if p.suppressTotal > 0 {
+		// A promoted backup still regenerating what its dead primary let
+		// escape: an establishment sync cut inside that replay gave the new
+		// backup an input order the llft roll-forward did not reproduce.
+		// writeLocked notifies the directory when the debt is paid.
+		return fmt.Errorf("kernel: %s still rolling forward: %w", pid, types.ErrExists)
 	}
 	err := k.establishBackupLocked(p, target)
 	k.transmitLocked()

@@ -111,6 +111,9 @@ func payloadCases() []payloadCase {
 			"6500000000000000030000000200000001"),
 		described("BackupAck", &BackupAck{PID: 101, From: 3},
 			"650000000000000003000000"),
+		// Mark came after the capture; its bytes are one little-endian u64.
+		described("Mark", &Mark{N: 0x0102030405060708},
+			"0807060504030201"),
 		described("BackupImage", goldenBackupImage(),
 			"2b01000038373635343332314443424102000000670000000000000068000000000000000b00000062616e6b2d736572"+
 				"76657202640000000000000063000000000000000e00000062616e6b2032302031303030203302000000030000000102"+

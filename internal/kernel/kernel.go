@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"auragen/internal/bus"
@@ -223,6 +224,13 @@ type Kernel struct {
 	pager      PagerSink
 
 	arrival types.Seq
+	// marked is the highest core mark (KindMark) dispatched here, and
+	// atMark what to run when a given mark is dispatched (AtMark).
+	marked atomic.Uint64
+	atMark map[uint64]func()
+	// changed records that the batch being dispatched carried control
+	// traffic; dispatchBatch then tells core's waits (directory Notify).
+	changed bool
 
 	// guestErrs retains the most recent guest failures for post-mortems
 	// (software faults are outside the paper's fault model, but tests need
@@ -301,6 +309,7 @@ func New(cfg Config) *Kernel {
 		births:     make(map[types.PID][]*BirthNotice),
 		nondetLogs: make(map[types.PID][]uint64),
 		servers:    make(map[types.PID]*ServerHost),
+		atMark:     make(map[uint64]func()),
 		dieCh:      make(chan struct{}),
 		maxBatch:   cfg.MaxBatch,
 
@@ -330,6 +339,22 @@ func (k *Kernel) SetPager(p PagerSink) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.pager = p
+}
+
+// SetPagerAt attaches p when this kernel dispatches core's mark n, so p
+// applies only what the bus orders after the mark: the page-server replica
+// a repair clones from the survivor at that same mark (core.Repair).
+func (k *Kernel) SetPagerAt(p PagerSink, n uint64) {
+	k.AtMark(n, func() { k.pager = p })
+}
+
+// AtMark runs fn under the kernel lock when this kernel dispatches core's
+// mark n: at the mark's place in the bus order, when everything ordered
+// before it has been dispatched here and nothing after it has.
+func (k *Kernel) AtMark(n uint64, fn func()) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.atMark[n] = fn
 }
 
 // Start launches the executive processor's receive loop.
@@ -416,6 +441,7 @@ func (k *Kernel) enterDegraded(cause error) {
 	}
 	k.closeDieLocked()
 	k.mu.Unlock()
+	k.dir.Notify()
 	k.log.Add(trace.EvNote, fmt.Sprintf("%s: degraded, bus unreachable after %d attempts: %v",
 		k.id, txMaxAttempts, cause))
 }
@@ -479,19 +505,10 @@ func (k *Kernel) BackupStatus(pid types.PID) (epoch types.Epoch, viable bool, ok
 	return b.epoch, !b.requiresSync || b.synced, true
 }
 
-// InboxBacklog returns the number of bus messages received but not yet
-// dispatched — including the batch the receive loop has popped and is
-// still working through, which the raw queue length misses. Repair polls
-// it on the surviving server cluster before cloning the page-server
-// replica: once the backlog is empty, everything broadcast before the
-// repaired kernel reattached has been applied, so a snapshot plus the
-// repaired kernel's own inbox replay covers the stream with no gap.
-// Counting the in-flight batch is what makes that true: a snapshot cut
-// while the executive still held popped page-outs would miss them on
-// both sides, permanently diverging the replicas.
-func (k *Kernel) InboxBacklog() int {
-	return k.inbox.Backlog()
-}
+// Marked returns the highest core mark (KindMark) this kernel has
+// dispatched: everything the bus ordered before that mark has been
+// dispatched here.
+func (k *Kernel) Marked() uint64 { return k.marked.Load() }
 
 // NumProcs returns the number of live processes.
 func (k *Kernel) NumProcs() int {
@@ -716,9 +733,10 @@ func growStack() byte {
 // dispatchBatch dispatches one drained batch under a single acquisition of
 // k.mu and then transmits what the batch queued (server replies, forwards,
 // promotion traffic), so the receive loop never goes back to sleep on
-// output of its own. The kernel never writes to the buffer's messages and
-// keeps only copies of them, which is what lets rxLoop recycle the buffer on
-// its next PopAll.
+// output of its own. A batch that carried control traffic wakes core's
+// waits once, after k.mu is released; a data-only batch pays one branch.
+// The kernel never writes to the buffer's messages and keeps only copies of
+// them, which is what lets rxLoop recycle the buffer on its next PopAll.
 func (k *Kernel) dispatchBatch(ms []types.Message) {
 	k.mu.Lock()
 	for i := range ms {
@@ -732,6 +750,10 @@ func (k *Kernel) dispatchBatch(ms []types.Message) {
 		}
 	}
 	k.transmitLocked()
+	if k.changed {
+		k.changed = false
+		defer k.dir.Notify() // after the unlock
+	}
 	k.mu.Unlock()
 }
 
@@ -812,6 +834,7 @@ func (k *Kernel) dispatchLocked(in *types.Message) {
 	switch m.Kind {
 	case types.KindData, types.KindOpenRequest, types.KindOpenReply, types.KindSignal:
 		k.dispatchChannelMessage(m)
+		return
 	case types.KindSync:
 		k.dispatchSync(m, m.Payload)
 	case types.KindCheckpoint:
@@ -873,10 +896,21 @@ func (k *Kernel) dispatchLocked(in *types.Message) {
 		k.dispatchServerSync(m)
 	case types.KindPageRequest:
 		// Handled above, before any arrival state is stamped.
+	case types.KindMark:
+		if mk, err := Decode[Mark](m.Payload); err == nil {
+			k.marked.Store(max(k.marked.Load(), mk.N))
+			if fn, ok := k.atMark[mk.N]; ok {
+				delete(k.atMark, mk.N)
+				fn()
+			}
+		}
 	case types.KindInvalid, types.KindHeartbeat:
 		// KindInvalid is never transmitted; heartbeats are answered by the
 		// failure detector's probe path, not the executive processor.
 	}
+	// Control traffic is what core's waits watch (§7.10: a kernel's state
+	// changes when it dispatches a bus-ordered message).
+	k.changed = true
 }
 
 // retain returns the heap copy of an arriving message that a system server

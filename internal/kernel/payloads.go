@@ -501,6 +501,13 @@ func (cn *CrashNotice) codec(c *wire.Codec) {
 	c.U32((*uint32)(&cn.Inc))
 }
 
+// Mark is the payload of a KindMark message: core's mark number N.
+type Mark struct {
+	N uint64
+}
+
+func (mk *Mark) codec(c *wire.Codec) { c.U64(&mk.N) }
+
 // BackupUp is the payload of a KindBackupUp message: a fullback's new
 // backup exists at the given cluster, so channels to it are usable again
 // (§7.10.1).

@@ -93,6 +93,9 @@ func (k *Kernel) writeLocked(p *PCB, fd types.FD, kind types.Kind, data []byte) 
 			p.suppress[ch] = n - 1
 		}
 		p.suppressTotal--
+		if p.suppressTotal == 0 {
+			k.dir.Notify() // the roll-forward caught up: EstablishBackup may go ahead
+		}
 		k.metrics.SuppressedSends.Add(1)
 		if k.log != nil {
 			// The hash pairs this suppression with the EvTransmit of the

@@ -221,10 +221,11 @@ func replayableKind(kind types.Kind) bool {
 		types.KindCrashNotice, types.KindBackupUp, types.KindServerSync,
 		types.KindHeartbeat, types.KindExitNotice,
 		types.KindBackupCreate, types.KindBackupAck,
-		types.KindDecision, types.KindCheckpoint:
+		types.KindDecision, types.KindCheckpoint, types.KindMark:
 		// Decisions and checkpoints are control plane: a decision installs
 		// into BackupPCB.decisions (replayed as the signal plan, not as a
-		// queued message), and checkpoints travel the sync path.
+		// queued message), and checkpoints travel the sync path. A mark is
+		// core's barrier and concerns no process.
 		return false
 	}
 	return false

@@ -252,19 +252,13 @@ func (k *Kernel) promoteServerLocked(host *ServerHost) {
 // lock, giving device drivers (terminal input, timers) a way into the
 // message world. Peripheral servers access their devices via special system
 // calls unavailable to user processes (§4); this is that path.
-func (k *Kernel) ServerInject(pid types.PID, fn func(*ServerCtx, Server)) bool {
+func (k *Kernel) ServerInject(pid types.PID, fn func(*ServerCtx, Server)) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.crashed || k.stopped {
-		return false
+	if host, ok := k.servers[pid]; ok && !k.crashed && !k.stopped {
+		fn(k.serverCtx(host), host.impl)
+		k.transmitLocked()
 	}
-	host, ok := k.servers[pid]
-	if !ok {
-		return false
-	}
-	fn(k.serverCtx(host), host.impl)
-	k.transmitLocked()
-	return true
 }
 
 // ServerRole reports the local instance's current role for pid.

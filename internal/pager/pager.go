@@ -18,6 +18,8 @@ package pager
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -243,96 +245,69 @@ func (s *Server) HandlePageRequest(pid types.PID) []memory.Page {
 
 // CloneFrom rebuilds this instance's tables and disk mirror from a healthy
 // peer — the resilver step when a pager cluster returns to service after a
-// failure. Call before exposing this instance to bus traffic; page-outs
-// processed by the source during the copy are not reflected, so the caller
-// restores service locations only afterwards (see core.System.Repair).
+// failure. The copy is consistent only if nothing is applied to src while it
+// runs: core.Repair calls it from src's kernel, at its dispatch of a mark.
 func (s *Server) CloneFrom(src *Server) error {
 	src.mu.Lock()
-	type acctPage struct {
-		pid  types.PID
-		no   memory.PageNo
-		blk  disk.BlockID
-		prim bool
-	}
-	var pages []acctPage
-	for pid, acct := range src.primary {
-		for no, b := range acct {
-			pages = append(pages, acctPage{pid, no, b, true})
+	prim, back := cloneAccounts(src.primary), cloneAccounts(src.backup)
+	data := make(map[disk.BlockID][]byte)
+	var err error
+	for _, tbl := range [2]map[types.PID]account{prim, back} {
+		for _, acct := range tbl {
+			for _, b := range acct {
+				if _, done := data[b]; !done && err == nil {
+					data[b], err = src.disk.Read(src.cluster, b)
+				}
+			}
 		}
 	}
-	for pid, acct := range src.backup {
-		for no, b := range acct {
-			pages = append(pages, acctPage{pid, no, b, false})
-		}
-	}
-	blocks := make(map[disk.BlockID][]byte)
-	for _, p := range pages {
-		if _, done := blocks[p.blk]; done {
-			continue
-		}
-		data, err := src.disk.Read(src.cluster, p.blk)
-		if err != nil {
-			src.mu.Unlock()
-			return err
-		}
-		blocks[p.blk] = data
-	}
-	epochs := make(map[types.PID]types.Epoch, len(src.epoch))
-	for pid, e := range src.epoch {
-		epochs[pid] = e
-	}
-	primClusters := make(map[types.PID]types.ClusterID, len(src.primaryCluster))
-	for pid, c := range src.primaryCluster {
-		primClusters[pid] = c
-	}
+	epochs, primClusters := maps.Clone(src.epoch), maps.Clone(src.primaryCluster)
 	touched := make(map[types.PID][]memory.PageNo, len(src.touched))
 	for pid, nos := range src.touched {
-		touched[pid] = append([]memory.PageNo(nil), nos...)
+		touched[pid] = slices.Clone(nos)
 	}
 	src.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.primary = make(map[types.PID]account)
-	s.backup = make(map[types.PID]account)
+	s.primary, s.backup = prim, back
 	s.refs = make(map[disk.BlockID]int)
-	s.epoch = epochs
-	s.primaryCluster = primClusters
-	s.touched = touched
-	// Blocks shared between accounts at the source stay shared here.
-	memo := make(map[disk.BlockID]disk.BlockID, len(blocks))
-	place := func(srcBlk disk.BlockID) (disk.BlockID, error) {
-		if b, ok := memo[srcBlk]; ok {
-			return b, nil
+	s.epoch, s.primaryCluster, s.touched = epochs, primClusters, touched
+	// Blocks shared between accounts at the source stay shared here: each
+	// source block is written once, and the copied accounts are pointed at
+	// the new blocks in place.
+	placed := make(map[disk.BlockID]disk.BlockID, len(data))
+	for _, tbl := range [2]map[types.PID]account{prim, back} {
+		for _, acct := range tbl {
+			for no, b := range acct {
+				id, ok := placed[b]
+				if !ok {
+					if id, err = s.disk.Alloc(s.cluster); err == nil {
+						err = s.disk.Write(s.cluster, id, data[b])
+					}
+					if err != nil {
+						return err
+					}
+					placed[b] = id
+				}
+				acct[no] = id
+				s.incRef(id)
+			}
 		}
-		id, err := s.disk.Alloc(s.cluster)
-		if err != nil {
-			return disk.NoBlock, err
-		}
-		if err := s.disk.Write(s.cluster, id, blocks[srcBlk]); err != nil {
-			return disk.NoBlock, err
-		}
-		memo[srcBlk] = id
-		return id, nil
-	}
-	for _, p := range pages {
-		id, err := place(p.blk)
-		if err != nil {
-			return err
-		}
-		tbl := s.primary
-		if !p.prim {
-			tbl = s.backup
-		}
-		acct := tbl[p.pid]
-		if acct == nil {
-			acct = make(account)
-			tbl[p.pid] = acct
-		}
-		acct[p.no] = id
-		s.incRef(id)
 	}
 	return nil
+}
+
+// cloneAccounts copies an account table, accounts included.
+func cloneAccounts(tbl map[types.PID]account) map[types.PID]account {
+	out := make(map[types.PID]account, len(tbl))
+	for pid, acct := range tbl {
+		out[pid] = maps.Clone(acct)
+	}
+	return out
 }
 
 // Disk returns the instance's disk mirror (for repair tooling and the
@@ -358,10 +333,9 @@ func (s *Server) Fingerprint() uint64 {
 			mix(byte(v >> (8 * i)))
 		}
 	}
-	// The pid set is every pid any table knows: an empty account hashes like
-	// an absent one (CloneFrom re-creates only accounts that hold pages), so
-	// a pid that has synced but never paged out still contributes its epoch
-	// on both the source and its clone.
+	// The pid set is every pid any table knows, and an empty account hashes
+	// like an absent one, so a pid that has synced but never paged out still
+	// contributes its epoch on both the source and its clone.
 	seen := make(map[types.PID]bool)
 	for pid := range s.primary {
 		seen[pid] = true

@@ -103,6 +103,13 @@ const (
 	// the backup cluster and the page-server pair; recovery restores the
 	// checkpoint and replays the pessimistically logged inbound messages.
 	KindCheckpoint
+
+	// KindMark is core's bus-ordered marker (Origin NoCluster, reaching
+	// every live cluster). A kernel records the highest mark it has
+	// dispatched, so a mark is a barrier: everything ordered before it has
+	// been dispatched where it has. Repair cuts the page-server resilver at
+	// one (Chandy–Lamport with a single marker), and Settle waits on them.
+	KindMark
 )
 
 func (k Kind) String() string {
@@ -145,6 +152,8 @@ func (k Kind) String() string {
 		return "decision"
 	case KindCheckpoint:
 		return "checkpoint"
+	case KindMark:
+		return "mark"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
