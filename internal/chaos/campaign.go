@@ -268,8 +268,7 @@ func applyFault(sys *core.System, inj Injection, fireEv trace.Event, armed *atom
 		}
 		return nil
 	case FaultPartitionHeal:
-		sys.HealPartitions()
-		return nil
+		return sys.HealPartitions()
 	case FaultBusDuplicate:
 		sys.ArmBusDuplicates(max(inj.Drops, 1))
 		return nil

@@ -45,7 +45,9 @@ func PartitionBankScenario(name string) Scenario {
 		if err != nil {
 			return out, err
 		}
-		sys.HealPartitions()
+		if err := sys.HealPartitions(); err != nil {
+			return "", fmt.Errorf("chaos: heal: %w", err)
+		}
 		for _, c := range sys.CrashedClusters() {
 			if err := sys.Repair(c); err != nil {
 				return "", fmt.Errorf("chaos: post-heal repair of %v: %w", c, err)

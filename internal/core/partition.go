@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"auragen/internal/bus"
@@ -44,31 +43,22 @@ func (s *System) PartitionCluster(c types.ClusterID, inbound, outbound bool, bus
 // NumBuses returns the number of physical intercluster buses.
 func NumBuses() int { return bus.NumBuses }
 
-// HealPartitions removes every link cut and releases any transmissions
-// still held by an armed delay fault. Healing is also when split-brain
-// resolution happens: any cluster the system declared dead whose hardware
-// is in fact still running is a stale primary that never received its
-// fencing notice (the partition ate it), so the notice is re-broadcast
-// with the current incarnation — on receipt the stale primary steps down
-// (kernel.stepDownLocked) and every other kernel's incarnation view
-// catches up. Re-delivery is idempotent for kernels that already handled
-// the original notice.
-func (s *System) HealPartitions() {
+// HealPartitions removes every link cut, releases any transmissions still
+// held by an armed delay fault, and retires every cluster declared dead
+// (retire). Healing is when split-brain resolution happens: a declared-dead
+// cluster still running is a stale primary whose fencing notice the
+// partition ate, and it steps down when it dispatches the notice retire
+// re-sends; kernels that already handled the original notice handle the
+// re-delivery idempotently. The error is retire's, such as "heal first"
+// for a stale primary that a failed bus still keeps out of reach.
+func (s *System) HealPartitions() error {
 	s.bus.HealAllCuts()
-
-	s.mu.Lock()
-	var stale []types.ClusterID
-	for c := range s.crashed {
-		if int(c) >= 0 && int(c) < len(s.kernels) && !s.kernels[int(c)].Crashed() {
-			stale = append(stale, c)
+	for _, c := range s.CrashedClusters() {
+		if err := s.retire(c); err != nil {
+			return err
 		}
 	}
-	s.mu.Unlock()
-	sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
-
-	for _, c := range stale {
-		_, _ = s.bus.BroadcastBatch([]*types.Message{crashNotice(c, s.dir.Incarnation(c))})
-	}
+	return nil
 }
 
 // Incarnation returns cluster c's current incarnation number from the

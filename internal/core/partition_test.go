@@ -52,12 +52,13 @@ func TestStaleIncarnationMessageFenced(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !sys.kern(2).Crashed() {
-		if time.Now().After(deadline) {
-			t.Fatal("cluster 2 never self-fenced on a superseding crash notice")
+	if err := sys.await("cluster 2 self-fencing on a superseding crash notice", 5*time.Second, func() (string, error) {
+		if !sys.kern(2).Crashed() {
+			return "still running", nil
 		}
-		time.Sleep(time.Millisecond)
+		return "", nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 
 	// A frame from cluster 2's superseded life: stamped Inc 1, below the
@@ -73,11 +74,11 @@ func TestStaleIncarnationMessageFenced(t *testing.T) {
 	if _, err := sys.bus.BroadcastBatch([]*types.Message{stale}); err != nil {
 		t.Fatal(err)
 	}
-	for sys.Metrics().FencedRejects.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("stale-incarnation message was never fenced")
-		}
-		time.Sleep(time.Millisecond)
+	// A data message wakes no waiter when it is dispatched; a mark barrier
+	// orders the check after every live kernel's dispatch of it.
+	sys.Settle(5 * time.Second)
+	if sys.Metrics().FencedRejects.Load() == 0 {
+		t.Fatal("stale-incarnation message was never fenced")
 	}
 }
 
@@ -102,7 +103,9 @@ func TestPartitionReachability(t *testing.T) {
 	if sys.bus.Reachable(2) {
 		t.Fatal("fully cut cluster still reachable")
 	}
-	sys.HealPartitions()
+	if err := sys.HealPartitions(); err != nil {
+		t.Fatal(err)
+	}
 	if !sys.bus.Reachable(2) {
 		t.Fatal("healed cluster still unreachable")
 	}

@@ -57,10 +57,20 @@ const repairTimeout = 5 * time.Second
 // Crashes of other clusters during re-backup are tolerated — processes
 // destroyed by them are skipped, everything else is still re-backed.
 //
+// Repair replaces the hardware, so a predecessor kernel still running — a
+// stale primary that never received its fencing notice — first leaves
+// service by the crash notice (retire), and its bus detach completes before
+// the replacement attaches under the same cluster ID. While a cut still
+// keeps that kernel from the bus, Repair refuses: heal first.
+//
 // Repair returns once every re-established backup is up and viable; the
 // remaining convergence (epoch alignment, replica fingerprints) is
 // observable via WaitRedundant.
 func (s *System) Repair(c types.ClusterID) error {
+	if err := s.retire(c); err != nil {
+		return err
+	}
+
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
@@ -83,17 +93,6 @@ func (s *System) Repair(c types.ClusterID) error {
 	gen := s.repairGen[c]
 	s.mu.Unlock()
 	s.dir.Notify()
-
-	// Repair replaces the hardware, so any previous kernel still running —
-	// a stale primary that never received its fencing notice — is powered
-	// off first, and its bus detach must complete before the replacement
-	// attaches under the same cluster ID.
-	if old := s.kern(c); old != nil {
-		if !old.Crashed() {
-			old.Crash()
-		}
-		old.Wait()
-	}
 
 	// The replacement is a new service life: bump the cluster's
 	// incarnation so anything stamped by a pre-repair life — including
@@ -130,6 +129,58 @@ func (s *System) Repair(c types.ClusterID) error {
 	}
 
 	s.setRepairPhase(c, types.RepairRedundant)
+	return nil
+}
+
+// retire takes the kernel of c, a cluster declared dead, out of service the
+// one way the system has (§7.10): by the crash notice. A kernel still
+// running — a stale primary behind a partition, or one whose notice is
+// still in flight — is sent the notice again, with the current incarnation,
+// and steps down when it dispatches it (kernel.stepDownLocked); every other
+// kernel dispatches the notice as a re-delivery, before a mark that retire
+// waits for, so none handles it after a replacement has booted. A kernel
+// the bus cannot reach is refused: it is never halted out of bus order. A
+// cluster no longer declared dead is left alone.
+func (s *System) retire(c types.ClusterID) error {
+	s.mu.Lock()
+	stopped, crashed := s.stopped, s.crashed[c]
+	ks := append([]*kernel.Kernel(nil), s.kernels...)
+	s.mu.Unlock()
+	if stopped {
+		return types.ErrShutdown
+	}
+	if !crashed {
+		return nil
+	}
+	old := ks[int(c)]
+	if !old.Crashed() {
+		healFirst := fmt.Errorf("core: %v is declared dead but still running behind a cut: heal first", c)
+		if !s.bus.Reachable(c) {
+			return healFirst
+		}
+		n := s.marks.Add(1)
+		if err := s.mark(n, crashNotice(c, s.dir.Incarnation(c))); err != nil {
+			return err
+		}
+		err := s.await(fmt.Sprintf("retiring %v", c), repairTimeout, func() (string, error) {
+			if !old.Crashed() {
+				if !s.bus.Reachable(c) {
+					return "", healFirst
+				}
+				return fmt.Sprintf("%v has not stepped down", c), nil
+			}
+			for _, k := range ks {
+				if k.Marked() < n && !k.Crashed() && s.bus.Reachable(k.ID()) {
+					return fmt.Sprintf("%v has not dispatched mark %d", k.ID(), n), nil
+				}
+			}
+			return "", nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	old.Wait()
 	return nil
 }
 

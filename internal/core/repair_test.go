@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"auragen/internal/fault"
 	"auragen/internal/guest"
 	"auragen/internal/trace"
 	"auragen/internal/types"
@@ -301,4 +302,90 @@ func TestRepairAbortOnRecrash(t *testing.T) {
 		// and the next attempt retries the race.
 	}
 	t.Skip("re-crash never landed inside the repair window in 10 attempts")
+}
+
+// TestRepairRetiresStaleKernelByNotice: a cluster declared dead behind an
+// inbound cut keeps running, and nothing re-sends the notice it missed when
+// the cut heals. Repair must take that stale kernel out of service by the
+// crash notice — a step-down at its dispatch, before the replacement boots
+// — and never by halting it out of bus order; while the cut still stands,
+// Repair must refuse.
+func TestRepairRetiresStaleKernelByNotice(t *testing.T) {
+	declareBehindCut := func(t *testing.T) *System {
+		t.Helper()
+		reg := guest.NewRegistry()
+		reg.Register("counter", guest.ReactorFactory(func() guest.Handler { return counterHandler{} }))
+		sys, err := New(Options{Clusters: 3, SyncReads: 4, SyncTicks: 1 << 20, EventLogLimit: 1 << 16}, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sys.Stop)
+		// The counter is driven to its reactor boundary first, so the
+		// repair can re-back it once it has been promoted on cluster 1.
+		if _, err := sys.Spawn("counter", []byte("rt"), SpawnConfig{Cluster: 2, BackupCluster: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.WaitExit(spawnClient(t, sys, "rt", 3, SpawnConfig{Cluster: 0}), 30*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.PartitionCluster(2, true, false); err != nil {
+			t.Fatal(err)
+		}
+		sys.InjectProbeFailures(2, fault.DefaultDebounce)
+		for i := 0; i < fault.DefaultDebounce; i++ {
+			sys.PollDetector()
+		}
+		if got := sys.CrashedClusters(); len(got) != 1 || got[0] != 2 {
+			t.Fatalf("crashed clusters %v after the debounce, want [c2]", got)
+		}
+		if sys.kern(2).Crashed() {
+			t.Fatal("cluster 2 halted behind its inbound cut")
+		}
+		return sys
+	}
+
+	t.Run("healed", func(t *testing.T) {
+		sys := declareBehindCut(t)
+		sys.bus.HealAllCuts() // heals without re-sending the notice
+		if err := sys.Repair(2); err != nil {
+			t.Fatal(err)
+		}
+		if n := sys.Metrics().StepDowns.Load(); n == 0 {
+			t.Fatal("the stale kernel left service with zero step-downs")
+		}
+		// The stale kernel steps down, and every kernel handles the
+		// re-sent notice, before the replacement boots.
+		stepDown, booted := false, false
+		for _, e := range sys.EventLog().Events() {
+			switch {
+			case e.Kind == trace.EvStepDown && e.Cluster == 2:
+				stepDown = true
+			case e.Kind == trace.EvRepair && e.Cluster == 2 && types.RepairPhase(e.Arg) == types.RepairBooting:
+				if !stepDown {
+					t.Fatal("the replacement booted before the stale kernel stepped down")
+				}
+				booted = true
+			case e.Kind == trace.EvCrash && e.Arg == 2 && booted:
+				t.Fatalf("%v handled the crash notice of c2 after the replacement booted", e.Cluster)
+			}
+		}
+		if !booted {
+			t.Fatal("no booting event for cluster 2")
+		}
+	})
+
+	t.Run("still cut", func(t *testing.T) {
+		sys := declareBehindCut(t)
+		old := sys.kern(2)
+		err := sys.Repair(2)
+		if err == nil || !strings.Contains(err.Error(), "heal first") {
+			t.Fatalf("Repair behind a cut: %v, want a heal-first refusal", err)
+		}
+		if sys.kern(2) != old || old.Crashed() || len(repairPhases(sys, 2)) != 0 {
+			t.Fatalf("refused repair booted a kernel or halted the stale one (phases %v)", repairPhases(sys, 2))
+		}
+		if got := sys.CrashedClusters(); len(got) != 1 || got[0] != 2 {
+			t.Fatalf("crashed clusters %v after the refusal, want [c2]", got)
+		}
+	})
 }

@@ -51,14 +51,6 @@ type Options struct {
 	// (§7.8); zero selects kernel defaults.
 	SyncReads uint32
 	SyncTicks uint64
-	// DetectInterval is the failure-detector polling period; zero keeps
-	// detection manual (Crash calls report synchronously either way).
-	DetectInterval time.Duration
-	// DetectDebounce is the number of consecutive missed probes before the
-	// detector declares a cluster crashed; zero selects
-	// fault.DefaultDebounce. Transient probe failures (detector false
-	// positives) below this threshold never trigger crash handling.
-	DetectDebounce int
 	// PageFetchTimeout bounds a promoted backup's roll-forward page fetch;
 	// zero selects kernel.DefaultPageFetchTimeout. Fault-injection
 	// campaigns shorten it so double failures surface quickly.
@@ -71,7 +63,7 @@ type Options struct {
 	Clock types.Clock
 	// ScheduleSeed, when non-zero, turns on the seeded schedule perturber:
 	// every kernel gets transmit-coalesce and inbox-drain jitter, and the
-	// failure detector gets probe-timing jitter, all split
+	// failure detector gets debounce jitter, all split
 	// deterministically from this one seed (a repaired cluster's fresh
 	// kernel re-derives its streams from the same seed, salted by its
 	// repair generation). All perturbations stay inside the partial-order
@@ -272,10 +264,7 @@ func New(opts Options, registry *guest.Registry) (*System, error) {
 		detJitter = types.NewRNG(opts.ScheduleSeed ^ 0xD3746E7E0D5A8F31)
 	}
 	s.detector = fault.New(fault.Config{
-		Interval: opts.DetectInterval,
-		Clock:    opts.Clock,
-		Debounce: opts.DetectDebounce,
-		Jitter:   detJitter,
+		Jitter: detJitter,
 		Probe: func(c types.ClusterID) bool {
 			if s.consumeProbeFault(c) {
 				return false
@@ -295,7 +284,6 @@ func New(opts Options, registry *guest.Registry) (*System, error) {
 	for i := range s.kernels {
 		s.detector.Watch(types.ClusterID(i))
 	}
-	s.detector.Start()
 
 	return s, nil
 }
@@ -514,7 +502,7 @@ func (s *System) SetBusFaultHook(h bus.FaultHook) { s.bus.SetFaultHook(h) }
 
 // InjectProbeFailures makes the failure detector's next n probes of
 // cluster c report "dead" regardless of the cluster's actual health — a
-// detector false positive. With n below Options.DetectDebounce the
+// detector false positive. With n below fault.DefaultDebounce the
 // debounce absorbs the lie and no crash handling runs.
 func (s *System) InjectProbeFailures(c types.ClusterID, n int) {
 	s.mu.Lock()
@@ -533,8 +521,8 @@ func (s *System) consumeProbeFault(c types.ClusterID) bool {
 	return false
 }
 
-// PollDetector drives one failure-detector probe round synchronously.
-// Deterministic campaigns use it instead of the background driver.
+// PollDetector drives one failure-detector probe round synchronously: the
+// detector's one driver (§7.10's periodic polling, one period per call).
 func (s *System) PollDetector() { s.detector.Poll() }
 
 // Degraded reports whether any kernel has entered degraded mode (cut off
@@ -679,15 +667,16 @@ func (s *System) Settle(timeout time.Duration) {
 	}
 }
 
-// mark broadcasts core's mark n (KindMark). Core transmits it, as it does a
-// crash notice: Origin NoCluster, so no link cut or incarnation fence
-// applies, and every attached cluster receives it.
-func (s *System) mark(n uint64) error {
-	_, err := s.bus.BroadcastBatch([]*types.Message{{
+// mark broadcasts core's mark n (KindMark), after msgs in the same batch.
+// Core transmits it, as it does a crash notice: Origin NoCluster, so no
+// link cut or incarnation fence applies, and every attached cluster
+// receives it.
+func (s *System) mark(n uint64, msgs ...*types.Message) error {
+	_, err := s.bus.BroadcastBatch(append(msgs, &types.Message{
 		Kind:    types.KindMark,
 		Origin:  types.NoCluster,
 		Payload: kernel.Encode(&kernel.Mark{N: n}),
-	}})
+	}))
 	return err
 }
 
@@ -744,7 +733,6 @@ func (s *System) Stop() {
 	ks := append([]*kernel.Kernel(nil), s.kernels...)
 	s.mu.Unlock()
 	s.dir.Notify()
-	s.detector.Stop()
 	for _, k := range ks {
 		if !k.Crashed() {
 			k.Stop()

@@ -3,54 +3,40 @@
 // every cluster will discover the shutdown and notify the remaining
 // clusters to begin crash handling."
 //
-// The Detector polls cluster liveness and reports each alive→dead
-// transition exactly once. A cluster is declared dead only after Debounce
+// The Detector probes cluster liveness and reports each alive→dead
+// transition exactly once. It has one driver: each Poll is one probe
+// round, run by whoever decides that a round is due (core's facade, the
+// fault-injection campaigns), so no goroutine or clock of its own is
+// involved. A cluster is declared dead only after DefaultDebounce
 // consecutive missed probes, so a single dropped probe (a detector false
-// positive) does not trigger spurious crash handling. Probe rounds are
-// scheduled against an injectable types.Clock: the background driver
-// (Start) and deterministic drivers (Poll, Tick) share the same schedule
-// state, so tests and fault-injection campaigns run the detector without
-// real-time sleeps. Crash injection calls the same report path
-// synchronously.
+// positive) does not trigger spurious crash handling. Crash injection
+// calls the same report path synchronously (Report).
 package fault
 
 import (
 	"sort"
 	"sync"
-	"time"
 
 	"auragen/internal/types"
 )
 
 // DefaultDebounce is the number of consecutive missed probes required
-// before a cluster is declared crashed when Config.Debounce is zero.
+// before a cluster is declared crashed.
 const DefaultDebounce = 2
 
 // Config assembles a detector.
 type Config struct {
-	// Interval is the clock time between probe rounds. Zero disables the
-	// background driver and the Tick schedule (failures are then found
-	// only via Poll or Report).
-	Interval time.Duration
-	// Clock schedules probe rounds; nil selects the wall clock. Injecting
-	// a types.LogicalClock makes the schedule a pure function of the
-	// system's own progress.
-	Clock types.Clock
-	// Debounce is the number of consecutive missed probes before a
-	// cluster is declared crashed; non-positive selects DefaultDebounce.
-	Debounce int
 	// Probe reports whether a cluster currently responds.
 	Probe func(types.ClusterID) bool
 	// OnCrash is invoked exactly once per detected failure.
 	OnCrash func(types.ClusterID)
-	// Jitter, when non-nil, perturbs the probe schedule reproducibly (the
-	// schedule perturber's detector hook): each round's due threshold is
-	// scaled into [0.5,1.5)×Interval, and each miss streak may need one
-	// extra missed probe beyond Debounce before the cluster is declared
-	// dead. Jitter only ever *delays* a declaration, so a tolerated false
-	// positive can never be promoted into spurious crash handling. The
-	// RNG is drawn only under the detector's lock; split a parent RNG per
-	// detector (see core.Options.ScheduleSeed).
+	// Jitter, when non-nil, perturbs the debounce reproducibly (the
+	// schedule perturber's detector hook): each miss streak may need one
+	// extra missed probe beyond DefaultDebounce before the cluster is
+	// declared dead. Jitter only ever *delays* a declaration, so a
+	// tolerated false positive can never be promoted into spurious crash
+	// handling. The RNG is drawn only under the detector's lock; split a
+	// parent RNG per detector (see core.Options.ScheduleSeed).
 	Jitter *types.RNG
 }
 
@@ -65,128 +51,39 @@ type watchState struct {
 
 // Detector polls cluster liveness.
 type Detector struct {
-	interval time.Duration
-	clock    types.Clock
-	debounce int
-	probe    func(types.ClusterID) bool
-	onCrash  func(types.ClusterID)
-	jitter   *types.RNG
+	probe   func(types.ClusterID) bool
+	onCrash func(types.ClusterID)
+	jitter  *types.RNG
 
-	mu       sync.Mutex
-	known    map[types.ClusterID]*watchState
-	lastPoll int64
-	// due is the jittered clock delta before the next round is due;
-	// refreshed after every round, equal to interval when jitter is off.
-	due int64
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	mu    sync.Mutex
+	known map[types.ClusterID]*watchState
 }
 
 // New creates a detector from cfg. Probe and OnCrash must be non-nil.
 func New(cfg Config) *Detector {
-	if cfg.Clock == nil {
-		cfg.Clock = types.WallClock{}
+	return &Detector{
+		probe:   cfg.Probe,
+		onCrash: cfg.OnCrash,
+		jitter:  cfg.Jitter,
+		known:   make(map[types.ClusterID]*watchState),
 	}
-	if cfg.Debounce <= 0 {
-		cfg.Debounce = DefaultDebounce
-	}
-	d := &Detector{
-		interval: cfg.Interval,
-		clock:    cfg.Clock,
-		debounce: cfg.Debounce,
-		probe:    cfg.Probe,
-		onCrash:  cfg.OnCrash,
-		jitter:   cfg.Jitter,
-		known:    make(map[types.ClusterID]*watchState),
-		stopCh:   make(chan struct{}),
-	}
-	d.lastPoll = d.clock.Now()
-	d.due = d.nextDueLocked()
-	return d
 }
 
-// nextDueLocked draws the clock delta before the next round is due:
-// Interval, scaled into [0.5,1.5) when jitter is on. Caller holds d.mu
-// (or is still constructing d).
-func (d *Detector) nextDueLocked() int64 {
-	if d.jitter == nil || d.interval <= 0 {
-		return int64(d.interval)
-	}
-	return int64(d.interval) * int64(50+d.jitter.Intn(100)) / 100
-}
-
-// Watch adds a cluster to the polling set.
+// Watch adds a cluster to the polling set, believed alive.
 func (d *Detector) Watch(c types.ClusterID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.known[c] = &watchState{alive: true}
 }
 
-// Unwatch removes a cluster (clean shutdown, not a failure).
-func (d *Detector) Unwatch(c types.ClusterID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.known, c)
-}
-
-// Watched returns the clusters currently believed alive, ascending.
-func (d *Detector) Watched() []types.ClusterID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]types.ClusterID, 0, len(d.known))
-	for c, w := range d.known {
-		if w.alive {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Start launches the background driver. A zero interval disables it. The
-// driver wakes on a coarse real-time tick but defers the "is a round due"
-// decision to Tick, i.e. to the injected clock.
-func (d *Detector) Start() {
-	if d.interval <= 0 {
-		return
-	}
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		ticker := time.NewTicker(d.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-d.stopCh:
-				return
-			case <-ticker.C:
-				d.Tick()
-			}
-		}
-	}()
-}
-
-// Tick runs one probe round if the injected clock says one is due (at
-// least Interval since the previous round). Deterministic drivers call it
-// in their own loop instead of relying on Start's goroutine.
-func (d *Detector) Tick() {
-	d.mu.Lock()
-	due := d.interval > 0 && d.clock.Now()-d.lastPoll >= d.due
-	d.mu.Unlock()
-	if due {
-		d.Poll()
-	}
-}
-
-// Poll runs one probe round immediately: every watched-alive cluster is
-// probed once; a cluster missing Debounce consecutive probes is declared
-// crashed (OnCrash fires once, after the detector's lock is released, in
-// ascending cluster order). A successful probe resets the miss count.
+// Poll runs one probe round: every watched-alive cluster is probed once; a
+// cluster missing DefaultDebounce consecutive probes (plus its jitter
+// extension) is declared crashed (OnCrash fires once, after the detector's
+// lock is released, in ascending cluster order). A successful probe resets
+// the miss count. A declared cluster is not probed again until it is
+// re-watched.
 func (d *Detector) Poll() {
 	d.mu.Lock()
-	d.lastPoll = d.clock.Now()
-	d.due = d.nextDueLocked()
 	var dead []types.ClusterID
 	for c, w := range d.known {
 		if !w.alive {
@@ -200,7 +97,7 @@ func (d *Detector) Poll() {
 		if w.missed == 1 && d.jitter != nil {
 			w.extra = d.jitter.Intn(2)
 		}
-		if w.missed >= d.debounce+w.extra {
+		if w.missed >= DefaultDebounce+w.extra {
 			w.alive = false
 			dead = append(dead, c)
 		}
@@ -228,10 +125,4 @@ func (d *Detector) Report(c types.ClusterID) bool {
 		return true
 	}
 	return false
-}
-
-// Stop halts the background driver.
-func (d *Detector) Stop() {
-	d.stopOnce.Do(func() { close(d.stopCh) })
-	d.wg.Wait()
 }

@@ -3,17 +3,17 @@ package fault
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"auragen/internal/types"
 )
 
 // harness wraps a detector over a mutable liveness map. Tests drive probe
-// rounds deterministically via Poll/Tick — no real-time sleeps.
+// rounds deterministically via Poll — no real-time sleeps.
 type harness struct {
 	mu      sync.Mutex
 	alive   map[types.ClusterID]bool
 	crashes []types.ClusterID
+	probes  int
 	d       *Detector
 }
 
@@ -22,6 +22,7 @@ func newHarness(cfg Config) *harness {
 	cfg.Probe = func(c types.ClusterID) bool {
 		h.mu.Lock()
 		defer h.mu.Unlock()
+		h.probes++
 		return h.alive[c]
 	}
 	cfg.OnCrash = func(c types.ClusterID) {
@@ -68,15 +69,17 @@ func TestReportUnknownCluster(t *testing.T) {
 }
 
 func TestPollDetectsDeathAfterDebounce(t *testing.T) {
-	h := newHarness(Config{Debounce: 2})
+	h := newHarness(Config{})
 	for c := types.ClusterID(0); c < 3; c++ {
 		h.setAlive(c, true)
 		h.d.Watch(c)
 	}
 	h.setAlive(1, false)
-	h.d.Poll()
+	for i := 1; i < DefaultDebounce; i++ {
+		h.d.Poll()
+	}
 	if h.crashCount() != 0 {
-		t.Fatal("one missed probe already declared a crash (no debounce)")
+		t.Fatal("fewer than DefaultDebounce missed probes declared a crash")
 	}
 	h.d.Poll()
 	h.mu.Lock()
@@ -87,15 +90,17 @@ func TestPollDetectsDeathAfterDebounce(t *testing.T) {
 }
 
 func TestSuccessfulProbeResetsDebounce(t *testing.T) {
-	// A false positive — fewer than Debounce consecutive misses — must not
-	// declare a crash, no matter how many non-consecutive misses accrue.
-	h := newHarness(Config{Debounce: 3})
+	// A false positive — fewer than DefaultDebounce consecutive misses —
+	// must not declare a crash, no matter how many non-consecutive misses
+	// accrue.
+	h := newHarness(Config{})
 	h.setAlive(0, true)
 	h.d.Watch(0)
 	for round := 0; round < 5; round++ {
 		h.setAlive(0, false)
-		h.d.Poll()
-		h.d.Poll() // two misses: one short of the debounce
+		for i := 1; i < DefaultDebounce; i++ {
+			h.d.Poll() // one short of the debounce
+		}
 		h.setAlive(0, true)
 		h.d.Poll() // recovery resets the count
 	}
@@ -103,84 +108,57 @@ func TestSuccessfulProbeResetsDebounce(t *testing.T) {
 		t.Fatalf("transient probe failures declared a crash: %d", h.crashCount())
 	}
 	h.setAlive(0, false)
-	h.d.Poll()
-	h.d.Poll()
-	h.d.Poll()
+	for i := 0; i < DefaultDebounce; i++ {
+		h.d.Poll()
+	}
 	if h.crashCount() != 1 {
-		t.Fatalf("real death not declared after %d misses", 3)
+		t.Fatalf("real death not declared after %d misses", DefaultDebounce)
 	}
 }
 
+// TestPollReportsEachFailureOnce: a declared cluster is neither probed nor
+// declared again, whether the detector found it or a Report did.
 func TestPollReportsEachFailureOnce(t *testing.T) {
-	h := newHarness(Config{Debounce: 1})
-	h.setAlive(0, true)
+	h := newHarness(Config{})
 	h.d.Watch(0)
-	h.setAlive(0, false)
+	h.d.Watch(1)
+	h.setAlive(1, true)
 	for i := 0; i < 5; i++ {
 		h.d.Poll()
 	}
 	if h.crashCount() != 1 {
 		t.Fatalf("repeated reports: %d", h.crashCount())
 	}
-}
-
-func TestTickFollowsInjectedClock(t *testing.T) {
-	// Drive the schedule from a logical clock: each Tick advances virtual
-	// time by 1µs (one clock reading); a round becomes due only once the
-	// virtual interval has elapsed — pure function of progress, no sleeps.
-	clk := types.NewLogicalClock(0, 1000)
-	h := newHarness(Config{Interval: 10 * time.Microsecond, Clock: clk, Debounce: 1})
-	h.setAlive(0, true)
-	h.d.Watch(0)
-	h.setAlive(0, false)
-
-	h.d.Tick() // virtual elapsed ≈ 2µs (New and Tick each read once): not due
-	if h.crashCount() != 0 {
-		t.Fatal("round ran before the virtual interval elapsed")
+	if h.d.Report(1); h.crashCount() != 2 {
+		t.Fatalf("report of a live cluster not declared: %d", h.crashCount())
 	}
-	for i := 0; i < 20 && h.crashCount() == 0; i++ {
-		h.d.Tick()
-	}
-	if h.crashCount() != 1 {
-		t.Fatalf("clock-driven ticks never became due: crashes = %d", h.crashCount())
+	probes := h.probes
+	h.d.Poll()
+	if h.d.Report(0) || h.d.Report(1) || h.crashCount() != 2 || h.probes != probes {
+		t.Fatalf("declared clusters probed %d times or declared again: %d crashes", h.probes-probes, h.crashCount())
 	}
 }
 
-func TestZeroIntervalDisablesTickSchedule(t *testing.T) {
-	h := newHarness(Config{Debounce: 1})
-	h.setAlive(0, false)
-	h.d.Watch(0)
-	h.d.Start() // no-op: zero interval
-	for i := 0; i < 10; i++ {
-		h.d.Tick() // never due without an interval
+// TestJitterOnlyDelaysDeclaration: the jitter's debounce extension never
+// declares a dead cluster before DefaultDebounce misses and always by
+// DefaultDebounce+1, whatever the seed.
+func TestJitterOnlyDelaysDeclaration(t *testing.T) {
+	seen := make(map[int]bool)
+	for seed := uint64(1); seed <= 200; seed++ {
+		h := newHarness(Config{Jitter: types.NewRNG(seed)})
+		h.d.Watch(0)
+		misses := 0
+		for h.crashCount() == 0 && misses <= DefaultDebounce+1 {
+			h.d.Poll()
+			misses++
+		}
+		if misses < DefaultDebounce || misses > DefaultDebounce+1 || h.crashCount() != 1 {
+			t.Fatalf("seed %d: declared after %d misses (%d crashes), want %d or %d",
+				seed, misses, h.crashCount(), DefaultDebounce, DefaultDebounce+1)
+		}
+		seen[misses] = true
 	}
-	if h.crashCount() != 0 {
-		t.Fatal("tick schedule ran with zero interval")
+	if len(seen) != 2 {
+		t.Fatalf("200 seeds never varied the debounce: %v", seen)
 	}
-	h.d.Stop()
-}
-
-func TestWatchedAndUnwatch(t *testing.T) {
-	h := newHarness(Config{})
-	h.d.Watch(3)
-	h.d.Watch(1)
-	h.d.Watch(2)
-	h.d.Unwatch(2)
-	got := h.d.Watched()
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("Watched = %v", got)
-	}
-	h.setAlive(1, true)
-	h.d.Report(1)
-	got = h.d.Watched()
-	if len(got) != 1 || got[0] != 3 {
-		t.Fatalf("Watched after crash = %v", got)
-	}
-}
-
-func TestStopIdempotent(t *testing.T) {
-	h := newHarness(Config{Interval: time.Millisecond})
-	h.d.Start()
-	h.d.Stop()
-	h.d.Stop() // second stop must not panic
 }

@@ -369,6 +369,18 @@ func (k *Kernel) Start() {
 // types.ErrCrashed so process goroutines unwind.
 func (k *Kernel) Crash() {
 	k.mu.Lock()
+	k.haltLocked()
+	k.mu.Unlock()
+	// Detach closes the inbox, ending the receive loop.
+	k.bus.Detach(k.id)
+}
+
+// haltLocked is the halt both ways out of service share, the hardware
+// failure (Crash) and the step-down (stepDownLocked): the cluster is marked
+// crashed, its outgoing queue is lost, and every process is marked crashed
+// and woken so its blocked syscall returns types.ErrCrashed. The caller
+// holds k.mu and detaches from the bus afterwards.
+func (k *Kernel) haltLocked() {
 	k.crashed = true
 	k.outgoing = routing.Queue[*types.Message]{}
 	for _, p := range k.procs {
@@ -376,9 +388,6 @@ func (k *Kernel) Crash() {
 		p.cond.Broadcast()
 	}
 	k.closeDieLocked()
-	k.mu.Unlock()
-	// Detach closes the inbox, ending the receive loop.
-	k.bus.Detach(k.id)
 }
 
 // closeDieLocked closes dieCh exactly once. The caller holds k.mu.

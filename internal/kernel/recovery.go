@@ -159,25 +159,17 @@ func (k *Kernel) stepDownLocked(super types.Incarnation) {
 			Note:    "own incarnation superseded; stepping down",
 		})
 	}
-	for _, p := range k.sortedProcsLocked() {
-		k.metrics.StepDowns.Add(1)
-		if k.log != nil {
-			k.log.Append(trace.Event{
-				Kind:    trace.EvStepDown,
-				Cluster: k.id,
-				PID:     p.pid,
-				Arg:     uint64(super),
-			})
-		}
+	pids := make([]types.PID, 0, len(k.procs)+len(k.servers))
+	for pid := range k.procs {
+		pids = append(pids, pid)
 	}
-	serverPIDs := make([]types.PID, 0, len(k.servers))
 	for pid, host := range k.servers {
 		if host.role == routing.Primary {
-			serverPIDs = append(serverPIDs, pid)
+			pids = append(pids, pid)
 		}
 	}
-	sort.Slice(serverPIDs, func(i, j int) bool { return serverPIDs[i] < serverPIDs[j] })
-	for _, pid := range serverPIDs {
+	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
+	for _, pid := range pids {
 		k.metrics.StepDowns.Add(1)
 		if k.log != nil {
 			k.log.Append(trace.Event{
@@ -188,13 +180,7 @@ func (k *Kernel) stepDownLocked(super types.Incarnation) {
 			})
 		}
 	}
-	k.crashed = true
-	k.outgoing = routing.Queue[*types.Message]{}
-	for _, p := range k.procs {
-		p.crashed = true
-		p.cond.Broadcast()
-	}
-	k.closeDieLocked()
+	k.haltLocked()
 	k.wg.Add(1)
 	go func() {
 		defer k.wg.Done()
