@@ -263,14 +263,6 @@ func RunProgram(cfg *Config, pkgs []*Package, complete bool) []Finding {
 	return findings
 }
 
-// RunPackage analyzes a single package in isolation. The flow-aware passes
-// see only this package's call edges, so cross-package reachability (and
-// the whole-program existence checks) are reduced; prefer RunProgram over a
-// full load.
-func RunPackage(cfg *Config, pkg *Package) []Finding {
-	return RunProgram(cfg, []*Package{pkg}, false)
-}
-
 func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i].Pos, findings[j].Pos

@@ -20,6 +20,23 @@ func TestEventLogRecords(t *testing.T) {
 	}
 	defer sys.Stop()
 
+	// Crash the server's cluster at the 100th delivery, while the
+	// 400-transaction teller still runs.
+	fired := make(chan struct{})
+	delivered := 0 // the observer runs under the log's mutex
+	sys.EventLog().SetObserver(func(e trace.Event) {
+		if e.Kind == trace.EvDeliver {
+			if delivered++; delivered == 100 {
+				close(fired)
+			}
+		}
+	})
+	crashed := make(chan error, 1)
+	go func() {
+		<-fired
+		crashed <- sys.Crash(2)
+	}()
+
 	if _, err := sys.Spawn("bank-server", []byte("el 8 100 0"), SpawnConfig{Cluster: 2, BackupCluster: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -28,13 +45,15 @@ func TestEventLogRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 100 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	select {
+	case err := <-crashed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the 100th delivery never came")
 	}
-	if err := sys.Crash(2); err != nil {
-		t.Fatal(err)
-	}
+	sys.EventLog().SetObserver(nil)
 	if err := sys.WaitExit(pid, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}

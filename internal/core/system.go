@@ -26,9 +26,6 @@ import (
 	"auragen/internal/pager"
 	"auragen/internal/procserver"
 	"auragen/internal/replication"
-	"auragen/internal/replication/llft"
-	"auragen/internal/replication/msglog"
-	"auragen/internal/replication/threeway"
 	"auragen/internal/trace"
 	"auragen/internal/ttyserver"
 	"auragen/internal/types"
@@ -71,26 +68,12 @@ type Options struct {
 	// any schedule they produce is one the §5/§6 contract must survive.
 	// Zero (the default) keeps every jitter hook off.
 	ScheduleSeed uint64
-	// Replication selects the backup-protocol strategy every kernel runs:
+	// Replication selects the backup-protocol policy every kernel runs:
 	// replication.ThreeWay (the paper's scheme, the zero value),
 	// replication.LLFT (leader-follower decision streaming), or
-	// replication.MsgLog (pessimistic message logging + checkpoints).
+	// replication.MsgLog (pessimistic message logging, full-image
+	// captures).
 	Replication replication.Kind
-}
-
-// replicationStrategy maps the Options enum to a concrete strategy value.
-// The mapping lives here — not in package replication — so the strategy
-// subpackages can import the interface package without a cycle.
-func replicationStrategy(k replication.Kind) replication.Strategy {
-	switch k {
-	case replication.LLFT:
-		return llft.New()
-	case replication.MsgLog:
-		return msglog.New()
-	case replication.ThreeWay:
-		return threeway.New()
-	}
-	return threeway.New()
 }
 
 // System is one running Auragen 4000.
@@ -164,7 +147,7 @@ func (s *System) bootKernel(c types.ClusterID, gen uint64) *kernel.Kernel {
 		PageFetchTimeout: s.opts.PageFetchTimeout,
 		DrainJitter:      drain,
 		RxJitter:         rx,
-		Strategy:         replicationStrategy(s.opts.Replication),
+		Replication:      s.opts.Replication,
 	})
 }
 
@@ -468,8 +451,11 @@ func (s *System) handleDetectedCrash(c types.ClusterID) {
 	s.mu.Lock()
 	s.crashed[c] = true
 	// A crash voids any redundancy the cluster had; an in-flight Repair
-	// notices s.crashed and records RepairAborted itself.
-	delete(s.repair, c)
+	// notices s.crashed and records RepairAborted itself. Crash sets
+	// s.crashed before it reports, so that record may already stand here.
+	if s.repair[c] != types.RepairAborted {
+		delete(s.repair, c)
+	}
 	s.mu.Unlock()
 	s.metrics.Crashes.Add(1)
 	s.dir.ApplyCrash(c)
@@ -539,10 +525,6 @@ func (s *System) Degraded() bool {
 	}
 	return false
 }
-
-// Lost reports whether pid was destroyed by a multiple failure (primary
-// and backup both gone, or an unrecoverable roll-forward).
-func (s *System) Lost(pid types.PID) bool { return s.dir.IsLost(pid) }
 
 // CrashProcess injects an isolatable hardware failure affecting a single
 // process (§10 future work, first item): the process is lost, its cluster

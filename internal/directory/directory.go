@@ -331,18 +331,6 @@ func (d *Directory) IsLost(pid types.PID) bool {
 	return d.lost[pid]
 }
 
-// Lost returns all lost pids in ascending order.
-func (d *Directory) Lost() []types.PID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]types.PID, 0, len(d.lost))
-	for p := range d.lost {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // SetBackup records a newly created backup location for pid (fullback
 // re-backup, or a halfback's cluster returning to service).
 func (d *Directory) SetBackup(pid types.PID, backup types.ClusterID) {

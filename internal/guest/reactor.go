@@ -71,9 +71,6 @@ type State struct {
 // the process then exits normally.
 func (s *State) Exit() { s.exited = true }
 
-// Exited reports whether Exit has been called.
-func (s *State) Exited() bool { return s.exited }
-
 // Reactor wraps a Handler into a Guest: the kernel-driven read loop with
 // deterministic event ordering and handler-boundary sync points.
 func Reactor(h Handler) Guest {

@@ -15,8 +15,8 @@ func (k *Kernel) DumpState() string {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s strategy=%s crashed=%v stopped=%v outgoing=%d held=%d arrival=%d\n",
-		k.id, k.strategy.Name(), k.crashed, k.stopped, k.outgoing.Len(), len(k.held), k.arrival)
+	fmt.Fprintf(&b, "%s replication=%s crashed=%v stopped=%v outgoing=%d held=%d arrival=%d\n",
+		k.id, k.policy.Kind, k.crashed, k.stopped, k.outgoing.Len(), len(k.held), k.arrival)
 
 	var pids []int
 	for pid := range k.procs {
@@ -25,12 +25,16 @@ func (k *Kernel) DumpState() string {
 	sort.Ints(pids)
 	for _, pi := range pids {
 		p := k.procs[types.PID(pi)]
-		// The counter tail is strategy-specific: readsSinceSync/suppressTotal
-		// are sync-window concepts that mislead under llft (no sync window),
-		// so the strategy labels what its counters actually mean.
-		fmt.Fprintf(&b, "  proc %s prog=%s epoch=%d recovered=%v signalNext=%v exited=%v %s\n",
-			p.pid, p.program, p.epoch, p.recovered, p.signalNext, p.exited,
-			k.strategy.ProcDebug(uint64(p.readsSinceSync), p.ticksSinceSync, uint64(p.suppressTotal), p.totalReads, p.decisionSeq, len(p.signalPlan)))
+		fmt.Fprintf(&b, "  proc %s prog=%s epoch=%d recovered=%v signalNext=%v exited=%v ",
+			p.pid, p.program, p.epoch, p.recovered, p.signalNext, p.exited)
+		// readsSinceSync is a sync-window count that misleads where no
+		// capture follows establishment, so a decision log shows its own.
+		if k.policy.Decisions {
+			fmt.Fprintf(&b, "totalReads=%d decisions=%d plan=%d suppressTotal=%d\n",
+				p.totalReads, p.decisionSeq, len(p.signalPlan), p.suppressTotal)
+		} else {
+			fmt.Fprintf(&b, "reads=%d ticks=%d suppressTotal=%d\n", p.readsSinceSync, p.ticksSinceSync, p.suppressTotal)
+		}
 		for _, e := range k.table.OwnedBy(p.pid, routing.Primary) {
 			fmt.Fprintf(&b, "    P %s\n", e)
 		}
@@ -44,7 +48,7 @@ func (k *Kernel) DumpState() string {
 		bp := k.backups[types.PID(pi)]
 		fmt.Fprintf(&b, "  backup %s prog=%s epoch=%d synced=%v exitedPending=%v primaryCluster=%v",
 			bp.pid, bp.program, bp.epoch, bp.synced, bp.exitedPending, bp.primaryCluster)
-		if k.strategy.PlansSignals() {
+		if k.policy.Decisions {
 			fmt.Fprintf(&b, " decisions=%d readsBase=%d", len(bp.decisions), bp.readsBase)
 		}
 		b.WriteByte('\n')

@@ -25,7 +25,7 @@ type SyncRig struct {
 // the page server itself. The process's backup cluster is a port the rig
 // drains and ignores.
 func NewSyncRig(primary, mirror PagerSink) *SyncRig {
-	r := newTxRig(0)
+	r := newTxRig()
 	k0 := New(Config{ID: 0, Bus: r.bus, Dir: r.k.dir, Registry: r.k.reg, Metrics: r.metrics})
 	k0.SetPager(primary)
 	r.k.SetPager(mirror)

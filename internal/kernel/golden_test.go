@@ -72,14 +72,6 @@ func payloadCases() []payloadCase {
 				"0000006867666564636261"),
 		described("DecisionMsg", &DecisionMsg{PID: 21, Seq: 0x0102030405060708, Reads: 144},
 			"150000000000000008070605040302019000000000000000"),
-		described("CheckpointMsg", &CheckpointMsg{Sync: goldenSync(), Pages: 3, Bytes: 12288},
-			"03000000003000000000000038373635343332314443424102000000670000000000000068000000000000000b000000"+
-				"62616e6b2d73657276657202640000000000000063000000000000000e00000062616e6b203230203130303020330200"+
-				"000003000000010203050000000102000000040109000000000000000200000008070605040302010300000044332211"+
-				"282726252423222102000000ffffffff010c000000000000000400000005000000660000000000000001000000030000"+
-				"0001020000002c000000000000002d00000000000000030000000700000000000000010000000c000000000000000300"+
-				"000008070605040302010200000002000000585756555453525106000000000000000102000000140000000000000001"+
-				"0000001e00000000000000020000006867666564636261"),
 		described("BirthNotice", goldenBirth(),
 			"640000000000000069000000000000000b00000073686f72742d6c697665640300000078207901620000000000000002"+
 				"0000002c000000000000000200000008070605040302010300000044332211282726252423222102000000ffffffff01"+

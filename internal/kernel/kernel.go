@@ -32,7 +32,6 @@ import (
 	"auragen/internal/guest"
 	"auragen/internal/memory"
 	"auragen/internal/replication"
-	"auragen/internal/replication/threeway"
 	"auragen/internal/routing"
 	"auragen/internal/trace"
 	"auragen/internal/types"
@@ -60,9 +59,9 @@ const (
 )
 
 // DefaultTxBatch is how many queued outbound messages the executive
-// coalesces into one bus offer when Config.MaxBatch is zero. One batch
-// acquires the bus ordering critical section once, so the per-message cost
-// of the §5.1 no-interleaving guarantee is amortized across the batch.
+// coalesces into one bus offer. One batch acquires the bus ordering critical
+// section once, so the per-message cost of the §5.1 no-interleaving
+// guarantee is amortized across the batch.
 const DefaultTxBatch = 64
 
 // DefaultPageFetchTimeout bounds how long a promoted backup waits for its
@@ -105,20 +104,16 @@ type Config struct {
 	SyncReads uint32
 	SyncTicks uint64
 
-	// Strategy selects the replication policy (capture cadence and shape,
-	// signal pinning, promotion plan). Nil selects the paper's three-way
-	// scheme. Every kernel in a system must run the same strategy.
-	Strategy replication.Strategy
+	// Replication selects the replication policy (capture cadence and
+	// shape, signal pinning, promotion plan); the zero value is the
+	// paper's three-way scheme. Every kernel in a system must run the
+	// same kind.
+	Replication replication.Kind
 
 	// PageFetchTimeout bounds the roll-forward page-account fetch; zero
 	// selects DefaultPageFetchTimeout. Fault-injection campaigns shorten
 	// it so abandoned recoveries surface quickly.
 	PageFetchTimeout time.Duration
-
-	// MaxBatch caps how many outbound messages the executive coalesces
-	// into one bus transmission. Zero selects DefaultTxBatch;
-	// 1 disables coalescing (the pre-batching behavior).
-	MaxBatch int
 
 	// DrainJitter, when non-nil, randomizes how many queued messages each
 	// bus offer coalesces (1..n instead of always n), and RxJitter does
@@ -146,7 +141,7 @@ type Kernel struct {
 	pageSize  int
 	syncReads uint32
 	syncTicks uint64
-	strategy  replication.Strategy
+	policy    replication.Policy
 
 	inbox *bus.Inbox
 
@@ -187,8 +182,6 @@ type Kernel struct {
 	// deterministically open the window between batch-enqueue and
 	// batch-transmit (see HoldTransmit).
 	txHold bool
-	// maxBatch caps the messages coalesced per bus offer (Config.MaxBatch).
-	maxBatch int
 	// drainJitter perturbs the per-offer coalesce count (Config.DrainJitter).
 	// Drawn under mu.
 	drainJitter *types.RNG
@@ -282,12 +275,6 @@ func New(cfg Config) *Kernel {
 	if cfg.PageFetchTimeout <= 0 {
 		cfg.PageFetchTimeout = DefaultPageFetchTimeout
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultTxBatch
-	}
-	if cfg.Strategy == nil {
-		cfg.Strategy = threeway.New()
-	}
 	k := &Kernel{
 		id:         cfg.ID,
 		bus:        cfg.Bus,
@@ -299,7 +286,7 @@ func New(cfg Config) *Kernel {
 		pageSize:   cfg.PageSize,
 		syncReads:  cfg.SyncReads,
 		syncTicks:  cfg.SyncTicks,
-		strategy:   cfg.Strategy,
+		policy:     cfg.Replication.Policy(),
 		inc:        cfg.Dir.Incarnation(cfg.ID),
 		incView:    make(map[types.ClusterID]types.Incarnation),
 		held:       make(map[types.PID][]*types.Message),
@@ -311,7 +298,6 @@ func New(cfg Config) *Kernel {
 		servers:    make(map[types.PID]*ServerHost),
 		atMark:     make(map[uint64]func()),
 		dieCh:      make(chan struct{}),
-		maxBatch:   cfg.MaxBatch,
 
 		drainJitter: cfg.DrainJitter,
 
@@ -519,13 +505,6 @@ func (k *Kernel) BackupStatus(pid types.PID) (epoch types.Epoch, viable bool, ok
 // dispatched here.
 func (k *Kernel) Marked() uint64 { return k.marked.Load() }
 
-// NumProcs returns the number of live processes.
-func (k *Kernel) NumProcs() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return len(k.procs)
-}
-
 // sendLocked places a message on the cluster's outgoing queue, and only
 // that: when it leaves is transmitLocked's business. The caller holds k.mu.
 // Messages leave the cluster in the order they are placed here (§7.8's
@@ -558,7 +537,7 @@ func (k *Kernel) OutgoingBacklog() int {
 }
 
 // transmitLocked is the executive processor's transmit half. It drains the
-// outgoing queue onto the bus in FIFO order, coalescing up to maxBatch
+// outgoing queue onto the bus in FIFO order, coalescing up to DefaultTxBatch
 // queued messages into one bus offer, and reports whether it let go of k.mu
 // to do so: the caller holds k.mu on entry and on return, but not across an
 // offer, so a true result means whatever the caller knew about kernel state
@@ -572,7 +551,7 @@ func (k *Kernel) OutgoingBacklog() int {
 //     page fetch of a promoted backup);
 //   - a process leaves SyncPoint — a capture's page-out and sync message go
 //     with whatever it wrote before them — or exits;
-//   - Write has filled a batch (the queue reached maxBatch);
+//   - Write has filled a batch (the queue reached DefaultTxBatch);
 //   - the receive loop has dispatched a drained batch (server replies,
 //     forwards, promotion traffic);
 //   - any other exported entry that queues output is on its way out (Spawn,
@@ -620,7 +599,7 @@ func (k *Kernel) blockLocked(p *PCB) {
 // k.txBatch and reports whether there was one to take. The caller holds
 // k.mu and the transmitting flag (or is about to set it).
 func (k *Kernel) takeBatchLocked() bool {
-	n := min(k.outgoing.Len(), k.maxBatch)
+	n := min(k.outgoing.Len(), DefaultTxBatch)
 	if n == 0 || k.txHold || k.crashed || k.stopped || k.degraded {
 		return false
 	}
@@ -845,9 +824,7 @@ func (k *Kernel) dispatchLocked(in *types.Message) {
 		k.dispatchChannelMessage(m)
 		return
 	case types.KindSync:
-		k.dispatchSync(m, m.Payload)
-	case types.KindCheckpoint:
-		k.dispatchSync(m, checkpointImage(m.Payload))
+		k.dispatchSync(m)
 	case types.KindDecision:
 		if m.Route.Dst == k.id {
 			k.dispatchDecision(m)

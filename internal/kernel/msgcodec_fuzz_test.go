@@ -37,20 +37,16 @@ func FuzzDecodeMessageBatch(f *testing.F) {
 		EncodeMessageBatch(w, msgs)
 		f.Add(append([]byte(nil), w.Bytes()...))
 	}
-	// Strategy-protocol frames: a decision-log entry and a checkpoint
-	// manifest travel as ordinary messages, so the batch codec's atomicity
-	// and every-byte-flip rejection must hold over their payloads too.
-	strategic := []*types.Message{
+	// A decision-log entry travels as an ordinary message, so the batch
+	// codec's atomicity and every-byte-flip rejection must hold over its
+	// payload too.
+	decision := []*types.Message{
 		{ID: 90, Kind: types.KindDecision, Src: 21, Dst: 21,
 			Route:   types.Route{Dst: 3, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
 			Payload: Encode(&DecisionMsg{PID: 21, Seq: 4, Reads: 37})},
-		{ID: 91, Kind: types.KindCheckpoint, Src: 21, Dst: 21,
-			Route: types.Route{Dst: 3, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-			Payload: Encode(&CheckpointMsg{Pages: 2, Bytes: 8192,
-				Sync: &SyncMsg{PID: 21, Epoch: 5, Program: "sig-server"}})},
 	}
 	sw := wire.NewWriter(0)
-	EncodeMessageBatch(sw, strategic)
+	EncodeMessageBatch(sw, decision)
 	f.Add(append([]byte(nil), sw.Bytes()...))
 
 	// Lossy-wire seeds: the exact shapes the bus fault model manufactures.
@@ -151,8 +147,8 @@ func randomSyncMsg(rng *rand.Rand) *SyncMsg {
 // list; and what DecodeSyncCommit rejects Decode[SyncMsg] rejects. (The reverse
 // does not hold and need not: the short decoder validates only what it
 // reads.) The seed corpus is the batch codec's — every payload its seeds
-// carry, the checkpoint's wrapped image among them — plus seeded random sync
-// images whole and cut short at every length.
+// carry — plus seeded random sync images, whole and cut short at every
+// length.
 func FuzzDecodeSyncCommit(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -166,24 +162,21 @@ func FuzzDecodeSyncCommit(f *testing.F) {
 		for cut := 0; cut <= len(image); cut++ {
 			f.Add(image[:cut])
 		}
-		f.Add(Encode(&CheckpointMsg{Pages: 2, Bytes: 8192, Sync: randomSyncMsg(rng)}))
+		f.Add(Encode(randomSyncMsg(rng)))
 	}
-	f.Add(checkpointImage(Encode(&CheckpointMsg{Pages: 2, Bytes: 8192,
-		Sync: &SyncMsg{PID: 21, Epoch: 5, Program: "sig-server"}})))
+	f.Add(Encode(&SyncMsg{PID: 21, Epoch: 5, Program: "sig-server"}))
 
-	f.Fuzz(func(t *testing.T, b []byte) {
-		for _, image := range [][]byte{b, checkpointImage(b)} {
-			pid, epoch, free, cerr := DecodeSyncCommit(image)
-			sm, err := Decode[SyncMsg](image)
-			if err != nil {
-				continue
-			}
-			if cerr != nil {
-				t.Fatalf("Decode[SyncMsg] accepts what DecodeSyncCommit rejects: %v", cerr)
-			}
-			if pid != sm.PID || epoch != sm.Epoch || !slices.Equal(free, sm.FreePIDs) {
-				t.Fatalf("commit (%d, %d, %v) disagrees with sync message (%d, %d, %v)", pid, epoch, free, sm.PID, sm.Epoch, sm.FreePIDs)
-			}
+	f.Fuzz(func(t *testing.T, image []byte) {
+		pid, epoch, free, cerr := DecodeSyncCommit(image)
+		sm, err := Decode[SyncMsg](image)
+		if err != nil {
+			return
+		}
+		if cerr != nil {
+			t.Fatalf("Decode[SyncMsg] accepts what DecodeSyncCommit rejects: %v", cerr)
+		}
+		if pid != sm.PID || epoch != sm.Epoch || !slices.Equal(free, sm.FreePIDs) {
+			t.Fatalf("commit (%d, %d, %v) disagrees with sync message (%d, %d, %v)", pid, epoch, free, sm.PID, sm.Epoch, sm.FreePIDs)
 		}
 	})
 }

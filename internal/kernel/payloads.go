@@ -199,7 +199,7 @@ func DecodeSyncCommit(b []byte) (pid types.PID, epoch types.Epoch, free []types.
 	return pid, epoch, free, nil
 }
 
-// DecisionMsg is the payload of a KindDecision message (llft strategy):
+// DecisionMsg is the payload of a KindDecision message (llft policy):
 // one decision-log entry. The leader streams it to its follower's cluster
 // just before consuming a queued asynchronous signal, pinning the delivery
 // at an absolute input position so promotion replays the same
@@ -220,43 +220,6 @@ func (d *DecisionMsg) codec(c *wire.Codec) {
 	c.U64((*uint64)(&d.PID))
 	c.U64(&d.Seq)
 	c.U64(&d.Reads)
-}
-
-// CheckpointMsg is the payload of a KindCheckpoint message (msglog
-// strategy): a manifest wrapping a full-image sync. Pages/Bytes describe
-// the page-out that traveled ahead of it on the same FIFO stream, so
-// traces can attribute checkpoint weight without joining against page-out
-// events.
-type CheckpointMsg struct {
-	Sync  *SyncMsg
-	Pages uint32
-	Bytes uint64
-}
-
-// checkpointManifestLen is the manifest's fixed head (Pages, Bytes); the
-// wrapped sync image follows it.
-const checkpointManifestLen = 4 + 8
-
-// checkpointImage returns the sync image a checkpoint manifest wraps, nil
-// for a payload too short to hold one.
-func checkpointImage(b []byte) []byte {
-	if len(b) < checkpointManifestLen {
-		return nil
-	}
-	return b[checkpointManifestLen:]
-}
-
-// EncodePayload appends the manifest to w (types.PayloadEncoder, same
-// exclusive-ownership argument as SyncMsg).
-func (cm *CheckpointMsg) EncodePayload(w *wire.Writer) { cm.codec(wire.EncodeTo(w)) }
-
-func (cm *CheckpointMsg) codec(c *wire.Codec) {
-	c.U32(&cm.Pages)
-	c.U64(&cm.Bytes)
-	if cm.Sync == nil { // decoding
-		cm.Sync = new(SyncMsg)
-	}
-	cm.Sync.codec(c)
 }
 
 // BirthNotice is the payload of a KindBirthNotice message (§7.7): enough

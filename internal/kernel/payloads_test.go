@@ -192,36 +192,3 @@ func TestDecisionMsgRoundTrip(t *testing.T) {
 		t.Fatal("trailing bytes accepted")
 	}
 }
-
-func TestCheckpointMsgRoundTrip(t *testing.T) {
-	in := &CheckpointMsg{
-		Pages: 3,
-		Bytes: 12288,
-		Sync: &SyncMsg{
-			PID:            101,
-			Epoch:          7,
-			Program:        "sig-server",
-			PrimaryCluster: 2,
-			Regs:           []byte{1, 2, 3},
-			Suppress:       map[types.ChannelID]uint32{12: 3},
-		},
-	}
-	out, err := Decode[CheckpointMsg](Encode(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Pages != in.Pages || out.Bytes != in.Bytes {
-		t.Fatalf("manifest mismatch: got pages=%d bytes=%d", out.Pages, out.Bytes)
-	}
-	// The wrapped sync must round-trip canonically (byte-identical
-	// re-encode), the same contract the batch codec fuzzer holds.
-	if !bytes.Equal(Encode(out.Sync), Encode(in.Sync)) {
-		t.Fatalf("wrapped sync not canonical:\n in=%+v\nout=%+v", in.Sync, out.Sync)
-	}
-	if _, err := Decode[CheckpointMsg]([]byte{1, 2, 3}); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := Decode[CheckpointMsg](append(Encode(in), 0xFF)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-}

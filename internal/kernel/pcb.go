@@ -198,9 +198,6 @@ func (b *BackupPCB) PID() types.PID { return b.pid }
 // Epoch returns the last synchronized epoch.
 func (b *BackupPCB) Epoch() types.Epoch { return b.epoch }
 
-// Synced reports whether the primary ever completed a sync.
-func (b *BackupPCB) Synced() bool { return b.synced }
-
 // cloneFDs copies an fd table.
 func cloneFDs(in map[types.FD]types.ChannelID) map[types.FD]types.ChannelID {
 	out := make(map[types.FD]types.ChannelID, len(in))

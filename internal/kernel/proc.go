@@ -6,7 +6,6 @@ import (
 
 	"auragen/internal/guest"
 	"auragen/internal/memory"
-	"auragen/internal/replication"
 	"auragen/internal/routing"
 	"auragen/internal/trace"
 	"auragen/internal/types"
@@ -128,7 +127,7 @@ func (k *Kernel) writeLocked(p *PCB, fd types.FD, kind types.Kind, data []byte) 
 		p.nondetPending = nil
 	}
 	k.sendLocked(msg)
-	if k.outgoing.Len() >= k.maxBatch {
+	if k.outgoing.Len() >= DefaultTxBatch {
 		k.transmitLocked()
 	}
 	return nil
@@ -268,11 +267,14 @@ func (pr *Proc) callKind(fd types.FD, kind types.Kind, req []byte) ([]byte, erro
 // and is paired with a fresh descriptor.
 func (pr *Proc) Open(name string) (types.FD, error) {
 	k, p := pr.k, pr.p
+	k.mu.Lock()
+	backup := p.backupCluster // crash handling rewrites it under k.mu
+	k.mu.Unlock()
 	req := &OpenRequest{
 		Opener:              p.pid,
 		Name:                name,
 		OpenerCluster:       k.id,
-		OpenerBackupCluster: p.backupCluster,
+		OpenerBackupCluster: backup,
 	}
 	replyBytes, err := pr.callKind(0, types.KindOpenRequest, Encode(req))
 	if err != nil {
@@ -367,15 +369,15 @@ func (pr *Proc) Close(fd types.FD) error {
 //     signal has not arrived yet (an in-flight straggler), wait rather
 //     than let a later input overtake the pinned position.
 //  3. Otherwise a pending unignored signal is pinned just prior to
-//     handling, per the strategy: a forced sync (threeway, §7.5.2), a
-//     forced checkpoint (msglog), or a streamed decision-log entry
-//     pinning the position with no state capture (llft). Not while
-//     roll-forward suppression counts remain, because the escaped send
-//     prefix must be regenerated from the same read sequence the primary
-//     executed before signals may reorder it. If a recorded decision is
-//     lost with its leader, outgoing FIFO order guarantees nothing sent
-//     after the delivery escaped either, so the promoted follower
-//     re-deciding at a different position is externally unobservable.
+//     handling, per the policy: a forced capture (threeway §7.5.2, and
+//     msglog), or a streamed decision-log entry pinning the position with
+//     no state capture (llft). Not while roll-forward suppression counts
+//     remain, because the escaped send prefix must be regenerated from the
+//     same read sequence the primary executed before signals may reorder
+//     it. If a recorded decision is lost with its leader, outgoing FIFO
+//     order guarantees nothing sent after the delivery escaped either, so
+//     the promoted follower re-deciding at a different position is
+//     externally unobservable.
 //  4. Otherwise deliver the lowest-arrival-sequence message across all
 //     open channels (bunch/which semantics, §7.5.1).
 func (pr *Proc) NextEvent() (guest.Event, error) {
@@ -478,7 +480,7 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 			}
 		} else if p.suppressTotal == 0 && sigEntry != nil && sigEntry.QueueLen() > 0 {
 			// Rule 3: pin the pending signal just prior to handling.
-			if k.strategy.OnPendingSignal() == replication.ActionDecisionRecord {
+			if k.policy.Decisions {
 				// llft: stream the decision to the follower and deliver via
 				// rule 2 on the next iteration. The entry rides the same
 				// FIFO outgoing queue as the process's sends, which is the
@@ -498,9 +500,7 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 				continue
 			}
 			// threeway/msglog: force a capture; the signal is the first
-			// event of the new interval. (Whether the capture travels as a
-			// delta sync or a full checkpoint is syncProcessLocked's
-			// business.)
+			// event of the new interval.
 			if err := k.syncProcessLocked(p, true); err != nil {
 				return guest.Event{}, err
 			}
@@ -520,13 +520,12 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 	}
 }
 
-// SyncPoint implements guest.API: take a periodic capture if the strategy
-// says one is due (§7.8 for threeway's read/tick triggers; msglog scales
-// the same cadence for its full-image checkpoints; llft never captures
-// after establishment). It is also the universal establishment pause
-// point — the guest has declared its state capturable here. Whether or not
-// a capture was due, the process's queued output leaves the cluster before
-// SyncPoint returns.
+// SyncPoint implements guest.API: take a periodic capture if one is due at
+// the policy's CaptureScale times the process's read/tick cadence (§7.8; a
+// zero scale, llft, never captures after establishment). It is also the
+// universal establishment pause point — the guest has declared its state
+// capturable here. Whether or not a capture was due, the process's queued
+// output leaves the cluster before SyncPoint returns.
 func (pr *Proc) SyncPoint() error {
 	k, p := pr.k, pr.p
 	k.mu.Lock()
@@ -537,7 +536,7 @@ func (pr *Proc) SyncPoint() error {
 		}
 	}
 	var err error
-	if k.strategy.CaptureDue(uint64(p.readsSinceSync), p.ticksSinceSync, uint64(p.syncReads), p.syncTicks) {
+	if s := k.policy.CaptureScale; s > 0 && (uint64(p.readsSinceSync) >= s*uint64(p.syncReads) || p.ticksSinceSync >= s*p.syncTicks) {
 		err = k.syncProcessLocked(p, false)
 	}
 	k.transmitLocked()

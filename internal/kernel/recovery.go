@@ -207,10 +207,9 @@ func replayableKind(kind types.Kind) bool {
 		types.KindCrashNotice, types.KindBackupUp, types.KindServerSync,
 		types.KindHeartbeat, types.KindExitNotice,
 		types.KindBackupCreate, types.KindBackupAck,
-		types.KindDecision, types.KindCheckpoint, types.KindMark:
-		// Decisions and checkpoints are control plane: a decision installs
-		// into BackupPCB.decisions (replayed as the signal plan, not as a
-		// queued message), and checkpoints travel the sync path. A mark is
+		types.KindDecision, types.KindMark:
+		// A decision is control plane: it installs into BackupPCB.decisions
+		// (replayed as the signal plan, not as a queued message). A mark is
 		// core's barrier and concerns no process.
 		return false
 	}
@@ -282,7 +281,7 @@ func (k *Kernel) promoteLocked(b *BackupPCB, noticeNanos int64) {
 		decisionSeq:   uint64(len(b.decisions)),
 	}
 	p.cond = sync.NewCond(&k.mu)
-	if k.strategy.PlansSignals() && len(b.decisions) > 0 {
+	if k.policy.Decisions && len(b.decisions) > 0 {
 		// Install the recorded decision log as the roll-forward signal plan
 		// (llft): each entry is the absolute input position at which the
 		// dead leader consumed a queued signal, and the new primary must

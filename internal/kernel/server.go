@@ -261,17 +261,6 @@ func (k *Kernel) ServerInject(pid types.PID, fn func(*ServerCtx, Server)) {
 	}
 }
 
-// ServerRole reports the local instance's current role for pid.
-func (k *Kernel) ServerRole(pid types.PID) (routing.Role, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	host, ok := k.servers[pid]
-	if !ok {
-		return 0, false
-	}
-	return host.role, true
-}
-
 // Signal sends an asynchronous signal to a process from outside (the
 // system facade's kill, a terminal interrupt). It travels as a message so
 // both the process and its backup see it (§7.5.2).

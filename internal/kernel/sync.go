@@ -87,13 +87,12 @@ func (k *Kernel) syncProcessLocked(p *PCB, signalNext bool) error {
 	// reproducing the §2 strawman's cost profile; copies need no release.
 	var pages []memory.Page
 	captured := p.space
-	if p.fullCheckpoint || k.strategy.FullImage() {
+	if p.fullCheckpoint || k.policy.FullImage {
 		pages, captured = p.space.SnapshotAll(), nil
 		p.space.ClearDirty()
 	} else {
 		pages = p.space.CaptureDirty()
 	}
-	var pageBytes uint64
 	if len(pages) > 0 {
 		po := &PageOut{PID: p.pid, Epoch: epoch, From: k.id, Pages: pages, captured: captured}
 		k.sendLocked(&types.Message{
@@ -104,6 +103,7 @@ func (k *Kernel) syncProcessLocked(p *PCB, signalNext bool) error {
 			Lazy:  po,
 		})
 		k.metrics.PagesOut.Add(uint64(len(pages)))
+		var pageBytes uint64
 		for _, pg := range pages {
 			pageBytes += uint64(len(pg.Data))
 		}
@@ -183,29 +183,14 @@ func (k *Kernel) syncProcessLocked(p *PCB, signalNext bool) error {
 	// The sync message is also encoded lazily: every SyncMsg field is
 	// exclusively owned by the message (the delta slices were detached from
 	// the PCB below; Args/Regs are immutable once marshaled), so
-	// offerBatch can serialize it into a pooled buffer. Under a
-	// full-image strategy (msglog) the state travels as a KindCheckpoint
-	// manifest wrapping the same image, so checkpoints are distinguishable
-	// on the wire and in traces from threeway's delta syncs.
-	syncRoute := types.Route{Dst: backup, DstBackup: pagerLoc.Primary, SrcBackup: pagerMirror}
-	if k.strategy.FullImage() {
-		cm := &CheckpointMsg{Sync: sm, Pages: uint32(len(pages)), Bytes: pageBytes}
-		k.sendLocked(&types.Message{
-			Kind:  types.KindCheckpoint,
-			Src:   p.pid,
-			Dst:   p.pid,
-			Route: syncRoute,
-			Lazy:  cm,
-		})
-	} else {
-		k.sendLocked(&types.Message{
-			Kind:  types.KindSync,
-			Src:   p.pid,
-			Dst:   p.pid,
-			Route: syncRoute,
-			Lazy:  sm,
-		})
-	}
+	// offerBatch can serialize it into a pooled buffer.
+	k.sendLocked(&types.Message{
+		Kind:  types.KindSync,
+		Src:   p.pid,
+		Dst:   p.pid,
+		Route: types.Route{Dst: backup, DstBackup: pagerLoc.Primary, SrcBackup: pagerMirror},
+		Lazy:  sm,
+	})
 
 	p.epoch = epoch
 	p.readsSinceSync = 0
@@ -248,22 +233,21 @@ func pagerMirror(primary types.ClusterID) types.ClusterID {
 	return 1 - primary
 }
 
-// dispatchSync handles the arrival of a sync image — a KindSync payload, or
-// the image a KindCheckpoint manifest (msglog) wraps, applied exactly like a
-// sync at checkpoint cadence. The backup's kernel brings the backup record up
-// to the primary's state; the page server and its mirror commit the backup
-// page account for the same epoch, and read no more of the image than that
-// takes. One cluster may play both roles.
-func (k *Kernel) dispatchSync(m *types.Message, image []byte) {
+// dispatchSync handles the arrival of a sync image, delta or full. The
+// backup's kernel brings the backup record up to the primary's state; the
+// page server and its mirror commit the backup page account for the same
+// epoch, and read no more of the image than that takes. One cluster may play
+// both roles.
+func (k *Kernel) dispatchSync(m *types.Message) {
 	if m.Route.Dst == k.id {
-		sm, err := Decode[SyncMsg](image)
+		sm, err := Decode[SyncMsg](m.Payload)
 		if err != nil {
 			return
 		}
 		k.applySyncLocked(sm)
 	}
 	if k.pager != nil && (m.Route.DstBackup == k.id || m.Route.SrcBackup == k.id) {
-		pid, epoch, free, err := DecodeSyncCommit(image)
+		pid, epoch, free, err := DecodeSyncCommit(m.Payload)
 		if err != nil {
 			return
 		}
@@ -393,8 +377,8 @@ func (k *Kernel) applySyncLocked(sm *SyncMsg) {
 	// The capture subsumes the decision log: signal deliveries pinned
 	// before it are part of the captured state, and plan positions restart
 	// from the capture's absolute input count. (llft followers only ever
-	// receive establishment syncs — the strategy takes no periodic
-	// captures — so this resets the record to its base.)
+	// receive establishment syncs — the policy takes no periodic captures —
+	// so this resets the record to its base.)
 	b.readsBase = sm.TotalReads
 	b.decisions = nil
 	// Likewise the nondet log (§10): events before the sync are part of

@@ -45,7 +45,7 @@ type txRig struct {
 	entry   *routing.Entry
 }
 
-func newTxRig(maxBatch int) *txRig {
+func newTxRig() *txRig {
 	r := &txRig{log: trace.NewEventLog(1 << 12), metrics: new(trace.Metrics), fd: 2}
 	r.bus = bus.New(r.metrics, r.log)
 	for _, c := range []types.ClusterID{0, 2, 3} {
@@ -55,7 +55,7 @@ func newTxRig(maxBatch int) *txRig {
 	dir.SetService(directory.PIDPageServer, directory.ServiceLoc{Primary: 0, Backup: types.NoCluster})
 	reg := guest.NewRegistry()
 	reg.Register("stub", func() guest.Guest { return stubGuest{} })
-	r.k = New(Config{ID: 1, Bus: r.bus, Dir: dir, Registry: reg, Metrics: r.metrics, MaxBatch: maxBatch})
+	r.k = New(Config{ID: 1, Bus: r.bus, Dir: dir, Registry: reg, Metrics: r.metrics})
 
 	k := r.k
 	k.mu.Lock()
@@ -132,24 +132,23 @@ func repeatKind(k types.Kind, n int) []types.Kind {
 // batch or exit — and no earlier than the first of them.
 func TestWhenOutputLeaves(t *testing.T) {
 	t.Run("Write and Tick leave it queued", func(t *testing.T) {
-		r := newTxRig(0)
+		r := newTxRig()
 		r.write(t, "a")
 		r.pr.Tick(1)
 		r.write(t, "b")
 		r.expect(t, 0, 2)
 	})
 	t.Run("the Write that fills a batch sends the batch", func(t *testing.T) {
-		const maxBatch = 4
-		r := newTxRig(maxBatch)
-		for i := 0; i < maxBatch-1; i++ {
+		r := newTxRig()
+		for i := 0; i < DefaultTxBatch-1; i++ {
 			r.write(t, "x")
 		}
-		r.expect(t, 0, maxBatch-1)
+		r.expect(t, 0, DefaultTxBatch-1)
 		r.write(t, "x")
-		r.expect(t, 1, 0, repeatKind(types.KindData, maxBatch)...)
+		r.expect(t, 1, 0, repeatKind(types.KindData, DefaultTxBatch)...)
 	})
 	t.Run("a sync point with no capture due sends what is queued", func(t *testing.T) {
-		r := newTxRig(0)
+		r := newTxRig()
 		r.write(t, "a")
 		r.write(t, "b")
 		if err := r.pr.SyncPoint(); err != nil {
@@ -161,7 +160,7 @@ func TestWhenOutputLeaves(t *testing.T) {
 		}
 	})
 	t.Run("a capture leaves in one batch behind the data queued before it", func(t *testing.T) {
-		r := newTxRig(0)
+		r := newTxRig()
 		r.write(t, "a")
 		r.pr.Space().WriteAt(0, []byte("dirty"))
 		r.pr.Tick(DefaultSyncTicks)
@@ -171,7 +170,7 @@ func TestWhenOutputLeaves(t *testing.T) {
 		r.expect(t, 1, 0, types.KindData, types.KindPageOut, types.KindSync)
 	})
 	t.Run("a read transmits before it parks and looks again afterwards", func(t *testing.T) {
-		r := newTxRig(0)
+		r := newTxRig()
 		r.write(t, "request")
 		// The reply arrives while the reader is on the bus with the request
 		// and k.mu is released. Had Read parked without transmitting, or
@@ -189,19 +188,19 @@ func TestWhenOutputLeaves(t *testing.T) {
 		r.expect(t, 1, 0, types.KindData)
 	})
 	t.Run("exit sends the last output and the notice behind it", func(t *testing.T) {
-		r := newTxRig(0)
+		r := newTxRig()
 		r.write(t, "last words")
 		r.k.exitProcess(r.p)
 		r.expect(t, 1, 0, types.KindData, types.KindExitNotice)
 	})
 	t.Run("an entry point that is no syscall transmits on its way out", func(t *testing.T) {
-		r := newTxRig(0)
+		r := newTxRig()
 		r.write(t, "a")
 		r.k.Signal(r.p.pid, types.SigUser)
 		r.expect(t, 1, 0, types.KindData, types.KindSignal)
 	})
 	t.Run("the receive loop transmits what a drained batch queued", func(t *testing.T) {
-		r := newTxRig(0)
+		r := newTxRig()
 		bu := &BackupUp{PID: fixDst, BackupCluster: 3, Origin: 2, NeedAck: true}
 		r.k.dispatchBatch([]types.Message{{ID: 1, Kind: types.KindBackupUp, Payload: Encode(bu)}})
 		r.expect(t, 1, 0, types.KindBackupAck)
@@ -212,7 +211,7 @@ func TestWhenOutputLeaves(t *testing.T) {
 // on the bus returns at once, and its output goes out behind the holder's, in
 // queue order, in the holder's next batch.
 func TestSingleTransmitter(t *testing.T) {
-	r := newTxRig(0)
+	r := newTxRig()
 	r.write(t, "first")
 	arrived := false
 	r.bus.SetFaultHook(func(int, *types.Message, int) bool {
@@ -250,7 +249,7 @@ func TestSingleTransmitter(t *testing.T) {
 // reads what it read when a transmit loop did the draining.
 func TestNothingLeavesAHeldOrDeadKernel(t *testing.T) {
 	t.Run("hold", func(t *testing.T) {
-		r := newTxRig(0)
+		r := newTxRig()
 		r.k.HoldTransmit(true)
 		r.write(t, "a")
 		r.write(t, "b")
@@ -262,7 +261,7 @@ func TestNothingLeavesAHeldOrDeadKernel(t *testing.T) {
 		r.expect(t, 1, 0, types.KindData, types.KindData)
 	})
 	t.Run("crash", func(t *testing.T) {
-		r := newTxRig(0)
+		r := newTxRig()
 		r.write(t, "a")
 		r.k.Crash()
 		r.transmit()
@@ -270,14 +269,14 @@ func TestNothingLeavesAHeldOrDeadKernel(t *testing.T) {
 		r.expect(t, 0, 0)
 	})
 	t.Run("stop", func(t *testing.T) {
-		r := newTxRig(0)
+		r := newTxRig()
 		r.write(t, "a")
 		r.k.Stop()
 		r.transmit()
 		r.expect(t, 0, 1)
 	})
 	t.Run("degrade", func(t *testing.T) {
-		r := newTxRig(0)
+		r := newTxRig()
 		for i := 0; i < bus.NumBuses; i++ {
 			if err := r.bus.FailBus(i); err != nil {
 				t.Fatal(err)
@@ -307,7 +306,7 @@ func TestNothingLeavesAHeldOrDeadKernel(t *testing.T) {
 // is what lets a receiver that has already dispatched the crash notice fence
 // it (TestStragglerBatchBehindItsCrashNoticeIsFenced).
 func TestCrashBetweenTakeAndOffer(t *testing.T) {
-	r := newTxRig(0)
+	r := newTxRig()
 	peer := r.bus.Attach(2) // replaces the port nobody drains
 	r.write(t, "a")
 	r.k.mu.Lock()
@@ -333,7 +332,7 @@ func TestCrashBetweenTakeAndOffer(t *testing.T) {
 func TestCaptureLivesUntilTransmit(t *testing.T) {
 	const pageSize = 1024
 	capture := func(t *testing.T) (*txRig, *bus.Inbox) {
-		r := newTxRig(0)
+		r := newTxRig()
 		pagerInbox := r.bus.Attach(0) // replaces the port nobody drains
 		r.pr.Space().WriteAt(0, []byte("page 0 at the sync point"))
 		r.pr.Space().WriteAt(pageSize, []byte("page 1 at the sync point"))
@@ -675,7 +674,7 @@ func TestOutboundCutKeysOnTheTransmitter(t *testing.T) {
 // releasing k.mu on the way; it no longer releases it) and a later
 // establishment starts clean.
 func TestEstablishmentSyncForADeadBackupIsDropped(t *testing.T) {
-	r := newTxRig(0)
+	r := newTxRig()
 	r.k.mu.Lock()
 	r.p.backupCluster = types.NoCluster
 	r.p.establishSyncPending = true

@@ -1,34 +1,26 @@
-// Package replication factors the backup protocol's policy decisions out
-// of the kernel into a pluggable Strategy, so structurally different
-// fault-tolerance schemes can be raced head-to-head under the same chaos,
-// repair, and soak oracles.
-//
-// The kernel keeps the mechanism — atomic three-address bus delivery,
+// Package replication names the backup protocol's three policies. The
+// kernel holds the one mechanism — atomic three-address bus delivery,
 // saved-message queues, writes-since-sync counting, crash promotion with
-// roll-forward, online backup establishment — and asks the Strategy the
-// policy questions: when is a state capture due, does a capture carry the
-// dirty delta or the full image, how is a pending asynchronous signal's
-// delivery point pinned into the backup's history, and does promotion
-// replay a recorded signal plan. Three implementations live in the
-// subpackages:
+// roll-forward, online backup establishment — and reads a Policy value for
+// the three answers that differ between schemes: when a periodic state
+// capture is due, whether a capture is the whole image or the dirty delta,
+// and how a pending asynchronous signal's delivery point is pinned into the
+// backup's history.
 //
-//	replication/threeway  the paper's scheme (§5): periodic dirty-delta
-//	                      sync points, write suppression over the sync
-//	                      window, signals pinned by a forced sync.
-//	replication/llft      leader-follower per "The Low Latency Fault
-//	                      Tolerance System": no periodic captures — the
-//	                      leader streams decision-log entries pinning
-//	                      each signal delivery at an absolute input
-//	                      position, and promotion replays that plan.
-//	replication/msglog    pessimistic message logging: the saved-message
-//	                      queues are the log, captures are full-image
-//	                      checkpoints at a coarser cadence, and recovery
-//	                      restores the checkpoint and replays the logged
-//	                      inbound messages behind it.
+//	threeway  the paper's scheme (§5): dirty-delta sync points at the
+//	          configured cadence, write suppression over the sync window,
+//	          a pending signal pinned by a forced sync (§7.5.2).
+//	llft      leader-follower after "The Low Latency Fault Tolerance
+//	          System": no capture after establishment, so the saved queues
+//	          and writes-since-sync counts are the replay log; each signal
+//	          delivery is pinned by a streamed decision-log entry at an
+//	          absolute input position, and promotion replays that plan.
+//	msglog    pessimistic message logging: the saved queues are the log,
+//	          captures are full images at a coarser cadence, and recovery
+//	          restores the latest image and replays the logged inbound
+//	          messages behind it; a pending signal forces a capture.
 //
-// The subpackages import this package for the interface and its types;
-// callers that map a Kind to a concrete Strategy (internal/core) import
-// the subpackages directly, keeping the dependency graph acyclic.
+// Every capture, delta or full image, travels as an ordinary KindSync.
 package replication
 
 import (
@@ -36,18 +28,49 @@ import (
 	"strings"
 )
 
-// Kind names a pluggable replication strategy.
+// Kind names a replication policy.
 type Kind uint8
 
 const (
-	// ThreeWay is the paper's three-way-delivery scheme — the reference
-	// implementation and the default.
+	// ThreeWay is the paper's three-way-delivery scheme and the default.
 	ThreeWay Kind = iota
 	// LLFT is leader-follower replication with a streamed decision log.
 	LLFT
-	// MsgLog is pessimistic message logging with periodic checkpoints.
+	// MsgLog is pessimistic message logging with full-image captures.
 	MsgLog
 )
+
+// Policy is the backup protocol's policy for one Kind. Every kernel in a
+// system reads the same value.
+type Policy struct {
+	Kind Kind
+	// CaptureScale multiplies a process's sync cadence (its SyncReads and
+	// SyncTicks triggers) to give the periodic capture cadence. Zero means
+	// captures happen only at backup establishment.
+	CaptureScale uint64
+	// FullImage makes every capture ship the whole address space instead
+	// of the pages dirtied since the last capture.
+	FullImage bool
+	// Decisions pins a pending signal by streaming a decision-log entry to
+	// the backup instead of forcing a capture, and makes promotion replay
+	// the recorded entries as its signal plan.
+	Decisions bool
+}
+
+var policies = [...]Policy{
+	ThreeWay: {Kind: ThreeWay, CaptureScale: 1},
+	LLFT:     {Kind: LLFT, Decisions: true},
+	MsgLog:   {Kind: MsgLog, CaptureScale: 4, FullImage: true},
+}
+
+// Policy returns k's row of the policy table; an unknown kind gets the
+// paper's scheme.
+func (k Kind) Policy() Policy {
+	if int(k) >= len(policies) {
+		return policies[ThreeWay]
+	}
+	return policies[k]
+}
 
 func (k Kind) String() string {
 	switch k {
@@ -76,78 +99,8 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
-// All returns every strategy kind, in a fixed order — campaign matrices
-// and conformance suites iterate it.
+// All returns every kind, in a fixed order — campaign matrices and
+// conformance suites iterate it.
 func All() []Kind {
 	return []Kind{ThreeWay, LLFT, MsgLog}
-}
-
-// Action is what the executing primary does to pin a pending asynchronous
-// signal's delivery point into its backup's history before taking the
-// signal. Signals are the one nondeterministic input the saved-message
-// replay cannot order by itself: the backup saves the signal message, but
-// nothing in the saved queues says WHEN the primary chose to consume it
-// relative to its other reads.
-type Action uint8
-
-const (
-	// ActionForcedSync runs an immediate synchronization, so the signal is
-	// delivered as the first event of the new interval (§7.5.2).
-	ActionForcedSync Action = iota
-	// ActionDecisionRecord streams a decision-log entry to the follower
-	// pinning the delivery at an absolute input position; no state moves.
-	ActionDecisionRecord
-	// ActionForcedCheckpoint takes an immediate full-image checkpoint.
-	ActionForcedCheckpoint
-)
-
-func (a Action) String() string {
-	switch a {
-	case ActionForcedSync:
-		return "forced-sync"
-	case ActionDecisionRecord:
-		return "decision-record"
-	case ActionForcedCheckpoint:
-		return "forced-checkpoint"
-	default:
-		return fmt.Sprintf("Action(%d)", uint8(a))
-	}
-}
-
-// Strategy is the policy half of the backup protocol. Implementations
-// must be stateless values, safe for concurrent use by every kernel in
-// the system: all per-process state stays in the kernel's PCBs.
-type Strategy interface {
-	// Name returns the canonical flag/label name ("threeway", ...).
-	Name() string
-
-	// Kind returns the enum tag for cheap switches in oracles and dumps.
-	Kind() Kind
-
-	// CaptureDue reports whether a periodic state capture is due at a
-	// sync point, given the reads and ticks the process accumulated since
-	// its last capture and the configured cadence. Establishment syncs
-	// (the initial base-image transfer when a backup is created) do not
-	// consult this — every strategy needs the base image.
-	CaptureDue(reads, ticks, everyReads, everyTicks uint64) bool
-
-	// FullImage reports whether captures snapshot the entire address
-	// space (a checkpoint) rather than the dirty delta since the last
-	// capture. Full-image captures travel as KindCheckpoint manifests;
-	// delta captures as KindSync.
-	FullImage() bool
-
-	// OnPendingSignal selects how the primary pins a queued signal's
-	// delivery point before consuming it.
-	OnPendingSignal() Action
-
-	// PlansSignals reports whether crash promotion installs a signal-
-	// delivery plan from the recorded decision log (LLFT) instead of
-	// re-deciding deliveries at capture boundaries.
-	PlansSignals() bool
-
-	// ProcDebug renders the strategy-specific counter tail of a kernel
-	// debug-dump line for one process; counters that are meaningless
-	// under the strategy are omitted rather than printed as zeros.
-	ProcDebug(readsSinceSync, ticksSinceSync, suppressTotal, totalReads, decisionSeq uint64, planLen int) string
 }

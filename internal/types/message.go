@@ -93,16 +93,15 @@ const (
 	// to service).
 	KindBackupAck
 
-	// KindDecision is a leader-follower (llft strategy) decision-log entry:
+	// KindDecision is a leader-follower (llft policy) decision-log entry:
 	// the leader pins the input position at which it chose to take a queued
 	// asynchronous signal, so the follower replays the same interleaving
 	// during crash promotion instead of relying on write suppression.
 	KindDecision
 
-	// KindCheckpoint carries a full-image checkpoint (msglog strategy) to
-	// the backup cluster and the page-server pair; recovery restores the
-	// checkpoint and replays the pessimistically logged inbound messages.
-	KindCheckpoint
+	// Reserved: the retired full-image checkpoint manifest (a full image
+	// now travels as KindSync). The slot keeps KindMark's wire number.
+	_
 
 	// KindMark is core's bus-ordered marker (Origin NoCluster, reaching
 	// every live cluster). A kernel records the highest mark it has
@@ -150,8 +149,6 @@ func (k Kind) String() string {
 		return "backup-ack"
 	case KindDecision:
 		return "decision"
-	case KindCheckpoint:
-		return "checkpoint"
 	case KindMark:
 		return "mark"
 	default:

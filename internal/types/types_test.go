@@ -70,11 +70,17 @@ func TestStringers(t *testing.T) {
 	if PID(7).String() != "pid7" || ChannelID(9).String() != "ch9" {
 		t.Error("identifier strings")
 	}
-	const reserved = KindServerSync + 1 // the retired kernel report's slot
-	for k := KindInvalid; k <= KindCheckpoint; k++ {
-		if k != reserved && strings.HasPrefix(k.String(), "Kind(") {
+	reserved := map[Kind]bool{
+		KindServerSync + 1: true, // the retired kernel report's slot
+		KindDecision + 1:   true, // the retired checkpoint manifest's slot
+	}
+	for k := KindInvalid; k <= KindMark; k++ {
+		if !reserved[k] && strings.HasPrefix(k.String(), "Kind(") {
 			t.Errorf("kind %d unnamed", k)
 		}
+	}
+	if KindMark != 20 {
+		t.Errorf("KindMark is wire number %d, want 20", uint8(KindMark))
 	}
 	for _, m := range []BackupMode{Quarterback, Halfback, Fullback} {
 		if strings.HasPrefix(m.String(), "BackupMode(") {

@@ -8,7 +8,6 @@
 package workload
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -125,13 +124,6 @@ func ParseBal(data []byte) (acct int, ok bool) {
 		return 0, false
 	}
 	return a, true
-}
-
-// U64Key encodes an integer for storage under a KV key.
-func U64Key(v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return b[:]
 }
 
 // TxnPlan is a deterministic transaction schedule for one teller.
