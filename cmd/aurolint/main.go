@@ -1,9 +1,9 @@
 // aurolint is the repository's domain-specific static-analysis pass: it
 // type-checks the given packages as one program and enforces the
-// determinism, locking, lock-order, pooled-buffer lifetime, API,
-// exhaustiveness, and protocol-completeness invariants the paper's
-// recovery story depends on (see internal/analysis for the check
-// catalogue, AURO000–012).
+// determinism, locking, lock-order, API, exhaustiveness, and
+// protocol-completeness invariants the paper's recovery story depends on
+// (see internal/analysis for the check catalogue, AURO000–012, with 009
+// and 011 retired).
 //
 // Usage:
 //

@@ -17,17 +17,17 @@
 //	AURO006  bus.New/kernel.New wired outside the core assembly package
 //	AURO007  ignored error from a message-system call
 //	AURO008  non-exhaustive switch over a message/event enum
-//	AURO009  fresh wire.Writer allocation in a hot-path package
 //	AURO010  lock-acquisition-order violation (cycle or unsanctioned
 //	         same-class nesting) in the global lock-order graph
-//	AURO011  pooled-buffer lifetime violation (use-after-put, double put,
-//	         missing put on a path, escape of retained bytes past the put)
 //	AURO012  protocol-completeness violation (enum member missing from a
 //	         dispatch switch, never constructed, or unreachable from a
 //	         transmit entry point)
 //	AURO000  malformed or unused //lint:ignore suppression comment
 //
-// AURO004 and the three new rules are flow-aware: they run over an
+// IDs 009 and 011 are retired with the writer pool they policed and are
+// not reused.
+//
+// AURO004, AURO010 and AURO012 are flow-aware: they run over an
 // intraprocedural CFG (cfg.go) and a whole-program call graph
 // (callgraph.go) built with nothing but go/ast and go/types, so branch,
 // defer, and cross-function paths are analyzed rather than pattern-matched.
@@ -92,24 +92,11 @@ type Config struct {
 	// EmitLocalFuncs lists per-package function names treated as emission
 	// roots (e.g. the kernel's sendLocked outgoing-queue append).
 	EmitLocalFuncs []string
-	// PooledWirePkgs lists the hot-path packages in which wire.NewWriter
-	// must not be called directly: encode buffers there come from the
-	// sync.Pool (wire.GetWriter/PutWriter) or a sanctioned cold-path
-	// funnel carrying a suppression that documents why its product may
-	// not alias a pooled buffer (AURO009).
-	PooledWirePkgs []string
 	// OrderedLockClasses maps a lock class ("pkgpath.Type.field") to the
 	// functions (funcKey form) sanctioned to hold several instances of
 	// that class at once under a canonical acquisition order. Same-class
 	// nesting anywhere else is AURO010.
 	OrderedLockClasses map[string][]string
-	// PoolGetFuncs / PoolPutFuncs / PoolBytesMethods identify the pooled
-	// buffer API for the AURO011 lifetime analysis: the allocator, the
-	// releaser, and the methods returning byte slices that alias the
-	// pooled storage.
-	PoolGetFuncs     []string
-	PoolPutFuncs     []string
-	PoolBytesMethods []string
 	// Protocols lists the message-protocol enums whose members must be
 	// wired end to end (AURO012).
 	Protocols []ProtocolSpec
@@ -156,7 +143,6 @@ func DefaultConfig(module string) *Config {
 			in("trace") + ".EventLog.Add",
 		},
 		EmitLocalFuncs: []string{"sendLocked", "logMsg"},
-		PooledWirePkgs: []string{in("kernel"), in("bus")},
 		OrderedLockClasses: map[string][]string{
 			// BroadcastBatch stages one batch into the inboxes of the ports
 			// it reaches and holds them to the end of the batch. It does so
@@ -166,9 +152,6 @@ func DefaultConfig(module string) *Config {
 			// two Inbox locks at once.
 			in("bus") + ".Inbox.mu": {in("bus") + ".Bus.BroadcastBatch"},
 		},
-		PoolGetFuncs:     []string{in("wire") + ".GetWriter"},
-		PoolPutFuncs:     []string{in("wire") + ".PutWriter"},
-		PoolBytesMethods: []string{in("wire") + ".Writer.Bytes"},
 		Protocols: []ProtocolSpec{{
 			Enum: in("types") + ".Kind",
 			Dispatch: []string{
@@ -240,7 +223,7 @@ func (pp *progPass) reportf(pkg *Package, pos token.Pos, id, format string, args
 }
 
 // RunProgram analyzes pkgs as one program: the per-package checks run on
-// each package, then the flow-aware passes (AURO004/010/011/012) run over
+// each package, then the flow-aware passes (AURO004/010/012) run over
 // the shared call graph. complete marks that pkgs covers the whole module,
 // enabling whole-program existence checks (protocol emission, unused
 // suppressions). Findings are returned in file/line order with
@@ -256,7 +239,6 @@ func RunProgram(cfg *Config, pkgs []*Package, complete bool) []Finding {
 		pp.findings = append(pp.findings, p.findings...)
 	}
 	pp.checkLockFlow()
-	pp.checkPoolLifetime()
 	pp.checkProtocol()
 	findings := applyProgramSuppressions(pr, pp.findings)
 	sortFindings(findings)

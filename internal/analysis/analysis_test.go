@@ -27,7 +27,6 @@ func fixtureConfig(module string) *Config {
 	for _, name := range []string{"det_bad", "api_bad", "clean_ok", "suppress_ok", "suppress_bad"} {
 		cfg.DeterministicPkgs = append(cfg.DeterministicPkgs, fix(name))
 	}
-	cfg.PooledWirePkgs = append(cfg.PooledWirePkgs, fix("pool_bad"))
 	// List.Ordered models bus.BroadcastBatch's sanctioned multi-instance
 	// discipline; PushPair in the same fixture is not listed and must flag.
 	cfg.OrderedLockClasses[fix("lockcycle_bad")+".List.mu"] = []string{fix("lockcycle_bad") + ".List.Ordered"}
@@ -94,7 +93,7 @@ func collectWants(t *testing.T, pkg *Package) []*want {
 func TestFixtures(t *testing.T) {
 	l, module := fixtureLoader(t)
 	cfg := fixtureConfig(module)
-	for _, name := range []string{"det_bad", "lock_bad", "lockcycle_bad", "api_bad", "switch_bad", "pool_bad", "pool_lifetime_bad", "protocol_bad", "clean_ok", "suppress_ok"} {
+	for _, name := range []string{"det_bad", "lock_bad", "lockcycle_bad", "api_bad", "switch_bad", "protocol_bad", "clean_ok", "suppress_ok"} {
 		t.Run(name, func(t *testing.T) {
 			pkg := loadFixture(t, l, module, name)
 			wants := collectWants(t, pkg)

@@ -17,11 +17,6 @@ import (
 //	AURO007 — message-system calls whose error result is dropped on the
 //	  floor. An ExprStmt discard hides bus failures and routing errors;
 //	  assigning to _ is allowed because it is a visible, greppable waiver.
-//	AURO009 — wire.NewWriter in a hot-path package. The failure-free send
-//	  path must not allocate a fresh encode buffer per message; hot-path
-//	  encodes acquire from the pool (wire.GetWriter/PutWriter), and the
-//	  one sanctioned cold-path allocation funnel carries a suppression
-//	  explaining why its product must not alias a pooled buffer.
 func (p *pass) checkAPIInvariants() {
 	deterministic := p.cfg.isDeterministic(p.pkg.Path)
 	busPath := p.cfg.ModulePath + "/internal/bus"
@@ -41,7 +36,6 @@ func (p *pass) checkAPIInvariants() {
 				}
 			case *ast.CallExpr:
 				p.checkConstructorSite(n)
-				p.checkPooledWriter(n)
 			}
 			return true
 		})
@@ -63,20 +57,6 @@ func (p *pass) checkConstructorSite(call *ast.CallExpr) {
 	p.reportf(call.Pos(), "AURO006",
 		"%s.New called outside the core wiring; assemble systems through the core package so metrics and event sinks stay shared",
 		shortPkg(path))
-}
-
-func (p *pass) checkPooledWriter(call *ast.CallExpr) {
-	if !containsString(p.cfg.PooledWirePkgs, p.pkg.Path) {
-		return
-	}
-	fn := calleeOf(p.pkg.Info, call)
-	if fn == nil || fn.Name() != "NewWriter" || fn.Pkg() == nil ||
-		fn.Pkg().Path() != p.cfg.ModulePath+"/internal/wire" {
-		return
-	}
-	p.reportf(call.Pos(), "AURO009",
-		"wire.NewWriter allocates a fresh encode buffer in hot-path package %s; acquire one with wire.GetWriter/PutWriter or go through the sanctioned cold-path funnel",
-		shortPkg(p.pkg.Path))
 }
 
 func (p *pass) checkIgnoredError(call *ast.CallExpr) {

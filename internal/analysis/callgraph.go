@@ -236,18 +236,3 @@ func (pr *Program) closureOf(seed func(*funcNode) bool, edges func(*funcNode) []
 	}
 	return in
 }
-
-// callersOf builds the reverse adjacency of the full graph (direct edges
-// plus function-literal edges).
-func (pr *Program) callersOf() map[*funcNode][]*funcNode {
-	rev := make(map[*funcNode][]*funcNode)
-	for _, n := range pr.decls {
-		for _, c := range n.direct {
-			rev[c] = append(rev[c], n)
-		}
-		for _, c := range n.inLit {
-			rev[c] = append(rev[c], n)
-		}
-	}
-	return rev
-}

@@ -5,8 +5,7 @@ import (
 )
 
 // This file builds the intraprocedural control-flow graph the flow-aware
-// passes (AURO004 lockset dataflow, AURO010 lock-order edges, AURO011
-// pooled-buffer lifetime) run over. It is deliberately stdlib-only: blocks
+// passes (AURO004 lockset dataflow, AURO010 lock-order edges) run over. It is deliberately stdlib-only: blocks
 // hold the statements and control expressions of one straight-line segment
 // in evaluation order, and edges follow Go's control constructs —
 // including break/continue/goto labels, switch fallthrough, and the
@@ -15,7 +14,7 @@ import (
 //
 // Defers are collected separately, in static registration order: they do
 // not execute where they appear, so analyses model them at function exit
-// (lock state and buffer ownership at return, not at the defer statement).
+// (lock state at return, not at the defer statement).
 
 // block is one basic block: nodes in evaluation order plus successor
 // edges.
@@ -154,7 +153,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.g.defers = append(b.g.defers, s)
 	case *ast.GoStmt:
 		// Arguments are evaluated now; the body runs on another goroutine
-		// and inherits none of the caller's locks or buffers.
+		// and inherits none of the caller's locks.
 		b.add(s)
 	case *ast.ReturnStmt:
 		b.add(s)

@@ -9,7 +9,6 @@ import (
 	"auragen/internal/bus"
 	"auragen/internal/trace"
 	"auragen/internal/types"
-	"auragen/internal/wire"
 )
 
 // Flush emits in sorted key order: the map feeds a sorted slice, not the
@@ -29,30 +28,6 @@ func Flush(log *trace.EventLog, pending map[int]string) {
 func Publish(b *bus.Bus, ms []*types.Message) error {
 	_, err := b.BroadcastBatch(ms)
 	return err
-}
-
-// PooledRoundTrip follows the sanctioned pooled-writer lifecycle: deferred
-// put, bytes copied into a fresh slice before release, writer only ever
-// borrowed by encoding helpers.
-func PooledRoundTrip() []byte {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	w.U32(9)
-	return append([]byte(nil), w.Bytes()...)
-}
-
-// PooledAllPaths puts the writer back on both the early return and the
-// fall-through path.
-func PooledAllPaths(n int) int {
-	w := wire.GetWriter()
-	w.U32(uint32(n))
-	if n == 0 {
-		wire.PutWriter(w)
-		return 0
-	}
-	sz := w.Len()
-	wire.PutWriter(w)
-	return sz
 }
 
 // ordered owns two lock classes acquired in one global order everywhere:

@@ -300,8 +300,8 @@ func (b *Bus) stageLocked(p *busPort, m *types.Message, copies int) uint64 {
 // target's value carries the sender's slices. Offering a message therefore
 // gives up ownership of its payload and nondet words — the sender must
 // never write to them again (the executive's payloads are fresh per
-// message, and offerBatch copies a lazily encoded payload out of its pooled
-// writer before the offer) — and receivers treat them as read-only.
+// message, and offerBatch copies a lazily encoded payload out of its
+// transmit writer before the offer) — and receivers treat them as read-only.
 // Per-target headers (Seq, ID, routing stamps) are independent: each target
 // holds its own value, and the sender keeps its *Message headers, which
 // nothing delivered aliases. §5.1 says copies are executive work, not bus

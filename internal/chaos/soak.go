@@ -20,7 +20,7 @@ import (
 
 // Soak defaults. Warmup cycles establish the baseline the later cycles
 // are held to: the first crash/repair of each cluster builds caches and
-// pools (event-log ring, wire buffer pools, re-established backups), so
+// pools (event-log ring, transmit writers, re-established backups), so
 // the steady state is reached a couple of cycles in, not at boot.
 const (
 	DefaultSoakCycles = 25

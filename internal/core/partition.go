@@ -115,10 +115,9 @@ func (s *System) ArmBusCorrupt(n int) {
 		rng := types.NewRNG(seed ^ corruptSalt)
 		// Called under the bus mutex only, so the RNG needs no lock.
 		s.bus.SetCorrupter(func(m *types.Message) *types.Message {
-			w := wire.GetWriter()
+			w := wire.NewWriter(0)
 			kernel.EncodeMessageBatch(w, []*types.Message{m})
-			frame := append([]byte(nil), w.Bytes()...)
-			wire.PutWriter(w)
+			frame := w.Bytes() // the corrupter's own: flipped in place
 			if len(frame) == 0 {
 				return nil
 			}

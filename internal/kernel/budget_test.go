@@ -16,7 +16,7 @@ import (
 // pages — capture at the primary, page-out and sync message through the
 // kernel onto a bare bus, and off it into both page servers and their
 // mirrored disks — may allocate syncAllocBudget bytes. The page-out's copy
-// out of its pooled writer, the one copy of the pages the §5.1 broadcast
+// out of the transmit writer, the one copy of the pages the §5.1 broadcast
 // owes (the bus hands it to both page servers as it is), is 9.2 KB of that
 // (8.4 KB of payload in its size class), everything else 2.8 KB; one
 // more copy of the dirty set anywhere on the path (a page cloned at the

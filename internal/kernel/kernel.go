@@ -64,6 +64,10 @@ const (
 // guarantee is amortized across the batch.
 const DefaultTxBatch = 64
 
+// maxTxWriterCap bounds the buffer the transmit writer keeps between
+// payloads: one that grew past it (a large page-out or image) is dropped.
+const maxTxWriterCap = 1 << 18 // 256 KiB
+
 // DefaultPageFetchTimeout bounds how long a promoted backup waits for its
 // page account during roll-forward before the recovery is abandoned (the
 // account's hosts died too — a multiple failure).
@@ -175,9 +179,11 @@ type Kernel struct {
 	// set leaves their output queued — the holder looks at the queue again,
 	// under mu, before it clears the flag — so bus order is queue order.
 	transmitting bool
-	// txBatch is the batch being offered. It belongs to the holder of the
-	// transmitting flag and is reused from one batch to the next.
+	// txBatch is the batch being offered, and txw the writer its lazy
+	// payloads are encoded into. Both belong to the holder of the
+	// transmitting flag and are reused from one batch to the next.
 	txBatch []*types.Message
+	txw     wire.Writer
 	// txHold stops transmission without stopping enqueues, so tests can
 	// deterministically open the window between batch-enqueue and
 	// batch-transmit (see HoldTransmit).
@@ -616,11 +622,10 @@ func (k *Kernel) takeBatchLocked() bool {
 
 // offerBatch puts k.txBatch on the bus. Every transmission of this cluster
 // goes through here, under the transmitting flag and outside k.mu. Lazy
-// payloads are resolved here — off the kernel lock — each encoded into a
-// pooled wire buffer and copied out of it, so the payload the bus hands to
-// every destination is the message's own and no pooled buffer ever reaches
-// a receiver; what an encoder borrowed (a page-out's captured pages) is
-// handed back as soon as it is encoded.
+// payloads are resolved here — off the kernel lock — each encoded into
+// k.txw and copied out of it, so the payload the bus hands to every
+// destination is the message's own; what an encoder borrowed (a page-out's
+// captured pages) is handed back as soon as it is encoded.
 func (k *Kernel) offerBatch() {
 	// Encoders touch only data the enqueuer handed off (captured pages,
 	// retired sync state), so running them here is race-free.
@@ -633,14 +638,16 @@ func (k *Kernel) offerBatch() {
 		// after New.
 		m.Origin, m.Inc = k.id, k.inc
 		if m.Lazy != nil {
-			w := wire.GetWriter()
-			m.Lazy.EncodePayload(w)
+			k.txw.Reset()
+			m.Lazy.EncodePayload(&k.txw)
 			if r, ok := m.Lazy.(types.PayloadRetirer); ok {
 				r.RetirePayload()
 			}
-			m.Payload = append([]byte(nil), w.Bytes()...)
+			m.Payload = append([]byte(nil), k.txw.Bytes()...)
 			m.Lazy = nil
-			wire.PutWriter(w)
+			if cap(k.txw.Bytes()) > maxTxWriterCap {
+				k.txw = wire.Writer{} // one large image does not keep its buffer
+			}
 		}
 	}
 

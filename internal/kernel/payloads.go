@@ -8,19 +8,6 @@ import (
 	"auragen/internal/wire"
 )
 
-// newPayloadWriter allocates a fresh Writer for Encode. Its product is a
-// retained []byte (stored in Message.Payload, saved queues, backup images),
-// so it must NOT alias a pooled buffer — returning one to the pool while
-// the payload lives would corrupt it. Hot paths defer encoding via
-// types.PayloadEncoder instead and let Kernel.offerBatch use
-// wire.GetWriter/PutWriter. Keeping the one sanctioned allocation in this
-// funnel is what lets aurolint's AURO009 flag any other wire.NewWriter in
-// this package.
-func newPayloadWriter(capHint int) *wire.Writer {
-	//lint:ignore AURO009 cold-path payload encoding builds retained []byte values that must not alias pooled buffers
-	return wire.NewWriter(capHint)
-}
-
 // Payload is a kernel message body. Its codec method is its one wire
 // description — the order of its calls is the wire order — and serves
 // Encode and Decode alike (wire.Codec).
@@ -29,11 +16,7 @@ type Payload interface {
 }
 
 // Encode serializes p into a fresh buffer the caller may retain.
-func Encode(p Payload) []byte {
-	w := newPayloadWriter(64)
-	p.codec(wire.EncodeTo(w))
-	return w.Bytes()
-}
+func Encode(p Payload) []byte { return wire.Encode(p.codec) }
 
 // Decode parses b as one T. Truncation, an impossible count and trailing
 // bytes all fail it.
@@ -144,8 +127,8 @@ type SyncMsg struct {
 }
 
 // EncodePayload appends the sync message to w. SyncMsg implements
-// types.PayloadEncoder so the executive can serialize it into a pooled
-// buffer at transmit time, outside the kernel lock; every field
+// types.PayloadEncoder so the executive can serialize it into its
+// transmit writer at transmit time, outside the kernel lock; every field
 // is exclusively owned by the message (or immutable, like Args) once the
 // sync is enqueued.
 func (s *SyncMsg) EncodePayload(w *wire.Writer) { s.codec(wire.EncodeTo(w)) }
@@ -213,7 +196,7 @@ type DecisionMsg struct {
 
 // EncodePayload appends the decision entry to w (types.PayloadEncoder: the
 // entry is immutable once enqueued, so the executive may serialize it into
-// a pooled buffer at transmit time).
+// its transmit writer at transmit time).
 func (d *DecisionMsg) EncodePayload(w *wire.Writer) { d.codec(wire.EncodeTo(w)) }
 
 func (d *DecisionMsg) codec(c *wire.Codec) {

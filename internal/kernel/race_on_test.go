@@ -2,7 +2,6 @@
 
 package kernel
 
-// raceEnabled gates the allocation tests: under -race sync.Pool drops what
-// is put back at random, so pooled wire buffers are allocated afresh, and
-// the detector's own bookkeeping allocates.
+// raceEnabled gates the allocation tests: under -race the detector's own
+// bookkeeping allocates.
 const raceEnabled = true

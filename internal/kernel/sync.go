@@ -81,7 +81,7 @@ func (k *Kernel) syncProcessLocked(p *PCB, signalNext bool) error {
 	// captured copy-on-write — the PageOut aliases frozen pages, the
 	// primary resumes immediately, and only pages it rewrites before the
 	// page-out has been encoded pay a copy. Serialization is deferred
-	// (Message.Lazy) to offerBatch, which encodes into a pooled wire buffer
+	// (Message.Lazy) to offerBatch, which encodes into the transmit writer
 	// off the kernel lock and then releases the capture. In the baseline
 	// mode the entire resident data space goes instead, copied eagerly,
 	// reproducing the §2 strawman's cost profile; copies need no release.
@@ -183,7 +183,7 @@ func (k *Kernel) syncProcessLocked(p *PCB, signalNext bool) error {
 	// The sync message is also encoded lazily: every SyncMsg field is
 	// exclusively owned by the message (the delta slices were detached from
 	// the PCB below; Args/Regs are immutable once marshaled), so
-	// offerBatch can serialize it into a pooled buffer.
+	// offerBatch can serialize it into the transmit writer.
 	k.sendLocked(&types.Message{
 		Kind:  types.KindSync,
 		Src:   p.pid,

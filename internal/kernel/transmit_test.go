@@ -1,10 +1,12 @@
 package kernel
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"auragen/internal/bus"
@@ -390,8 +392,8 @@ func TestCaptureLivesUntilTransmit(t *testing.T) {
 
 // TestTransmitAllocations pins the steady-state cost of one one-message
 // transmit: nothing for an eager payload, which the bus hands to its
-// destination as it is, and exactly the copy out of the pooled writer for a
-// lazy one.
+// destination as it is, and exactly the copy out of the transmit writer for
+// a lazy one.
 func TestTransmitAllocations(t *testing.T) {
 	metrics := new(trace.Metrics)
 	b := bus.New(metrics, nil)
@@ -417,7 +419,7 @@ func TestTransmitAllocations(t *testing.T) {
 		t.Fatalf("a one-message transmit allocated %v times, want 0", n)
 	}
 
-	t.Run("pooled writers are returned", func(t *testing.T) {
+	t.Run("the transmit writer is reused", func(t *testing.T) {
 		dm := &DecisionMsg{PID: fixSrc, Seq: 1, Reads: 2}
 		lazy := func() {
 			m.Payload, m.Lazy = nil, dm
@@ -444,6 +446,67 @@ func TestTransmitAllocations(t *testing.T) {
 			t.Fatalf("heap grew %d bytes over 10000 lazy transmits", grown)
 		}
 	})
+
+	t.Run("an oversized writer is dropped", func(t *testing.T) {
+		sm := &SyncMsg{PID: fixSrc, Program: "big", Regs: bytes.Repeat([]byte{0xA5}, maxTxWriterCap+1)}
+		m.Payload, m.Lazy = nil, sm
+		one()
+		got, err := Decode[SyncMsg](buf[0].Payload)
+		if err != nil || got.PID != sm.PID || !bytes.Equal(got.Regs, sm.Regs) {
+			t.Fatalf("the destination could not decode the %d-byte sync (err %v)", len(buf[0].Payload), err)
+		}
+		if c := cap(k.txw.Bytes()); c > maxTxWriterCap {
+			t.Fatalf("the transmit writer kept a %d-byte buffer, want at most %d", c, maxTxWriterCap)
+		}
+	})
+}
+
+// TestTransmitWriterHasOneOwner has two goroutines queue lazy payloads on
+// one kernel and transmit, round after round: whichever holds the
+// transmitting flag encodes both, into the one transmit writer, and every
+// payload must reach the destination as its own sender's message, in that
+// sender's order.
+func TestTransmitWriterHasOneOwner(t *testing.T) {
+	const rounds = 500
+	b := bus.New(new(trace.Metrics), nil)
+	peer := b.Attach(2)
+	k := New(Config{ID: 1, Bus: b, Dir: directory.New(), Registry: guest.NewRegistry(), Metrics: new(trace.Metrics)})
+	var wg sync.WaitGroup
+	for g := types.PID(1); g <= 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(1); i <= rounds; i++ {
+				k.mu.Lock()
+				k.sendLocked(&types.Message{
+					Kind:  types.KindData,
+					Src:   g,
+					Route: types.Route{Dst: 2, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
+					Lazy:  &DecisionMsg{PID: g, Seq: i, Reads: i * uint64(g)},
+				})
+				k.transmitLocked()
+				k.mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+
+	got, _ := peer.PopAll(nil)
+	if len(got) != 2*rounds {
+		t.Fatalf("the destination received %d messages, want %d", len(got), 2*rounds)
+	}
+	next := map[types.PID]uint64{1: 1, 2: 1}
+	for _, m := range got {
+		dm, err := Decode[DecisionMsg](m.Payload)
+		if err != nil {
+			t.Fatalf("message %d from pid %d: %v", m.ID, m.Src, err)
+		}
+		want := DecisionMsg{PID: m.Src, Seq: next[m.Src], Reads: next[m.Src] * uint64(m.Src)}
+		if *dm != want {
+			t.Fatalf("message %d from pid %d decoded to %+v, want %+v", m.ID, m.Src, *dm, want)
+		}
+		next[m.Src]++
+	}
 }
 
 // TestOneMessageWriteToRead follows one data message the whole way on four

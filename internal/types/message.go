@@ -240,7 +240,7 @@ type Message struct {
 	// roll-forward.
 	Nondet []uint64
 	// Lazy, when non-nil, supplies Payload at transmit time: the sending
-	// executive encodes it into a pooled wire buffer just before offering
+	// executive encodes it into its transmit writer just before offering
 	// the message to the bus, then clears it. It lets a
 	// syncing primary enqueue captured state by reference; the
 	// serialization cost moves out of the kernel's critical section. The

@@ -61,3 +61,44 @@ func BenchmarkChecksum(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBatchEncode frames 64 records per batch into one writer, reset
+// per batch, as the kernel's transmit writer is per payload.
+func BenchmarkBatchEncode(b *testing.B) {
+	payload := make([]byte, 64)
+	w := NewWriter(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w.Reset()
+		bw := NewBatchWriter(w)
+		for j := 0; j < 64; j++ {
+			bw.Frame(payload)
+		}
+		bw.Finish()
+		_ = w.Bytes()
+	}
+}
+
+// BenchmarkBatchDecode iterates the frames of a 64-record batch.
+func BenchmarkBatchDecode(b *testing.B) {
+	payload := make([]byte, 64)
+	w := NewWriter(0)
+	bw := NewBatchWriter(w)
+	for j := 0; j < 64; j++ {
+		bw.Frame(payload)
+	}
+	bw.Finish()
+	buf := w.Bytes()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		br := NewBatchReader(buf)
+		for {
+			if _, ok := br.Next(); !ok {
+				break
+			}
+		}
+		if err := br.Done(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

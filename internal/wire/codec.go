@@ -27,8 +27,8 @@ func EncodeTo(w *Writer) *Codec { return &Codec{w: w} }
 func DecodeFrom(r *Reader) *Codec { return &Codec{r: r} }
 
 // Encode returns the encoding desc describes, in a fresh buffer the
-// caller may retain. It serves the cold paths outside the kernel (server
-// protocols and sync blobs); the kernel encodes through its own funnel.
+// caller may retain: kernel payloads, server protocols and sync blobs. Only
+// the kernel's transmit path encodes into a writer it reuses.
 func Encode(desc func(*Codec)) []byte {
 	w := NewWriter(64)
 	desc(EncodeTo(w))
