@@ -84,10 +84,13 @@ func (c *Campaign) Reference(seed int64) *RunResult {
 
 // Run boots a fresh system, arms one tripwire per injection on the event
 // log, and drives the scenario to completion under a watchdog. Tripwires
-// do only atomic bookkeeping and a channel close inside the log's observer
-// (which runs under the log mutex); the faults themselves are applied by
-// injector goroutines through the core facade, exactly as an external
-// operator would.
+// do only atomic bookkeeping and channel operations inside the log's
+// observer (which runs under the log mutex); the faults themselves are
+// applied by injector goroutines through the core facade, exactly as an
+// external operator would. A firing tripwire holds the log until its
+// injector has woken, which takes no lock: without that hand-off, goroutines
+// passing the processor among themselves can keep the injector waiting for
+// the rest of the run, and the fault lands after the moment it names.
 func (c *Campaign) Run(plan Plan) *RunResult {
 	res := &RunResult{
 		Plan:        plan,
@@ -143,8 +146,10 @@ func (c *Campaign) Run(plan Plan) *RunResult {
 		counts := make([]atomic.Int64, n)
 		fires := make([]chan struct{}, n)
 		fireEvs := make([]trace.Event, n)
+		woke := make([]chan struct{}, n)
 		for i := range fires {
 			fires[i] = make(chan struct{})
+			woke[i] = make(chan struct{})
 		}
 		sys.EventLog().SetObserver(func(e trace.Event) {
 			for i := range plan.Injections {
@@ -159,6 +164,10 @@ func (c *Campaign) Run(plan Plan) *RunResult {
 				if counts[i].Add(1) == k {
 					fireEvs[i] = e
 					close(fires[i])
+					select {
+					case <-woke[i]:
+					case <-done:
+					}
 				}
 			}
 		})
@@ -172,6 +181,7 @@ func (c *Campaign) Run(plan Plan) *RunResult {
 					return
 				}
 				res.Fired[i] = true
+				close(woke[i])
 				res.FaultErrs[i] = applyFault(sys, plan.Injections[i], fireEvs[i], &armed)
 			}(i)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"auragen/internal/guest"
 	"auragen/internal/trace"
+	"auragen/internal/types"
 	"auragen/internal/workload"
 )
 
@@ -22,21 +23,7 @@ func TestEventLogRecords(t *testing.T) {
 
 	// Crash the server's cluster at the 100th delivery, while the
 	// 400-transaction teller still runs.
-	fired := make(chan struct{})
-	delivered := 0 // the observer runs under the log's mutex
-	sys.EventLog().SetObserver(func(e trace.Event) {
-		if e.Kind == trace.EvDeliver {
-			if delivered++; delivered == 100 {
-				close(fired)
-			}
-		}
-	})
-	crashed := make(chan error, 1)
-	go func() {
-		<-fired
-		crashed <- sys.Crash(2)
-	}()
-
+	crashed := crashAtDelivery(sys, 2, 100)
 	if _, err := sys.Spawn("bank-server", []byte("el 8 100 0"), SpawnConfig{Cluster: 2, BackupCluster: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -45,15 +32,7 @@ func TestEventLogRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-crashed:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the 100th delivery never came")
-	}
-	sys.EventLog().SetObserver(nil)
+	awaitCrash(t, sys, crashed)
 	if err := sys.WaitExit(pid, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -70,4 +49,43 @@ func TestEventLogRecords(t *testing.T) {
 	if log.Count(trace.EvRecover) == 0 {
 		t.Error("no recovery events recorded")
 	}
+}
+
+// crashAtDelivery crashes cluster c at the nth delivery the event log
+// records. The log's observer closes a channel there and holds the log
+// until the crashing goroutine has woken, so the crash lands mid-run however
+// the test goroutine is scheduled: a sleep-poll on the delivery count can
+// oversleep the whole workload. The channel yields the crash's result.
+func crashAtDelivery(sys *System, c types.ClusterID, n int) <-chan error {
+	fired, woke := make(chan struct{}), make(chan struct{})
+	delivered := 0 // the observer runs under the log's mutex
+	sys.EventLog().SetObserver(func(e trace.Event) {
+		if e.Kind == trace.EvDeliver {
+			if delivered++; delivered == n {
+				close(fired)
+				<-woke
+			}
+		}
+	})
+	crashed := make(chan error, 1)
+	go func() {
+		<-fired
+		close(woke)
+		crashed <- sys.Crash(c)
+	}()
+	return crashed
+}
+
+// awaitCrash waits for crashAtDelivery's crash and removes the observer.
+func awaitCrash(t *testing.T, sys *System, crashed <-chan error) {
+	t.Helper()
+	select {
+	case err := <-crashed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the crash's delivery never came")
+	}
+	sys.EventLog().SetObserver(nil)
 }

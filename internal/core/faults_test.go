@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -194,20 +195,23 @@ func TestForkChildrenRunOnce(t *testing.T) {
 			},
 		}
 	}))
-	// The parent forks 10 children, waits for a nudge message, reports.
+	// The parent forks 10 children and reports their pids.
 	sys.Register("forkparent", guest.ReactorFactory(func() guest.Handler {
 		return guest.HandlerFuncs{
 			StartFunc: func(p guest.API, st *guest.State) error {
-				for i := 0; i < 10; i++ {
-					if _, err := p.Fork("forkchild", []byte(fmt.Sprintf("%d", i))); err != nil {
+				pids := make([]string, 10)
+				for i := range pids {
+					pid, err := p.Fork("forkchild", []byte(fmt.Sprintf("%d", i)))
+					if err != nil {
 						return err
 					}
+					pids[i] = fmt.Sprint(uint64(pid))
 				}
 				tty, err := p.Open("tty:7")
 				if err != nil {
 					return err
 				}
-				if err := p.Write(tty, ttyserver.WriteReq("forked")); err != nil {
+				if err := p.Write(tty, ttyserver.WriteReq("forked "+strings.Join(pids, " "))); err != nil {
 					return err
 				}
 				st.Exit()
@@ -218,8 +222,13 @@ func TestForkChildrenRunOnce(t *testing.T) {
 	if _, err := sys.Spawn("forkparent", nil, SpawnConfig{Cluster: 2, BackupCluster: 0}); err != nil {
 		t.Fatal(err)
 	}
-	waitForTTY(t, sys, 7, "forked", 10*time.Second)
-	sys.Settle(2 * time.Second)
+	// A child exits once its append has been answered, so the file is
+	// complete when every child has exited.
+	for _, pid := range forkedPIDs(t, sys, 7, 10*time.Second) {
+		if err := sys.WaitExit(pid, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Read the file back via a separate checker process.
 	sys.Register("forkcheck", guest.ReactorFactory(func() guest.Handler {
@@ -254,6 +263,33 @@ func TestForkChildrenRunOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitForTTY(t, sys, 7, "lines=10", 10*time.Second)
+}
+
+// forkedPIDs waits for the "forked <pid>..." line on terminal term and
+// returns the pids it lists.
+func forkedPIDs(t *testing.T, sys *System, term int, timeout time.Duration) []types.PID {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		for _, line := range sys.TerminalOutput(term) {
+			fields := strings.Fields(line)
+			if len(fields) == 0 || fields[0] != "forked" {
+				continue
+			}
+			var pids []types.PID
+			for _, f := range fields[1:] {
+				n, err := strconv.ParseUint(f, 10, 64)
+				if err != nil {
+					t.Fatalf("terminal %d: bad pid in %q", term, line)
+				}
+				pids = append(pids, types.PID(n))
+			}
+			return pids
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("terminal %d never showed the forked pids; got %v", term, sys.TerminalOutput(term))
+	return nil
 }
 
 // TestServerClusterCrash kills cluster 0 — home of the file server, process

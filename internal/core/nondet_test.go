@@ -21,7 +21,12 @@ import (
 // — not recompute fresh ones — so the sum the guest reports at the end
 // equals the sum of values the partner observed.
 func TestNondetEventsReplayConsistently(t *testing.T) {
-	sys := newTestSystem(t, 3)
+	sys, err := New(Options{Clusters: 3, SyncReads: 4, SyncTicks: 1 << 20, EventLogLimit: 1 << 12}, guest.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Stop)
+	crashed := crashAtDelivery(sys, 2, 200)
 
 	// The nondeterministic source: global, advancing, never repeating.
 	var source atomic.Uint64
@@ -117,16 +122,10 @@ func TestNondetEventsReplayConsistently(t *testing.T) {
 	}
 	_ = rollerPID
 
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 200 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(2); err != nil {
-		t.Fatal(err)
-	}
+	awaitCrash(t, sys, crashed)
 
 	var rollerSum, observerSum int64 = -1, -1
-	deadline = time.Now().Add(30 * time.Second)
+	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) && (rollerSum == -1 || observerSum == -1) {
 		for _, line := range sys.TerminalOutput(40) {
 			if strings.HasPrefix(line, "roller sum=") {

@@ -72,11 +72,12 @@ func TestVMGuestSurvivesCrashWithMemoryState(t *testing.T) {
 		}
 	}))
 
-	sys, err := New(Options{Clusters: 3, SyncReads: 16, SyncTicks: 1 << 40}, reg)
+	sys, err := New(Options{Clusters: 3, SyncReads: 16, SyncTicks: 1 << 40, EventLogLimit: 1 << 12}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Stop()
+	crashed := crashAtDelivery(sys, 2, 200)
 
 	if _, err := sys.Spawn("vmtally", nil, SpawnConfig{Cluster: 2, BackupCluster: 0}); err != nil {
 		t.Fatal(err)
@@ -86,13 +87,7 @@ func TestVMGuestSurvivesCrashWithMemoryState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 200 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(2); err != nil {
-		t.Fatal(err)
-	}
+	awaitCrash(t, sys, crashed)
 
 	if err := sys.WaitExit(driverPID, 30*time.Second); err != nil {
 		t.Fatalf("%v\nguest errors: %v\n%s", err, sys.GuestErrors(), sys.DumpAll())

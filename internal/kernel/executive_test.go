@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"sync"
 	"testing"
 
 	"auragen/internal/bus"
@@ -199,8 +200,8 @@ func TestDispatchRoles(t *testing.T) {
 		k := bareKernel(3)
 		e := addEntry(k, fixSrc, fixDst, routing.Backup)
 		k.dispatch(&shared)
-		if e.WritesSinceSync != 1 || e.QueueLen() != 0 {
-			t.Fatalf("WritesSinceSync = %d, queued %d; want 1, 0", e.WritesSinceSync, e.QueueLen())
+		if e.Unsent() != 1 || e.QueueLen() != 0 {
+			t.Fatalf("Unsent = %d, queued %d; want 1, 0", e.Unsent(), e.QueueLen())
 		}
 		if got := k.metrics.SenderBackupCounts.Load(); got != 1 {
 			t.Fatalf("SenderBackupCounts = %d", got)
@@ -222,6 +223,84 @@ func TestDispatchRoles(t *testing.T) {
 		}
 		if &bq[0].Payload[0] == &both.Payload[0] || string(bq[0].Payload) != string(both.Payload) {
 			t.Fatal("the saved copy must own an equal payload")
+		}
+	})
+}
+
+// recordingServer is a server that records the requests it services.
+type recordingServer struct {
+	pid      types.PID
+	serviced []types.ChannelID
+}
+
+func (s *recordingServer) PID() types.PID { return s.pid }
+func (s *recordingServer) Receive(_ *ServerCtx, m *types.Message) {
+	s.serviced = append(s.serviced, m.Channel)
+}
+func (s *recordingServer) SyncBlob() []byte                     { return nil }
+func (s *recordingServer) ApplySync([]byte)                     {}
+func (s *recordingServer) Promote(*ServerCtx, []*types.Message) {}
+
+// TestDispatchAheadOfPromotion: the directory records a crash before the
+// crash notice is on the bus, so a sender can route to a backup as the
+// destination's primary before this cluster has promoted it. The message is
+// saved, as a backup copy is, rather than dropped for want of a primary
+// entry; an open reply so routed creates the backup entry of its channel.
+func TestDispatchAheadOfPromotion(t *testing.T) {
+	ahead := types.Route{Dst: 4, DstBackup: types.NoCluster, SrcBackup: types.NoCluster}
+
+	t.Run("a user process's backup saves it", func(t *testing.T) {
+		k := bareKernel(4)
+		k.backups[fixDst] = &BackupPCB{pid: fixDst, primaryCluster: 2}
+		e := addEntry(k, fixDst, fixSrc, routing.Backup)
+		m := fixtureMessage(ahead)
+		k.dispatch(&m)
+		if q := e.Queued(); len(q) != 1 || q[0].ID != m.ID {
+			t.Fatalf("saved queue = %v, want the message", q)
+		}
+		if d, s := k.metrics.PrimaryDeliveries.Load(), k.metrics.BackupSaves.Load(); d != 0 || s != 1 {
+			t.Fatalf("PrimaryDeliveries = %d, BackupSaves = %d; want 0, 1", d, s)
+		}
+	})
+	t.Run("an open reply creates the backup entry", func(t *testing.T) {
+		k := bareKernel(4)
+		k.backups[fixDst] = &BackupPCB{pid: fixDst, primaryCluster: 2}
+		addEntry(k, fixDst, fixSrc, routing.Backup)
+		const opened types.ChannelID = 9
+		m := fixtureMessage(ahead)
+		m.Kind = types.KindOpenReply
+		m.Payload = Encode(&OpenReply{Channel: opened, Peer: fixSrc, PeerCluster: 1, PeerBackupCluster: 3})
+		k.dispatch(&m)
+		if _, ok := k.table.Lookup(opened, fixDst, routing.Primary); ok {
+			t.Fatal("open reply created a primary entry for a process that is only a backup here")
+		}
+		if _, ok := k.table.Lookup(opened, fixDst, routing.Backup); !ok {
+			t.Fatal("open reply created no backup entry")
+		}
+		if e, _ := k.table.Lookup(fixCh, fixDst, routing.Backup); e.QueueLen() != 1 {
+			t.Fatalf("the open reply was not saved on the opening channel (queued %d)", e.QueueLen())
+		}
+	})
+	t.Run("a server twin saves it", func(t *testing.T) {
+		k := bareKernel(4)
+		srv := &recordingServer{pid: fixDst}
+		host := k.RegisterServer(srv, routing.Backup, 2)
+		m := fixtureMessage(ahead)
+		k.dispatch(&m)
+		if len(host.saved) != 1 || len(srv.serviced) != 0 {
+			t.Fatalf("saved %d, serviced %d; want 1, 0", len(host.saved), len(srv.serviced))
+		}
+	})
+	t.Run("a process with a primary here still receives it", func(t *testing.T) {
+		k := bareKernel(4)
+		k.procs[fixDst] = &PCB{cond: sync.NewCond(&k.mu)}
+		k.backups[fixDst] = &BackupPCB{pid: fixDst, primaryCluster: 2}
+		pe := addEntry(k, fixDst, fixSrc, routing.Primary)
+		be := addEntry(k, fixDst, fixSrc, routing.Backup)
+		m := fixtureMessage(ahead)
+		k.dispatch(&m)
+		if pe.QueueLen() != 1 || be.QueueLen() != 0 {
+			t.Fatalf("primary queued %d, backup saved %d; want 1, 0", pe.QueueLen(), be.QueueLen())
 		}
 	})
 }
@@ -256,7 +335,7 @@ func TestDispatchAllocatesOnlyWhatItKeeps(t *testing.T) {
 		m := fixtureMessage(types.Route{Dst: 2, DstBackup: 4, SrcBackup: 3})
 		n := testing.AllocsPerRun(200, func() {
 			k.dispatch(&m)
-			e.Dequeue()
+			e.Read()
 		})
 		if n != 0 {
 			t.Fatalf("queue-for-reading allocated %v times per message, want 0", n)
@@ -283,8 +362,8 @@ func BenchmarkDispatchThreeRoles(b *testing.B) {
 				k.dispatch(&m)
 			}
 		}
-		pe.Dequeue()
-		be.DiscardFront(1)
+		pe.Read()
+		be.Applied(1, 0)
 	}
 }
 
@@ -297,4 +376,98 @@ func BenchmarkRxDuplicate(b *testing.B) {
 			b.Fatal("fresh ID reported duplicate")
 		}
 	}
+}
+
+// TestSuppressBudget promotes a backup whose sender's-backup entries counted
+// escaped writes on two channels, then re-executes writes on both. Each
+// entry's count becomes its re-send budget; every write spends one unit of
+// its own channel's budget until that is gone, and only then transmits; the
+// process's total falls with them, and reaching zero notifies the directory,
+// once. The test holds k.mu throughout, so the promoted process's goroutine
+// stays parked in its page fetch until the kernel is halted at the end.
+func TestSuppressBudget(t *testing.T) {
+	metrics := new(trace.Metrics)
+	dir := directory.New()
+	dir.SetService(directory.PIDPageServer, directory.ServiceLoc{Primary: 0, Backup: types.NoCluster})
+	reg := guest.NewRegistry()
+	reg.Register("stub", func() guest.Guest { return stubGuest{} })
+	k := New(Config{ID: 3, Bus: bus.New(metrics, nil), Dir: dir, Registry: reg, Metrics: metrics})
+
+	const chA, chB types.ChannelID = 7, 8
+	fds := map[types.FD]types.ChannelID{2: chA, 3: chB}
+	for ch, escaped := range map[types.ChannelID]int{chA: 3, chB: 2} {
+		k.table.Add(&routing.Entry{Channel: ch, Owner: fixSrc, Peer: fixDst, Role: routing.Backup, PeerCluster: 2})
+		for i := 0; i < escaped; i++ {
+			m := fixtureMessage(types.Route{Dst: 2, DstBackup: 4, SrcBackup: 3})
+			m.Channel = ch
+			k.dispatch(&m) // the sender's-backup copy of a write that escaped
+		}
+	}
+	b := &BackupPCB{pid: fixSrc, program: "stub", mode: types.Halfback, primaryCluster: 1,
+		fds: fds, sigIgnore: map[types.Signal]bool{}, synced: true}
+	k.backups[fixSrc] = b
+
+	k.mu.Lock()
+	k.promoteLocked(b, 0)
+	p := k.procs[fixSrc]
+	entry := func(ch types.ChannelID) *routing.Entry {
+		e, ok := k.table.Lookup(ch, fixSrc, routing.Primary)
+		if !ok {
+			t.Fatalf("no primary entry for %v after promotion", ch)
+		}
+		return e
+	}
+	if p == nil {
+		t.Fatal("promotion made no process")
+	}
+	if a, b := entry(chA).Unsent(), entry(chB).Unsent(); a != 3 || b != 2 || p.suppressTotal != 5 {
+		t.Fatalf("after promotion: budgets %d, %d, total %d; want 3, 2, 5", a, b, p.suppressTotal)
+	}
+
+	sent := func() (n int) {
+		for _, m := range k.outgoing.Live() {
+			if m.Kind == types.KindData {
+				n++
+			}
+		}
+		return n
+	}
+	for i, step := range []struct {
+		fd               types.FD
+		unsentA, unsentB uint32
+		suppressed       uint64
+		sent             int
+	}{
+		{2, 2, 2, 1, 0},
+		{3, 2, 1, 2, 0},
+		{2, 1, 1, 3, 0},
+		{3, 1, 0, 4, 0},
+		{3, 1, 0, 4, 1}, // chB's budget is spent: this write is new
+		{2, 0, 0, 5, 1}, // the total reaches 0
+		{2, 0, 0, 5, 2},
+	} {
+		changed := dir.Changed()
+		if err := k.writeLocked(p, step.fd, types.KindData, []byte("re-executed")); err != nil {
+			t.Fatal(err)
+		}
+		total := step.unsentA + step.unsentB
+		if a, b := entry(chA).Unsent(), entry(chB).Unsent(); a != step.unsentA || b != step.unsentB || p.suppressTotal != total {
+			t.Fatalf("write %d: budgets %d, %d, total %d; want %d, %d, %d", i, a, b, p.suppressTotal, step.unsentA, step.unsentB, total)
+		}
+		if got := metrics.SuppressedSends.Load(); got != step.suppressed || sent() != step.sent {
+			t.Fatalf("write %d: %d suppressed, %d queued to send; want %d, %d", i, got, sent(), step.suppressed, step.sent)
+		}
+		notified := false
+		select {
+		case <-changed:
+			notified = true
+		default:
+		}
+		if want := i == 5; notified != want {
+			t.Fatalf("write %d: directory notified = %v, want %v", i, notified, want)
+		}
+	}
+	k.haltLocked()
+	k.mu.Unlock()
+	<-p.done
 }

@@ -184,10 +184,9 @@ type Kernel struct {
 	// transmitting flag and are reused from one batch to the next.
 	txBatch []*types.Message
 	txw     wire.Writer
-	// txHold stops transmission without stopping enqueues, so tests can
-	// deterministically open the window between batch-enqueue and
-	// batch-transmit (see HoldTransmit).
-	txHold bool
+	// txHold stops transmission without stopping enqueues (HoldTransmit).
+	// Atomic, so a hold can be set where k.mu cannot be taken.
+	txHold atomic.Bool
 	// drainJitter perturbs the per-offer coalesce count (Config.DrainJitter).
 	// Drawn under mu.
 	drainJitter *types.RNG
@@ -526,11 +525,16 @@ func (k *Kernel) sendLocked(m *types.Message) {
 // Enqueues continue, so a held kernel accumulates an outgoing backlog that
 // nobody offers to the bus; tests use the hold to open the batch-enqueue →
 // batch-transmit window deterministically (e.g. to land a crash inside it).
+// A hold takes no lock, so a fault injector may set it inside an event-log
+// observer: nothing the cluster queues after that event leaves it, as if it
+// failed there, until the crash that follows discards the backlog.
 // Releasing the hold transmits the backlog before returning.
 func (k *Kernel) HoldTransmit(hold bool) {
+	if k.txHold.Store(hold); hold {
+		return
+	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.txHold = hold
 	k.transmitLocked()
 }
 
@@ -606,7 +610,7 @@ func (k *Kernel) blockLocked(p *PCB) {
 // k.mu and the transmitting flag (or is about to set it).
 func (k *Kernel) takeBatchLocked() bool {
 	n := min(k.outgoing.Len(), DefaultTxBatch)
-	if n == 0 || k.txHold || k.crashed || k.stopped || k.degraded {
+	if n == 0 || k.txHold.Load() || k.crashed || k.stopped || k.degraded {
 		return false
 	}
 	if k.drainJitter != nil && n > 1 {
@@ -783,6 +787,14 @@ func (k *Kernel) logMsg(kind trace.EventKind, m *types.Message, pid types.PID, a
 	})
 }
 
+// logEv records a process- or cluster-scoped event for this cluster; like
+// logMsg it does no work without a log.
+func (k *Kernel) logEv(kind trace.EventKind, pid types.PID, arg uint64, note string) {
+	if k.log != nil {
+		k.log.Append(trace.Event{Kind: kind, Cluster: k.id, PID: pid, Arg: arg, Note: note})
+	}
+}
+
 // dispatchLocked routes one arriving message according to the §5.1
 // protocol: the message protocol lets the executive determine whether it is
 // for the primary destination, the destination's backup, or the sender's
@@ -944,8 +956,15 @@ func (k *Kernel) dispatchChannelMessage(m *types.Message) {
 		}
 	}
 
+	// A sender can route ahead of this cluster's bus order: the directory
+	// records a crash before the crash notice is transmitted, so a route
+	// built from it names the destination's backup here as its primary
+	// while this cluster has yet to promote it. Such a message is saved
+	// like any backup copy, and the promotion makes it input.
+	ahead := m.Route.Dst == k.id && m.Route.DstBackup != k.id && k.backupOnlyLocked(m.Dst)
+
 	// Role 1: primary destination — queue for reading, wake any waiter.
-	if m.Route.Dst == k.id {
+	if m.Route.Dst == k.id && !ahead {
 		if host, ok := k.servers[m.Dst]; ok {
 			if host.role == routing.Primary {
 				k.metrics.PrimaryDeliveries.Add(1)
@@ -979,10 +998,10 @@ func (k *Kernel) dispatchChannelMessage(m *types.Message) {
 	// notice: deliver it to the promoted primary instead, and forward a
 	// save-only copy to the new backup if one exists. Dropping it would
 	// lose a message the failed destination never saw.
-	if m.Route.DstBackup == k.id {
+	if m.Route.DstBackup == k.id || ahead {
 		// If the same cluster plays both roles the two copies it keeps are
 		// independent, payload included.
-		both := m.Route.Dst == k.id
+		both := m.Route.Dst == k.id && !ahead
 		if host, ok := k.servers[m.Dst]; ok {
 			switch {
 			case host.role == routing.Backup:
@@ -1047,13 +1066,24 @@ func (k *Kernel) dispatchChannelMessage(m *types.Message) {
 			}
 			k.table.Add(e)
 		}
-		e.WritesSinceSync++
+		e.Count()
 		k.metrics.SenderBackupCounts.Add(1)
 		k.logMsg(trace.EvCount, m, m.Src, 0)
 		if len(m.Nondet) > 0 {
 			k.nondetLogs[m.Src] = append(k.nondetLogs[m.Src], m.Nondet...)
 		}
 	}
+}
+
+// backupOnlyLocked reports whether pid runs here only as a backup: a
+// server twin in the backup role, or a user process with a backup PCB and
+// no primary.
+func (k *Kernel) backupOnlyLocked(pid types.PID) bool {
+	if host, ok := k.servers[pid]; ok {
+		return host.role == routing.Backup
+	}
+	_, primary := k.procs[pid]
+	return !primary && k.backups[pid] != nil
 }
 
 // adoptOpenReplyLocked creates the routing-table entry for the channel a
@@ -1254,7 +1284,7 @@ func (k *Kernel) dispatchServerSync(m *types.Message) {
 	}
 	// Zero this server's send counts (same rule as user sync, §5.2).
 	for _, e := range k.table.OwnedBy(ss.PID, routing.Backup) {
-		e.WritesSinceSync = 0
+		e.Applied(0, 0)
 	}
 }
 

@@ -88,10 +88,9 @@ type PCB struct {
 	nondetPending []uint64
 	// nondetLog holds logged results to replay during roll-forward.
 	nondetLog []uint64
-	// suppress holds the remaining writes-since-sync counts per channel; a
-	// send on a channel with a positive count is dropped instead of
-	// transmitted (§5.4).
-	suppress      map[types.ChannelID]uint32
+	// suppressTotal is the sum of the primary entries' re-send budgets
+	// (routing.Entry.Unsent, §5.4): while it is positive the process is
+	// still regenerating sends its failed primary let escape.
 	suppressTotal uint32
 
 	// openedSinceSync / closedSinceSync accumulate channel deltas for the

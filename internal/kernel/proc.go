@@ -66,9 +66,8 @@ func (pr *Proc) Write(fd types.FD, data []byte) error {
 }
 
 // writeLocked routes one outgoing message, applying the §5.4 redundant-send
-// suppression: if the channel's remaining writes-since-sync count is
-// positive the message was already sent by the failed primary, so the count
-// is decremented and the message discarded.
+// suppression: if the channel's entry has re-send budget left, the failed
+// primary already sent the message, so a unit is spent and it is discarded.
 func (k *Kernel) writeLocked(p *PCB, fd types.FD, kind types.Kind, data []byte) error {
 	ch, ok := p.fds[fd]
 	if !ok {
@@ -85,12 +84,7 @@ func (k *Kernel) writeLocked(p *PCB, fd types.FD, kind types.Kind, data []byte) 
 			return err
 		}
 	}
-	if n := p.suppress[ch]; n > 0 {
-		if n == 1 {
-			delete(p.suppress, ch)
-		} else {
-			p.suppress[ch] = n - 1
-		}
+	if e.Resend() {
 		p.suppressTotal--
 		if p.suppressTotal == 0 {
 			k.dir.Notify() // the roll-forward caught up: EstablishBackup may go ahead
@@ -172,10 +166,9 @@ func (pr *Proc) read(fd types.FD, gated bool) ([]byte, error) {
 			if !ok {
 				return false
 			}
-			if payload, read = e.Dequeue(); !read {
+			if payload, read = e.Read(); !read {
 				return false
 			}
-			e.ReadsSinceSync++
 			p.readsSinceSync++
 			p.totalReads++
 			return true
@@ -204,8 +197,7 @@ func (pr *Proc) ReadAny(fds []types.FD) (types.FD, []byte, error) {
 		if e == nil {
 			return false
 		}
-		payload, _ = e.Dequeue()
-		e.ReadsSinceSync++
+		payload, _ = e.Read()
 		p.readsSinceSync++
 		p.totalReads++
 		gotFD = fd
@@ -427,8 +419,7 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 				if !p.sigIgnore[sig] {
 					break
 				}
-				sigEntry.Dequeue()
-				sigEntry.ReadsSinceSync++
+				sigEntry.Read()
 				p.readsSinceSync++
 			}
 		}
@@ -436,8 +427,7 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 		// Rule 2: a capture or decision recorded the signal-handling point.
 		if p.signalNext {
 			if sigEntry != nil {
-				if sig, ok := sigEntry.Dequeue(); ok {
-					sigEntry.ReadsSinceSync++
+				if sig, ok := sigEntry.Read(); ok {
 					p.readsSinceSync++
 					p.totalReads++
 					p.signalNext = false
@@ -454,8 +444,7 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 				if sigEntry != nil {
 					if m, ok := sigEntry.Peek(); ok {
 						id := m.ID
-						sig, _ := sigEntry.Dequeue()
-						sigEntry.ReadsSinceSync++
+						sig, _ := sigEntry.Read()
 						p.readsSinceSync++
 						p.totalReads++
 						p.signalPlan = p.signalPlan[1:]
@@ -509,8 +498,7 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 
 		// Rule 4: lowest-sequence message across open channels.
 		if fd, e := lowestSeq(p, entries, p.openFDs()); e != nil {
-			data, _ := e.Dequeue()
-			e.ReadsSinceSync++
+			data, _ := e.Read()
 			p.readsSinceSync++
 			p.totalReads++
 			return guest.Event{FD: fd, Data: data}, nil

@@ -37,15 +37,7 @@ func (k *Kernel) CrashProcess(pid types.PID) error {
 	// Outgoing messages it already enqueued have, from the system's
 	// perspective, left the process: they are on their way out (the
 	// executive processor and its queue are unaffected hardware).
-	if k.log != nil {
-		k.log.Append(trace.Event{
-			Kind:    trace.EvCrash,
-			Cluster: k.id,
-			PID:     pid,
-			Arg:     uint64(k.id),
-			Note:    "single-process crash",
-		})
-	}
+	k.logEv(trace.EvCrash, pid, uint64(k.id), "single-process crash")
 	// The surviving executive processor announces the crash — through the
 	// same outgoing queue, BEHIND everything the dead process had already
 	// enqueued. The backup's promotion decision depends on this FIFO order:

@@ -31,13 +31,7 @@ func (k *Kernel) handleCrashLocked(crashed types.ClusterID) {
 		return
 	}
 	start := k.clock.Now()
-	if k.log != nil {
-		k.log.Append(trace.Event{
-			Kind:    trace.EvCrash,
-			Cluster: k.id,
-			Arg:     uint64(crashed),
-		})
-	}
+	k.logEv(trace.EvCrash, types.NoPID, uint64(crashed), "")
 
 	// Step 1: routing-table fixup.
 	k.table.FixupCrash(crashed, k.dir.IsFullback)
@@ -151,14 +145,7 @@ func (k *Kernel) stepDownLocked(super types.Incarnation) {
 	if k.crashed || k.stopped {
 		return
 	}
-	if k.log != nil {
-		k.log.Append(trace.Event{
-			Kind:    trace.EvFence,
-			Cluster: k.id,
-			Arg:     uint64(super),
-			Note:    "own incarnation superseded; stepping down",
-		})
-	}
+	k.logEv(trace.EvFence, types.NoPID, uint64(super), "own incarnation superseded; stepping down")
 	pids := make([]types.PID, 0, len(k.procs)+len(k.servers))
 	for pid := range k.procs {
 		pids = append(pids, pid)
@@ -171,14 +158,7 @@ func (k *Kernel) stepDownLocked(super types.Incarnation) {
 	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
 	for _, pid := range pids {
 		k.metrics.StepDowns.Add(1)
-		if k.log != nil {
-			k.log.Append(trace.Event{
-				Kind:    trace.EvStepDown,
-				Cluster: k.id,
-				PID:     pid,
-				Arg:     uint64(super),
-			})
-		}
+		k.logEv(trace.EvStepDown, pid, uint64(super), "")
 	}
 	k.haltLocked()
 	k.wg.Add(1)
@@ -273,7 +253,6 @@ func (k *Kernel) promoteLocked(b *BackupPCB, noticeNanos int64) {
 		sigIgnore:     cloneSigSet(b.sigIgnore),
 		signalNext:    b.signalNext,
 		recovered:     true,
-		suppress:      make(map[types.ChannelID]uint32),
 		children:      make(map[types.PID]struct{}),
 		done:          make(chan struct{}),
 		promoteNanos:  noticeNanos,
@@ -294,14 +273,7 @@ func (k *Kernel) promoteLocked(b *BackupPCB, noticeNanos int64) {
 	// the suppression budget (§5.4).
 	replayed := 0
 	for _, e := range k.table.RemoveOwnedBy(pid, routing.Backup) {
-		if e.WritesSinceSync > 0 {
-			p.suppress[e.Channel] = e.WritesSinceSync
-			p.suppressTotal += e.WritesSinceSync
-		}
-		e.Role = routing.Primary
-		e.OwnerBackupCluster = newBackup
-		e.WritesSinceSync = 0
-		e.ReadsSinceSync = 0
+		p.suppressTotal += e.Promote(newBackup)
 		if k.log != nil {
 			// Record one replay step per saved message, in the order the
 			// promoted primary will re-read them.
@@ -328,14 +300,7 @@ func (k *Kernel) promoteLocked(b *BackupPCB, noticeNanos int64) {
 	k.procs[pid] = p
 	k.metrics.Recoveries.Add(1)
 	k.metrics.ReplayedMessages.Add(uint64(replayed))
-	if k.log != nil {
-		k.log.Append(trace.Event{
-			Kind:    trace.EvRecover,
-			Cluster: k.id,
-			PID:     pid,
-			Arg:     uint64(b.epoch),
-		})
-	}
+	k.logEv(trace.EvRecover, pid, uint64(b.epoch), "")
 	k.startProcessLocked(p)
 }
 
@@ -380,8 +345,8 @@ func (k *Kernel) sendBackupImageLocked(b *BackupPCB, entries []*routing.Entry, t
 			PeerBackupCluster: e.PeerBackupCluster,
 			PeerIsServer:      e.PeerIsServer,
 		})
-		if e.WritesSinceSync > 0 {
-			img.Writes[e.Channel] = e.WritesSinceSync
+		if n := e.Unsent(); n > 0 {
+			img.Writes[e.Channel] = n
 		}
 		q := e.Queued()
 		for i := range q {
@@ -447,7 +412,7 @@ func (k *Kernel) applyBackupImageLocked(m *types.Message) {
 			b.fds[ci.FD] = ci.Channel
 		}
 		if _, ok := k.table.Lookup(ci.Channel, sm.PID, routing.Backup); !ok {
-			k.table.Add(&routing.Entry{
+			e := &routing.Entry{
 				Channel:            ci.Channel,
 				Owner:              sm.PID,
 				Peer:               ci.Peer,
@@ -456,8 +421,9 @@ func (k *Kernel) applyBackupImageLocked(m *types.Message) {
 				PeerBackupCluster:  ci.PeerBackupCluster,
 				OwnerBackupCluster: k.id,
 				PeerIsServer:       ci.PeerIsServer,
-				WritesSinceSync:    img.Writes[ci.Channel],
-			})
+			}
+			e.Applied(0, img.Writes[ci.Channel])
+			k.table.Add(e)
 		}
 	}
 	// Replay the saved queues in original arrival order, advancing the

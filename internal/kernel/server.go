@@ -228,8 +228,8 @@ func (k *Kernel) promoteServerLocked(host *ServerHost) {
 	host.primaryCluster = k.id
 	// Collect reply-suppression budgets from this server's backup entries.
 	for _, e := range k.table.RemoveOwnedBy(host.impl.PID(), routing.Backup) {
-		if e.WritesSinceSync > 0 {
-			host.suppress[e.Channel] = e.WritesSinceSync
+		if n := e.Unsent(); n > 0 {
+			host.suppress[e.Channel] = n
 		}
 	}
 	saved := host.saved

@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -39,7 +40,10 @@ type SpawnOpts struct {
 // every kernel that handles a crash notice for this cluster after the
 // notice left has already created the shell it must promote, and a peer's
 // reply to the process's first request finds the shell at the backup
-// cluster.
+// cluster. Spawn returns once the notice has left: if this cluster crashes
+// first, the notice is lost with the outgoing queue, no cluster could run
+// the process, and the spawn fails with types.ErrCrashed, as it does on a
+// cluster that crashed before it began.
 func (k *Kernel) Spawn(program string, args []byte, opts SpawnOpts) (*PCB, error) {
 	if _, ok := k.reg.New(program); !ok {
 		return nil, fmt.Errorf("kernel: spawn %q: %w", program, types.ErrNotFound)
@@ -60,15 +64,28 @@ func (k *Kernel) Spawn(program string, args []byte, opts SpawnOpts) (*PCB, error
 	}
 	p.fullCheckpoint = opts.FullCheckpoint
 	if opts.BackupCluster != types.NoCluster {
-		k.sendLocked(&types.Message{
+		birth := &types.Message{
 			Kind:    types.KindBirthNotice,
 			Dst:     pid,
 			Route:   types.Route{Dst: opts.BackupCluster, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
 			Payload: Encode(bn),
-		})
+		}
+		k.sendLocked(birth)
+		// Whoever holds the transmitting flag offers everything queued
+		// before dropping it, so once the flag is down and no hold stands
+		// the notice has left unless the queue was lost. The bus stamps an
+		// ID on what it takes.
+		for k.transmitLocked(); k.transmitting || k.txHold.Load() && birth.ID == 0 && !k.crashed && !k.stopped; k.transmitLocked() {
+			k.mu.Unlock()
+			runtime.Gosched()
+			k.mu.Lock()
+		}
+		if birth.ID == 0 && (k.crashed || k.stopped) {
+			k.dir.RemoveProc(pid)
+			return nil, types.ErrCrashed
+		}
 	}
 	k.startProcessLocked(p)
-	k.transmitLocked()
 	return p, nil
 }
 
@@ -94,7 +111,6 @@ func (k *Kernel) createProcessLocked(pid types.PID, program string, args []byte,
 		fds:           make(map[types.FD]types.ChannelID),
 		nextFD:        2,
 		sigIgnore:     make(map[types.Signal]bool),
-		suppress:      make(map[types.ChannelID]uint32),
 		children:      make(map[types.PID]struct{}),
 		done:          make(chan struct{}),
 	}
@@ -238,6 +254,13 @@ func (k *Kernel) runProcess(p *PCB) {
 
 	proc := &Proc{k: k, p: p}
 	err := p.g.Run(proc)
+	k.mu.Lock()
+	if p.crashed && err != nil {
+		// Its routing entries went with it, so whatever failed, it failed
+		// because the process crashed.
+		err = types.ErrCrashed
+	}
+	k.mu.Unlock()
 	p.runErr = err
 	switch {
 	case err == nil:
@@ -335,7 +358,9 @@ func (k *Kernel) exitProcess(p *PCB) {
 		return
 	}
 	p.exited = true
-	if k.crashed || k.stopped || k.degraded {
+	if k.crashed || k.stopped || k.degraded || p.crashed {
+		// A process that crashed alone has been promoted at its backup
+		// cluster: this instance's exit must not announce its end.
 		return
 	}
 

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"slices"
 	"sort"
 
 	"auragen/internal/directory"
@@ -47,7 +46,7 @@ func (k *Kernel) syncProcessLocked(p *PCB, signalNext bool) error {
 		p.readsSinceSync = 0
 		p.ticksSinceSync = 0
 		for _, e := range k.table.OwnedBy(p.pid, routing.Primary) {
-			e.ReadsSinceSync = 0
+			e.Synced()
 		}
 		p.signalNext = p.signalNext || signalNext
 		// An establishment sync still pending is for a backup that died
@@ -135,7 +134,7 @@ func (k *Kernel) syncProcessLocked(p *PCB, signalNext bool) error {
 		if !ok {
 			continue
 		}
-		reads := e.ReadsSinceSync
+		reads := e.Synced()
 		if zeroReads {
 			reads = 0
 		}
@@ -148,10 +147,9 @@ func (k *Kernel) syncProcessLocked(p *PCB, signalNext bool) error {
 			PeerBackupCluster: e.PeerBackupCluster,
 			PeerIsServer:      e.PeerIsServer,
 		})
-		e.ReadsSinceSync = 0
 	}
 	if sigE, ok := k.table.Lookup(p.signalCh, p.pid, routing.Primary); ok {
-		reads := sigE.ReadsSinceSync
+		reads := sigE.Synced()
 		if zeroReads {
 			reads = 0
 		}
@@ -161,12 +159,13 @@ func (k *Kernel) syncProcessLocked(p *PCB, signalNext bool) error {
 			Reads:   reads,
 			Peer:    directory.PIDKernel,
 		})
-		sigE.ReadsSinceSync = 0
 	}
 	if p.suppressTotal > 0 {
-		sm.Suppress = make(map[types.ChannelID]uint32, len(p.suppress))
-		for ch, n := range p.suppress {
-			sm.Suppress[ch] = n
+		sm.Suppress = make(map[types.ChannelID]uint32)
+		for _, e := range k.table.OwnedBy(p.pid, routing.Primary) {
+			if n := e.Unsent(); n > 0 {
+				sm.Suppress[e.Channel] = n
+			}
 		}
 	}
 	if len(p.nondetLog) > 0 {
@@ -202,14 +201,7 @@ func (k *Kernel) syncProcessLocked(p *PCB, signalNext bool) error {
 	if signalNext {
 		k.metrics.SyncForced.Add(1)
 	}
-	if k.log != nil {
-		k.log.Append(trace.Event{
-			Kind:    trace.EvSync,
-			Cluster: k.id,
-			PID:     p.pid,
-			Arg:     uint64(epoch),
-		})
-	}
+	k.logEv(trace.EvSync, p.pid, uint64(epoch), "")
 	return nil
 }
 
@@ -318,14 +310,7 @@ func (k *Kernel) applySyncLocked(sm *SyncMsg) {
 		b.synced = true
 		k.metrics.BackupsCreated.Add(1)
 	}
-	if k.log != nil {
-		k.log.Append(trace.Event{
-			Kind:    trace.EvSyncApply,
-			Cluster: k.id,
-			PID:     sm.PID,
-			Arg:     uint64(sm.Epoch),
-		})
-	}
+	k.logEv(trace.EvSyncApply, sm.PID, uint64(sm.Epoch), "")
 	b.program = sm.Program
 	b.args = sm.Args
 	b.mode = sm.Mode
@@ -358,18 +343,15 @@ func (k *Kernel) applySyncLocked(sm *SyncMsg) {
 			}
 			k.table.Add(e)
 		}
-		if ci.Reads > 0 {
-			n := e.DiscardFront(ci.Reads)
+		// Discard what the primary read, and reset the writes-since-sync
+		// count: normally to zero, or to the still-recovering primary's
+		// outstanding suppression debt.
+		if n := e.Applied(ci.Reads, sm.Suppress[ci.Channel]); n > 0 {
 			k.metrics.MessagesDiscarded.Add(uint64(n))
 		}
 	}
 	for _, ch := range sm.ClosedChannels {
 		k.table.Remove(ch, sm.PID, routing.Backup)
-	}
-	// Reset the writes-since-sync counts: normally to zero, or to the
-	// still-recovering primary's outstanding suppression debt.
-	for _, e := range k.table.OwnedBy(sm.PID, routing.Backup) {
-		e.WritesSinceSync = sm.Suppress[e.Channel]
 	}
 	if sm.Establish {
 		k.rebuildEstablishQueuesLocked(sm)
@@ -406,8 +388,7 @@ func (k *Kernel) rebuildEstablishQueuesLocked(sm *SyncMsg) {
 	}
 	var forwards, directs []saved
 	for _, e := range entries {
-		q := slices.Clone(e.Queued()) // detached: the queue is refilled below
-		e.DiscardFront(uint32(len(q)))
+		q := e.Take() // the queue is refilled below
 		for i := range q {
 			if m := &q[i]; m.Route.Dst == types.NoCluster {
 				forwards = append(forwards, saved{e, m})

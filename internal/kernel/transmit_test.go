@@ -246,6 +246,84 @@ func TestSingleTransmitter(t *testing.T) {
 	}
 }
 
+// endingGuest is a guest whose run ends at once with err.
+type endingGuest struct {
+	stubGuest
+	err error
+}
+
+func (g endingGuest) Run(guest.API) error { return g.err }
+
+// TestCrashedProcessEndsQuietly: a process that crashed alone (§10) runs on
+// at its backup cluster, so however its dead instance's run ends — an exit,
+// or a syscall failing on the routing entries that went with it — it sends
+// no exit notice, keeps its directory entry and records no guest error.
+func TestCrashedProcessEndsQuietly(t *testing.T) {
+	for _, end := range []error{nil, fmt.Errorf("kernel: %w", types.ErrChannelClosed)} {
+		r := newTxRig()
+		r.p.g = endingGuest{err: end}
+		if err := r.k.CrashProcess(r.p.pid); err != nil {
+			t.Fatal(err)
+		}
+		r.k.wg.Add(1)
+		r.k.runProcess(r.p)
+		r.expect(t, 1, 0, types.KindCrashNotice)
+		if _, ok := r.k.dir.Proc(r.p.pid); !ok {
+			t.Fatalf("run ending in %v removed the crashed process from the directory", end)
+		}
+		if errs := r.k.GuestErrors(); len(errs) != 0 {
+			t.Fatalf("run ending in %v recorded guest errors %q", end, errs)
+		}
+	}
+}
+
+// TestSpawnReturnsOnceItsBirthNoticeLeft: Spawn returns only after the
+// birth notice is on the bus. If the cluster crashes while the notice waits
+// behind another goroutine's transmission, the notice is lost with the
+// outgoing queue and no backup cluster will ever hear of the process, so the
+// spawn fails and the process leaves the directory.
+func TestSpawnReturnsOnceItsBirthNoticeLeft(t *testing.T) {
+	t.Run("sent", func(t *testing.T) {
+		r := newTxRig()
+		defer r.k.Wait()
+		defer r.k.Stop()
+		if _, err := r.k.Spawn("stub", nil, SpawnOpts{BackupCluster: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if tx := r.sent(); len(tx) == 0 || tx[0].MsgKind != types.KindBirthNotice {
+			t.Fatalf("Spawn returned before its birth notice left: transmitted %v", tx)
+		}
+	})
+	t.Run("lost", func(t *testing.T) {
+		r := newTxRig()
+		before := r.k.dir.Procs()
+		r.k.mu.Lock()
+		r.k.transmitting = true // another goroutine is offering a batch
+		r.k.mu.Unlock()
+		spawned := make(chan error)
+		go func() {
+			_, err := r.k.Spawn("stub", nil, SpawnOpts{BackupCluster: 3})
+			spawned <- err
+		}()
+		for r.k.OutgoingBacklog() == 0 {
+			runtime.Gosched()
+		}
+		r.k.Crash()
+		r.k.mu.Lock()
+		r.k.transmitting = false
+		r.k.mu.Unlock()
+		if err := <-spawned; !errors.Is(err, types.ErrCrashed) {
+			t.Fatalf("Spawn = %v, want ErrCrashed", err)
+		}
+		if tx := r.sent(); len(tx) != 0 {
+			t.Fatalf("transmitted %v from a crashed cluster", tx)
+		}
+		if after := r.k.dir.Procs(); !slices.Equal(after, before) {
+			t.Fatalf("directory lists %v after the failed spawn, want %v", after, before)
+		}
+	})
+}
+
 // TestNothingLeavesAHeldOrDeadKernel: once hold, crash, stop or degrade has
 // been observed under k.mu nothing more reaches the bus, and OutgoingBacklog
 // reads what it read when a transmit loop did the draining.
@@ -565,7 +643,7 @@ func TestOneMessageWriteToRead(t *testing.T) {
 		if err != nil || string(got) != string(payload) {
 			t.Fatalf("Read = %q, %v", got, err)
 		}
-		saved.DiscardFront(1) // what the reader's next sync does at its backup
+		saved.Applied(1, 0) // what the reader's next sync does at its backup
 	}
 	for i := 0; i < 100; i++ {
 		one() // grow the queues, receive buffers and batch to their working size
@@ -573,9 +651,9 @@ func TestOneMessageWriteToRead(t *testing.T) {
 	if n := testing.AllocsPerRun(200, one); n != 2 {
 		t.Fatalf("one message from Write to Read allocated %v objects, want 2 (the outgoing message and its payload)", n)
 	}
-	if counted.WritesSinceSync != 301 || metrics.PrimaryDeliveries.Load() != 301 || metrics.BackupSaves.Load() != 301 {
+	if counted.Unsent() != 301 || metrics.PrimaryDeliveries.Load() != 301 || metrics.BackupSaves.Load() != 301 {
 		t.Fatalf("roles played: %d counts, %d deliveries, %d saves; want 301 each",
-			counted.WritesSinceSync, metrics.PrimaryDeliveries.Load(), metrics.BackupSaves.Load())
+			counted.Unsent(), metrics.PrimaryDeliveries.Load(), metrics.BackupSaves.Load())
 	}
 }
 

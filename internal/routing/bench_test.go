@@ -49,7 +49,7 @@ func BenchmarkEnqueueDequeue(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.Enqueue(m)
-		if _, ok := e.Dequeue(); !ok {
+		if _, ok := e.Read(); !ok {
 			b.Fatal("empty")
 		}
 	}

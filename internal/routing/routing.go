@@ -8,10 +8,8 @@
 //
 // A channel between two backed-up processes therefore consists of four
 // entries: one for each primary and one for each backup, spread over up to
-// four clusters. Primary entries count reads-since-sync (reported in the
-// sync message so the backup can discard consumed messages); backup entries
-// hold the saved message queue and the writes-since-sync count used to
-// suppress redundant sends during roll-forward (§5.4).
+// four clusters. Each entry is also its end's share of the §5.4 ledger,
+// kept behind the operations the paper names (see Entry).
 package routing
 
 import (
@@ -38,7 +36,19 @@ func (r Role) String() string {
 	return "backup"
 }
 
-// Entry is one end of a channel in one cluster's routing table.
+// Entry is one end of a channel in one cluster's routing table, and the one
+// owner of that end's §5.4 ledger (§7.8):
+//
+//   - a primary end counts the reads since its owner's last sync (Read),
+//     which the sync reports and zeroes (Synced);
+//   - a backup end keeps the saved queue and counts the owner's writes
+//     since sync (Count); an applied sync discards the front of the queue
+//     the primary has read and resets the count (Applied);
+//   - at promotion that count becomes the primary end's budget of re-sends
+//     to drop (Promote), one per re-sent write (Resend).
+//
+// The counters are unexported: nothing outside this file changes them but
+// those operations.
 type Entry struct {
 	Channel types.ChannelID
 	// Owner is the process this entry belongs to (the reader/writer for a
@@ -68,40 +78,43 @@ type Entry struct {
 	// queue holds incoming messages by value, in arrival order (already
 	// stamped with cluster arrival sequence numbers by the kernel): queuing
 	// one copies it into a slot of an array the queue reuses, so a delivered
-	// message costs no allocation of its own.
+	// message costs no allocation of its own. At a backup end it is the
+	// saved queue.
 	queue Queue[types.Message]
 
-	// ReadsSinceSync counts messages the owner has read from this channel
-	// since its last sync (Primary entries; reported in sync messages).
-	ReadsSinceSync uint32
-
-	// WritesSinceSync counts messages the owner has written on this
-	// channel since its last sync (Backup entries; incremented when the
-	// sender's-backup copy arrives, decremented during roll-forward to
-	// suppress resends).
-	WritesSinceSync uint32
+	// reads is the primary end's reads since sync.
+	reads uint32
+	// unsent is the backup end's writes since sync and, after Promote, the
+	// primary end's budget of re-sends still to drop: the sends that
+	// escaped the failed primary since its last applied sync.
+	unsent uint32
 }
 
 // Enqueue appends a copy of m to the entry's queue. m is not retained.
 func (e *Entry) Enqueue(m *types.Message) { e.queue.Push(m) }
 
-// Dequeue removes the oldest queued message and returns its payload, which
-// is all a reader consumes. Kept out of line: clearing the vacated slot is a
-// call, and inlined into a reader's wait predicate it would spill the
-// payload into every reader's frame.
+// Read removes the oldest queued message, counts it as read since sync, and
+// returns its payload, which is all a reader consumes. Kept out of line:
+// clearing the vacated slot is a call, and inlined into a reader's wait
+// predicate it would spill the payload into every reader's frame.
 //
 //go:noinline
-func (e *Entry) Dequeue() ([]byte, bool) {
+func (e *Entry) Read() ([]byte, bool) {
 	if e.queue.Len() == 0 {
 		return nil, false
 	}
 	p := e.queue.Live()[0].Payload
 	e.queue.Drop(1)
+	e.reads++
 	return p, true
 }
 
+// Dequeue is Read under its older name, which bench/layers.go's routing
+// probe calls.
+func (e *Entry) Dequeue() ([]byte, bool) { return e.Read() }
+
 // Peek returns the oldest queued message without removing it. The pointer
-// is into the queue's slot: read it before the next Enqueue or Dequeue.
+// is into the queue's slot: read it before the next Enqueue or Read.
 func (e *Entry) Peek() (*types.Message, bool) {
 	if e.queue.Len() == 0 {
 		return nil, false
@@ -114,19 +127,63 @@ func (e *Entry) QueueLen() int { return e.queue.Len() }
 
 // Queued returns the queued messages, oldest first, without consuming them
 // (roll-forward replay records, backup images, establishment forwarding).
-// The slice aliases the queue: read it before the next Enqueue or Dequeue,
+// The slice aliases the queue: read it before the next Enqueue or Read,
 // and index it (m := &q[i]) rather than range over copies of its values.
 func (e *Entry) Queued() []types.Message { return e.queue.Live() }
 
-// DiscardFront drops up to n messages from the front of the queue and
-// returns how many were dropped. Sync processing at the backup cluster uses
-// it: "if the count of reads since sync is positive, that many messages are
-// removed from the associated message queue" (§7.8).
-func (e *Entry) DiscardFront(n uint32) uint32 {
-	d := min(n, uint32(e.queue.Len()))
+// Take removes and returns every queued message; the caller owns the slice.
+// Establishment uses it to rebuild a new backup's saved queue.
+func (e *Entry) Take() []types.Message { return e.queue.Take() }
+
+// Count records, at the sender's backup, one write the owner transmitted on
+// this channel: the third of a message's three deliveries (§5.1), which
+// keeps nothing but the count.
+func (e *Entry) Count() { e.unsent++ }
+
+// Synced returns the reads since sync and zeroes them: the primary end's
+// share of a sync capture.
+func (e *Entry) Synced() uint32 {
+	n := e.reads
+	e.reads = 0
+	return n
+}
+
+// Applied is a sync's effect at the backup end: "if the count of reads since
+// sync is positive, that many messages are removed from the associated
+// message queue" (§7.8), and the writes-since-sync count is reset — to zero,
+// or to debt, the re-sends a still-recovering primary has yet to drop. It
+// returns how many messages were discarded.
+func (e *Entry) Applied(reads, debt uint32) uint32 {
+	d := min(reads, uint32(e.queue.Len()))
 	e.queue.Drop(int(d))
+	e.unsent = debt
 	return d
 }
+
+// Promote turns a backup end into its owner's primary end (§7.10.2): the
+// saved queue becomes the input queue, newBackup the owner's backup
+// cluster, and the writes-since-sync count the budget of re-sends to drop,
+// which it returns.
+func (e *Entry) Promote(newBackup types.ClusterID) uint32 {
+	e.Role = Primary
+	e.OwnerBackupCluster = newBackup
+	return e.unsent
+}
+
+// Resend spends one unit of the re-send budget and reports whether there
+// was one: true means the failed primary already sent this write, so it is
+// dropped (§5.4).
+func (e *Entry) Resend() bool {
+	if e.unsent == 0 {
+		return false
+	}
+	e.unsent--
+	return true
+}
+
+// Unsent returns the backup end's writes since sync, or the primary end's
+// remaining re-send budget.
+func (e *Entry) Unsent() uint32 { return e.unsent }
 
 // Route assembles the bus route for a message the owner writes on this
 // channel.
@@ -141,7 +198,7 @@ func (e *Entry) Route() types.Route {
 func (e *Entry) String() string {
 	return fmt.Sprintf("%s %s owner=%s peer=%s@%v/%v ownerBackup=%v q=%d r=%d w=%d unusable=%v closed=%v",
 		e.Channel, e.Role, e.Owner, e.Peer, e.PeerCluster, e.PeerBackupCluster,
-		e.OwnerBackupCluster, e.queue.Len(), e.ReadsSinceSync, e.WritesSinceSync, e.Unusable, e.Closed)
+		e.OwnerBackupCluster, e.queue.Len(), e.reads, e.unsent, e.Unusable, e.Closed)
 }
 
 // owned holds one owner's entries, one slice per role, each sorted by

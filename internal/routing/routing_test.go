@@ -36,30 +36,37 @@ func TestQueueFIFO(t *testing.T) {
 		t.Fatal("Peek wrong")
 	}
 	for i := 1; i <= 3; i++ {
-		p, ok := e.Dequeue()
+		p, ok := e.Read()
 		if !ok || len(p) != 1 || p[0] != byte(i) {
-			t.Fatalf("dequeue %d: got payload %v ok=%v", i, p, ok)
+			t.Fatalf("read %d: got payload %v ok=%v", i, p, ok)
 		}
 	}
-	if _, ok := e.Dequeue(); ok {
-		t.Fatal("dequeue from empty succeeded")
+	if _, ok := e.Read(); ok {
+		t.Fatal("read from empty succeeded")
+	}
+	if n := e.Synced(); n != 3 {
+		t.Fatalf("Synced = %d after three reads and one empty read, want 3", n)
+	}
+	if n := e.Synced(); n != 0 {
+		t.Fatalf("Synced = %d straight after a sync, want 0", n)
 	}
 }
 
-func TestDiscardFront(t *testing.T) {
+func TestApplied(t *testing.T) {
 	e := entry(1, 10, 20, Backup)
 	for i := 1; i <= 5; i++ {
 		e.Enqueue(msg(types.Seq(i)))
+		e.Count()
 	}
-	if n := e.DiscardFront(3); n != 3 {
-		t.Fatalf("DiscardFront = %d", n)
+	if n := e.Applied(3, 0); n != 3 || e.Unsent() != 0 {
+		t.Fatalf("Applied(3, 0) discarded %d and left %d writes since sync", n, e.Unsent())
 	}
 	if m, _ := e.Peek(); m.Seq != 4 {
 		t.Fatalf("front after discard = %d", m.Seq)
 	}
-	// Discarding more than queued drops what exists.
-	if n := e.DiscardFront(10); n != 2 {
-		t.Fatalf("over-discard = %d, want 2", n)
+	// Discarding more than queued drops what exists; a debt is kept.
+	if n := e.Applied(10, 2); n != 2 || e.Unsent() != 2 {
+		t.Fatalf("Applied(10, 2) discarded %d and left %d writes since sync, want 2 and 2", n, e.Unsent())
 	}
 	if e.QueueLen() != 0 {
 		t.Fatal("queue not empty")
@@ -382,7 +389,7 @@ func TestTableMatchesReference(t *testing.T) {
 }
 
 // TestConsumedMessagesAreCollectable is the dead-pointer regression: once a
-// message is dequeued or discarded the queue's backing array must not keep
+// message is read or discarded the queue's backing array must not keep
 // its payload reachable. Re-slicing from the front did. Slots hold message
 // values, so the finalizers watch the payloads.
 func TestConsumedMessagesAreCollectable(t *testing.T) {
@@ -394,8 +401,8 @@ func TestConsumedMessagesAreCollectable(t *testing.T) {
 		runtime.SetFinalizer(payload, func(*[1024]byte) { freed.Add(1) })
 		e.Enqueue(&types.Message{Seq: types.Seq(i + 1), Payload: payload[:]})
 	}
-	e.Dequeue()
-	e.DiscardFront(n - 2) // one message stays queued, so the array stays live
+	e.Read()
+	e.Applied(n-2, 0) // one message stays queued, so the array stays live
 	for i := 0; i < 20 && freed.Load() < n-1; i++ {
 		runtime.GC()
 		time.Sleep(time.Millisecond)

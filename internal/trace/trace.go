@@ -392,9 +392,11 @@ func (l *EventLog) SetClock(c types.Clock) {
 // mutex, for every subsequent Append — the hook the fault-injection
 // tripwires hang off (the event stream is the injection coordinate
 // system). Because fn runs inside Append, which components call while
-// holding their own locks, fn must be fast, must never block, and must
-// not call back into the log or into the system being observed: restrict
-// it to reads of the event, atomic bookkeeping, and channel closes. Pass
+// holding their own locks, fn must be fast, must never wait on anything
+// that takes a lock, and must not call back into the log or into the
+// system being observed: restrict it to reads of the event, atomic
+// bookkeeping, and channel operations with goroutines that hold no lock
+// while they complete them. Pass
 // nil to remove the observer. Safe on a nil receiver (no-op).
 func (l *EventLog) SetObserver(fn func(Event)) {
 	if l == nil {
