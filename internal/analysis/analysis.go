@@ -90,7 +90,7 @@ type Config struct {
 	// a map iteration is AURO003.
 	EmitCalls []string
 	// EmitLocalFuncs lists per-package function names treated as emission
-	// roots (e.g. the kernel's sendLocked outgoing-queue append).
+	// roots (e.g. the kernel's queueLocked outgoing-queue append).
 	EmitLocalFuncs []string
 	// OrderedLockClasses maps a lock class ("pkgpath.Type.field") to the
 	// functions (funcKey form) sanctioned to hold several instances of
@@ -142,7 +142,7 @@ func DefaultConfig(module string) *Config {
 			in("trace") + ".EventLog.Append",
 			in("trace") + ".EventLog.Add",
 		},
-		EmitLocalFuncs: []string{"sendLocked", "logMsg"},
+		EmitLocalFuncs: []string{"queueLocked", "logMsg"},
 		OrderedLockClasses: map[string][]string{
 			// BroadcastBatch stages one batch into the inboxes of the ports
 			// it reaches and holds them to the end of the batch. It does so
@@ -164,7 +164,7 @@ func DefaultConfig(module string) *Config {
 			},
 			Transmit: []string{
 				in("bus") + ".Bus.BroadcastBatch",
-				in("kernel") + ".Kernel.sendLocked",
+				in("kernel") + ".Kernel.queueLocked",
 			},
 			EmitExempt: []string{
 				// The zero value: constructing an invalid message is a bug

@@ -15,18 +15,22 @@ import (
 // page" that plain `go test` gates: one steady-state sync of 8 dirty 1 KiB
 // pages — capture at the primary, page-out and sync message through the
 // kernel onto a bare bus, and off it into both page servers and their
-// mirrored disks — may allocate syncAllocBudget bytes. The page-out's copy
-// out of the transmit writer, the one copy of the pages the §5.1 broadcast
-// owes (the bus hands it to both page servers as it is), is 9.2 KB of that
-// (8.4 KB of payload in its size class), everything else 2.8 KB; one
-// more copy of the dirty set anywhere on the path (a page cloned at the
-// primary, a block buffer not recycled) is another 8 KiB and fails. No
-// goroutine runs, so the count repeats to within a slice's amortised growth.
+// mirrored disks — may allocate syncAllocBudget bytes in syncAllocCount
+// objects. The page-out's copy out of the transmit writer, the one copy of
+// the pages the §5.1 broadcast owes (the bus hands it to both page servers
+// as it is), is 9.2 KB of that (8.4 KB of payload in its size class),
+// everything else 2.3–2.4 KB; one more copy of the dirty set anywhere on the
+// path (a page cloned at the primary, a block buffer not recycled) is
+// another 8 KiB and fails, and so does a page-out or sync message allocated
+// on the heap instead of built in its outgoing slot (one more object). No
+// goroutine runs, so the bytes repeat to within a slice's amortised growth
+// (11 512–11 621 B measured) and the count exactly.
 func TestSyncPathAllocBudget(t *testing.T) {
 	const (
 		pages           = 8
 		rounds          = 64
-		syncAllocBudget = 12 << 10
+		syncAllocBudget = 11<<10 + 512
+		syncAllocCount  = 21
 	)
 	servers := [2]*pager.Server{
 		pager.New(0, disk.New("pages-0", memory.DefaultPageSize, 0, 1)),
@@ -55,10 +59,11 @@ func TestSyncPathAllocBudget(t *testing.T) {
 		sync()
 	}
 	runtime.ReadMemStats(&after)
-	perSync := (after.TotalAlloc - before.TotalAlloc) / rounds
-	t.Logf("%d B and %d allocations per sync of %d pages", perSync, (after.Mallocs-before.Mallocs)/rounds, pages)
-	if perSync > syncAllocBudget && !kernel.RaceEnabled {
-		t.Errorf("one sync of %d dirty pages allocates %d B, budget %d B", pages, perSync, syncAllocBudget)
+	perSync, objects := (after.TotalAlloc-before.TotalAlloc)/rounds, (after.Mallocs-before.Mallocs)/rounds
+	t.Logf("%d B and %d allocations per sync of %d pages", perSync, objects, pages)
+	if (perSync > syncAllocBudget || objects > syncAllocCount) && !kernel.RaceEnabled {
+		t.Errorf("one sync of %d dirty pages allocates %d B in %d objects, budget %d B in %d",
+			pages, perSync, objects, syncAllocBudget, syncAllocCount)
 	}
 
 	// The syncs were real: both replicas hold the last image, committed.

@@ -94,18 +94,12 @@ func (k *Kernel) establishBackupLocked(p *PCB, target types.ClusterID) error {
 		Channels:       k.currentChannelInfosLocked(p),
 		Established:    true,
 	}
-	k.sendLocked(&types.Message{
-		Kind:    types.KindBirthNotice,
-		Dst:     pid,
-		Route:   types.Route{Dst: target, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-		Payload: Encode(bn),
-	})
-	bu := &BackupUp{PID: pid, BackupCluster: target, Origin: k.id, NeedAck: true}
-	k.sendLocked(&types.Message{
-		Kind:    types.KindBackupUp,
-		Dst:     pid,
-		Payload: Encode(bu),
-	})
+	birth := k.queueLocked()
+	birth.Kind, birth.Dst, birth.Payload = types.KindBirthNotice, pid, Encode(bn)
+	birth.Route = types.Route{Dst: target, DstBackup: types.NoCluster, SrcBackup: types.NoCluster}
+	up := k.queueLocked()
+	up.Kind, up.Dst = types.KindBackupUp, pid
+	up.Payload = Encode(&BackupUp{PID: pid, BackupCluster: target, Origin: k.id, NeedAck: true})
 	return nil
 }
 
@@ -183,10 +177,7 @@ func (k *Kernel) finalizeEstablishLocked(p *PCB) {
 		if q.m.Route.DstBackup == target {
 			dupes[q.m.Channel]++
 		}
-		fwd := q.m.Clone()
-		fwd.Seq = 0
-		fwd.Route = types.Route{Dst: types.NoCluster, DstBackup: target, SrcBackup: types.NoCluster}
-		k.sendLocked(fwd)
+		k.forwardLocked(q.m, target)
 	}
 	p.establishDupes = dupes
 

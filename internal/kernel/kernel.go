@@ -172,18 +172,22 @@ type Kernel struct {
 	// carry the bump that advances it.
 	incView map[types.ClusterID]types.Incarnation
 
-	outgoing routing.Queue[*types.Message]
+	outgoing routing.Queue
 	// transmitting is the single-transmitter flag (guarded by mu): set
 	// while one goroutine is between taking a batch off outgoing and the
 	// bus accepting it, which it does outside mu. Anyone else who finds it
 	// set leaves their output queued — the holder looks at the queue again,
 	// under mu, before it clears the flag — so bus order is queue order.
 	transmitting bool
-	// txBatch is the batch being offered, and txw the writer its lazy
-	// payloads are encoded into. Both belong to the holder of the
-	// transmitting flag and are reused from one batch to the next.
-	txBatch []*types.Message
+	// txBatch is the batch being offered, txView the pointers to its
+	// messages that the bus takes, and txw the writer its lazy payloads are
+	// encoded into. All three belong to the holder of the transmitting flag
+	// and are reused from one batch to the next. txTaken counts the messages
+	// ever taken into a batch (guarded by mu).
+	txBatch []types.Message
+	txView  []*types.Message
 	txw     wire.Writer
+	txTaken uint64
 	// txHold stops transmission without stopping enqueues (HoldTransmit).
 	// Atomic, so a hold can be set where k.mu cannot be taken.
 	txHold atomic.Bool
@@ -192,7 +196,10 @@ type Kernel struct {
 	drainJitter *types.RNG
 	// held parks outgoing messages whose fullback destination lost its
 	// backup, until a BackupUp notice arrives (§7.10.1 step 4).
-	held map[types.PID][]*types.Message
+	held map[types.PID][]types.Message
+	// discard is the slot queueLocked hands out when the kernel queues
+	// nothing: filled by its caller, never sent.
+	discard types.Message
 
 	crashed bool
 	stopped bool
@@ -294,7 +301,7 @@ func New(cfg Config) *Kernel {
 		policy:     cfg.Replication.Policy(),
 		inc:        cfg.Dir.Incarnation(cfg.ID),
 		incView:    make(map[types.ClusterID]types.Incarnation),
-		held:       make(map[types.PID][]*types.Message),
+		held:       make(map[types.PID][]types.Message),
 		table:      routing.NewTable(),
 		procs:      make(map[types.PID]*PCB),
 		backups:    make(map[types.PID]*BackupPCB),
@@ -373,7 +380,7 @@ func (k *Kernel) Crash() {
 // holds k.mu and detaches from the bus afterwards.
 func (k *Kernel) haltLocked() {
 	k.crashed = true
-	k.outgoing = routing.Queue[*types.Message]{}
+	k.outgoing = routing.Queue{}
 	for _, p := range k.procs {
 		p.crashed = true
 		p.cond.Broadcast()
@@ -435,7 +442,7 @@ func (k *Kernel) enterDegraded(cause error) {
 		return
 	}
 	k.degraded = true
-	k.outgoing = routing.Queue[*types.Message]{}
+	k.outgoing = routing.Queue{}
 	for _, p := range k.procs {
 		p.cond.Broadcast()
 	}
@@ -510,15 +517,19 @@ func (k *Kernel) BackupStatus(pid types.PID) (epoch types.Epoch, viable bool, ok
 // dispatched here.
 func (k *Kernel) Marked() uint64 { return k.marked.Load() }
 
-// sendLocked places a message on the cluster's outgoing queue, and only
-// that: when it leaves is transmitLocked's business. The caller holds k.mu.
-// Messages leave the cluster in the order they are placed here (§7.8's
-// safety argument for sync messages depends on this FIFO order).
-func (k *Kernel) sendLocked(m *types.Message) {
+// queueLocked places a message on the cluster's outgoing queue, and only
+// that: it returns the message's zeroed slot for the caller to fill in
+// place, before anything else is queued, and when the message leaves is
+// transmitLocked's business. The caller holds k.mu. Messages leave the
+// cluster in the order they are placed here (§7.8's safety argument for
+// sync messages depends on this FIFO order). A crashed, stopped or degraded
+// kernel queues nothing: its callers fill k.discard.
+func (k *Kernel) queueLocked() *types.Message {
 	if k.crashed || k.stopped || k.degraded {
-		return
+		k.discard = types.Message{}
+		return &k.discard
 	}
-	k.outgoing.Push(&m)
+	return k.outgoing.Alloc()
 }
 
 // HoldTransmit stops (hold=true) or resumes (hold=false) transmission.
@@ -606,8 +617,8 @@ func (k *Kernel) blockLocked(p *PCB) {
 }
 
 // takeBatchLocked moves the next batch from the outgoing queue into
-// k.txBatch and reports whether there was one to take. The caller holds
-// k.mu and the transmitting flag (or is about to set it).
+// k.txBatch, and k.txView at it, and reports whether there was one to take.
+// The caller holds k.mu and the transmitting flag (or is about to set it).
 func (k *Kernel) takeBatchLocked() bool {
 	n := min(k.outgoing.Len(), DefaultTxBatch)
 	if n == 0 || k.txHold.Load() || k.crashed || k.stopped || k.degraded {
@@ -621,6 +632,11 @@ func (k *Kernel) takeBatchLocked() bool {
 	}
 	k.txBatch = append(k.txBatch[:0], k.outgoing.Live()[:n]...)
 	k.outgoing.Drop(n)
+	k.txTaken += uint64(n)
+	k.txView = k.txView[:0]
+	for i := range k.txBatch {
+		k.txView = append(k.txView, &k.txBatch[i])
+	}
 	return true
 }
 
@@ -633,7 +649,7 @@ func (k *Kernel) takeBatchLocked() bool {
 func (k *Kernel) offerBatch() {
 	// Encoders touch only data the enqueuer handed off (captured pages,
 	// retired sync state), so running them here is race-free.
-	for _, m := range k.txBatch {
+	for _, m := range k.txView {
 		// Stamp the sender's identity and incarnation: this is what lets
 		// receivers fence the whole batch if this kernel turns out to be a
 		// superseded primary, and what the wire's link cuts key on. A
@@ -655,8 +671,8 @@ func (k *Kernel) offerBatch() {
 		}
 	}
 
-	err := k.transmitBatch(k.txBatch)
-	clear(k.txBatch) // transmitted: do not pin the messages until the next batch
+	err := k.transmitBatch(k.txView)
+	clear(k.txBatch) // transmitted: do not pin the payloads until the next batch
 	if err != nil {
 		// Both physical buses down past the retry budget: an untolerated
 		// multiple failure. The cluster is cut off; degrade so blocked
@@ -943,6 +959,16 @@ func enqueueOwned(e *routing.Entry, m *types.Message) {
 	e.Enqueue(&c)
 }
 
+// forwardLocked queues a copy of m, with payload and nondet words of its
+// own, for the saved queue at backup alone.
+func (k *Kernel) forwardLocked(m *types.Message, backup types.ClusterID) {
+	fwd := k.queueLocked()
+	*fwd = *m
+	fwd.Payload, fwd.Nondet = slices.Clone(m.Payload), slices.Clone(m.Nondet)
+	fwd.Seq = 0
+	fwd.Route = types.Route{Dst: types.NoCluster, DstBackup: backup, SrcBackup: types.NoCluster}
+}
+
 // dispatchChannelMessage handles the three §5.1 roles for channel-carried
 // messages. m is not retained: every role that keeps it keeps a copy.
 func (k *Kernel) dispatchChannelMessage(m *types.Message) {
@@ -1035,14 +1061,7 @@ func (k *Kernel) dispatchChannelMessage(m *types.Message) {
 					k.logMsg(trace.EvDeliver, m, m.Dst, 0)
 					p.cond.Broadcast()
 					if p.backupCluster != types.NoCluster {
-						fwd := m.Clone()
-						fwd.Seq = 0
-						fwd.Route = types.Route{
-							Dst:       types.NoCluster,
-							DstBackup: p.backupCluster,
-							SrcBackup: types.NoCluster,
-						}
-						k.sendLocked(fwd)
+						k.forwardLocked(m, p.backupCluster)
 					}
 				}
 			}
@@ -1165,13 +1184,10 @@ func (k *Kernel) dispatchPageRequestLocked(m *types.Message) {
 	k.mu.Unlock()
 	pages := pager.HandlePageRequest(pr.PID)
 	k.mu.Lock()
-	reply := &PageReply{PID: pr.PID, Pages: pages}
-	k.sendLocked(&types.Message{
-		Kind:    types.KindPageReply,
-		Dst:     pr.PID,
-		Route:   types.Route{Dst: pr.ReplyTo, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-		Payload: Encode(reply),
-	})
+	reply := k.queueLocked()
+	reply.Kind, reply.Dst = types.KindPageReply, pr.PID
+	reply.Payload = Encode(&PageReply{PID: pr.PID, Pages: pages})
+	reply.Route = types.Route{Dst: pr.ReplyTo, DstBackup: types.NoCluster, SrcBackup: types.NoCluster}
 }
 
 // dispatchPageReply hands a restored page account to the promoted process

@@ -104,23 +104,18 @@ func (k *Kernel) writeLocked(p *PCB, fd types.FD, kind types.Kind, data []byte) 
 		}
 		return nil
 	}
-	payload := make([]byte, len(data))
-	copy(payload, data)
-	msg := &types.Message{
-		Kind:    kind,
-		Channel: ch,
-		Src:     p.pid,
-		Dst:     e.Peer,
-		Route:   e.Route(),
-		Payload: payload,
-	}
+	// The message is built in its outgoing slot; only the copy of the
+	// guest's bytes is its own allocation.
+	msg := k.queueLocked()
+	msg.Kind, msg.Channel, msg.Src, msg.Dst, msg.Route = kind, ch, p.pid, e.Peer, e.Route()
+	msg.Payload = make([]byte, len(data))
+	copy(msg.Payload, data)
 	// Piggyback pending nondeterministic-event results (§10): the copy
 	// at the sender's backup logs them.
 	if len(p.nondetPending) > 0 && msg.Route.SrcBackup != types.NoCluster {
 		msg.Nondet = p.nondetPending
 		p.nondetPending = nil
 	}
-	k.sendLocked(msg)
 	if k.outgoing.Len() >= DefaultTxBatch {
 		k.transmitLocked()
 	}
@@ -477,13 +472,9 @@ func (pr *Proc) NextEvent() (guest.Event, error) {
 				dm := &DecisionMsg{PID: p.pid, Seq: p.decisionSeq, Reads: p.totalReads}
 				p.decisionSeq++
 				if p.backupCluster != types.NoCluster {
-					k.sendLocked(&types.Message{
-						Kind:  types.KindDecision,
-						Src:   p.pid,
-						Dst:   p.pid,
-						Route: types.Route{Dst: p.backupCluster, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-						Lazy:  dm,
-					})
+					m := k.queueLocked()
+					m.Kind, m.Src, m.Dst, m.Lazy = types.KindDecision, p.pid, p.pid, dm
+					m.Route = types.Route{Dst: p.backupCluster, DstBackup: types.NoCluster, SrcBackup: types.NoCluster}
 				}
 				p.signalNext = true
 				continue

@@ -44,12 +44,8 @@ func (k *Kernel) CrashProcess(pid types.PID) error {
 	// if the notice overtook an in-flight sync, the backup would promote at
 	// the previous epoch while counts for the newer epoch's sends were
 	// still arriving, corrupting the §5.4 suppression budget.
-	cn := &CrashNotice{Crashed: k.id, PID: pid}
-	k.sendLocked(&types.Message{
-		Kind:    types.KindCrashNotice,
-		Dst:     pid,
-		Payload: Encode(cn),
-	})
+	cn := k.queueLocked()
+	cn.Kind, cn.Dst, cn.Payload = types.KindCrashNotice, pid, Encode(&CrashNotice{Crashed: k.id, PID: pid})
 	k.transmitLocked()
 	return nil
 }
@@ -77,21 +73,21 @@ func (k *Kernel) handleProcCrashLocked(crashed types.ClusterID, pid types.PID) {
 	}
 
 	// Outgoing queue fixup, scoped to this destination.
-	for _, m := range k.outgoing.Take() {
+	k.outgoing.Retain(func(m *types.Message) bool {
 		if m.Dst == pid && m.Route.Dst == crashed {
 			loc, ok := k.dir.Proc(pid)
 			if !ok || loc.Cluster == types.NoCluster {
-				continue // unrecoverable: dropped
+				return false // unrecoverable: dropped
 			}
 			m.Route.Dst = loc.Cluster
 			if isFB && loc.BackupCluster == types.NoCluster {
-				k.held[pid] = append(k.held[pid], m)
-				continue
+				k.held[pid] = append(k.held[pid], *m)
+				return false
 			}
 			m.Route.DstBackup = loc.BackupCluster
 		}
-		k.outgoing.Push(&m)
-	}
+		return true
+	})
 
 	if k.pager != nil {
 		k.pager.HandleCrashPID(pid)

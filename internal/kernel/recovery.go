@@ -215,12 +215,8 @@ func (k *Kernel) promoteLocked(b *BackupPCB, noticeNanos int64) {
 	if newBackup != types.NoCluster {
 		k.sendBackupImageLocked(b, entries, newBackup)
 		k.dir.SetBackup(pid, newBackup)
-		bu := &BackupUp{PID: pid, BackupCluster: newBackup}
-		k.sendLocked(&types.Message{
-			Kind:    types.KindBackupUp,
-			Dst:     pid,
-			Payload: Encode(bu),
-		})
+		up := k.queueLocked()
+		up.Kind, up.Dst, up.Payload = types.KindBackupUp, pid, Encode(&BackupUp{PID: pid, BackupCluster: newBackup})
 	}
 
 	guestObj, ok := k.reg.New(b.program)
@@ -372,12 +368,9 @@ func (k *Kernel) sendBackupImageLocked(b *BackupPCB, entries []*routing.Entry, t
 	// queues are the forwarded full set, and these are their decisions.
 	img.Decisions = append([]uint64(nil), b.decisions...)
 
-	k.sendLocked(&types.Message{
-		Kind:    types.KindBackupCreate,
-		Dst:     b.pid,
-		Route:   types.Route{Dst: target, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-		Payload: Encode(img),
-	})
+	m := k.queueLocked()
+	m.Kind, m.Dst, m.Payload = types.KindBackupCreate, b.pid, Encode(img)
+	m.Route = types.Route{Dst: target, DstBackup: types.NoCluster, SrcBackup: types.NoCluster}
 	k.metrics.BackupsCreated.Add(1)
 }
 
@@ -470,23 +463,20 @@ func (k *Kernel) handleBackupUpLocked(bu *BackupUp) {
 		}
 	}
 	if bu.NeedAck && bu.Origin != types.NoCluster {
-		ack := &BackupAck{PID: bu.PID, From: k.id}
-		k.sendLocked(&types.Message{
-			Kind:    types.KindBackupAck,
-			Dst:     bu.PID,
-			Route:   types.Route{Dst: bu.Origin, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-			Payload: Encode(ack),
-		})
+		ack := k.queueLocked()
+		ack.Kind, ack.Dst, ack.Payload = types.KindBackupAck, bu.PID, Encode(&BackupAck{PID: bu.PID, From: k.id})
+		ack.Route = types.Route{Dst: bu.Origin, DstBackup: types.NoCluster, SrcBackup: types.NoCluster}
 	}
 	if held := k.held[bu.PID]; len(held) > 0 {
 		delete(k.held, bu.PID)
 		loc, ok := k.dir.Proc(bu.PID)
-		for _, m := range held {
+		for i := range held {
+			m := k.queueLocked()
+			*m = held[i]
 			if ok {
 				m.Route.Dst = loc.Cluster
 			}
 			m.Route.DstBackup = bu.BackupCluster
-			k.sendLocked(m)
 		}
 	}
 	for _, p := range k.procs {
@@ -499,24 +489,25 @@ func (k *Kernel) handleBackupUpLocked(bu *BackupUp) {
 // messages to fullback destinations are held until the new backup's
 // location is known.
 func (k *Kernel) fixOutgoingLocked(crashed types.ClusterID) {
-	for _, m := range k.outgoing.Take() {
+	k.outgoing.Retain(func(m *types.Message) bool {
 		r := &m.Route
 		if r.Dst == crashed {
 			loc, ok := k.dir.Proc(m.Dst)
 			if !ok || loc.Cluster == types.NoCluster {
-				if svc, sok := k.dir.Service(m.Dst); sok && svc.Primary != types.NoCluster {
-					r.Dst = svc.Primary
-					r.DstBackup = svc.Backup
-					k.outgoing.Push(&m)
+				svc, sok := k.dir.Service(m.Dst)
+				if !sok || svc.Primary == types.NoCluster {
+					// Destination unrecoverable: the message is dropped
+					// with the crashed cluster.
+					return false
 				}
-				// Destination unrecoverable: the message is dropped with
-				// the crashed cluster.
-				continue
+				r.Dst = svc.Primary
+				r.DstBackup = svc.Backup
+				return true
 			}
 			r.Dst = loc.Cluster
 			if k.dir.IsFullback(m.Dst) && loc.BackupCluster == types.NoCluster {
-				k.held[m.Dst] = append(k.held[m.Dst], m)
-				continue
+				k.held[m.Dst] = append(k.held[m.Dst], *m)
+				return false
 			}
 			r.DstBackup = loc.BackupCluster
 		}
@@ -526,8 +517,8 @@ func (k *Kernel) fixOutgoingLocked(crashed types.ClusterID) {
 		if r.SrcBackup == crashed {
 			r.SrcBackup = types.NoCluster
 		}
-		k.outgoing.Push(&m)
-	}
+		return true
+	})
 }
 
 // sortedProcsLocked returns the live PCBs in ascending pid order, for

@@ -166,14 +166,8 @@ func (c *ServerCtx) Reply(ch types.ChannelID, dst types.PID, kind types.Kind, pa
 		}
 		c.k.table.Add(e)
 	}
-	c.k.sendLocked(&types.Message{
-		Kind:    kind,
-		Channel: ch,
-		Src:     srv,
-		Dst:     dst,
-		Route:   e.Route(),
-		Payload: payload,
-	})
+	m := c.k.queueLocked()
+	m.Kind, m.Channel, m.Src, m.Dst, m.Route, m.Payload = kind, ch, srv, dst, e.Route(), payload
 }
 
 // twinCluster returns the cluster of this server's twin instance, or
@@ -210,13 +204,9 @@ func (c *ServerCtx) Sync() {
 		Discards: c.host.requestsHandled,
 	}
 	c.host.requestsHandled = make(map[types.ChannelID]uint32)
-	c.k.sendLocked(&types.Message{
-		Kind:    types.KindServerSync,
-		Src:     c.host.impl.PID(),
-		Dst:     c.host.impl.PID(),
-		Route:   types.Route{Dst: twin, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-		Payload: Encode(ss),
-	})
+	m := c.k.queueLocked()
+	m.Kind, m.Src, m.Dst, m.Payload = types.KindServerSync, ss.PID, ss.PID, Encode(ss)
+	m.Route = types.Route{Dst: twin, DstBackup: types.NoCluster, SrcBackup: types.NoCluster}
 	c.k.metrics.Syncs.Add(1)
 }
 
@@ -289,12 +279,7 @@ func (k *Kernel) signalLocked(pid types.PID, sig types.Signal, src types.PID) {
 		// kernels resolve it. We carry NoChannel and resolve on arrival.
 		sigCh = types.NoChannel
 	}
-	k.sendLocked(&types.Message{
-		Kind:    types.KindSignal,
-		Channel: sigCh,
-		Src:     src,
-		Dst:     pid,
-		Route:   types.Route{Dst: loc.Cluster, DstBackup: loc.BackupCluster, SrcBackup: types.NoCluster},
-		Payload: []byte{byte(sig)},
-	})
+	m := k.queueLocked()
+	m.Kind, m.Channel, m.Src, m.Dst, m.Payload = types.KindSignal, sigCh, src, pid, []byte{byte(sig)}
+	m.Route = types.Route{Dst: loc.Cluster, DstBackup: loc.BackupCluster, SrcBackup: types.NoCluster}
 }

@@ -64,23 +64,23 @@ func (k *Kernel) Spawn(program string, args []byte, opts SpawnOpts) (*PCB, error
 	}
 	p.fullCheckpoint = opts.FullCheckpoint
 	if opts.BackupCluster != types.NoCluster {
-		birth := &types.Message{
-			Kind:    types.KindBirthNotice,
-			Dst:     pid,
-			Route:   types.Route{Dst: opts.BackupCluster, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-			Payload: Encode(bn),
-		}
-		k.sendLocked(birth)
+		birth := k.queueLocked()
+		birth.Kind, birth.Dst, birth.Payload = types.KindBirthNotice, pid, Encode(bn)
+		birth.Route = types.Route{Dst: opts.BackupCluster, DstBackup: types.NoCluster, SrcBackup: types.NoCluster}
 		// Whoever holds the transmitting flag offers everything queued
 		// before dropping it, so once the flag is down and no hold stands
-		// the notice has left unless the queue was lost. The bus stamps an
-		// ID on what it takes.
-		for k.transmitLocked(); k.transmitting || k.txHold.Load() && birth.ID == 0 && !k.crashed && !k.stopped; k.transmitLocked() {
+		// the notice has left unless the queue was lost. The notice is the
+		// last message queued, so it has been taken into a batch once
+		// txTaken reaches its place. (Only a crash fixup that dropped a
+		// message ahead of it, and then this cluster's crash, both inside
+		// one yield below, could make a notice that left look lost.)
+		place := k.txTaken + uint64(k.outgoing.Len())
+		for k.transmitLocked(); k.transmitting || k.txHold.Load() && k.txTaken < place && !k.crashed && !k.stopped; k.transmitLocked() {
 			k.mu.Unlock()
 			runtime.Gosched()
 			k.mu.Lock()
 		}
-		if birth.ID == 0 && (k.crashed || k.stopped) {
+		if k.txTaken < place && (k.crashed || k.stopped) {
 			k.dir.RemoveProc(pid)
 			return nil, types.ErrCrashed
 		}
@@ -298,14 +298,10 @@ func (k *Kernel) restorePages(p *PCB) error {
 		return types.ErrCrashed
 	}
 	p.pageWait = make(chan []memory.Page, 1)
-	req := &PageRequest{PID: p.pid, ReplyTo: k.id}
-	k.sendLocked(&types.Message{
-		Kind:    types.KindPageRequest,
-		Src:     p.pid,
-		Dst:     directory.PIDPageServer,
-		Route:   types.Route{Dst: pagerLoc.Primary, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-		Payload: Encode(req),
-	})
+	req := k.queueLocked()
+	req.Kind, req.Src, req.Dst = types.KindPageRequest, p.pid, directory.PIDPageServer
+	req.Payload = Encode(&PageRequest{PID: p.pid, ReplyTo: k.id})
+	req.Route = types.Route{Dst: pagerLoc.Primary, DstBackup: types.NoCluster, SrcBackup: types.NoCluster}
 	// About to block on the reply: the request leaves first.
 	k.transmitLocked()
 	k.mu.Unlock()
@@ -380,19 +376,14 @@ func (k *Kernel) exitProcess(p *PCB) {
 		NeverSynced: p.epoch == 0,
 		FreePIDs:    p.exitedChildren,
 	}
-	route := types.Route{
-		Dst:       p.backupCluster,
-		DstBackup: pagerLoc.Primary,
-		SrcBackup: pagerMirror(pagerLoc.Primary),
-	}
 	if p.backupCluster != types.NoCluster || pagerLoc.Primary != types.NoCluster {
-		k.sendLocked(&types.Message{
-			Kind:    types.KindExitNotice,
-			Src:     p.pid,
-			Dst:     p.pid,
-			Route:   route,
-			Payload: Encode(en),
-		})
+		m := k.queueLocked()
+		m.Kind, m.Src, m.Dst, m.Payload = types.KindExitNotice, p.pid, p.pid, Encode(en)
+		m.Route = types.Route{
+			Dst:       p.backupCluster,
+			DstBackup: pagerLoc.Primary,
+			SrcBackup: pagerMirror(pagerLoc.Primary),
+		}
 	}
 	k.dir.RemoveProc(p.pid)
 	// The process's last output, and the notice behind it, leave with it.
@@ -442,13 +433,9 @@ func (k *Kernel) forkLocked(parent *PCB, program string, args []byte) (types.PID
 
 	if parent.backupCluster != types.NoCluster {
 		k.metrics.BirthNotices.Add(1)
-		k.sendLocked(&types.Message{
-			Kind:    types.KindBirthNotice,
-			Src:     parent.pid,
-			Dst:     pid,
-			Route:   types.Route{Dst: parent.backupCluster, DstBackup: types.NoCluster, SrcBackup: types.NoCluster},
-			Payload: Encode(bn),
-		})
+		m := k.queueLocked()
+		m.Kind, m.Src, m.Dst, m.Payload = types.KindBirthNotice, parent.pid, pid, Encode(bn)
+		m.Route = types.Route{Dst: parent.backupCluster, DstBackup: types.NoCluster, SrcBackup: types.NoCluster}
 	}
 	k.startProcessLocked(child)
 	return pid, nil

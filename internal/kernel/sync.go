@@ -93,14 +93,10 @@ func (k *Kernel) syncProcessLocked(p *PCB, signalNext bool) error {
 		pages = p.space.CaptureDirty()
 	}
 	if len(pages) > 0 {
-		po := &PageOut{PID: p.pid, Epoch: epoch, From: k.id, Pages: pages, captured: captured}
-		k.sendLocked(&types.Message{
-			Kind:  types.KindPageOut,
-			Src:   p.pid,
-			Dst:   directory.PIDPageServer,
-			Route: types.Route{Dst: pagerLoc.Primary, DstBackup: pagerMirror, SrcBackup: types.NoCluster},
-			Lazy:  po,
-		})
+		po := k.queueLocked()
+		po.Kind, po.Src, po.Dst = types.KindPageOut, p.pid, directory.PIDPageServer
+		po.Route = types.Route{Dst: pagerLoc.Primary, DstBackup: pagerMirror, SrcBackup: types.NoCluster}
+		po.Lazy = &PageOut{PID: p.pid, Epoch: epoch, From: k.id, Pages: pages, captured: captured}
 		k.metrics.PagesOut.Add(uint64(len(pages)))
 		var pageBytes uint64
 		for _, pg := range pages {
@@ -128,6 +124,7 @@ func (k *Kernel) syncProcessLocked(p *PCB, signalNext bool) error {
 		FreePIDs:       p.exitedChildren,
 		TotalReads:     p.totalReads,
 	}
+	sm.Channels = make([]ChannelInfo, 0, len(p.fds)+1) // and the signal channel
 	for _, fd := range p.openFDs() {
 		ch := p.fds[fd]
 		e, ok := k.table.Lookup(ch, p.pid, routing.Primary)
@@ -183,13 +180,9 @@ func (k *Kernel) syncProcessLocked(p *PCB, signalNext bool) error {
 	// exclusively owned by the message (the delta slices were detached from
 	// the PCB below; Args/Regs are immutable once marshaled), so
 	// offerBatch can serialize it into the transmit writer.
-	k.sendLocked(&types.Message{
-		Kind:  types.KindSync,
-		Src:   p.pid,
-		Dst:   p.pid,
-		Route: types.Route{Dst: backup, DstBackup: pagerLoc.Primary, SrcBackup: pagerMirror},
-		Lazy:  sm,
-	})
+	m := k.queueLocked()
+	m.Kind, m.Src, m.Dst, m.Lazy = types.KindSync, p.pid, p.pid, sm
+	m.Route = types.Route{Dst: backup, DstBackup: pagerLoc.Primary, SrcBackup: pagerMirror}
 
 	p.epoch = epoch
 	p.readsSinceSync = 0
@@ -295,7 +288,7 @@ func (k *Kernel) applySyncLocked(sm *SyncMsg) {
 		// head-of-family spawned before this cluster joined): create the
 		// record now — §7.7: "the first sync causes the backup to be
 		// created."
-		b = &BackupPCB{pid: sm.PID}
+		b = &BackupPCB{pid: sm.PID, fds: make(map[types.FD]types.ChannelID, len(sm.Channels))}
 		k.backups[sm.PID] = b
 	}
 	if b.synced && sm.Epoch < b.epoch {
@@ -323,7 +316,7 @@ func (k *Kernel) applySyncLocked(sm *SyncMsg) {
 	b.signalNext = sm.SignalNext
 	b.sigIgnore = sigSliceToSet(sm.SigIgnore)
 	b.signalCh = sm.SignalChannel
-	b.fds = make(map[types.FD]types.ChannelID, len(sm.Channels))
+	clear(b.fds) // refilled in place: promotion takes a copy (cloneFDs)
 
 	for _, ci := range sm.Channels {
 		if ci.FD != types.NoFD {

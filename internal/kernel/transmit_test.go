@@ -32,6 +32,10 @@ func (stubGuest) FlushState()                {}
 func (stubGuest) MarshalRegs() []byte        { return nil }
 func (stubGuest) UnmarshalRegs([]byte) error { return nil }
 
+// sendLocked queues a copy of m, which the tests build whole where the
+// kernel fills the slot queueLocked returns.
+func (k *Kernel) sendLocked(m *types.Message) { *k.queueLocked() = *m }
+
 // txRig is cluster 1 of a four-cluster bus. Clusters 0 (page server), 2 (the
 // peer) and 3 (the process's backup) are attached ports nobody drains. One
 // process lives on the kernel, with a data channel on descriptor fd to a
@@ -539,6 +543,43 @@ func TestTransmitAllocations(t *testing.T) {
 	})
 }
 
+// BenchmarkWriteTransmit times one 64-byte Write and its transmit on a bare
+// bus with no event log: the message built in its outgoing slot, the batch
+// taken and offered, and its two deliveries (the destination and the
+// sender's backup) drained. The one allocation is the payload's copy.
+func BenchmarkWriteTransmit(b *testing.B) {
+	bb := bus.New(new(trace.Metrics), nil)
+	dst, srcBackup := bb.Attach(2), bb.Attach(3)
+	reg := guest.NewRegistry()
+	reg.Register("stub", func() guest.Guest { return stubGuest{} })
+	k := New(Config{ID: 1, Bus: bb, Dir: directory.New(), Registry: reg, Metrics: new(trace.Metrics)})
+	const fd types.FD = 2
+	k.mu.Lock()
+	p, _ := k.createProcessLocked(fixSrc, "stub", nil, types.Halfback, fixSrc, types.NoPID, 3)
+	k.table.Add(&routing.Entry{
+		Channel: fixCh, Owner: fixSrc, Peer: fixDst, Role: routing.Primary,
+		PeerCluster: 2, PeerBackupCluster: types.NoCluster, OwnerBackupCluster: 3,
+	})
+	p.fds[fd] = fixCh
+	p.fdOrder = nil
+	k.mu.Unlock()
+	pr := &Proc{k: k, p: p}
+	payload := make([]byte, 64)
+	var bufs [2][]types.Message
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pr.Write(fd, payload); err != nil {
+			b.Fatal(err)
+		}
+		k.mu.Lock()
+		k.transmitLocked()
+		k.mu.Unlock()
+		bufs[0], _ = dst.PopAll(bufs[0])
+		bufs[1], _ = srcBackup.PopAll(bufs[1])
+	}
+}
+
 // TestTransmitWriterHasOneOwner has two goroutines queue lazy payloads on
 // one kernel and transmit, round after round: whichever holds the
 // transmitting flag encodes both, into the one transmit writer, and every
@@ -591,9 +632,10 @@ func TestTransmitWriterHasOneOwner(t *testing.T) {
 // never-started kernels: Write at the sender's cluster, the transmit, each
 // receiving executive's drain and dispatch — queue at the destination, save
 // at its backup, count at the sender's backup — and Read at the
-// destination. In steady state that costs exactly two heap objects: the
-// outgoing message and its payload copy, both made by Write. Every target
-// shares that payload; the queues hold message values in arrays they reuse.
+// destination. In steady state that costs exactly one heap object: the
+// copy of the guest's bytes Write makes, the message's payload. Write builds
+// the message in its outgoing slot, every target shares that payload, and
+// the queues hold message values in arrays they reuse.
 func TestOneMessageWriteToRead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under -race")
@@ -648,8 +690,8 @@ func TestOneMessageWriteToRead(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		one() // grow the queues, receive buffers and batch to their working size
 	}
-	if n := testing.AllocsPerRun(200, one); n != 2 {
-		t.Fatalf("one message from Write to Read allocated %v objects, want 2 (the outgoing message and its payload)", n)
+	if n := testing.AllocsPerRun(200, one); n != 1 {
+		t.Fatalf("one message from Write to Read allocated %v objects, want 1 (its payload)", n)
 	}
 	if counted.Unsent() != 301 || metrics.PrimaryDeliveries.Load() != 301 || metrics.BackupSaves.Load() != 301 {
 		t.Fatalf("roles played: %d counts, %d deliveries, %d saves; want 301 each",
@@ -686,6 +728,118 @@ func TestSpawnShellTravelsTheBus(t *testing.T) {
 		t.Fatalf("backup shell after the birth notice = %+v", bp)
 	}
 	primary.Stop()
+}
+
+// TestSpawnWaitsOutATransmitHold: Spawn returns once its birth notice has
+// left the cluster. Under a transmit hold that is when the hold is released,
+// and the notice is then in the backup cluster's inbox. A crash during the
+// hold loses the notice with the outgoing queue, so the spawn fails with
+// types.ErrCrashed and its directory entry goes; a crash after the notice
+// left fails nothing.
+func TestSpawnWaitsOutATransmitHold(t *testing.T) {
+	type rig struct {
+		b               *bus.Bus
+		dir             *directory.Directory
+		primary, backup *Kernel
+		pid             types.PID
+		done            chan error
+	}
+	// spawn starts a Spawn on cluster 1, backed up on cluster 0, under a
+	// hold, and returns once the birth notice is queued and Spawn has had
+	// every chance to return early.
+	spawn := func(t *testing.T) *rig {
+		r := &rig{b: bus.New(new(trace.Metrics), nil), dir: directory.New(), done: make(chan error, 1)}
+		reg := guest.NewRegistry()
+		reg.Register("stub", func() guest.Guest { return stubGuest{} })
+		r.primary = New(Config{ID: 1, Bus: r.b, Dir: r.dir, Registry: reg, Metrics: new(trace.Metrics)})
+		r.backup = New(Config{ID: 0, Bus: r.b, Dir: r.dir, Registry: reg, Metrics: new(trace.Metrics)})
+		t.Cleanup(func() { r.primary.Stop(); r.backup.Stop() })
+		r.primary.HoldTransmit(true)
+		go func() {
+			_, err := r.primary.Spawn("stub", nil, SpawnOpts{BackupCluster: 0})
+			r.done <- err
+		}()
+		for r.primary.OutgoingBacklog() == 0 {
+			runtime.Gosched()
+		}
+		r.primary.mu.Lock()
+		notice := r.primary.outgoing.Live()[0]
+		r.primary.mu.Unlock()
+		if notice.Kind != types.KindBirthNotice {
+			t.Fatalf("queued %v, want the birth notice", notice.Kind)
+		}
+		r.pid = notice.Dst
+		for i := 0; i < 100; i++ {
+			runtime.Gosched()
+			select {
+			case err := <-r.done:
+				t.Fatalf("Spawn returned (%v) while the hold kept its birth notice queued", err)
+			default:
+			}
+		}
+		if _, ok := r.dir.Proc(r.pid); !ok {
+			t.Fatalf("no directory entry for %v while its spawn waits", r.pid)
+		}
+		return r
+	}
+	// noticeArrived checks that the backup cluster's first arrival is the
+	// birth notice.
+	noticeArrived := func(t *testing.T, r *rig) {
+		t.Helper()
+		arrived, _ := r.backup.inbox.PopAll(nil)
+		if len(arrived) == 0 || arrived[0].Kind != types.KindBirthNotice || arrived[0].Dst != r.pid {
+			t.Fatalf("the backup cluster's first arrival is %v, want %v's birth notice", arrived, r.pid)
+		}
+	}
+
+	t.Run("returns once the hold is released", func(t *testing.T) {
+		r := spawn(t)
+		r.primary.HoldTransmit(false)
+		if err := <-r.done; err != nil {
+			t.Fatalf("Spawn after the hold was released: %v", err)
+		}
+		noticeArrived(t, r)
+	})
+	t.Run("a crash during the hold fails it", func(t *testing.T) {
+		r := spawn(t)
+		r.primary.Crash()
+		if err := <-r.done; !errors.Is(err, types.ErrCrashed) {
+			t.Fatalf("Spawn across a crash under the hold = %v, want ErrCrashed", err)
+		}
+		if loc, ok := r.dir.Proc(r.pid); ok {
+			t.Fatalf("the failed spawn left a directory entry %+v", loc)
+		}
+		if n := r.backup.inbox.Backlog(); n != 0 {
+			t.Fatalf("%d messages reached the backup cluster, want none: the notice was lost", n)
+		}
+	})
+	t.Run("a crash after the notice left does not", func(t *testing.T) {
+		r := spawn(t)
+		// The cluster crashes while the batch holding the notice holds the
+		// bus: after the notice was taken, before the transmitter is back.
+		crashed := make(chan struct{})
+		r.b.SetFaultHook(func(int, *types.Message, int) bool {
+			if !r.primary.Crashed() {
+				go func() {
+					r.primary.Crash()
+					close(crashed)
+				}()
+				for !r.primary.Crashed() {
+					runtime.Gosched()
+				}
+			}
+			return false
+		})
+		r.primary.HoldTransmit(false)
+		<-crashed
+		if err := <-r.done; err != nil {
+			t.Fatalf("Spawn whose notice left before the crash: %v", err)
+		}
+		if _, ok := r.dir.Proc(r.pid); !ok {
+			t.Fatalf("no directory entry for %v, whose notice left", r.pid)
+		}
+		noticeArrived(t, r)
+	})
 }
 
 // TestStragglerBatchBehindItsCrashNoticeIsFenced: a cluster crashes while

@@ -76,7 +76,7 @@ func (w *ledgerWorld) clone() *ledgerWorld {
 
 func cloneEntry(e *Entry) *Entry {
 	c := *e
-	c.queue = Queue[types.Message]{buf: slices.Clone(e.queue.Live())}
+	c.queue = Queue{buf: slices.Clone(e.queue.Live())}
 	return &c
 }
 

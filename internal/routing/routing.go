@@ -80,7 +80,7 @@ type Entry struct {
 	// one copies it into a slot of an array the queue reuses, so a delivered
 	// message costs no allocation of its own. At a backup end it is the
 	// saved queue.
-	queue Queue[types.Message]
+	queue Queue
 
 	// reads is the primary end's reads since sync.
 	reads uint32

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -420,7 +421,7 @@ func TestConsumedMessagesAreCollectable(t *testing.T) {
 // growing: draining restarts it at the array's start, and a queue that
 // never quite drains slides its live part down instead of re-allocating.
 func TestQueueReusesItsArray(t *testing.T) {
-	var q Queue[types.Message]
+	var q Queue
 	next, want := types.Seq(0), types.Seq(0)
 	push := func() { next++; q.Push(msg(next)) }
 	pop := func() {
@@ -458,5 +459,107 @@ func TestQueueReusesItsArray(t *testing.T) {
 	push()
 	if all := q.Take(); len(all) != 2 || q.Len() != 0 {
 		t.Fatalf("Take = %v, %d left", all, q.Len())
+	}
+}
+
+// TestQueueAlloc: a slot Alloc hands out is zeroed, also where a consumed
+// message lived, and messages built in their slots keep FIFO order with
+// pushed ones through both ways the array makes room: sliding the live part
+// down, and growing.
+func TestQueueAlloc(t *testing.T) {
+	var q Queue
+	next, front := types.Seq(0), types.Seq(1)
+	add := func() {
+		t.Helper()
+		next++
+		if next%2 == 0 {
+			q.Push(msg(next))
+			return
+		}
+		m := q.Alloc()
+		if !reflect.DeepEqual(*m, types.Message{}) {
+			t.Fatalf("Alloc for seq %d returned a slot holding %+v", next, *m)
+		}
+		m.Kind, m.Seq, m.Payload = types.KindData, next, []byte{byte(next)}
+	}
+	check := func(what string) {
+		t.Helper()
+		live := q.Live()
+		if len(live) != int(next-front+1) {
+			t.Fatalf("%s: %d live messages, want seqs %d..%d", what, len(live), front, next)
+		}
+		for i := range live {
+			if want := front + types.Seq(i); live[i].Seq != want || live[i].Payload[0] != byte(want) {
+				t.Fatalf("%s: live[%d] is seq %d, want %d", what, i, live[i].Seq, want)
+			}
+		}
+	}
+	drop := func(n int) { q.Drop(n); front += types.Seq(n) }
+
+	// Growing from empty, Alloc and Push alternating.
+	for i := 0; i < 5; i++ {
+		add()
+		check("growing from empty")
+	}
+	// Drained: the array restarts at its start, every slot reused.
+	drop(q.Len())
+	for i := 0; i < 5; i++ {
+		add()
+	}
+	check("reusing a drained array")
+
+	// Full, with at least half of it consumed: the live part slides down.
+	for len(q.buf) < cap(q.buf) {
+		add()
+	}
+	c := cap(q.buf)
+	drop(c/2 + 1)
+	add()
+	if q.head != 0 || cap(q.buf) != c {
+		t.Fatalf("slide: head %d, cap %d; want 0 and %d", q.head, cap(q.buf), c)
+	}
+	check("sliding down")
+
+	// Full, with less than half consumed: the array grows.
+	for len(q.buf) < cap(q.buf) {
+		add()
+	}
+	drop(1)
+	add()
+	if cap(q.buf) <= c {
+		t.Fatalf("grow: cap %d, want more than %d", cap(q.buf), c)
+	}
+	check("growing with a consumed slot")
+}
+
+// TestQueueRetain: Retain keeps the messages it is told to, in order, as
+// rewritten in place, and clears the slots it vacates; keeping none resets
+// the queue to its array's start.
+func TestQueueRetain(t *testing.T) {
+	var q Queue
+	for seq := types.Seq(1); seq <= 6; seq++ {
+		q.Push(msg(seq))
+	}
+	q.Drop(1)
+	q.Retain(func(m *types.Message) bool {
+		m.Route.Dst = types.ClusterID(m.Seq)
+		return m.Seq%2 == 0
+	})
+	var got []types.Seq
+	for _, m := range q.Live() {
+		if m.Route.Dst != types.ClusterID(m.Seq) {
+			t.Fatalf("seq %d kept without its rewrite", m.Seq)
+		}
+		got = append(got, m.Seq)
+	}
+	if !reflect.DeepEqual(got, []types.Seq{2, 4, 6}) {
+		t.Fatalf("kept %v, want [2 4 6]", got)
+	}
+	if tail := q.buf[len(q.buf):cap(q.buf)]; len(tail) < 2 || tail[0].Payload != nil || tail[1].Payload != nil {
+		t.Fatal("a slot Retain vacated still holds a payload")
+	}
+	q.Retain(func(*types.Message) bool { return false })
+	if q.Len() != 0 || q.head != 0 || len(q.buf) != 0 {
+		t.Fatalf("nothing kept: len %d, head %d, buf %d", q.Len(), q.head, len(q.buf))
 	}
 }
