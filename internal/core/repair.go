@@ -283,17 +283,34 @@ func (s *System) resilverStorage(c types.ClusterID, k *kernel.Kernel) error {
 	s.fs[int(c)] = fsTwin
 	s.procSrv[int(c)] = procserver.New(directory.PIDProcServer, k)
 	s.ttySrv[int(c)] = ttyserver.New(directory.PIDTTYServer, s.ttyDevice)
+	ups := []*types.Message{backupUp(&kernel.BackupUp{PID: directory.PIDPageServer, BackupCluster: c})}
 	for _, twin := range []kernel.Server{fsTwin, s.procSrv[int(c)], s.ttySrv[int(c)]} {
 		k.RegisterServer(twin, routing.Backup, other)
-	}
-	for _, pid := range []types.PID{directory.PIDPageServer, directory.PIDFileServer, directory.PIDProcServer, directory.PIDTTYServer} {
-		s.dir.SetBackup(pid, c)
+		ups = append(ups, backupUp(&kernel.BackupUp{PID: twin.PID(), BackupCluster: c, Origin: other, NeedAck: true}))
 	}
 
 	k.Start()
 
-	// Bring the new twins current: force one sync from each surviving
-	// primary.
+	// Announce the twins in bus order (kernel.handleBackupUpLocked). Once
+	// the surviving primaries hold every kernel's ack, force one sync from
+	// each, and wait for the new kernel to apply them behind a mark: a twin
+	// is not viable before its first sync.
+	n = s.marks.Add(1)
+	if err := s.mark(n, ups...); err != nil {
+		return fmt.Errorf("core: announcing server twins: %w", err)
+	}
+	err = s.awaitRepair(c, "announcing server twins", func() (string, error) {
+		if otherK.Crashed() {
+			return "", fmt.Errorf("core: %v failed before its twins were announced: %w", other, types.ErrTooManyFailures)
+		}
+		if otherK.Marked() < n || !otherK.TwinsAcked() {
+			return fmt.Sprintf("%v awaits acks of its twins on %v", other, c), nil
+		}
+		return "", nil
+	})
+	if err != nil {
+		return err
+	}
 	otherK.ServerInject(directory.PIDFileServer, func(ctx *kernel.ServerCtx, srv kernel.Server) {
 		if fsrv, ok := srv.(*fileserver.Server); ok {
 			fsrv.SyncNow(ctx)
@@ -302,7 +319,22 @@ func (s *System) resilverStorage(c types.ClusterID, k *kernel.Kernel) error {
 	for _, pid := range []types.PID{directory.PIDProcServer, directory.PIDTTYServer} {
 		otherK.ServerInject(pid, func(ctx *kernel.ServerCtx, _ kernel.Server) { ctx.Sync() })
 	}
-	return nil
+	n = s.marks.Add(1)
+	if err := s.mark(n); err != nil {
+		return fmt.Errorf("core: syncing server twins: %w", err)
+	}
+	return s.awaitRepair(c, "syncing server twins", func() (string, error) {
+		if k.Marked() < n {
+			return fmt.Sprintf("%v has not dispatched mark %d", c, n), nil
+		}
+		return "", nil
+	})
+}
+
+// backupUp is the bus message announcing a new backup, transmitted by core:
+// Origin NoCluster, like crashNotice.
+func backupUp(bu *kernel.BackupUp) *types.Message {
+	return &types.Message{Kind: types.KindBackupUp, Dst: bu.PID, Origin: types.NoCluster, Payload: kernel.Encode(bu)}
 }
 
 // mirroredDisks returns every mirrored pair the system owns: the file

@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"auragen/internal/fault"
+	"auragen/internal/fileserver"
 	"auragen/internal/guest"
 	"auragen/internal/trace"
+	"auragen/internal/ttyserver"
 	"auragen/internal/types"
 )
 
@@ -209,6 +211,122 @@ func TestRepairServerClusterRedundancy(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitForTTY(t, sys, 1, "final=1800", 30*time.Second)
+}
+
+// TestRepairedTwinServesOldChannels: a file channel opened before cluster 1
+// (the server twins) fails keeps its twin across the repair. The repair
+// announces the new twins by BackupUp, so the client's entry names the
+// repaired twin again; when cluster 0 (the server primaries) fails next,
+// the twin serves the channel and the file holds every append once, in
+// order. Client and feeder run on clusters 2 and 3, away from both crashes.
+// The appends either wait out the repair or run through its handshake.
+func TestRepairedTwinServesOldChannels(t *testing.T) {
+	t.Run("appends held during the repair", func(t *testing.T) { repairedTwinServes(t, 300, true) })
+	t.Run("appends through the repair", func(t *testing.T) { repairedTwinServes(t, 1500, false) })
+}
+
+func repairedTwinServes(t *testing.T, total int, held bool) {
+	sys := newTestSystem(t, 4)
+	record := func(i int) string { return fmt.Sprintf("r%03d\n", i) }
+	sys.Register("twappender", guest.ReactorFactory(func() guest.Handler {
+		return guest.HandlerFuncs{
+			StartFunc: func(p guest.API, st *guest.State) error {
+				for _, name := range []string{"/twin/log", "tty:6", "chan:twin"} {
+					fd, err := p.Open(name)
+					if err != nil {
+						return err
+					}
+					st.PutInt64(name, int64(fd))
+				}
+				return nil
+			},
+			OnMessageFunc: func(p guest.API, st *guest.State, fd types.FD, data []byte) error {
+				file, tty := types.FD(st.GetInt64("/twin/log")), types.FD(st.GetInt64("tty:6"))
+				if string(data) != "end" {
+					if _, err := p.Call(file, fileserver.AppendReq(append(data, '\n'))); err != nil {
+						return err
+					}
+					if n := st.Add("n", 1); n%25 == 0 {
+						return p.Write(tty, ttyserver.WriteReq(fmt.Sprintf("at=%d", n)))
+					}
+					return nil
+				}
+				if _, err := p.Call(file, fileserver.SeekReq(0)); err != nil {
+					return err
+				}
+				reply, err := p.Call(file, fileserver.ReadReq(1<<16))
+				if err != nil {
+					return err
+				}
+				rp, err := fileserver.DecodeReply(reply)
+				if err != nil {
+					return err
+				}
+				var want strings.Builder
+				for i := 0; i < total; i++ {
+					want.WriteString(record(i))
+				}
+				verdict := fmt.Sprintf("verified n=%d", total)
+				if string(rp.Data) != want.String() {
+					verdict = fmt.Sprintf("mismatch err=%q: %q", rp.Err, rp.Data)
+				}
+				st.Exit()
+				return p.Write(tty, ttyserver.WriteReq(verdict))
+			},
+		}
+	}))
+	sys.Register("twfeeder", guest.ReactorFactory(func() guest.Handler {
+		return guest.HandlerFuncs{
+			StartFunc: func(p guest.API, st *guest.State) error {
+				out, err := p.Open("chan:twin")
+				if err != nil {
+					return err
+				}
+				tty, err := p.Open("tty:7")
+				if err != nil {
+					return err
+				}
+				for i := 0; i < total; i++ {
+					if held && i == total/3 {
+						// Hold the rest until the test has crashed and
+						// repaired cluster 1.
+						if _, err := p.Call(tty, ttyserver.ReadReq()); err != nil {
+							return err
+						}
+					}
+					if err := p.Write(out, []byte(strings.TrimSuffix(record(i), "\n"))); err != nil {
+						return err
+					}
+				}
+				st.Exit()
+				return p.Write(out, []byte("end"))
+			},
+		}
+	}))
+	if _, err := sys.Spawn("twappender", nil, SpawnConfig{Cluster: 2, BackupCluster: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Spawn("twfeeder", nil, SpawnConfig{Cluster: 3, BackupCluster: 2}); err != nil {
+		t.Fatal(err)
+	}
+	waitForTTY(t, sys, 6, fmt.Sprintf("at=%d", total/3), 10*time.Second)
+	if err := sys.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Repair(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.WaitRedundant(10 * time.Second); err != nil {
+		t.Fatalf("%v\n%s", err, sys.DumpAll())
+	}
+	if held {
+		sys.TypeLine(7, "go")
+		waitForTTY(t, sys, 6, fmt.Sprintf("at=%d", total/2), 10*time.Second)
+	}
+	if err := sys.Crash(0); err != nil {
+		t.Fatal(err)
+	}
+	waitForTTY(t, sys, 6, fmt.Sprintf("verified n=%d", total), 10*time.Second)
 }
 
 // TestRepairRejectsLiveCluster: repairing a cluster that has not failed is

@@ -12,8 +12,7 @@ import (
 
 func TestServerRecordRoundTrip(t *testing.T) {
 	in := &serverRecord{
-		Blob:   []byte("state-blob"),
-		Counts: map[types.ChannelID]uint64{7: 3, 9: 12},
+		Blob: []byte("state-blob"),
 		Log: []requestRecord{
 			{ReqCh: 7, Replies: []loggedReply{
 				{Ch: 7, Dst: 101, Kind: types.KindData, Payload: []byte("ok 1")},

@@ -51,9 +51,9 @@ type serviceReg struct {
 }
 
 // replicated is the file server's state that the explicit server sync
-// carries to the twin (§7.9): channel bindings, pending pairings, and the
-// channel-allocation cursor — everything not recoverable from the
-// dual-ported disk.
+// carries to the twin (§7.9): channel bindings, pending pairings, the
+// channel-allocation cursor and the serviced counts — everything not
+// recoverable from the dual-ported disk.
 type replicated struct {
 	// nextChan drives deterministic channel-id allocation: ids are
 	// (pid<<40)|counter and the counter rides in the sync blob, so a twin
@@ -66,6 +66,11 @@ type replicated struct {
 	// pendingServe holds clients that opened a "serve:" name before its
 	// listener registered.
 	pendingServe map[string][]pendingPair
+	// serviced counts, per channel, the requests serviced over the
+	// server's lifetime. A twin holds the counts of the last sync it
+	// applied, and the on-disk record those of the last flush: the
+	// difference is what Promote finds already on disk.
+	serviced map[types.ChannelID]uint64
 }
 
 func newReplicated() replicated {
@@ -75,6 +80,7 @@ func newReplicated() replicated {
 		pending:      make(map[string]pendingPair),
 		services:     make(map[string]serviceReg),
 		pendingServe: make(map[string][]pendingPair),
+		serviced:     make(map[types.ChannelID]uint64),
 	}
 }
 
@@ -106,6 +112,10 @@ func (st *replicated) codec(c *wire.Codec) {
 		for i := range wire.Grow(c, list, 24) {
 			(*list)[i].codec(c)
 		}
+	})
+	wire.Map(c, &st.serviced, 16, func(ch *types.ChannelID, n *uint64) {
+		c.U64((*uint64)(ch))
+		c.U64(n)
 	})
 }
 
@@ -197,16 +207,11 @@ func (s *Server) allocChannel() types.ChannelID {
 func (s *Server) Receive(ctx *kernel.ServerCtx, m *types.Message) {
 	rec := &requestRecord{ReqCh: m.Channel}
 	s.curRecord = rec
-	switch m.Kind {
-	case types.KindOpenRequest:
-		s.handleOpen(ctx, m)
-	case types.KindData:
-		s.handleFileOp(ctx, m)
-	default:
-		s.curRecord = nil
+	handled := s.service(ctx, m)
+	s.curRecord = nil
+	if !handled {
 		return
 	}
-	s.curRecord = nil
 	s.replyLog = append(s.replyLog, *rec)
 	if len(s.replyLog) > maxReplyLog {
 		s.replyLog = s.replyLog[len(s.replyLog)-maxReplyLog:]
@@ -215,6 +220,23 @@ func (s *Server) Receive(ctx *kernel.ServerCtx, m *types.Message) {
 	if s.sinceSync >= s.SyncEvery {
 		s.syncNow(ctx)
 	}
+}
+
+// service counts one request on its channel and services it, reporting
+// whether it was a request the file server handles (open and file-op
+// requests; any other kind is counted, since the twin saved it too, and
+// otherwise ignored).
+func (s *Server) service(ctx *kernel.ServerCtx, m *types.Message) bool {
+	s.serviced[m.Channel]++
+	switch m.Kind {
+	case types.KindOpenRequest:
+		s.handleOpen(ctx, m)
+	case types.KindData:
+		s.handleFileOp(ctx, m)
+	default:
+		return false
+	}
+	return true
 }
 
 // sendReply routes one reply and logs it against the current request.
@@ -231,8 +253,8 @@ func (s *Server) sendReply(ctx *kernel.ServerCtx, ch types.ChannelID, dst types.
 func (s *Server) SyncNow(ctx *kernel.ServerCtx) { s.syncNow(ctx) }
 
 // syncNow flushes the cache to disk — committing, in the same atomic
-// superblock flip, a server record holding the sync blob and the
-// cumulative per-channel serviced counts — and then sends the explicit
+// superblock flip, a server record holding the sync blob (serviced counts
+// included) and the reply log — and then sends the explicit
 // server sync. The bulk of the server's state reaches the backup via the
 // dual-ported disk, and only the small request/binding state travels by
 // message (§7.9). If the cluster dies between the flush and the message
@@ -242,7 +264,7 @@ func (s *Server) SyncNow(ctx *kernel.ServerCtx) { s.syncNow(ctx) }
 func (s *Server) syncNow(ctx *kernel.ServerCtx) {
 	s.sinceSync = 0
 	if s.vol != nil {
-		rec := &serverRecord{Blob: s.SyncBlob(), Counts: ctx.ServicedCounts(), Log: s.replyLog}
+		rec := &serverRecord{Blob: s.SyncBlob(), Log: s.replyLog}
 		if _, err := s.vol.flush(wire.Encode(rec.codec)); err != nil {
 			return
 		}
@@ -251,20 +273,14 @@ func (s *Server) syncNow(ctx *kernel.ServerCtx) {
 }
 
 // serverRecord is what a flush commits beside the file system: the sync
-// blob, the cumulative per-channel serviced counts, and the retained reply
-// log.
+// blob and the retained reply log.
 type serverRecord struct {
-	Blob   []byte
-	Counts map[types.ChannelID]uint64
-	Log    []requestRecord
+	Blob []byte
+	Log  []requestRecord
 }
 
 func (sr *serverRecord) codec(c *wire.Codec) {
 	c.Bytes32(&sr.Blob)
-	wire.Map(c, &sr.Counts, 16, func(ch *types.ChannelID, n *uint64) {
-		c.U64((*uint64)(ch))
-		c.U64(n)
-	})
 	for i := range wire.Grow(c, &sr.Log, 12) {
 		rec := &sr.Log[i]
 		c.U64((*uint64)(&rec.ReqCh))
@@ -534,76 +550,51 @@ func (s *Server) ApplySync(blob []byte) {
 // against the on-disk server record, and replay what remains.
 //
 // The reconciliation closes the crash window between a flush and its
-// server-sync message: the record carries the cumulative serviced counts
-// as of the commit, so saved requests whose effects are already on disk
-// are dropped here (their replies are covered by the reply-suppression
-// counts) instead of being applied a second time.
+// server-sync message: the record's blob carries the serviced counts as of
+// the commit, the twin's those of the last sync it applied, so saved
+// requests whose effects are already on disk are dropped here (their
+// replies are covered by the reply-suppression counts) instead of being
+// applied a second time.
 func (s *Server) Promote(ctx *kernel.ServerCtx, saved []*types.Message) {
 	v, err := mount(s.disk, s.cluster, s.super)
 	if err != nil {
 		return
 	}
 	s.vol = v
-	if v.persisted != nil {
-		sr := new(serverRecord)
-		if wire.Decode(v.persisted, sr.codec) == nil {
-			s.ApplySync(sr.Blob)
-			applied := ctx.DiscardedCounts()
-			// Drop, per channel and oldest first, the requests the disk
-			// already reflects beyond what live syncs discarded — and
-			// re-send their logged replies (reply suppression silences
-			// the ones that already escaped the failed primary).
-			extra := make(map[types.ChannelID]uint64)
-			total := uint64(0)
-			for ch, n := range sr.Counts {
-				if n > applied[ch] {
-					extra[ch] = n - applied[ch]
-					total += n - applied[ch]
-				}
+	extra := make(map[types.ChannelID]uint64)
+	logByCh := make(map[types.ChannelID][]requestRecord)
+	if sr := new(serverRecord); v.persisted != nil && wire.Decode(v.persisted, sr.codec) == nil {
+		applied := s.serviced
+		s.ApplySync(sr.Blob)
+		for ch, n := range s.serviced {
+			if n > applied[ch] {
+				extra[ch] = n - applied[ch]
 			}
-			// The log holds the most recent serviced requests per
-			// channel; skip the prefix already covered by live syncs.
-			logByCh := make(map[types.ChannelID][]requestRecord)
-			for _, rec := range sr.Log {
-				logByCh[rec.ReqCh] = append(logByCh[rec.ReqCh], rec)
-			}
-			for ch, lst := range logByCh {
-				if n := extra[ch]; uint64(len(lst)) > n {
-					logByCh[ch] = lst[uint64(len(lst))-n:]
-				}
-			}
-			if total > 0 {
-				kept := saved[:0]
-				for _, m := range saved {
-					if n := extra[m.Channel]; n > 0 {
-						extra[m.Channel] = n - 1
-						ctx.NoteServiced(m.Channel, 1)
-						if lst := logByCh[m.Channel]; len(lst) > 0 {
-							rec := lst[0]
-							logByCh[m.Channel] = lst[1:]
-							for _, rp := range rec.Replies {
-								ctx.Reply(rp.Ch, rp.Dst, rp.Kind, rp.Payload)
-							}
-						}
-						continue
-					}
-					kept = append(kept, m)
-				}
-				saved = kept
-			}
-			s.replyLog = sr.Log
 		}
+		// The log holds the most recent serviced requests: on each
+		// channel, the last extra[ch] are those beyond the applied sync.
+		for _, rec := range sr.Log {
+			logByCh[rec.ReqCh] = append(logByCh[rec.ReqCh], rec)
+		}
+		for ch, lst := range logByCh {
+			logByCh[ch] = lst[uint64(len(lst))-min(extra[ch], uint64(len(lst))):]
+		}
+		s.replyLog = sr.Log
 	}
+	// Drop, per channel and oldest first, the requests the disk already
+	// reflects, re-sending their logged replies (reply suppression silences
+	// the ones that already escaped the failed primary); replay the rest.
 	for _, m := range saved {
-		switch m.Kind {
-		case types.KindOpenRequest:
-			s.handleOpen(ctx, m)
-		case types.KindData:
-			s.handleFileOp(ctx, m)
-		default:
-			// Only open and file-op requests are saved for replay; any
-			// other kind in the queue is control traffic the kernel
-			// already consumed and is deliberately not re-executed.
+		if extra[m.Channel] == 0 {
+			s.service(ctx, m)
+			continue
+		}
+		extra[m.Channel]--
+		if lst := logByCh[m.Channel]; len(lst) > 0 {
+			logByCh[m.Channel] = lst[1:]
+			for _, rp := range lst[0].Replies {
+				ctx.Reply(rp.Ch, rp.Dst, rp.Kind, rp.Payload)
+			}
 		}
 	}
 }

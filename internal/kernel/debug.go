@@ -57,8 +57,11 @@ func (k *Kernel) DumpState() string {
 		}
 	}
 	for pid, host := range k.servers {
-		fmt.Fprintf(&b, "  server %s role=%s primaryCluster=%v saved=%d\n",
-			pid, host.role, host.primaryCluster, len(host.saved))
+		fmt.Fprintf(&b, "  server %s role=%s primaryCluster=%v twinAcksDue=%d\n",
+			pid, host.role, host.primaryCluster, len(k.twinAcks[pid]))
+		for _, e := range k.table.OwnedBy(pid, host.role) {
+			fmt.Fprintf(&b, "    %c %s\n", "PB"[host.role], e)
+		}
 	}
 	return b.String()
 }

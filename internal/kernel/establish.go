@@ -77,10 +77,7 @@ func (k *Kernel) establishBackupLocked(p *PCB, target types.ClusterID) error {
 
 	p.establishing = true
 	p.establishTarget = target
-	p.establishAcks = make(map[types.ClusterID]bool)
-	for _, c := range k.bus.Live() {
-		p.establishAcks[c] = true
-	}
+	p.establishAcks = k.liveSetLocked()
 
 	bn := &BirthNotice{
 		Parent:         p.parent,
@@ -101,6 +98,16 @@ func (k *Kernel) establishBackupLocked(p *PCB, target types.ClusterID) error {
 	up.Kind, up.Dst = types.KindBackupUp, pid
 	up.Payload = Encode(&BackupUp{PID: pid, BackupCluster: target, Origin: k.id, NeedAck: true})
 	return nil
+}
+
+// liveSetLocked returns the live clusters, each of which is to ack a
+// BackupUp notice.
+func (k *Kernel) liveSetLocked() map[types.ClusterID]bool {
+	acks := make(map[types.ClusterID]bool)
+	for _, c := range k.bus.Live() {
+		acks[c] = true
+	}
+	return acks
 }
 
 // currentChannelInfosLocked snapshots the process's open channels (plus the
@@ -135,6 +142,10 @@ func (k *Kernel) currentChannelInfosLocked(p *PCB) []ChannelInfo {
 // handleBackupAckLocked collects one establishment ack; the last one
 // triggers finalization.
 func (k *Kernel) handleBackupAckLocked(ba *BackupAck) {
+	if _, ok := k.twinAcks[ba.PID]; ok {
+		k.twinAckedLocked(ba.PID, ba.From)
+		return
+	}
 	p, ok := k.procs[ba.PID]
 	if !ok || !p.establishing {
 		return
@@ -219,4 +230,28 @@ func (k *Kernel) establishGateLocked(p *PCB) (retry bool, err error) {
 		return true, nil
 	}
 	return false, nil
+}
+
+// twinAckedLocked collects one ack of a server's new twin. After the last,
+// the server's entries name the twin (one made from a request routed
+// without it would not) and a request routed without it is forwarded.
+func (k *Kernel) twinAckedLocked(pid types.PID, from types.ClusterID) {
+	acks := k.twinAcks[pid]
+	if delete(acks, from); len(acks) > 0 {
+		return
+	}
+	delete(k.twinAcks, pid)
+	svc, _ := k.dir.Service(pid)
+	for _, e := range k.table.OwnedBy(pid, routing.Primary) {
+		e.OwnerBackupCluster = svc.Backup
+	}
+}
+
+// TwinsAcked reports whether no server's primary here awaits acks of a new
+// twin. Core cuts a repaired twin's first sync once it holds, after a mark
+// behind the BackupUp notices.
+func (k *Kernel) TwinsAcked() bool {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return len(k.twinAcks) == 0
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -227,19 +228,62 @@ func TestDispatchRoles(t *testing.T) {
 	})
 }
 
-// recordingServer is a server that records the requests it services.
+// recordingServer is a server that records the requests it services and,
+// once promoted, replays, answering each with one reply.
 type recordingServer struct {
 	pid      types.PID
 	serviced []types.ChannelID
+	replayed []uint64 // message IDs
 }
 
 func (s *recordingServer) PID() types.PID { return s.pid }
 func (s *recordingServer) Receive(_ *ServerCtx, m *types.Message) {
 	s.serviced = append(s.serviced, m.Channel)
 }
-func (s *recordingServer) SyncBlob() []byte                     { return nil }
-func (s *recordingServer) ApplySync([]byte)                     {}
-func (s *recordingServer) Promote(*ServerCtx, []*types.Message) {}
+func (s *recordingServer) SyncBlob() []byte { return nil }
+func (s *recordingServer) ApplySync([]byte) {}
+func (s *recordingServer) Promote(ctx *ServerCtx, saved []*types.Message) {
+	for _, m := range saved {
+		s.replayed = append(s.replayed, m.ID)
+		ctx.Reply(m.Channel, m.Src, types.KindData, nil)
+	}
+}
+
+// TestPromotedTwinReplaysInArrivalOrder: a server twin saves requests in one
+// backup entry per channel. Promotion hands the server all of them lowest
+// arrival Seq first — the order across channels in which the failed primary
+// serviced them — and each entry's count of replies since sync becomes its
+// budget of re-sends to drop.
+func TestPromotedTwinReplaysInArrivalOrder(t *testing.T) {
+	k := bareKernel(4)
+	srv := &recordingServer{pid: fixDst}
+	k.RegisterServer(srv, routing.Backup, 2)
+	for i, ch := range []types.ChannelID{7, 8, 8, 7, 8} {
+		m := fixtureMessage(types.Route{Dst: 2, DstBackup: 4, SrcBackup: 3})
+		m.ID, m.Channel = uint64(10+i), ch
+		k.dispatch(&m)
+	}
+	// One reply on channel 8 escaped the failed primary.
+	escaped := types.Message{ID: 20, Kind: types.KindData, Channel: 8, Src: fixDst, Dst: fixSrc,
+		Route: types.Route{Dst: 1, DstBackup: 3, SrcBackup: 4}, Origin: 2, Inc: 1}
+	k.dispatch(&escaped)
+	k.mu.Lock()
+	k.promoteServerLocked(k.servers[fixDst])
+	var sent []types.ChannelID
+	for _, m := range k.outgoing.Live() {
+		sent = append(sent, m.Channel)
+	}
+	k.mu.Unlock()
+	if want := []uint64{10, 11, 12, 13, 14}; !slices.Equal(srv.replayed, want) {
+		t.Fatalf("replayed %v, want arrival order %v", srv.replayed, want)
+	}
+	if want := []types.ChannelID{7, 8, 7, 8}; !slices.Equal(sent, want) {
+		t.Fatalf("replies sent on %v, want %v: the first on channel 8 escaped", sent, want)
+	}
+	if n := k.metrics.SuppressedSends.Load(); n != 1 {
+		t.Fatalf("SuppressedSends = %d, want 1", n)
+	}
+}
 
 // TestDispatchAheadOfPromotion: the directory records a crash before the
 // crash notice is on the bus, so a sender can route to a backup as the
@@ -284,11 +328,18 @@ func TestDispatchAheadOfPromotion(t *testing.T) {
 	t.Run("a server twin saves it", func(t *testing.T) {
 		k := bareKernel(4)
 		srv := &recordingServer{pid: fixDst}
-		host := k.RegisterServer(srv, routing.Backup, 2)
+		k.RegisterServer(srv, routing.Backup, 2)
 		m := fixtureMessage(ahead)
 		k.dispatch(&m)
-		if len(host.saved) != 1 || len(srv.serviced) != 0 {
-			t.Fatalf("saved %d, serviced %d; want 1, 0", len(host.saved), len(srv.serviced))
+		e, ok := k.table.Lookup(fixCh, fixDst, routing.Backup)
+		if !ok || len(srv.serviced) != 0 {
+			t.Fatalf("backup entry made %v, serviced %d; want true, 0", ok, len(srv.serviced))
+		}
+		if q := e.Queued(); len(q) != 1 || q[0].ID != m.ID {
+			t.Fatalf("saved queue = %v, want the message", q)
+		}
+		if e.Peer != fixSrc || e.PeerCluster != m.Origin {
+			t.Fatalf("entry peer %v on %v, want the sender %v on %v", e.Peer, e.PeerCluster, fixSrc, m.Origin)
 		}
 	})
 	t.Run("a process with a primary here still receives it", func(t *testing.T) {

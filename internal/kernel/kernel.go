@@ -22,6 +22,7 @@ package kernel
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -226,7 +227,10 @@ type Kernel struct {
 	// results of its nondeterministic events since its last sync (§10).
 	nondetLogs map[types.PID][]uint64
 	servers    map[types.PID]*ServerHost
-	pager      PagerSink
+	// twinAcks holds, per server whose primary runs here, the clusters
+	// whose ack of its new twin's BackupUp notice is still due.
+	twinAcks map[types.PID]map[types.ClusterID]bool
+	pager    PagerSink
 
 	arrival types.Seq
 	// marked is the highest core mark (KindMark) dispatched here, and
@@ -308,6 +312,7 @@ func New(cfg Config) *Kernel {
 		births:     make(map[types.PID][]*BirthNotice),
 		nondetLogs: make(map[types.PID][]uint64),
 		servers:    make(map[types.PID]*ServerHost),
+		twinAcks:   make(map[types.PID]map[types.ClusterID]bool),
 		atMark:     make(map[uint64]func()),
 		dieCh:      make(chan struct{}),
 
@@ -605,6 +610,24 @@ func (k *Kernel) transmitLocked() bool {
 	return released
 }
 
+// awaitSentLocked transmits what is queued and waits, letting go of k.mu, until
+// the last of it has left the cluster, and reports whether it did; it gives
+// up only when the kernel can send nothing more (crashed, stopped or
+// degraded), and waits out a transmit hold. Whoever holds the transmitting
+// flag offers everything it took before dropping it, so the last message
+// has left once the flag is down and txTaken reaches its place. (A crash
+// fixup that drops a message ahead of it leaves txTaken short: then an
+// empty queue means everything left.)
+func (k *Kernel) awaitSentLocked() bool {
+	place := k.txTaken + uint64(k.outgoing.Len())
+	for k.transmitLocked(); k.transmitting || k.txTaken < place && k.outgoing.Len() > 0 && !k.crashed && !k.stopped && !k.degraded; k.transmitLocked() {
+		k.mu.Unlock()
+		runtime.Gosched()
+		k.mu.Lock()
+	}
+	return k.txTaken >= place
+}
+
 // blockLocked is how a process goroutine blocks in the kernel: it transmits
 // what is queued — its own output first of all, or the reply it is about to
 // wait for could never come — and only if there was nothing to transmit
@@ -829,7 +852,7 @@ func (k *Kernel) dispatchLocked(in *types.Message) {
 	// bytes and nondet words are the sender's, shared by every target, and
 	// treated as read-only. The copy lives on this stack frame: a routing
 	// queue that keeps the message copies it by value into a slot of its
-	// own array, a server keeps a heap copy made with retain, and a role
+	// own array, a server is handed a heap copy of its own, and a role
 	// that keeps nothing (count-and-discard, a fenced or decoded-and-dropped
 	// kind) allocates nothing.
 	cp := *in
@@ -934,18 +957,6 @@ func (k *Kernel) dispatchLocked(in *types.Message) {
 	k.changed = true
 }
 
-// retain returns the heap copy of an arriving message that a system server
-// keeps; m itself is dispatchLocked's stack copy and dies with the call. own
-// makes the copy deep (private payload and nondet words), for a cluster that
-// keeps the message twice.
-func retain(m *types.Message, own bool) *types.Message {
-	if own {
-		return m.Clone()
-	}
-	c := *m
-	return &c
-}
-
 // enqueueOwned queues a copy of m at e whose payload and nondet words are
 // its own, for a cluster that is both a message's destination and the
 // destination's backup: the two copies it keeps are independent. Kept out
@@ -993,13 +1004,7 @@ func (k *Kernel) dispatchChannelMessage(m *types.Message) {
 	if m.Route.Dst == k.id && !ahead {
 		if host, ok := k.servers[m.Dst]; ok {
 			if host.role == routing.Primary {
-				k.metrics.PrimaryDeliveries.Add(1)
-				k.logMsg(trace.EvDeliver, m, m.Dst, 0)
-				// Count the request now so the next server sync tells the
-				// twin to discard its saved copy (§7.9).
-				host.requestsHandled[m.Channel]++
-				host.servicedCum[m.Channel]++
-				host.impl.Receive(k.serverCtx(host), retain(m, false))
+				k.serviceLocked(host, m)
 			}
 		} else {
 			if m.Kind == types.KindOpenReply {
@@ -1028,41 +1033,34 @@ func (k *Kernel) dispatchChannelMessage(m *types.Message) {
 		// If the same cluster plays both roles the two copies it keeps are
 		// independent, payload included.
 		both := m.Route.Dst == k.id && !ahead
-		if host, ok := k.servers[m.Dst]; ok {
-			switch {
-			case host.role == routing.Backup:
-				host.saved = append(host.saved, retain(m, both))
-				k.metrics.BackupSaves.Add(1)
-				k.logMsg(trace.EvSave, m, m.Dst, 0)
-			case !both:
-				// Promoted twin: service the straggler as primary.
+		if m.Kind == types.KindOpenReply {
+			k.adoptOpenReplyLocked(m, routing.Backup)
+		}
+		e, ok := k.table.Lookup(m.Channel, m.Dst, routing.Backup)
+		host := k.servers[m.Dst]
+		if !ok && host != nil && host.role == routing.Backup {
+			// A server twin's entry is made by the first request it saves.
+			e, ok = k.ledgerEntryLocked(m.Channel, m.Dst, routing.Backup, m.Src,
+				types.Route{Dst: m.Origin, DstBackup: m.Route.SrcBackup, SrcBackup: k.id}), true
+		}
+		if ok {
+			if both {
+				enqueueOwned(e, m)
+			} else {
+				e.Enqueue(m)
+			}
+			k.metrics.BackupSaves.Add(1)
+			k.logMsg(trace.EvSave, m, m.Dst, 0)
+		} else if host != nil && !both {
+			k.serviceLocked(host, m) // a promoted twin's straggler
+		} else if p, ok := k.procs[m.Dst]; ok && !both {
+			if pe, ok := k.table.Lookup(m.Channel, m.Dst, routing.Primary); ok && !pe.Closed {
+				pe.Enqueue(m)
 				k.metrics.PrimaryDeliveries.Add(1)
 				k.logMsg(trace.EvDeliver, m, m.Dst, 0)
-				host.requestsHandled[m.Channel]++
-				host.servicedCum[m.Channel]++
-				host.impl.Receive(k.serverCtx(host), retain(m, false))
-			}
-		} else {
-			if m.Kind == types.KindOpenReply {
-				k.adoptOpenReplyLocked(m, routing.Backup)
-			}
-			if e, ok := k.table.Lookup(m.Channel, m.Dst, routing.Backup); ok {
-				if both {
-					enqueueOwned(e, m)
-				} else {
-					e.Enqueue(m)
-				}
-				k.metrics.BackupSaves.Add(1)
-				k.logMsg(trace.EvSave, m, m.Dst, 0)
-			} else if p, ok := k.procs[m.Dst]; ok && !both {
-				if pe, ok := k.table.Lookup(m.Channel, m.Dst, routing.Primary); ok && !pe.Closed {
-					pe.Enqueue(m)
-					k.metrics.PrimaryDeliveries.Add(1)
-					k.logMsg(trace.EvDeliver, m, m.Dst, 0)
-					p.cond.Broadcast()
-					if p.backupCluster != types.NoCluster {
-						k.forwardLocked(m, p.backupCluster)
-					}
+				p.cond.Broadcast()
+				if p.backupCluster != types.NoCluster {
+					k.forwardLocked(m, p.backupCluster)
 				}
 			}
 		}
@@ -1070,22 +1068,10 @@ func (k *Kernel) dispatchChannelMessage(m *types.Message) {
 
 	// Role 3: sender's backup — count and discard.
 	if m.Route.SrcBackup == k.id {
-		e, ok := k.table.Lookup(m.Channel, m.Src, routing.Backup)
-		if !ok {
-			// Defensive: create the count-holding entry on demand (it
-			// normally exists from the open reply or birth notice).
-			e = &routing.Entry{
-				Channel:            m.Channel,
-				Owner:              m.Src,
-				Peer:               m.Dst,
-				Role:               routing.Backup,
-				PeerCluster:        m.Route.Dst,
-				PeerBackupCluster:  m.Route.DstBackup,
-				OwnerBackupCluster: k.id,
-			}
-			k.table.Add(e)
-		}
-		e.Count()
+		// The entry normally exists from the open reply or birth notice; a
+		// server twin's is made by the first reply it counts or request it
+		// saves.
+		k.ledgerEntryLocked(m.Channel, m.Src, routing.Backup, m.Dst, m.Route).Count()
 		k.metrics.SenderBackupCounts.Add(1)
 		k.logMsg(trace.EvCount, m, m.Src, 0)
 		if len(m.Nondet) > 0 {
@@ -1268,9 +1254,9 @@ func (k *Kernel) freePIDsLocked(pids []types.PID) {
 }
 
 // dispatchServerSync applies a peripheral server's explicit sync at its
-// backup twin (§7.9): update internal state, discard saved requests already
-// serviced by the primary, and zero the writes-since-sync counts used for
-// reply suppression.
+// backup twin (§7.9): update internal state and, on each channel, discard
+// the saved requests the primary has serviced and zero the writes-since-sync
+// count used for reply suppression (§7.8).
 func (k *Kernel) dispatchServerSync(m *types.Message) {
 	if m.Route.Dst != k.id {
 		return
@@ -1284,23 +1270,8 @@ func (k *Kernel) dispatchServerSync(m *types.Message) {
 		return
 	}
 	host.impl.ApplySync(ss.Blob)
-	// Discard already-serviced saved requests, per channel, oldest first.
-	for ch, n := range ss.Discards {
-		kept := host.saved[:0]
-		for _, sm := range host.saved {
-			if n > 0 && sm.Channel == ch {
-				n--
-				host.discardedCum[ch]++
-				k.metrics.MessagesDiscarded.Add(1)
-				continue
-			}
-			kept = append(kept, sm)
-		}
-		host.saved = kept
-	}
-	// Zero this server's send counts (same rule as user sync, §5.2).
 	for _, e := range k.table.OwnedBy(ss.PID, routing.Backup) {
-		e.Applied(0, 0)
+		k.metrics.MessagesDiscarded.Add(uint64(e.Applied(ss.Discards[e.Channel], 0)))
 	}
 }
 

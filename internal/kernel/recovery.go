@@ -120,6 +120,11 @@ func (k *Kernel) handleCrashLocked(crashed types.ClusterID) {
 		k.promoteServerLocked(k.servers[pid])
 	}
 
+	// A server's new twin no longer waits for the crashed cluster's ack.
+	for pid := range k.twinAcks {
+		k.twinAckedLocked(pid, crashed)
+	}
+
 	// Wake every process: channels may have become usable or peers may
 	// have moved.
 	for _, p := range k.procs {
@@ -455,11 +460,33 @@ func (k *Kernel) applyBackupImageLocked(m *types.Message) {
 // handleBackupUpLocked processes the announcement of a fullback's new
 // backup: channels marked unusable become usable, routing information is
 // refreshed, and held outgoing messages are released (§7.10.1).
+//
+// A repair announces a server's new twin the same way, and the directory
+// learns the twin from the first kernel to dispatch the notice, so every
+// route that names it is ordered after the notice. The server's primary
+// here starts the twin's ledger at the notice — the twin saved nothing
+// before it — and collects the acks (establishment's step 3): once they are
+// in, every request still routed without the twin has been serviced, and
+// the sync cut then covers them all.
 func (k *Kernel) handleBackupUpLocked(bu *BackupUp) {
 	for _, e := range k.table.All() {
 		if e.Peer == bu.PID {
 			e.PeerBackupCluster = bu.BackupCluster
 			e.Unusable = false
+		}
+	}
+	if _, svc := k.dir.Service(bu.PID); svc && k.bus.IsLive(bu.BackupCluster) {
+		k.dir.SetBackup(bu.PID, bu.BackupCluster)
+		if host, ok := k.servers[bu.PID]; ok && host.role == routing.Backup && bu.BackupCluster == k.id {
+			// The twin itself: what a route stale from this cluster's
+			// last life saved here, the primary serviced before the notice.
+			k.table.RemoveOwnedBy(bu.PID, routing.Backup)
+		} else if ok && host.role == routing.Primary && bu.NeedAck {
+			for _, e := range k.table.OwnedBy(bu.PID, routing.Primary) {
+				e.Synced()
+				e.OwnerBackupCluster = bu.BackupCluster
+			}
+			k.twinAcks[bu.PID] = k.liveSetLocked()
 		}
 	}
 	if bu.NeedAck && bu.Origin != types.NoCluster {

@@ -1,8 +1,11 @@
 package kernel
 
 import (
+	"sort"
+
 	"auragen/internal/directory"
 	"auragen/internal/routing"
+	"auragen/internal/trace"
 	"auragen/internal/types"
 )
 
@@ -38,44 +41,22 @@ type Server interface {
 }
 
 // ServerHost wraps one instance (primary or backup twin) of a server on one
-// cluster.
+// cluster. Its §5.4 ledger is not here: like a process's, it lives in the
+// server's routing entries (§7.8) — a primary entry per channel counts the
+// requests serviced since the last server sync, and the twin's backup entry
+// per channel holds the saved requests and counts the replies sent since.
 type ServerHost struct {
 	impl Server
 	role routing.Role
 	// primaryCluster tracks where the primary instance currently runs.
 	primaryCluster types.ClusterID
-	// saved holds requests awaiting coverage by a server sync (backup
-	// role only).
-	saved []*types.Message
-	// requestsHandled counts requests serviced since the last server
-	// sync, per channel (primary role; becomes the Discards of the next
-	// sync).
-	requestsHandled map[types.ChannelID]uint32
-	// servicedCum counts requests serviced over the server's lifetime,
-	// per channel (primary role). Servers with durable state persist it
-	// alongside their flushes so a promoted twin can reconcile its saved
-	// queue against effects already on disk (see fileserver).
-	servicedCum map[types.ChannelID]uint64
-	// discardedCum counts saved requests this twin has discarded over its
-	// lifetime, per channel (backup role).
-	discardedCum map[types.ChannelID]uint64
-	// suppress holds reply-suppression budgets during promotion replay.
-	suppress map[types.ChannelID]uint32
 }
 
 // RegisterServer installs a server instance on this kernel. Exactly one
 // cluster registers the primary instance and one other the backup twin;
 // the directory records which is which.
 func (k *Kernel) RegisterServer(impl Server, role routing.Role, primaryCluster types.ClusterID) *ServerHost {
-	host := &ServerHost{
-		impl:            impl,
-		role:            role,
-		primaryCluster:  primaryCluster,
-		requestsHandled: make(map[types.ChannelID]uint32),
-		servicedCum:     make(map[types.ChannelID]uint64),
-		discardedCum:    make(map[types.ChannelID]uint64),
-		suppress:        make(map[types.ChannelID]uint32),
-	}
+	host := &ServerHost{impl: impl, role: role, primaryCluster: primaryCluster}
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.servers[impl.PID()] = host
@@ -97,33 +78,6 @@ func (k *Kernel) serverCtx(host *ServerHost) *ServerCtx {
 // Cluster returns the hosting cluster.
 func (c *ServerCtx) Cluster() types.ClusterID { return c.k.id }
 
-// ServicedCounts returns a copy of the cumulative per-channel counts of
-// requests serviced by this (primary) instance.
-func (c *ServerCtx) ServicedCounts() map[types.ChannelID]uint64 {
-	out := make(map[types.ChannelID]uint64, len(c.host.servicedCum))
-	for ch, n := range c.host.servicedCum {
-		out[ch] = n
-	}
-	return out
-}
-
-// DiscardedCounts returns a copy of the cumulative per-channel counts of
-// saved requests this (backup) instance has discarded.
-func (c *ServerCtx) DiscardedCounts() map[types.ChannelID]uint64 {
-	out := make(map[types.ChannelID]uint64, len(c.host.discardedCum))
-	for ch, n := range c.host.discardedCum {
-		out[ch] = n
-	}
-	return out
-}
-
-// NoteServiced bumps the cumulative serviced counters during a promote-time
-// replay reconciliation (requests dropped because their effects are already
-// on durable storage still count as serviced).
-func (c *ServerCtx) NoteServiced(ch types.ChannelID, n uint64) {
-	c.host.servicedCum[ch] += n
-}
-
 // Directory returns the shared directory.
 func (c *ServerCtx) Directory() *directory.Directory { return c.k.dir }
 
@@ -137,50 +91,30 @@ func (c *ServerCtx) Now() int64 { return c.k.nowNanos() }
 // (which counts it for §5.4-style reply suppression). During promotion
 // replay, replies the failed primary already sent are suppressed.
 //
-// Routing uses the server's own routing-table entry for the channel (kept
-// current by crash handling, like user entries); the directory is consulted
-// only to create a missing entry.
+// Routing uses the server's own routing-table entry for the channel, made
+// from the request that first used it and kept current by crash handling
+// and BackupUp notices, like a process's entries. Only a channel no request
+// has reached here on (a listening channel, a terminal binding, a channel a
+// repaired twin never saw) takes its entry from the directory.
 func (c *ServerCtx) Reply(ch types.ChannelID, dst types.PID, kind types.Kind, payload []byte) {
-	if n := c.host.suppress[ch]; n > 0 {
-		c.host.suppress[ch] = n - 1
-		c.k.metrics.SuppressedSends.Add(1)
-		return
-	}
 	srv := c.host.impl.PID()
 	e, ok := c.k.table.Lookup(ch, srv, routing.Primary)
 	if !ok {
-		dstCluster, dstBackup := types.NoCluster, types.NoCluster
+		svc, _ := c.k.dir.Service(srv)
+		at := types.Route{Dst: types.NoCluster, DstBackup: types.NoCluster, SrcBackup: svc.Backup}
 		if loc, lok := c.k.dir.Proc(dst); lok {
-			dstCluster, dstBackup = loc.Cluster, loc.BackupCluster
-		} else if svc, sok := c.k.dir.Service(dst); sok {
-			dstCluster, dstBackup = svc.Primary, svc.Backup
+			at.Dst, at.DstBackup = loc.Cluster, loc.BackupCluster
+		} else if peer, sok := c.k.dir.Service(dst); sok {
+			at.Dst, at.DstBackup = peer.Primary, peer.Backup
 		}
-		e = &routing.Entry{
-			Channel:            ch,
-			Owner:              srv,
-			Peer:               dst,
-			Role:               routing.Primary,
-			PeerCluster:        dstCluster,
-			PeerBackupCluster:  dstBackup,
-			OwnerBackupCluster: c.twinCluster(),
-		}
-		c.k.table.Add(e)
+		e = c.k.ledgerEntryLocked(ch, srv, routing.Primary, dst, at)
+	}
+	if e.Resend() {
+		c.k.metrics.SuppressedSends.Add(1)
+		return
 	}
 	m := c.k.queueLocked()
 	m.Kind, m.Channel, m.Src, m.Dst, m.Route, m.Payload = kind, ch, srv, dst, e.Route(), payload
-}
-
-// twinCluster returns the cluster of this server's twin instance, or
-// NoCluster if the twin is gone.
-func (c *ServerCtx) twinCluster() types.ClusterID {
-	svc, ok := c.k.dir.Service(c.host.impl.PID())
-	if !ok {
-		return types.NoCluster
-	}
-	if c.host.role == routing.Primary {
-		return svc.Backup
-	}
-	return svc.Primary
 }
 
 // SendSignal queues an asynchronous signal on a process's signal channel
@@ -190,49 +124,91 @@ func (c *ServerCtx) SendSignal(pid types.PID, sig types.Signal) {
 }
 
 // Sync sends the server's explicit sync to its backup twin (§7.9): the
-// state blob plus the per-channel counts of requests handled since the last
-// sync, which the twin uses to discard saved requests.
+// state blob plus each channel's reads since the last sync, which the twin
+// uses to discard saved requests.
 func (c *ServerCtx) Sync() {
-	twin := c.twinCluster()
-	if twin == types.NoCluster {
-		c.host.requestsHandled = make(map[types.ChannelID]uint32)
+	srv := c.host.impl.PID()
+	discards := make(map[types.ChannelID]uint32)
+	for _, e := range c.k.table.OwnedBy(srv, routing.Primary) {
+		if n := e.Synced(); n > 0 {
+			discards[e.Channel] = n
+		}
+	}
+	twin, _ := c.k.dir.Service(srv)
+	if twin.Backup == types.NoCluster {
 		return
 	}
-	ss := &ServerSyncMsg{
-		PID:      c.host.impl.PID(),
-		Blob:     c.host.impl.SyncBlob(),
-		Discards: c.host.requestsHandled,
-	}
-	c.host.requestsHandled = make(map[types.ChannelID]uint32)
+	ss := &ServerSyncMsg{PID: srv, Blob: c.host.impl.SyncBlob(), Discards: discards}
 	m := c.k.queueLocked()
-	m.Kind, m.Src, m.Dst, m.Payload = types.KindServerSync, ss.PID, ss.PID, Encode(ss)
-	m.Route = types.Route{Dst: twin, DstBackup: types.NoCluster, SrcBackup: types.NoCluster}
+	m.Kind, m.Src, m.Dst, m.Payload = types.KindServerSync, srv, srv, Encode(ss)
+	m.Route = types.Route{Dst: twin.Backup, DstBackup: types.NoCluster, SrcBackup: types.NoCluster}
 	c.k.metrics.Syncs.Add(1)
+}
+
+// serviceLocked services a request at a primary server at once (§7.9). The
+// request counts as read since sync — the next server sync has the twin
+// discard its copy — exactly when the twin holds a copy: the request's
+// route named the twin, or it is forwarded to the twin here. While a new
+// twin's BackupUp acks are still due, a request routed without it is not
+// forwarded: its effect reaches the twin in the sync cut once they are in.
+func (k *Kernel) serviceLocked(host *ServerHost, m *types.Message) {
+	at := types.Route{Dst: m.Origin, DstBackup: m.Route.SrcBackup, SrcBackup: m.Route.DstBackup}
+	if at.SrcBackup == k.id {
+		at.SrcBackup = types.NoCluster // a straggler to this cluster as the twin it was
+	}
+	e := k.ledgerEntryLocked(m.Channel, m.Dst, routing.Primary, m.Src, at)
+	if twin := e.OwnerBackupCluster; twin != types.NoCluster {
+		_, cutting := k.twinAcks[m.Dst]
+		if m.Route.DstBackup != twin && !cutting {
+			k.forwardLocked(m, twin)
+		}
+		if m.Route.DstBackup == twin || !cutting {
+			e.Enqueue(m)
+			e.Read()
+		}
+	}
+	k.metrics.PrimaryDeliveries.Add(1)
+	k.logMsg(trace.EvDeliver, m, m.Dst, 0)
+	c := *m // the server's own: m is dispatchLocked's stack copy
+	host.impl.Receive(k.serverCtx(host), &c)
+}
+
+// ledgerEntryLocked returns owner's entry of the given role for ch, making
+// it, when this cluster has none, from at: the route a message owner writes
+// on the channel would take, as the message that first used the channel
+// here tells it. A request from a new peer on an existing entry (a terminal
+// channel's user, after the file server's binding) moves the entry's peer.
+func (k *Kernel) ledgerEntryLocked(ch types.ChannelID, owner types.PID, role routing.Role, peer types.PID, at types.Route) *routing.Entry {
+	e, ok := k.table.Lookup(ch, owner, role)
+	if !ok {
+		e = &routing.Entry{Channel: ch, Owner: owner, Role: role, OwnerBackupCluster: at.SrcBackup}
+		k.table.Add(e)
+	}
+	if !ok || e.Peer != peer {
+		e.Peer, e.PeerCluster, e.PeerBackupCluster = peer, at.Dst, at.DstBackup
+	}
+	return e
 }
 
 // promoteServerLocked turns a backup twin into the primary after a crash
 // (§7.10.2: servers must recover quickly — no page fetch is needed because
-// peripheral servers are memory-resident).
+// peripheral servers are memory-resident). Each backup entry becomes a
+// primary entry whose writes-since-sync count is its budget of replies to
+// drop; the saved requests are replayed lowest arrival Seq first, the order
+// across channels in which the failed primary serviced them.
 func (k *Kernel) promoteServerLocked(host *ServerHost) {
 	host.role = routing.Primary
 	host.primaryCluster = k.id
-	// Collect reply-suppression budgets from this server's backup entries.
+	var saved []*types.Message
 	for _, e := range k.table.RemoveOwnedBy(host.impl.PID(), routing.Backup) {
-		if n := e.Unsent(); n > 0 {
-			host.suppress[e.Channel] = n
+		q := e.Take()
+		for i := range q {
+			saved = append(saved, &q[i])
 		}
+		e.Promote(types.NoCluster)
+		k.table.Add(e)
 	}
-	saved := host.saved
-	host.saved = nil
-	for _, m := range saved {
-		host.requestsHandled[m.Channel]++
-		host.servicedCum[m.Channel]++
-	}
-	// The promoted instance inherits the discard history as its serviced
-	// history baseline (everything it discarded was serviced upstream).
-	for ch, n := range host.discardedCum {
-		host.servicedCum[ch] += n
-	}
+	sort.Slice(saved, func(i, j int) bool { return saved[i].Seq < saved[j].Seq })
 	k.metrics.Recoveries.Add(1)
 	k.metrics.ReplayedMessages.Add(uint64(len(saved)))
 	host.impl.Promote(k.serverCtx(host), saved)
@@ -241,13 +217,15 @@ func (k *Kernel) promoteServerLocked(host *ServerHost) {
 // ServerInject runs fn against the named server instance under the kernel
 // lock, giving device drivers (terminal input, timers) a way into the
 // message world. Peripheral servers access their devices via special system
-// calls unavailable to user processes (§4); this is that path.
+// calls unavailable to user processes (§4); this is that path. It returns
+// once what fn sent has left the cluster (or the cluster can send nothing
+// more), so a bus-ordered mark core sends next follows it everywhere.
 func (k *Kernel) ServerInject(pid types.PID, fn func(*ServerCtx, Server)) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if host, ok := k.servers[pid]; ok && !k.crashed && !k.stopped {
 		fn(k.serverCtx(host), host.impl)
-		k.transmitLocked()
+		k.awaitSentLocked()
 	}
 }
 

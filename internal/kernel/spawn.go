@@ -3,7 +3,6 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -67,20 +66,7 @@ func (k *Kernel) Spawn(program string, args []byte, opts SpawnOpts) (*PCB, error
 		birth := k.queueLocked()
 		birth.Kind, birth.Dst, birth.Payload = types.KindBirthNotice, pid, Encode(bn)
 		birth.Route = types.Route{Dst: opts.BackupCluster, DstBackup: types.NoCluster, SrcBackup: types.NoCluster}
-		// Whoever holds the transmitting flag offers everything queued
-		// before dropping it, so once the flag is down and no hold stands
-		// the notice has left unless the queue was lost. The notice is the
-		// last message queued, so it has been taken into a batch once
-		// txTaken reaches its place. (Only a crash fixup that dropped a
-		// message ahead of it, and then this cluster's crash, both inside
-		// one yield below, could make a notice that left look lost.)
-		place := k.txTaken + uint64(k.outgoing.Len())
-		for k.transmitLocked(); k.transmitting || k.txHold.Load() && k.txTaken < place && !k.crashed && !k.stopped; k.transmitLocked() {
-			k.mu.Unlock()
-			runtime.Gosched()
-			k.mu.Lock()
-		}
-		if k.txTaken < place && (k.crashed || k.stopped) {
+		if !k.awaitSentLocked() && (k.crashed || k.stopped) {
 			k.dir.RemoveProc(pid)
 			return nil, types.ErrCrashed
 		}

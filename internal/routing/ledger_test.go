@@ -224,8 +224,14 @@ func holds(e *Entry, from, to uint32) error {
 // operations with at most one crash. R must consume each of S's messages
 // exactly once, in order, across its own replay, and S's replay must drop
 // exactly the sends that escaped since its last applied sync — whatever
-// prefix of its outgoing queue the crash let out.
+// prefix of its outgoing queue the crash let out. The server channel is the
+// same ledger kept by a server and its active twin (§7.9).
 func TestLedgerAgainstReferenceModel(t *testing.T) {
+	t.Run("process channel", testProcessLedger)
+	t.Run("server channel", testServerLedger)
+}
+
+func testProcessLedger(t *testing.T) {
 	const ledgerDepth = 9
 	var sequences, replaysS, replaysR, drops int
 	var walk func(w *ledgerWorld, trail []byte)
@@ -264,5 +270,144 @@ func TestLedgerAgainstReferenceModel(t *testing.T) {
 	t.Logf("%d sequences: %d after S's crash, %d after R's, %d with a re-send dropped", sequences, replaysS, replaysR, drops)
 	if replaysS == 0 || replaysR == 0 || drops == 0 {
 		t.Fatal("the enumeration missed a crash of either end, or never dropped a re-send")
+	}
+}
+
+// serverWorld is one client channel of a server V and its active twin: V's
+// primary entry vP and the twin's backup entry vB. A request is serviced at
+// once and saved at the twin; its one reply goes onto V's outgoing queue
+// with V's sync captures, which the bus empties in FIFO order.
+type serverWorld struct {
+	vP, vB  *Entry
+	out     []pending
+	crashed bool
+
+	// The reference model: requests serviced, serviced as of the twin's
+	// last applied sync, and replies the bus has carried.
+	n, nSynced, h uint32
+}
+
+// Server-channel operations, beside opTransmit.
+const (
+	opRequest  = 'q' // the bus carries the client's next request
+	opSyncV    = 'v' // V captures a server sync onto its outgoing queue
+	opCrashV   = 'V' // V's cluster fails: the twin is promoted and replays
+	serverPeer = ledgerS
+	serverPID  = ledgerR
+)
+
+var serverOps = []byte{opRequest, opTransmit, opSyncV, opCrashV}
+
+func (w *serverWorld) clone() *serverWorld {
+	c := *w
+	c.vP, c.vB = cloneEntry(w.vP), cloneEntry(w.vB)
+	c.out = slices.Clone(w.out)
+	return &c
+}
+
+func (w *serverWorld) applies(op byte) bool {
+	if w.crashed {
+		return false
+	}
+	return op != opTransmit || len(w.out) > 0
+}
+
+// step performs op as the kernels do (kernel.serviceLocked, ServerCtx.Sync,
+// dispatchServerSync, promoteServerLocked and ServerCtx.Reply).
+func (w *serverWorld) step(op byte) error {
+	switch op {
+	case opRequest:
+		msg := &types.Message{Kind: types.KindData, Channel: ledgerCh, Src: serverPeer, Dst: serverPID,
+			Seq: types.Seq(w.n + 1), Payload: []byte{byte(w.n)}}
+		w.vB.Enqueue(msg)
+		w.vP.Enqueue(msg)
+		if p, _ := w.vP.Read(); uint32(p[0]) != w.n {
+			return fmt.Errorf("V serviced request %d at position %d", p[0], w.n)
+		}
+		w.out = append(w.out, pending{idx: w.n})
+		w.n++
+	case opTransmit:
+		m := w.out[0]
+		w.out = w.out[1:]
+		if m.sync {
+			if d := w.vB.Applied(m.debt, 0); d != m.debt {
+				return fmt.Errorf("the twin discarded %d of the %d requests the sync covers", d, m.debt)
+			}
+			w.nSynced = m.pos
+			break
+		}
+		w.vB.Count()
+		w.h++
+	case opSyncV:
+		// A server sync carries reads (its Discards) where a process sync
+		// carries a debt.
+		w.out = append(w.out, pending{sync: true, pos: w.n, debt: w.vP.Synced()})
+	case opCrashV:
+		w.crashed = true
+		w.out = nil
+		budget := w.vB.Promote(types.NoCluster)
+		if want := w.h - w.nSynced; budget != want {
+			return fmt.Errorf("the promoted twin's budget is %d; %d replies escaped since its last applied sync", budget, want)
+		}
+		for _, m := range w.vB.Take() {
+			idx := uint32(m.Payload[0])
+			if dropped := w.vB.Resend(); dropped != (idx < w.h) {
+				return fmt.Errorf("replayed request %d's reply dropped=%v; %d replies had escaped", idx, dropped, w.h)
+			}
+		}
+	}
+	return nil
+}
+
+// check holds after every step before the crash: the twin saves exactly the
+// requests since its last applied sync and counts the replies since.
+func (w *serverWorld) check() error {
+	if w.crashed {
+		return nil
+	}
+	if err := holds(w.vB, w.nSynced, w.n); err != nil {
+		return fmt.Errorf("the twin's saved queue: %v", err)
+	}
+	if got, want := w.vB.Unsent(), w.h-w.nSynced; got != want {
+		return fmt.Errorf("the twin counts %d replies since sync; %d escaped", got, want)
+	}
+	return nil
+}
+
+func testServerLedger(t *testing.T) {
+	const depth = 10
+	var sequences, drops int
+	var walk func(w *serverWorld, trail []byte)
+	walk = func(w *serverWorld, trail []byte) {
+		sequences++
+		if w.crashed && w.h > w.nSynced {
+			drops++
+		}
+		if len(trail) == depth {
+			return
+		}
+		for _, op := range serverOps {
+			if !w.applies(op) {
+				continue
+			}
+			c := w.clone()
+			next := append(trail, op)
+			err := c.step(op)
+			if err == nil {
+				err = c.check()
+			}
+			if err != nil {
+				t.Fatalf("after %q: %v", next, err)
+			}
+			walk(c, next)
+		}
+	}
+	walk(&serverWorld{
+		vP: &Entry{Channel: ledgerCh, Owner: serverPID, Peer: serverPeer, Role: Primary},
+		vB: &Entry{Channel: ledgerCh, Owner: serverPID, Peer: serverPeer, Role: Backup},
+	}, make([]byte, 0, depth))
+	t.Logf("%d sequences, %d promotions with a reply to drop", sequences, drops)
+	if drops == 0 {
+		t.Fatal("the enumeration never promoted the twin with a reply to drop")
 	}
 }
