@@ -255,7 +255,7 @@ func runChaos(seed int64, points int, repl replication.Kind) error {
 		points = 1
 	}
 	c := &chaos.Campaign{
-		Scenario: chaos.BankScenario("aurosim", 4, 6, 2).WithReplication(repl),
+		Scenario: chaos.WithReplication(chaos.BankScenario("aurosim", 4, 6, 2), repl),
 		Timeout:  90 * time.Second,
 	}
 	ref := c.Reference(seed)
@@ -340,7 +340,7 @@ func runChaosSequential(seed int64, points int, repl replication.Kind) error {
 		points = 1
 	}
 	c := &chaos.SeqCampaign{
-		Scenario: chaos.SeqBankScenario("aurosim-seq", 4, 6, 2).WithReplication(repl),
+		Scenario: chaos.WithReplication(chaos.SeqBankScenario("aurosim-seq", 4, 6, 2), repl),
 		Timeout:  4 * time.Minute,
 	}
 	basePlan := func(k int) chaos.SeqPlan {
@@ -404,7 +404,7 @@ func runChaosSoak(seed int64, cycles int, jitter uint64, repl replication.Kind) 
 		seed = 1
 	}
 	res := chaos.RunSoak(chaos.SoakConfig{
-		Scenario:   chaos.SeqBankScenario("aurosim-soak", 8, 24, 2).WithReplication(repl),
+		Scenario:   chaos.WithReplication(chaos.SeqBankScenario("aurosim-soak", 8, 24, 2), repl),
 		Cycles:     cycles,
 		Seed:       seed,
 		JitterSeed: jitter,

@@ -1,16 +1,14 @@
-// Campaign runner: boots one system per plan, arms tripwires on the event
-// log, applies faults from dedicated injector goroutines, and collects the
-// run's observable record for the oracle.
+// Campaign runner: boots one system per plan, arms trips on the event log,
+// applies each fault once its trip fires, and collects the run's
+// observable record for the oracle.
 package chaos
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"auragen/internal/core"
-	"auragen/internal/guest"
 	"auragen/internal/replication"
 	"auragen/internal/trace"
 	"auragen/internal/types"
@@ -33,24 +31,17 @@ type Campaign struct {
 	Timeout time.Duration
 }
 
-// RunResult is the observable record of one run.
-type RunResult struct {
-	Plan Plan
+// Record is the observable record every campaign run keeps, one-shot or
+// sequential.
+type Record struct {
 	// Outcome is the scenario's canonical outcome string ("" on error).
 	Outcome string
-	// Err is the scenario error (nil on a clean run). Under a tolerated
-	// single fault it must be nil; under a multiple failure it must wrap
+	// Err is the scenario error (nil on a clean run). Under tolerated
+	// single faults it must be nil; under a multiple failure it must wrap
 	// types.ErrTooManyFailures.
 	Err error
 	// Hung reports that the watchdog expired before the scenario returned.
 	Hung bool
-	// Fired[i] reports whether injection i's tripwire fired. An injection
-	// whose K exceeds this run's matching events never fires; the run is
-	// then effectively fault-free.
-	Fired []bool
-	// FaultErrs[i] is the error from applying injection i (nil when it
-	// applied cleanly or never fired).
-	FaultErrs []error
 	// Events is the retained event stream; LogDropped counts ring
 	// overflow (pairing checks are skipped when nonzero).
 	Events     []trace.Event
@@ -63,6 +54,69 @@ type RunResult struct {
 	// Replication is the strategy the run's system ran; the oracle picks
 	// the strategy-specific trace invariant from it.
 	Replication replication.Kind
+}
+
+// watch runs drive on its own goroutine under the watchdog and records its
+// outcome. It reports whether drive returned in time; on expiry the run is
+// recorded as hung and drive is left running.
+func (r *Record) watch(name string, timeout time.Duration, drive func() (string, error)) bool {
+	type result struct {
+		out string
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		out, err := drive()
+		done <- result{out, err}
+	}()
+	select {
+	case res := <-done:
+		r.Outcome, r.Err = res.out, res.err
+		return true
+	case <-time.After(timeout):
+		r.Hung = true
+		r.Err = fmt.Errorf("chaos: scenario %q exceeded the %v watchdog", name, timeout)
+		return false
+	}
+}
+
+// collect copies the run's event stream, metrics and degradation out of
+// sys, then stops it.
+func (r *Record) collect(sys *core.System) {
+	r.Events = sys.EventLog().Events()
+	r.LogDropped = sys.EventLog().Dropped()
+	r.Metrics = sys.Metrics().Snapshot()
+	r.Degraded = sys.Degraded()
+	sys.Stop()
+}
+
+// injectAt applies fault on its own goroutine once trip fires, through the
+// core facade, as an external operator would. The channel yields the
+// fault's error, or nil once the trip is disarmed unfired.
+func injectAt(trip *trace.Trip, fault func(trace.Event) error) <-chan error {
+	errc := make(chan error, 1)
+	go func() {
+		ev, ok := trip.Wait()
+		if !ok {
+			errc <- nil
+			return
+		}
+		errc <- fault(ev)
+	}()
+	return errc
+}
+
+// RunResult is the record of one run under a plan.
+type RunResult struct {
+	Plan Plan
+	Record
+	// Fired[i] reports whether injection i's tripwire fired. An injection
+	// whose K exceeds this run's matching events never fires; the run is
+	// then effectively fault-free.
+	Fired []bool
+	// FaultErrs[i] is the error from applying injection i (nil when it
+	// applied cleanly or never fired).
+	FaultErrs []error
 }
 
 // MatchCount returns how many retained events match pred — the sweep range
@@ -82,42 +136,20 @@ func (c *Campaign) Reference(seed int64) *RunResult {
 	return c.Run(Plan{Seed: seed})
 }
 
-// Run boots a fresh system, arms one tripwire per injection on the event
-// log, and drives the scenario to completion under a watchdog. Tripwires
-// do only atomic bookkeeping and channel operations inside the log's
-// observer (which runs under the log mutex); the faults themselves are
-// applied by injector goroutines through the core facade, exactly as an
-// external operator would. A firing tripwire holds the log until its
-// injector has woken, which takes no lock: without that hand-off, goroutines
-// passing the processor among themselves can keep the injector waiting for
-// the rest of the run, and the fault lands after the moment it names.
+// Run boots a fresh system, arms one event-log trip per injection, and
+// drives the scenario to completion under the watchdog. Each injection's
+// fault is applied by injectAt once its trip fires; the trip holds the log
+// until that goroutine has taken it. When the scenario returns, every trip
+// is disarmed, and a fault whose trip fired is waited for before the
+// record is collected.
 func (c *Campaign) Run(plan Plan) *RunResult {
 	res := &RunResult{
-		Plan:        plan,
-		Fired:       make([]bool, len(plan.Injections)),
-		FaultErrs:   make([]error, len(plan.Injections)),
-		Replication: c.Scenario.Replication,
+		Plan:      plan,
+		Fired:     make([]bool, len(plan.Injections)),
+		FaultErrs: make([]error, len(plan.Injections)),
 	}
-	limit := c.Scenario.EventLogLimit
-	if limit <= 0 {
-		limit = DefaultEventLogLimit
-	}
-	reg := guest.NewRegistry()
-	if c.Scenario.Register != nil {
-		c.Scenario.Register(reg)
-	}
-	sys, err := core.New(core.Options{
-		Clusters:         c.Scenario.Clusters,
-		SyncReads:        c.Scenario.SyncReads,
-		SyncTicks:        1 << 40,
-		EventLogLimit:    limit,
-		PageFetchTimeout: 5 * time.Second,
-		Clock:            types.NewLogicalClock(plan.Seed, 0),
-		ScheduleSeed:     plan.JitterSeed,
-		Replication:      c.Scenario.Replication,
-	}, reg)
-	if err != nil {
-		res.Err = err
+	sys := c.Scenario.boot(&res.Record, plan.Seed, plan.JitterSeed)
+	if sys == nil {
 		return res
 	}
 
@@ -140,81 +172,24 @@ func (c *Campaign) Run(plan Plan) *RunResult {
 		}
 	})
 
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	if n := len(plan.Injections); n > 0 {
-		counts := make([]atomic.Int64, n)
-		fires := make([]chan struct{}, n)
-		fireEvs := make([]trace.Event, n)
-		woke := make([]chan struct{}, n)
-		for i := range fires {
-			fires[i] = make(chan struct{})
-			woke[i] = make(chan struct{})
-		}
-		sys.EventLog().SetObserver(func(e trace.Event) {
-			for i := range plan.Injections {
-				inj := &plan.Injections[i]
-				if !inj.When.Matches(e) {
-					continue
-				}
-				k := int64(inj.K)
-				if k <= 0 {
-					k = 1
-				}
-				if counts[i].Add(1) == k {
-					fireEvs[i] = e
-					close(fires[i])
-					select {
-					case <-woke[i]:
-					case <-done:
-					}
-				}
-			}
+	trips := make([]*trace.Trip, len(plan.Injections))
+	faultErrs := make([]<-chan error, len(plan.Injections))
+	for i, inj := range plan.Injections {
+		trips[i] = sys.EventLog().Trip(inj.When.Matches, inj.K)
+		faultErrs[i] = injectAt(trips[i], func(ev trace.Event) error {
+			return applyFault(sys, inj, ev, &armed)
 		})
-		for i := range plan.Injections {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				select {
-				case <-fires[i]:
-				case <-done:
-					return
-				}
-				res.Fired[i] = true
-				close(woke[i])
-				res.FaultErrs[i] = applyFault(sys, plan.Injections[i], fireEvs[i], &armed)
-			}(i)
-		}
 	}
-
-	type outPair struct {
-		out string
-		err error
-	}
-	outCh := make(chan outPair, 1)
-	go func() {
-		out, err := c.Scenario.Run(sys)
-		outCh <- outPair{out, err}
-	}()
 	timeout := c.Timeout
 	if timeout <= 0 {
 		timeout = DefaultRunTimeout
 	}
-	select {
-	case p := <-outCh:
-		res.Outcome, res.Err = p.out, p.err
-	case <-time.After(timeout):
-		res.Hung = true
-		res.Err = fmt.Errorf("chaos: scenario %q exceeded the %v watchdog", c.Scenario.Name, timeout)
+	res.watch(c.Scenario.Name, timeout, func() (string, error) { return c.Scenario.Run(sys) })
+	for i, trip := range trips {
+		res.Fired[i] = trip.Disarm()
+		res.FaultErrs[i] = <-faultErrs[i]
 	}
-	close(done)
-	wg.Wait()
-	sys.EventLog().SetObserver(nil)
-	res.Events = sys.EventLog().Events()
-	res.LogDropped = sys.EventLog().Dropped()
-	res.Metrics = sys.Metrics().Snapshot()
-	res.Degraded = sys.Degraded()
-	sys.Stop()
+	res.collect(sys)
 	return res
 }
 

@@ -22,10 +22,7 @@ func doubleFailScenario(accounts, txns int) Scenario {
 	const initBalance = 100
 	plan := workload.TxnPlan{Accounts: accounts, Txns: txns, Amount: 7, Seed: 0xA4A4}
 	return Scenario{
-		Name:      "doublefail",
-		Clusters:  4,
-		SyncReads: 2,
-		Register:  sweepScenario().Register,
+		Boot: Boot{Name: "doublefail", Clusters: 4, SyncReads: 2, Register: sweepScenario().Register},
 		Run: func(sys *core.System) (string, error) {
 			if _, err := sys.Spawn("bank-server",
 				[]byte(fmt.Sprintf("chaos %d %d 0", accounts, initBalance)),

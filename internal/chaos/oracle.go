@@ -46,6 +46,13 @@ func (v Verdict) String() string {
 //     per channel and kind, suppressions must not outnumber originals.
 //     Skipped when the event ring overflowed.
 func CheckSurvival(ref, run *RunResult) Verdict {
+	v := checkSurvived(&ref.Record, &run.Record)
+	return Verdict{OK: len(v) == 0, Violations: v}
+}
+
+// checkSurvived is CheckSurvival's list of violations, shared with
+// CheckSequential.
+func checkSurvived(ref, run *Record) []string {
 	var v []string
 	if run.Hung {
 		v = append(v, "run hung (watchdog expired)")
@@ -57,12 +64,12 @@ func CheckSurvival(ref, run *RunResult) Verdict {
 		v = append(v, fmt.Sprintf("outcome diverged: got %q want %q", run.Outcome, ref.Outcome))
 	}
 	if run.Degraded {
-		v = append(v, "system degraded under a single tolerated fault")
+		v = append(v, "system degraded under single tolerated faults")
 	}
 	if run.LogDropped == 0 {
 		v = append(v, checkStrategyInvariants(run.Replication, run.Events)...)
 	}
-	return Verdict{OK: len(v) == 0, Violations: v}
+	return v
 }
 
 // checkStrategyInvariants applies the replication-strategy-specific trace

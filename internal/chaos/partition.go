@@ -227,7 +227,7 @@ func RunPartitionSweep(seed int64, ks []int) *PartitionSweepReport {
 	for _, strat := range []replication.Kind{
 		replication.ThreeWay, replication.LLFT, replication.MsgLog,
 	} {
-		c := &Campaign{Scenario: PartitionBankScenario("partition-bank").WithReplication(strat)}
+		c := &Campaign{Scenario: WithReplication(PartitionBankScenario("partition-bank"), strat)}
 		ref := c.Reference(seed)
 		if ref.Err != nil {
 			rep.Failures = append(rep.Failures, PartitionFailure{

@@ -18,8 +18,9 @@ import (
 	"auragen/internal/workload"
 )
 
-// Scenario is one injectable workload.
-type Scenario struct {
+// Boot is what a campaign needs to boot a scenario's system: the fields
+// Scenario and SeqScenario share.
+type Boot struct {
 	Name string
 	// Clusters and SyncReads configure the booted system.
 	Clusters  int
@@ -33,18 +34,58 @@ type Scenario struct {
 	EventLogLimit int
 	// Register installs the guest programs the scenario spawns.
 	Register func(*guest.Registry)
+}
+
+// boot starts the system for one run, its logical clock seeded by seed and
+// its schedule perturbed by jitter (0: unperturbed), and opens rec for the
+// run. It returns nil, with rec.Err set, when the system does not boot.
+func (b *Boot) boot(rec *Record, seed int64, jitter uint64) *core.System {
+	rec.Replication = b.Replication
+	limit := b.EventLogLimit
+	if limit <= 0 {
+		limit = DefaultEventLogLimit
+	}
+	reg := guest.NewRegistry()
+	if b.Register != nil {
+		b.Register(reg)
+	}
+	sys, err := core.New(core.Options{
+		Clusters:         b.Clusters,
+		SyncReads:        b.SyncReads,
+		SyncTicks:        1 << 40,
+		EventLogLimit:    limit,
+		PageFetchTimeout: 5 * time.Second,
+		Clock:            types.NewLogicalClock(seed, 0),
+		ScheduleSeed:     jitter,
+		Replication:      b.Replication,
+	}, reg)
+	if err != nil {
+		rec.Err = err
+		return nil
+	}
+	return sys
+}
+
+func (b *Boot) setReplication(k replication.Kind) { b.Replication = k }
+
+// WithReplication returns a copy of s, a Scenario or a SeqScenario, running
+// under the given backup-protocol strategy.
+func WithReplication[S any, P interface {
+	*S
+	setReplication(replication.Kind)
+}](s S, k replication.Kind) S {
+	P(&s).setReplication(k)
+	return s
+}
+
+// Scenario is one injectable workload.
+type Scenario struct {
+	Boot
 	// Run drives the workload to completion and returns the canonical
 	// outcome string. Waits inside Run must be bounded: under a double
 	// failure the facade returns types.ErrTooManyFailures, and Run must
 	// surface that error rather than retry forever.
 	Run func(sys *core.System) (string, error)
-}
-
-// WithReplication returns a copy of the scenario running under the given
-// backup-protocol strategy.
-func (s Scenario) WithReplication(k replication.Kind) Scenario {
-	s.Replication = k
-	return s
 }
 
 // proberTerm is the terminal the balance prober reports on.
@@ -68,13 +109,7 @@ func BankScenario(name string, accounts, txns int, syncReads uint32) Scenario {
 	const initBalance = 100
 	plan := workload.TxnPlan{Accounts: accounts, Txns: txns, Amount: 7, Seed: 0xA4A4}
 	return Scenario{
-		Name:      name,
-		Clusters:  3,
-		SyncReads: syncReads,
-		Register: func(reg *guest.Registry) {
-			workload.Register(reg)
-			reg.Register("chaos-prober", proberFactory())
-		},
+		Boot: bankBoot(name, syncReads),
 		Run: func(sys *core.System) (string, error) {
 			if _, err := spawnOn(sys, "bank-server",
 				fmt.Sprintf("chaos %d %d 0", accounts, initBalance), 2); err != nil {
@@ -97,6 +132,20 @@ func BankScenario(name string, accounts, txns int, syncReads uint32) Scenario {
 				return "", err
 			}
 			return terminalLine(sys, proberTerm, "balances ", 10*time.Second)
+		},
+	}
+}
+
+// bankBoot is the bank scenarios' boot: three clusters running the workload
+// programs and the balance prober.
+func bankBoot(name string, syncReads uint32) Boot {
+	return Boot{
+		Name:      name,
+		Clusters:  3,
+		SyncReads: syncReads,
+		Register: func(reg *guest.Registry) {
+			workload.Register(reg)
+			reg.Register("chaos-prober", proberFactory())
 		},
 	}
 }

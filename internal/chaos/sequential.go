@@ -15,13 +15,9 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"auragen/internal/core"
-	"auragen/internal/guest"
-	"auragen/internal/replication"
 	"auragen/internal/trace"
 	"auragen/internal/types"
 	"auragen/internal/workload"
@@ -108,25 +104,10 @@ type SeqPlan struct {
 // (the same plan every run, varying only by round index), Finish probes the
 // final observable state into the canonical outcome string.
 type SeqScenario struct {
-	Name          string
-	Clusters      int
-	SyncReads     uint32
-	EventLogLimit int
-	// Replication selects the backup-protocol strategy (zero value: the
-	// paper's three-way scheme); the sequential oracle applies the
-	// matching strategy invariant.
-	Replication replication.Kind
-	Register    func(*guest.Registry)
-	Setup       func(sys *core.System) error
-	Round       func(sys *core.System, i int) error
-	Finish      func(sys *core.System) (string, error)
-}
-
-// WithReplication returns a copy of the scenario running under the given
-// backup-protocol strategy.
-func (s SeqScenario) WithReplication(k replication.Kind) SeqScenario {
-	s.Replication = k
-	return s
+	Boot
+	Setup  func(sys *core.System) error
+	Round  func(sys *core.System, i int) error
+	Finish func(sys *core.System) (string, error)
 }
 
 // SeqStepResult records what one step observably did.
@@ -153,21 +134,11 @@ type SeqStepResult struct {
 	EventsAtRedundant int
 }
 
-// SeqResult is the observable record of one sequential run.
+// SeqResult is the record of one sequential run.
 type SeqResult struct {
-	Plan    SeqPlan
-	Outcome string
-	Err     error
-	Hung    bool
-	Steps   []SeqStepResult
-	Events  []trace.Event
-	// LogDropped counts event-ring overflow (pairing checks are skipped
-	// when nonzero).
-	LogDropped uint64
-	Metrics    trace.Snapshot
-	Degraded   bool
-	// Replication is the strategy the run's system ran.
-	Replication replication.Kind
+	Plan SeqPlan
+	Record
+	Steps []SeqStepResult
 }
 
 // SeqCampaign replays a sequential scenario under fault plans.
@@ -183,64 +154,6 @@ type SeqCampaign struct {
 	// completed step (soak fingerprinting). It runs on the drive
 	// goroutine, between steps, with no tripwire armed.
 	afterStep func(sys *core.System, i int, sr *SeqStepResult)
-}
-
-// seqTripwire fires at the Kth event matching when. force releases any
-// waiter without marking the wire fired.
-type seqTripwire struct {
-	when Predicate
-	k    int64
-	n    atomic.Int64
-
-	mu     sync.Mutex
-	fired  bool // closed by a matching event
-	forced bool // closed by force()
-	fire   chan struct{}
-}
-
-func newSeqTripwire(when Predicate, k int) *seqTripwire {
-	if (when == Predicate{}) {
-		when = Any()
-	}
-	if k <= 0 {
-		k = 1
-	}
-	return &seqTripwire{when: when, k: int64(k), fire: make(chan struct{})}
-}
-
-// observe runs inside the event log's observer (under the log mutex): only
-// counter bookkeeping and a channel close.
-func (t *seqTripwire) observe(e trace.Event) {
-	if !t.when.Matches(e) || t.n.Add(1) != t.k {
-		return
-	}
-	t.mu.Lock()
-	if !t.fired && !t.forced {
-		t.fired = true
-		close(t.fire)
-	}
-	t.mu.Unlock()
-}
-
-// force releases the waiter if the wire has not tripped; it reports whether
-// the wire had already fired on its own.
-func (t *seqTripwire) force() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.fired {
-		return true
-	}
-	if !t.forced {
-		t.forced = true
-		close(t.fire)
-	}
-	return false
-}
-
-func (t *seqTripwire) wasForced() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.forced
 }
 
 // Run boots a fresh system and drives the plan: every step crashes its
@@ -260,80 +173,28 @@ func (c *SeqCampaign) Reference(plan SeqPlan) *SeqResult {
 }
 
 func (c *SeqCampaign) run(plan SeqPlan, inject bool) *SeqResult {
-	res := &SeqResult{Plan: plan, Replication: c.Scenario.Replication}
-	limit := c.Scenario.EventLogLimit
-	if limit <= 0 {
-		limit = DefaultEventLogLimit
-	}
-	reg := guest.NewRegistry()
-	if c.Scenario.Register != nil {
-		c.Scenario.Register(reg)
-	}
-	sys, err := core.New(core.Options{
-		Clusters:         c.Scenario.Clusters,
-		SyncReads:        c.Scenario.SyncReads,
-		SyncTicks:        1 << 40,
-		EventLogLimit:    limit,
-		PageFetchTimeout: 5 * time.Second,
-		Clock:            types.NewLogicalClock(plan.Seed, 0),
-		ScheduleSeed:     plan.JitterSeed,
-		Replication:      c.Scenario.Replication,
-	}, reg)
-	if err != nil {
-		res.Err = err
+	res := &SeqResult{Plan: plan}
+	sys := c.Scenario.boot(&res.Record, plan.Seed, plan.JitterSeed)
+	if sys == nil {
 		return res
 	}
-
-	// One dispatching observer for the whole run: a global event counter
-	// (for vulnerability windows) plus whichever tripwire is currently
-	// armed.
-	var evCount atomic.Int64
-	var armed atomic.Pointer[seqTripwire]
-	sys.EventLog().SetObserver(func(e trace.Event) {
-		evCount.Add(1)
-		if tw := armed.Load(); tw != nil {
-			tw.observe(e)
-		}
-	})
-
-	type seqOut struct {
-		outcome string
-		err     error
-		steps   []SeqStepResult
-	}
-	outCh := make(chan seqOut, 1)
-	go func() {
-		var o seqOut
-		o.outcome, o.steps, o.err = c.drive(sys, plan, inject, &evCount, &armed)
-		outCh <- o
-	}()
-
 	timeout := c.Timeout
 	if timeout <= 0 {
 		timeout = DefaultRunTimeout * time.Duration(1+len(plan.Steps))
 	}
-	select {
-	case o := <-outCh:
-		res.Outcome, res.Err, res.Steps = o.outcome, o.err, o.steps
-	case <-time.After(timeout):
-		res.Hung = true
-		res.Err = fmt.Errorf("chaos: sequential scenario %q exceeded the %v watchdog", c.Scenario.Name, timeout)
+	var steps []SeqStepResult
+	if res.watch(c.Scenario.Name, timeout, func() (out string, err error) {
+		out, steps, err = c.drive(sys, plan, inject)
+		return out, err
+	}) {
+		res.Steps = steps
 	}
-	sys.EventLog().SetObserver(nil)
-	res.Events = sys.EventLog().Events()
-	res.LogDropped = sys.EventLog().Dropped()
-	res.Metrics = sys.Metrics().Snapshot()
-	res.Degraded = sys.Degraded()
-	sys.Stop()
+	res.collect(sys)
 	return res
 }
 
-// drive runs setup, every step, and finish. It owns the armed tripwire
-// pointer: at most one wire is live at a time.
-func (c *SeqCampaign) drive(
-	sys *core.System, plan SeqPlan, inject bool,
-	evCount *atomic.Int64, armed *atomic.Pointer[seqTripwire],
-) (string, []SeqStepResult, error) {
+// drive runs setup, every step, and finish.
+func (c *SeqCampaign) drive(sys *core.System, plan SeqPlan, inject bool) (string, []SeqStepResult, error) {
 	if c.Scenario.Setup != nil {
 		if err := c.Scenario.Setup(sys); err != nil {
 			return "", nil, fmt.Errorf("chaos: setup: %w", err)
@@ -347,7 +208,7 @@ func (c *SeqCampaign) drive(
 			}
 			continue
 		}
-		sr := c.runStep(sys, i, step, evCount, armed)
+		sr := c.runStep(sys, i, step)
 		steps = append(steps, sr)
 		if c.afterStep != nil {
 			c.afterStep(sys, i, &steps[len(steps)-1])
@@ -367,36 +228,31 @@ func (c *SeqCampaign) drive(
 	return out, steps, err
 }
 
-// runStep performs one fault→failover→repair→redundancy round.
-func (c *SeqCampaign) runStep(
-	sys *core.System, i int, step SeqStep,
-	evCount *atomic.Int64, armed *atomic.Pointer[seqTripwire],
-) SeqStepResult {
+// eventCount is the number of events sys has logged so far.
+func eventCount(sys *core.System) int {
+	return sys.EventLog().Len() + int(sys.EventLog().Dropped())
+}
+
+// runStep performs one fault→failover→repair→redundancy round. Each crash
+// it aims is an event-log trip taken by injectAt; the trip is disarmed when
+// the traffic (or repair) it was aimed at is over.
+func (c *SeqCampaign) runStep(sys *core.System, i int, step SeqStep) SeqStepResult {
 	sr := SeqStepResult{Step: step}
 
-	// Crash the target mid-round: the injector goroutine waits on the
-	// tripwire and applies the fault through the facade, as an external
-	// operator would.
-	tw := newSeqTripwire(step.When, step.K)
-	crashErr := make(chan error, 1)
-	go func() {
-		<-tw.fire
-		if tw.wasForced() {
-			crashErr <- nil
-			return
-		}
-		crashErr <- sys.Crash(step.Target)
-	}()
-	armed.Store(tw)
-	roundErr := c.Scenario.Round(sys, i)
-	armed.Store(nil)
-	sr.Fired = tw.force()
-	cerr := <-crashErr
-	if !sr.Fired {
-		// The round outran the wire: the fault still belongs to this step.
-		cerr = sys.Crash(step.Target)
+	// Crash the target mid-round; if the round outruns the trip, the crash
+	// still belongs to this step and lands right after it.
+	when := step.When
+	if (when == Predicate{}) {
+		when = Any()
 	}
-	sr.CrashErr = cerr
+	trip := sys.EventLog().Trip(when.Matches, step.K)
+	crashErr := injectAt(trip, func(trace.Event) error { return sys.Crash(step.Target) })
+	roundErr := c.Scenario.Round(sys, i)
+	sr.Fired = trip.Disarm()
+	sr.CrashErr = <-crashErr
+	if !sr.Fired {
+		sr.CrashErr = sys.Crash(step.Target)
+	}
 	if roundErr != nil && sr.CrashErr == nil {
 		// Round traffic must survive the single fault; surface its failure
 		// through the crash-error slot so the oracle rejects the step.
@@ -405,28 +261,19 @@ func (c *SeqCampaign) runStep(
 	if sr.CrashErr != nil {
 		return sr
 	}
-	sr.EventsAtCrash = int(evCount.Load())
+	sr.EventsAtCrash = eventCount(sys)
 
-	// Repair, optionally with a second crash aimed at the rebacking phase.
-	var midTw *seqTripwire
-	midErr := make(chan error, 1)
+	// Repair, optionally with a second crash aimed at a repair phase.
+	var midTrip *trace.Trip
+	var midErr <-chan error
 	if step.MidRepairArmed {
-		midTw = newSeqTripwire(OnRepairPhase(step.Target, step.midRepairPhase()), 1)
-		go func() {
-			<-midTw.fire
-			if midTw.wasForced() {
-				midErr <- nil
-				return
-			}
-			midErr <- sys.Crash(step.MidRepair)
-		}()
-		armed.Store(midTw)
+		midTrip = sys.EventLog().Trip(OnRepairPhase(step.Target, step.midRepairPhase()).Matches, 1)
+		midErr = injectAt(midTrip, func(trace.Event) error { return sys.Crash(step.MidRepair) })
 	}
 	rerr := sys.Repair(step.Target)
-	if midTw != nil {
-		armed.Store(nil)
-		sr.MidRepairFired = midTw.force()
-		if merr := <-midErr; merr != nil && sr.MidRepairFired {
+	if midTrip != nil {
+		sr.MidRepairFired = midTrip.Disarm()
+		if merr := <-midErr; merr != nil {
 			// The mid-repair crash racing the end of the repair may find
 			// its victim already down or the configuration unable to lose
 			// it; either way the step's fault schedule failed to apply.
@@ -472,31 +319,19 @@ func (c *SeqCampaign) runStep(
 	}
 	sr.RedundantErr = sys.WaitRedundant(timeout)
 	if sr.RedundantErr == nil {
-		sr.EventsAtRedundant = int(evCount.Load())
+		sr.EventsAtRedundant = eventCount(sys)
 	}
 	return sr
 }
 
-// CheckSequential is the sequential oracle: the run survived every fault in
-// the plan (no hang, no error, no degradation), ended with the reference
-// outcome (the exactly-once check across every failover and repair), closed
-// every redundancy gap between steps, and kept §5.4 suppression pairing
-// intact across the whole stream — a crash during re-integration must not
-// corrupt suppression counts.
+// CheckSequential is the sequential oracle: CheckSurvival's checks over the
+// whole run (no hang, error or degradation; the reference outcome, which is
+// the exactly-once check across every failover and repair; the strategy's
+// trace invariant, so a crash during re-integration must not corrupt
+// suppression counts), and for every step an applied fault, a completed
+// repair and a closed redundancy gap.
 func CheckSequential(ref, run *SeqResult) Verdict {
-	var v []string
-	if run.Hung {
-		v = append(v, "run hung (watchdog expired)")
-	}
-	if run.Err != nil && !run.Hung {
-		v = append(v, fmt.Sprintf("scenario error: %v", run.Err))
-	}
-	if run.Err == nil && run.Outcome != ref.Outcome {
-		v = append(v, fmt.Sprintf("outcome diverged: got %q want %q", run.Outcome, ref.Outcome))
-	}
-	if run.Degraded {
-		v = append(v, "system degraded under a sequence of single tolerated faults")
-	}
+	v := checkSurvived(&ref.Record, &run.Record)
 	for i, st := range run.Steps {
 		if st.CrashErr != nil {
 			v = append(v, fmt.Sprintf("step %d (%s): fault failed to apply: %v", i, st.Step, st.CrashErr))
@@ -507,9 +342,6 @@ func CheckSequential(ref, run *SeqResult) Verdict {
 		if st.RedundantErr != nil {
 			v = append(v, fmt.Sprintf("step %d (%s): redundancy not restored: %v", i, st.Step, st.RedundantErr))
 		}
-	}
-	if run.LogDropped == 0 {
-		v = append(v, checkStrategyInvariants(run.Replication, run.Events)...)
 	}
 	return Verdict{OK: len(v) == 0, Violations: v}
 }
@@ -522,13 +354,7 @@ func CheckSequential(ref, run *SeqResult) Verdict {
 func SeqBankScenario(name string, accounts, txnsPerRound int, syncReads uint32) SeqScenario {
 	const initBalance = 100
 	return SeqScenario{
-		Name:      name,
-		Clusters:  3,
-		SyncReads: syncReads,
-		Register: func(reg *guest.Registry) {
-			workload.Register(reg)
-			reg.Register("chaos-prober", proberFactory())
-		},
+		Boot: bankBoot(name, syncReads),
 		Setup: func(sys *core.System) error {
 			_, err := spawnOn(sys, "bank-server",
 				fmt.Sprintf("chaos %d %d 0", accounts, initBalance), 2)

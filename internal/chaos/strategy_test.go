@@ -26,7 +26,7 @@ func TestStrategyCrashSweepEveryEvent(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			c := &Campaign{
-				Scenario: sweepScenario().WithReplication(kind),
+				Scenario: WithReplication(sweepScenario(), kind),
 				Timeout:  90 * time.Second,
 			}
 			stride := 1
@@ -66,7 +66,7 @@ func TestStrategyServerCrashSweep(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			c := &Campaign{
-				Scenario: sweepScenario().WithReplication(kind),
+				Scenario: WithReplication(sweepScenario(), kind),
 				Timeout:  90 * time.Second,
 			}
 			stride := 7
@@ -98,7 +98,7 @@ func TestStrategySequentialAlternating(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			c := &SeqCampaign{
-				Scenario: seqScenario().WithReplication(kind),
+				Scenario: WithReplication(seqScenario(), kind),
 				Timeout:  4 * time.Minute,
 			}
 			plan := altPlan(32)
@@ -129,7 +129,7 @@ func TestStrategyDoubleCrashDegrades(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			c := &Campaign{
-				Scenario: doubleFailScenario(4, 40).WithReplication(kind),
+				Scenario: WithReplication(doubleFailScenario(4, 40), kind),
 				Timeout:  90 * time.Second,
 			}
 			run := c.Run(Plan{Seed: 11, Injections: []Injection{
@@ -168,7 +168,7 @@ func TestStrategySoakNoDrift(t *testing.T) {
 					n = cycles / 2
 				}
 				cfg := soakConfig(n, jitter)
-				cfg.Scenario = cfg.Scenario.WithReplication(kind)
+				cfg.Scenario = WithReplication(cfg.Scenario, kind)
 				res := RunSoak(cfg)
 				if !res.Verdict.OK {
 					t.Fatalf("soak drifted:\n%s", res.VerdictStream())

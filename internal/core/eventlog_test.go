@@ -32,7 +32,7 @@ func TestEventLogRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	awaitCrash(t, sys, crashed)
+	awaitCrash(t, crashed)
 	if err := sys.WaitExit(pid, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -52,32 +52,22 @@ func TestEventLogRecords(t *testing.T) {
 }
 
 // crashAtDelivery crashes cluster c at the nth delivery the event log
-// records. The log's observer closes a channel there and holds the log
-// until the crashing goroutine has woken, so the crash lands mid-run however
-// the test goroutine is scheduled: a sleep-poll on the delivery count can
-// oversleep the whole workload. The channel yields the crash's result.
+// records. The log's trip holds that delivery until the crashing goroutine
+// has taken it, so the crash lands mid-run however the test goroutine is
+// scheduled: a sleep-poll on the delivery count can oversleep the whole
+// workload. The channel yields the crash's result.
 func crashAtDelivery(sys *System, c types.ClusterID, n int) <-chan error {
-	fired, woke := make(chan struct{}), make(chan struct{})
-	delivered := 0 // the observer runs under the log's mutex
-	sys.EventLog().SetObserver(func(e trace.Event) {
-		if e.Kind == trace.EvDeliver {
-			if delivered++; delivered == n {
-				close(fired)
-				<-woke
-			}
-		}
-	})
+	trip := sys.EventLog().Trip(func(e trace.Event) bool { return e.Kind == trace.EvDeliver }, n)
 	crashed := make(chan error, 1)
 	go func() {
-		<-fired
-		close(woke)
+		trip.Wait()
 		crashed <- sys.Crash(c)
 	}()
 	return crashed
 }
 
-// awaitCrash waits for crashAtDelivery's crash and removes the observer.
-func awaitCrash(t *testing.T, sys *System, crashed <-chan error) {
+// awaitCrash waits for crashAtDelivery's crash.
+func awaitCrash(t *testing.T, crashed <-chan error) {
 	t.Helper()
 	select {
 	case err := <-crashed:
@@ -87,5 +77,4 @@ func awaitCrash(t *testing.T, sys *System, crashed <-chan error) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the crash's delivery never came")
 	}
-	sys.EventLog().SetObserver(nil)
 }

@@ -122,7 +122,7 @@ func TestNondetEventsReplayConsistently(t *testing.T) {
 	}
 	_ = rollerPID
 
-	awaitCrash(t, sys, crashed)
+	awaitCrash(t, crashed)
 
 	var rollerSum, observerSum int64 = -1, -1
 	deadline := time.Now().Add(30 * time.Second)

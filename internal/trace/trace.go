@@ -366,6 +366,8 @@ type EventLog struct {
 	// assignment. It runs under the log's mutex, so appends stay totally
 	// ordered through it; see SetObserver for the contract.
 	observer func(Event)
+	// trips are the armed tripwires, in arming order; see Trip.
+	trips []*Trip
 }
 
 // NewEventLog returns a log whose ring retains the newest capacity events.
@@ -389,15 +391,12 @@ func (l *EventLog) SetClock(c types.Clock) {
 }
 
 // SetObserver installs fn to be called synchronously, under the log's
-// mutex, for every subsequent Append — the hook the fault-injection
-// tripwires hang off (the event stream is the injection coordinate
-// system). Because fn runs inside Append, which components call while
-// holding their own locks, fn must be fast, must never wait on anything
-// that takes a lock, and must not call back into the log or into the
-// system being observed: restrict it to reads of the event, atomic
-// bookkeeping, and channel operations with goroutines that hold no lock
-// while they complete them. Pass
-// nil to remove the observer. Safe on a nil receiver (no-op).
+// mutex, for every subsequent Append: the stream tap that tests and the
+// benchmark's tracer read the run through. Because fn runs inside Append,
+// which components call while holding their own locks, fn must be fast,
+// must never wait on anything that takes a lock, and must not call back
+// into the log or into the system being observed. Pass nil to remove the
+// observer. Safe on a nil receiver (no-op).
 func (l *EventLog) SetObserver(fn func(Event)) {
 	if l == nil {
 		return
@@ -423,7 +422,101 @@ func (l *EventLog) Append(e Event) {
 	if l.observer != nil {
 		l.observer(e)
 	}
+	if len(l.trips) > 0 {
+		l.tripLocked(e)
+	}
 	l.mu.Unlock()
+}
+
+// Trip states.
+const (
+	tripArmed int32 = iota
+	tripFired
+	tripDisarmed
+)
+
+// Trip is a tripwire on an EventLog: the event stream is the fault
+// injector's coordinate system, and a trip names one coordinate, "the Kth
+// appended event that match accepts". At that Append the trip records the
+// event, closes its fired channel, and holds the Append, under the log's
+// mutex, until its owner takes the trip with Wait or disarms it. The hold
+// is the hand-off: the owner's goroutine is awake before the run appends
+// another event, so goroutines passing the processor among themselves
+// cannot keep it waiting while the run moves past the moment the trip
+// names. The owner must therefore take the trip without waiting on a lock
+// or on the log.
+type Trip struct {
+	match func(Event) bool
+	left  int          // matches still to count; guarded by the log's mutex
+	state atomic.Int32 // tripArmed, then tripFired or tripDisarmed
+	ev    Event        // the firing event, written before fired closes
+	fired chan struct{}
+	// done is closed once, by Wait or Disarm: it frees the held Append and
+	// wakes a Wait whose trip was disarmed unfired.
+	done     chan struct{}
+	doneOnce sync.Once
+}
+
+// Trip arms a tripwire that fires at the kth appended event match accepts
+// (k <= 0 counts as 1). match runs under the log's mutex, with the same
+// restrictions as an observer. On a nil log the trip never fires.
+func (l *EventLog) Trip(match func(Event) bool, k int) *Trip {
+	t := &Trip{match: match, left: max(k, 1), fired: make(chan struct{}), done: make(chan struct{})}
+	if l != nil {
+		l.mu.Lock()
+		l.trips = append(l.trips, t)
+		l.mu.Unlock()
+	}
+	return t
+}
+
+// tripLocked counts e against every armed trip, fires the one whose count
+// runs out and holds until its owner takes it, and drops spent trips.
+func (l *EventLog) tripLocked(e Event) {
+	armed := l.trips[:0]
+	for _, t := range l.trips {
+		if t.state.Load() != tripArmed {
+			continue
+		}
+		if !t.match(e) {
+			armed = append(armed, t)
+			continue
+		}
+		if t.left--; t.left > 0 {
+			armed = append(armed, t)
+		} else if t.state.CompareAndSwap(tripArmed, tripFired) {
+			t.ev = e
+			close(t.fired)
+			<-t.done
+		}
+	}
+	clear(l.trips[len(armed):])
+	l.trips = armed
+}
+
+// Wait blocks until the trip fires or is disarmed. If it fired, Wait takes
+// it, releasing the held Append, and returns the firing event and true;
+// a trip disarmed unfired returns false.
+func (t *Trip) Wait() (Event, bool) {
+	select {
+	case <-t.fired:
+	case <-t.done:
+		if t.state.Load() != tripFired {
+			return Event{}, false
+		}
+		<-t.fired
+	}
+	t.doneOnce.Do(func() { close(t.done) })
+	return t.ev, true
+}
+
+// Disarm stops the trip and reports whether it had fired. A trip disarmed
+// unfired never fires; one that fired is released if still held, and its
+// Wait still returns the firing event.
+func (t *Trip) Disarm() (fired bool) {
+	fired = !t.state.CompareAndSwap(tripArmed, tripDisarmed)
+	t.doneOnce.Do(func() { close(t.done) })
+	return fired
 }
 
 // Add appends a bare annotation event (kind + note). Safe on nil.

@@ -144,6 +144,140 @@ func TestNilEventLogSafe(t *testing.T) {
 	}
 }
 
+func isKind(k EventKind) func(Event) bool {
+	return func(e Event) bool { return e.Kind == k }
+}
+
+// appendAsync appends e on its own goroutine; the channel closes when the
+// Append returns.
+func appendAsync(l *EventLog, e Event) <-chan struct{} {
+	returned := make(chan struct{})
+	go func() {
+		l.Append(e)
+		close(returned)
+	}()
+	return returned
+}
+
+func awaitClosed(t *testing.T, c <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-c:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s never happened", what)
+	}
+}
+
+func isClosed(c <-chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestTripFiresOnceAtKthMatch: only matching events count, the Kth fires,
+// the Append that fired is held until Wait takes the trip, and later
+// matches neither fire again nor block.
+func TestTripFiresOnceAtKthMatch(t *testing.T) {
+	l := NewEventLog(64)
+	tr := l.Trip(isKind(EvSync), 3)
+	for _, k := range []EventKind{EvSync, EvDeliver, EvSync, EvDeliver} {
+		l.Append(Event{Kind: k})
+	}
+	if isClosed(tr.fired) {
+		t.Fatal("trip fired before its third match")
+	}
+	returned := appendAsync(l, Event{Kind: EvSync, Note: "third"})
+	awaitClosed(t, tr.fired, "the third match firing the trip")
+	if isClosed(returned) {
+		t.Fatal("the firing Append returned before the trip was taken")
+	}
+	ev, ok := tr.Wait()
+	if !ok || ev.Note != "third" || ev.Seq != 4 {
+		t.Fatalf("Wait = %+v, %v; want the third sync (seq 4)", ev, ok)
+	}
+	awaitClosed(t, returned, "the firing Append returning after Wait")
+	l.Append(Event{Kind: EvSync})
+	if ev2, ok := tr.Wait(); !ok || ev2 != ev {
+		t.Fatalf("a second Wait = %+v, %v; want the same firing event", ev2, ok)
+	}
+	if !tr.Disarm() {
+		t.Fatal("Disarm after the trip fired reported false")
+	}
+}
+
+// TestTripDisarm: disarmed before its match, a trip never fires and a later
+// match does not block; disarmed after firing, it reports true, frees the
+// held Append, and Wait still yields the firing event.
+func TestTripDisarm(t *testing.T) {
+	l := NewEventLog(64)
+	early := l.Trip(isKind(EvCrash), 1)
+	if early.Disarm() {
+		t.Fatal("Disarm before any match reported fired")
+	}
+	l.Append(Event{Kind: EvCrash}) // would hold forever if the trip fired
+	if isClosed(early.fired) {
+		t.Fatal("a disarmed trip fired")
+	}
+	if _, ok := early.Wait(); ok {
+		t.Fatal("Wait on a trip disarmed unfired reported fired")
+	}
+
+	late := l.Trip(isKind(EvCrash), 1)
+	returned := appendAsync(l, Event{Kind: EvCrash, Note: "late"})
+	awaitClosed(t, late.fired, "the trip firing")
+	if !late.Disarm() {
+		t.Fatal("Disarm after the trip fired reported false")
+	}
+	awaitClosed(t, returned, "the held Append returning after Disarm")
+	if ev, ok := late.Wait(); !ok || ev.Note != "late" {
+		t.Fatalf("Wait after Disarm = %+v, %v; want the firing event", ev, ok)
+	}
+}
+
+// TestTripsFireIndependently arms two trips on one log, as a burst plan
+// does: each fires at its own coordinate and is taken by its own waiter
+// while the log keeps appending on one goroutine.
+func TestTripsFireIndependently(t *testing.T) {
+	l := NewEventLog(64)
+	trips := []*Trip{l.Trip(isKind(EvDeliver), 2), l.Trip(isKind(EvSave), 1)}
+	evs := make([]Event, len(trips))
+	var wg sync.WaitGroup
+	for i, tr := range trips {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			evs[i], _ = tr.Wait()
+		}()
+	}
+	for _, k := range []EventKind{EvDeliver, EvSave, EvDeliver, EvSave, EvDeliver} {
+		l.Append(Event{Kind: k})
+	}
+	wg.Wait()
+	if evs[0].Seq != 2 || evs[1].Seq != 1 {
+		t.Fatalf("trips fired at seq %d and %d, want 2 and 1", evs[0].Seq, evs[1].Seq)
+	}
+	for i, tr := range trips {
+		if !tr.Disarm() {
+			t.Errorf("trip %d: Disarm reported unfired", i)
+		}
+	}
+}
+
+func TestNilEventLogTrip(t *testing.T) {
+	var l *EventLog
+	tr := l.Trip(isKind(EvSync), 1)
+	l.Append(Event{Kind: EvSync})
+	if tr.Disarm() {
+		t.Fatal("a trip on a nil log fired")
+	}
+	if _, ok := tr.Wait(); ok {
+		t.Fatal("Wait on a nil log's trip reported fired")
+	}
+}
+
 func TestNilEventLogAppendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun unreliable under -race")
