@@ -47,7 +47,7 @@ var (
 	flagSoakN    = flag.Int("soak-cycles", chaos.DefaultSoakCycles, "fault→repair cycles for -chaos -soak")
 	flagJitter   = flag.Uint64("jitter", 0, "with -chaos -soak: seed the schedule perturber for the whole soak (0: off)")
 	flagRepl     = flag.String("replication", "threeway", "with -chaos: backup-protocol strategy the campaigns run: threeway | llft | msglog")
-	flagPart     = flag.Bool("partition", false, "with -chaos: run the partition→wrongful-promotion→heal sweep (every shape × every strategy) against the split-brain oracle; exits non-zero on any violation (DESIGN.md §14)")
+	flagPart     = flag.Bool("partition", false, "with -chaos: run the partition→wrongful-promotion→heal sweep (every shape × every strategy) against the split-brain oracle; exits non-zero on any violation (DESIGN.md §13)")
 )
 
 func main() {
@@ -300,7 +300,7 @@ func runChaos(seed int64, points int, repl replication.Kind) error {
 
 // runChaosPartition drives the partition→wrongful-promotion→heal schedule
 // across every partition shape and every replication strategy, judged by
-// the split-brain oracle (DESIGN.md §14): fencing happened, no delivery
+// the split-brain oracle (DESIGN.md §13.3): fencing happened, no delivery
 // after a stale primary learned of its supersession, redundancy restored.
 func runChaosPartition(seed int64) error {
 	if seed == 0 {

@@ -147,7 +147,7 @@ func DefaultConfig(module string) *Config {
 			// BroadcastBatch stages one batch into the inboxes of the ports
 			// it reaches and holds them to the end of the batch. It does so
 			// under the bus lock, so no two such acquisitions overlap
-			// (DESIGN.md §10), which makes the same-class nesting
+			// (DESIGN.md §9.1), which makes the same-class nesting
 			// deadlock-free whatever the order. No other function may hold
 			// two Inbox locks at once.
 			in("bus") + ".Inbox.mu": {in("bus") + ".Bus.BroadcastBatch"},

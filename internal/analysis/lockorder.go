@@ -20,7 +20,7 @@ import (
 // self-edge and is reported immediately unless the acquiring function is
 // listed in Config.OrderedLockClasses for that class: that list encodes the
 // sanctioned multi-instance disciplines — bus.BroadcastBatch locking the
-// inboxes a batch reaches, under the bus lock — turning DESIGN.md §10's
+// inboxes a batch reaches, under the bus lock — turning DESIGN.md §9.1's
 // comment into a checked rule. Any other function nesting the class is a finding.
 
 // lockEdge is one ordering constraint: from is held while to is acquired.

@@ -3,7 +3,6 @@ package bus
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"auragen/internal/trace"
 	"auragen/internal/types"
@@ -161,89 +160,20 @@ func TestInboxPeakWatermark(t *testing.T) {
 	}
 }
 
-// TestInboxBoundedBackpressure: with SetLimit, a slow consumer bounds the
-// queue — the producer blocks instead of growing the inbox, every message
-// is still delivered exactly once, and the peak never exceeds the limit.
-func TestInboxBoundedBackpressure(t *testing.T) {
-	m := &trace.Metrics{}
-	b := New(m, nil)
-	in1 := b.Attach(1)
-	in1.SetLimit(4)
-
-	const total = 100
-	done := make(chan struct{})
-	var got int
-	go func() { // slow consumer
-		defer close(done)
-		var buf []types.Message
-		for got < total {
-			ms, ok := in1.PopAll(buf)
-			if !ok {
-				return
-			}
-			got += len(ms)
-			buf = ms
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-	for i := 0; i < total; i += 5 {
-		var batch []*types.Message
-		for j := 0; j < 5; j++ {
-			batch = append(batch, dataMsg(1, 2, types.Route{Dst: 1}, fmt.Sprint(i+j)))
-		}
-		if _, err := b.BroadcastBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	<-done
-	if got != total {
-		t.Fatalf("consumer saw %d messages, want %d", got, total)
-	}
-	if peak := m.InboxPeak.Load(); peak > 4 {
-		t.Fatalf("bounded inbox peaked at %d, limit 4", peak)
-	}
-}
-
-// TestInboxCloseUnblocksBoundedSend: closing a full bounded inbox releases
-// a blocked producer instead of wedging the bus forever.
-func TestInboxCloseUnblocksBoundedSend(t *testing.T) {
-	b := New(&trace.Metrics{}, nil)
-	in1 := b.Attach(1)
-	in1.SetLimit(1)
-	send(t, b, dataMsg(1, 2, types.Route{Dst: 1}, "fill"))
-	released := make(chan error, 1)
-	go func() {
-		_, err := b.BroadcastBatch([]*types.Message{dataMsg(1, 2, types.Route{Dst: 1}, "blocked")})
-		released <- err
-	}()
-	time.Sleep(5 * time.Millisecond) // let the delivery reach the wait
-	in1.Close()
-	select {
-	case <-released:
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocked delivery not released by Close")
-	}
-}
-
 // TestBroadcastBatchSteadyStateAllocs pins the batch path's allocation
 // contract: once the receive queues are warm, a BroadcastBatch call
 // allocates nothing at all, payload bytes included — the targets share the
 // sender's payload slices instead of copying them.
+//
+// The sending goroutine drains every inbox itself after each batch, so the
+// queues stay one batch deep: a consumer goroutine that lagged would grow a
+// queue, and that growth is not the batch path's allocation.
 func TestBroadcastBatchSteadyStateAllocs(t *testing.T) {
 	bus := New(&trace.Metrics{}, nil)
-	for c := types.ClusterID(0); c < 3; c++ {
-		in := bus.Attach(c)
-		in.SetLimit(8192)
-		go func() {
-			var buf []types.Message
-			for {
-				ms, ok := in.PopAll(buf)
-				if !ok {
-					return
-				}
-				buf = ms
-			}
-		}()
+	var inboxes [3]*Inbox
+	var bufs [3][]types.Message
+	for c := range inboxes {
+		inboxes[c] = bus.Attach(types.ClusterID(c))
 	}
 	route := types.Route{Dst: 0, DstBackup: 1, SrcBackup: 2}
 	batch := make([]*types.Message, 64)
@@ -254,15 +184,16 @@ func TestBroadcastBatchSteadyStateAllocs(t *testing.T) {
 		if _, err := bus.BroadcastBatch(batch); err != nil {
 			t.Fatal(err)
 		}
+		for c, in := range inboxes {
+			ms, _ := in.PopAll(bufs[c])
+			bufs[c] = ms
+		}
 	}
-	for i := 0; i < 200; i++ { // warm queue capacities past their high-water mark
+	for i := 0; i < 4; i++ { // warm both buffers each inbox swaps between
 		send()
 	}
 	if allocs := testing.AllocsPerRun(200, send); allocs > 0 {
 		t.Fatalf("BroadcastBatch allocated %.2f objects per batch; want 0", allocs)
-	}
-	for c := types.ClusterID(0); c < 3; c++ {
-		bus.Detach(c)
 	}
 }
 
@@ -272,7 +203,6 @@ func BenchmarkBroadcast(b *testing.B) {
 	bus := New(&trace.Metrics{}, nil)
 	for c := types.ClusterID(0); c < 3; c++ {
 		in := bus.Attach(c)
-		in.SetLimit(8192)
 		go func() {
 			var buf []types.Message
 			for {
@@ -301,7 +231,6 @@ func BenchmarkBroadcastBatch64(b *testing.B) {
 	bus := New(&trace.Metrics{}, nil)
 	for c := types.ClusterID(0); c < 3; c++ {
 		in := bus.Attach(c)
-		in.SetLimit(8192)
 		go func() {
 			var buf []types.Message
 			for {
@@ -333,7 +262,6 @@ func BenchmarkBroadcastBatch64(b *testing.B) {
 func BenchmarkBroadcastContended(b *testing.B) {
 	bus := New(&trace.Metrics{}, nil)
 	in := bus.Attach(0)
-	in.SetLimit(8192)
 	go func() {
 		var buf []types.Message
 		for {
@@ -362,7 +290,6 @@ func BenchmarkBroadcastContended(b *testing.B) {
 func BenchmarkBroadcastBatchContended(b *testing.B) {
 	bus := New(&trace.Metrics{}, nil)
 	in := bus.Attach(0)
-	in.SetLimit(8192)
 	go func() {
 		var buf []types.Message
 		for {

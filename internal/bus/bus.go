@@ -89,7 +89,7 @@ func (b *Bus) Attach(c types.ClusterID) *Inbox {
 	defer b.mu.Unlock()
 	in := newInbox()
 	if p := b.portLocked(c); p != nil {
-		p.in.Close()
+		p.in.close()
 		p.in = in
 		return in
 	}
@@ -116,7 +116,7 @@ func (b *Bus) Detach(c types.ClusterID) {
 	defer b.mu.Unlock()
 	for i, p := range b.ports {
 		if p.c == c {
-			p.in.Close()
+			p.in.close()
 			b.ports = append(b.ports[:i], b.ports[i+1:]...)
 			return
 		}
@@ -254,16 +254,13 @@ func (b *Bus) targetsLocked(m *types.Message, dst []*busPort) []*busPort {
 
 // stageLocked is the bus's one delivery step: it appends `copies` copies of
 // the accepted transmission m to port p's receive buffers and records each
-// receive. Caller holds b.mu and p.in.mu. Returns the number of copies
-// delivered — zero when the cluster's inbox closed under a bounded-queue
-// wait.
-func (b *Bus) stageLocked(p *busPort, m *types.Message, copies int) uint64 {
-	var n uint64
+// receive. Caller holds b.mu and p.in.mu. An attached port's inbox is never
+// closed: Attach and Detach close an inbox only as they take it off its
+// port, under b.mu.
+func (b *Bus) stageLocked(p *busPort, m *types.Message, copies int) {
+	in := p.in
 	for i := 0; i < copies; i++ {
-		if !p.in.stageLocked(m) {
-			break
-		}
-		n++
+		in.q = append(in.q, *m)
 		if b.log != nil {
 			b.log.Append(trace.Event{
 				Kind:    trace.EvReceive,
@@ -275,7 +272,9 @@ func (b *Bus) stageLocked(p *busPort, m *types.Message, copies int) uint64 {
 			})
 		}
 	}
-	return n
+	if len(in.q) > in.peak {
+		in.peak = len(in.q)
+	}
 }
 
 // BroadcastBatch is the only way onto the bus. It transmits msgs, in order,
@@ -290,10 +289,10 @@ func (b *Bus) stageLocked(p *busPort, m *types.Message, copies int) uint64 {
 // batch delivers to it and held to the end of the batch; an inbox the batch
 // never reaches is never touched. Inboxes are taken in whatever order the
 // batch reaches them, which cannot deadlock: every multi-inbox acquisition
-// happens under b.mu, so no two of them overlap, and a consumer only ever
-// takes its own inbox lock. Each delivered message value is written exactly
-// once, directly into its target queues — no staging list, no second copy
-// at flush.
+// happens under b.mu, so no two of them overlap, a consumer only ever takes
+// its own inbox lock, and nothing waits while it holds one. Each delivered
+// message value is written exactly once, directly into its target queues —
+// no staging list, no second copy at flush.
 //
 // Message values are written straight into each target's receive buffers,
 // and the payload and nondet slices are handed off, not copied: every
@@ -358,13 +357,13 @@ func (b *Bus) BroadcastBatch(msgs []*types.Message) (int, error) {
 			if !p.locked {
 				// The receive buffer stays acquired for the rest of the
 				// batch. Nothing can close or replace an inbox while b.mu is
-				// held, and bounded inboxes only exist in benchmark rigs
-				// whose consumers never send, so waiting for receive-buffer
-				// space inside this nesting cannot deadlock.
+				// held, and staging never waits, so a consumer blocks on
+				// this lock only while the batch appends.
 				p.in.mu.Lock()
 				p.locked = true
 			}
-			deliveries += b.stageLocked(p, m, copies)
+			b.stageLocked(p, m, copies)
+			deliveries += uint64(copies)
 		}
 	}
 	b.metrics.BusBatches.Add(1)
@@ -393,23 +392,19 @@ func (b *Bus) BroadcastBatch(msgs []*types.Message) (int, error) {
 }
 
 // Inbox is a cluster's inbound message queue, drained by the cluster's
-// executive processor through PopAll. By default deliveries never block
-// (the executive keeps pace in the real hardware; here the queue is
-// unbounded and the executive goroutine drains it) and the depth
-// high-watermark is exported through the shared inbox_peak metric — the
-// backpressure signal a production deployment watches. SetLimit opts one
-// inbox into a bounded, blocking queue for tests that need hard
-// backpressure; see its caveats.
+// executive processor through PopAll. Deliveries never block (the
+// executive keeps pace in the real hardware; here the queue is unbounded
+// and the executive goroutine drains it) and the depth high-watermark is
+// exported through the shared inbox_peak metric — the backpressure signal
+// a production deployment watches.
 type Inbox struct {
-	mu    sync.Mutex
-	cond  *sync.Cond // signaled when messages arrive or the inbox closes
-	space *sync.Cond // signaled when a bounded queue frees a slot
+	mu   sync.Mutex
+	cond *sync.Cond // signaled when messages arrive or the inbox closes
 	// q stores message VALUES, not pointers: queue slots are the cluster's
 	// receive buffers, and PopAll recycles their backing arrays between
 	// the bus and the consumer, so steady-state delivery allocates nothing
 	// per message.
 	q      []types.Message
-	limit  int // 0: unbounded
 	peak   int
 	closed bool
 	// jitter, when non-nil, makes PopAll hand back a random FIFO *prefix*
@@ -424,25 +419,7 @@ type Inbox struct {
 func newInbox() *Inbox {
 	in := &Inbox{}
 	in.cond = sync.NewCond(&in.mu)
-	in.space = sync.NewCond(&in.mu)
 	return in
-}
-
-// SetLimit bounds the queue to n messages (n <= 0 restores the default,
-// unbounded). When bounded, a delivery blocks until the consumer frees a
-// slot or the inbox closes. Deliveries run inside the bus critical section,
-// so a bounded inbox backpressures the WHOLE bus: no cluster receives
-// anything while one waits, and a consumer that never drains would wedge
-// every sender. It exists for backpressure tests; systems keep inboxes
-// unbounded and watch the inbox_peak watermark instead (see DESIGN.md).
-func (in *Inbox) SetLimit(n int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	in.limit = n
-	in.space.Broadcast()
 }
 
 // SetDrainJitter installs (or, with nil, removes) the seeded RNG that
@@ -455,28 +432,6 @@ func (in *Inbox) SetDrainJitter(rng *types.RNG) {
 	in.jitter = rng
 }
 
-// stageLocked appends one delivered message value behind the queue. Caller
-// already holds in.mu — the batch path acquires each target inbox once
-// for the whole batch and signals the consumer once at release. A bounded
-// queue that is out of receive-buffer space wakes its consumer and waits
-// for room (space.Wait releases in.mu, so the consumer can drain mid-
-// batch). Returns false if the inbox is closed: a powered-off cluster
-// loses its receive buffers and the message is simply not received there.
-func (in *Inbox) stageLocked(m *types.Message) bool {
-	for in.limit > 0 && len(in.q) >= in.limit && !in.closed {
-		in.cond.Signal()
-		in.space.Wait()
-	}
-	if in.closed {
-		return false
-	}
-	in.q = append(in.q, *m)
-	if len(in.q) > in.peak {
-		in.peak = len(in.q)
-	}
-	return true
-}
-
 // PopAll is the only way off the bus. It blocks until at least one message
 // is available or the inbox is closed, then drains the entire queue in one
 // lock acquisition by SWAPPING buffers: the queue's backing array is handed
@@ -484,8 +439,8 @@ func (in *Inbox) stageLocked(m *types.Message) bool {
 // the new queue, so steady-state draining moves no messages and allocates
 // nothing. The caller must therefore be completely done with the previously
 // returned slice before passing it back — the executive copies each message
-// before handing it to process-level code (see Kernel.dispatch). The second
-// result is false once the inbox is closed and drained.
+// before handing it to process-level code (see Kernel.dispatchBatch). The
+// second result is false once the inbox is closed.
 func (in *Inbox) PopAll(buf []types.Message) ([]types.Message, bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -506,13 +461,11 @@ func (in *Inbox) PopAll(buf []types.Message) ([]types.Message, bool) {
 			ms := in.q[:k:k]
 			in.q = in.q[k:]
 			in.cond.Signal() // tail still queued: keep the consumer awake
-			in.space.Broadcast()
 			return ms, true
 		}
 	}
 	ms := in.q
 	in.q = buf[:0]
-	in.space.Broadcast()
 	return ms, true
 }
 
@@ -524,18 +477,14 @@ func (in *Inbox) Backlog() int {
 	return len(in.q)
 }
 
-// Close marks the inbox closed and wakes blocked readers and writers.
-// Queued messages remain poppable until drained only if the owner is
-// shutting down cleanly; a crash discards them by dropping the whole
-// Inbox.
-func (in *Inbox) Close() {
+// close marks the inbox closed, discards what it holds (a powered-off
+// cluster loses its receive buffers) and wakes a blocked PopAll. Only
+// Attach and Detach call it, under b.mu, as they take the inbox off its
+// port.
+func (in *Inbox) close() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.closed {
-		return
-	}
 	in.closed = true
 	in.q = nil
 	in.cond.Broadcast()
-	in.space.Broadcast()
 }

@@ -256,7 +256,7 @@ func TestInboxCloseWakesBlockedPopAll(t *testing.T) {
 		_, ok := in.PopAll(nil)
 		done <- ok
 	}()
-	in.Close()
+	b.Detach(0)
 	if ok := <-done; ok {
 		t.Fatal("PopAll returned messages from a closed empty inbox")
 	}

@@ -332,11 +332,10 @@ func (w *lossyWire) releaseLocked(all bool) {
 		}
 		for _, p := range w.reachableLocked(d.idx, d.m.Origin, b.targetsLocked(d.m, nil)) {
 			p.in.mu.Lock()
-			if n := b.stageLocked(p, d.m, 1); n > 0 {
-				b.metrics.BusDeliveries.Add(n)
-				b.metrics.MaxInboxPeak(uint64(p.in.peak))
-				p.in.cond.Signal()
-			}
+			b.stageLocked(p, d.m, 1)
+			b.metrics.BusDeliveries.Add(1)
+			b.metrics.MaxInboxPeak(uint64(p.in.peak))
+			p.in.cond.Signal()
 			p.in.mu.Unlock()
 		}
 	}

@@ -75,7 +75,7 @@ func checkSurvived(ref, run *Record) []string {
 // checkStrategyInvariants applies the replication-strategy-specific trace
 // invariant — each strategy promises something different about how a
 // promotion reconstructs the dead primary's run, so each gets its own
-// oracle (the applicability matrix is DESIGN.md §13):
+// oracle (the applicability matrix is DESIGN.md §12.3):
 //
 //   - threeway: §5.4 suppression pairing — every suppressed regeneration
 //     pairs with an original transmission;

@@ -589,7 +589,7 @@ func (k *Kernel) OutgoingBacklog() int {
 // queued. Transmitting at every kernel exit instead would split a request
 // from the sync that follows it and, on one processor, let two primaries
 // hand the processor back and forth while their backups' executives starve
-// (DESIGN.md §10.1).
+// (DESIGN.md §9.1).
 //
 // One goroutine transmits at a time (the transmitting flag); another that
 // arrives meanwhile returns at once and its output goes out in the holder's

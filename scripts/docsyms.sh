@@ -1,16 +1,22 @@
 #!/bin/sh
-# Documentation symbol check: every backticked Go identifier in README.md and
-# DESIGN.md — `Name`, `pkg.Name`, `Type.Method()` — must still name something
-# in the tree's Go source, and every backticked file name (`x_test.go`,
-# `LINT_baseline.json`) a file in the tree, so a rename or deletion cannot
-# leave the docs pointing at code that is gone. Each dot-separated part of an
-# identifier is looked up as a whole word in the Go files, a file name by its
-# base name. A section whose heading contains "historical" is skipped up to
-# the next heading of the same or a higher level.
+# Documentation check. It fails when
 #
-#   sh scripts/docsyms.sh            # exits 1 and lists each stale name
+#   - DESIGN.md is larger than max_design_bytes: the design describes the
+#     system as it is, and history belongs to git and CHANGES.md;
+#   - a backticked Go identifier in README.md or DESIGN.md — `Name`,
+#     `pkg.Name`, `Type.Method()` — no longer names something in the tree's
+#     Go source, or a backticked file name (`x_test.go`,
+#     `LINT_baseline.json`) no file in the tree. Each dot-separated part of
+#     an identifier is looked up as a whole word in the Go files, a file
+#     name by its base name;
+#   - a citation "DESIGN.md §N" or "DESIGN.md §N.M" (also "DESIGN §N" inside
+#     DESIGN.md) in non-testdata Go source, the CI workflow, README.md or
+#     DESIGN.md names no numbered heading of DESIGN.md.
+#
+#   sh scripts/docsyms.sh            # exits 1 and lists each problem
 set -eu
 cd "$(dirname "$0")/.."
+max_design_bytes=40960
 words=$(mktemp)
 trap 'rm -f "$words"' EXIT
 {
@@ -19,14 +25,14 @@ trap 'rm -f "$words"' EXIT
 } | sort -u >"$words"
 
 status=0
+size=$(wc -c <DESIGN.md)
+if [ "$size" -gt "$max_design_bytes" ]; then
+	echo "DESIGN.md: $size bytes, over the $max_design_bytes-byte limit"
+	status=1
+fi
+
 for doc in README.md DESIGN.md; do
 	missing=$(awk '
-		/^#+ / {
-			level = length($1)
-			if (skip && level <= skipLevel) skip = 0
-			if (!skip && tolower($0) ~ /historical/) { skip = 1; skipLevel = level }
-		}
-		skip { next }
 		{
 			line = $0
 			while (match(line, /`[^`]+`/)) {
@@ -49,4 +55,22 @@ for doc in README.md DESIGN.md; do
 		status=1
 	fi
 done
+
+dangling=$(
+	{
+		sed -nE 's/^#{2,} ([0-9]+(\.[0-9]+)*)\.? .*/heading \1/p' DESIGN.md
+		{
+			find . -name '*.go' ! -path '*/testdata/*' ! -path './.bench_build/*' ! -path './.git/*'
+			echo .github/workflows/ci.yml
+			echo README.md
+			echo DESIGN.md
+		} | xargs grep -HnoE 'DESIGN(\.md)?`? *§[0-9]+(\.[0-9]+)*'
+	} | awk '
+		$1 == "heading" { known[$2] = 1; next }
+		{ n = $0; sub(/.*§/, "", n); if (!(n in known)) print $0 }'
+)
+if [ -n "$dangling" ]; then
+	echo "$dangling" | sed 's|$| names no heading of DESIGN.md|'
+	status=1
+fi
 exit $status
