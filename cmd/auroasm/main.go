@@ -23,6 +23,7 @@ import (
 
 	"auragen/internal/core"
 	"auragen/internal/guest"
+	"auragen/internal/trace"
 	"auragen/internal/types"
 	"auragen/internal/vm"
 )
@@ -66,29 +67,33 @@ func main() {
 		mu.Unlock()
 		return m
 	})
-	sys, err := core.New(core.Options{Clusters: 3, SyncTicks: *flagSyncTicks}, reg)
+	opts := core.Options{Clusters: 3, SyncTicks: *flagSyncTicks}
+	if *flagCrashSyncs > 0 {
+		opts.EventLogLimit = 64 // the crash is a trip on the event log
+	}
+	sys, err := core.New(opts, reg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sys.Stop()
 
-	pid, err := sys.Spawn("prog", nil, core.SpawnConfig{Cluster: 2, BackupCluster: 0})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("; running as %v on cluster2 (backup on cluster0)\n", pid)
-
 	if *flagCrashSyncs > 0 {
+		trip := sys.EventLog().Trip(func(e trace.Event) bool {
+			return e.Kind == trace.EvSync && e.Cluster == 2
+		}, int(*flagCrashSyncs))
 		go func() {
-			for sys.Metrics().Syncs.Load() < *flagCrashSyncs {
-				time.Sleep(time.Millisecond)
-			}
-			fmt.Printf("; *** failing cluster2 after %d syncs ***\n", sys.Metrics().Syncs.Load())
+			trip.Wait()
+			fmt.Printf("; *** failing cluster2 after %d syncs ***\n", *flagCrashSyncs)
 			if err := sys.Crash(2); err != nil {
 				fmt.Println(";", err)
 			}
 		}()
 	}
+	pid, err := sys.Spawn("prog", nil, core.SpawnConfig{Cluster: 2, BackupCluster: 0})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("; running as %v on cluster2 (backup on cluster0)\n", pid)
 
 	if err := sys.WaitExit(pid, *flagTimeout); err != nil {
 		log.Fatalf("%v (guest errors: %v)", err, sys.GuestErrors())

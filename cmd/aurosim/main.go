@@ -154,10 +154,14 @@ func runScenario(name string, clusters, crash int, mode types.BackupMode, syncRe
 	reg := guest.NewRegistry()
 	workload.Register(reg)
 	opts := core.Options{Clusters: clusters, SyncReads: syncReads}
-	if timeline {
+	switch {
+	case timeline:
 		// Large enough that the crash notice and recovery survive the ring
 		// even under a busy post-crash tail.
 		opts.EventLogLimit = 1 << 18
+	case crash >= 0:
+		// The crash is a trip on the event log; the ring is not read.
+		opts.EventLogLimit = 64
 	}
 	if seed != 0 {
 		// A logical clock makes every timestamp a pure function of the
@@ -205,15 +209,13 @@ func runScenario(name string, clusters, crash int, mode types.BackupMode, syncRe
 	fmt.Printf("scenario %q on %d clusters, mode=%s, sync every %d reads\n", name, clusters, mode, syncReads)
 
 	if crash >= 0 {
-		for sys.Metrics().PrimaryDeliveries.Load() < 1000 {
-			time.Sleep(time.Millisecond)
-		}
+		sys.EventLog().Trip(trace.EvDeliver.Matches, 1000).Wait()
 		fmt.Printf("*** failing cluster%d ***\n", crash)
 		if err := sys.Crash(types.ClusterID(crash)); err != nil {
 			return err
 		}
 		if restore {
-			time.Sleep(10 * time.Millisecond)
+			// Crash has broadcast the crash notice by the time it returns.
 			fmt.Printf("*** cluster%d returns to service ***\n", crash)
 			if err := sys.Repair(types.ClusterID(crash)); err != nil {
 				return err

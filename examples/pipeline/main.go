@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"auragen"
+	"auragen/internal/trace"
 	"auragen/internal/ttyserver"
 )
 
@@ -129,7 +130,9 @@ func main() {
 	reg.Register("stage", auragen.ReactorFactory(func() auragen.Handler { return stage{tag: "xform"} }))
 	reg.Register("sink", auragen.ReactorFactory(func() auragen.Handler { return sink{} }))
 
-	sys, err := auragen.New(auragen.Options{Clusters: 4, SyncReads: 8}, reg)
+	// EventLogLimit turns on a small event log: the crashes below are
+	// trips on it.
+	sys, err := auragen.New(auragen.Options{Clusters: 4, SyncReads: 8, EventLogLimit: 64}, reg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -149,9 +152,7 @@ func main() {
 	fmt.Println("pipeline: source@1 -> stage@2 (fullback, backup@3) -> sink@0")
 
 	// First failure: the middle stage's cluster.
-	for sys.Metrics().PrimaryDeliveries.Load() < 300 {
-		time.Sleep(time.Millisecond)
-	}
+	sys.EventLog().Trip(trace.EvDeliver.Matches, 300).Wait()
 	fmt.Println("*** crash cluster2 (stage primary) ***")
 	if err := sys.Crash(2); err != nil {
 		log.Fatal(err)
@@ -159,10 +160,7 @@ func main() {
 
 	// Second failure: the promoted stage's new cluster, once it has a new
 	// backup and more records have flowed.
-	mark := sys.Metrics().PrimaryDeliveries.Load()
-	for sys.Metrics().PrimaryDeliveries.Load() < mark+300 {
-		time.Sleep(time.Millisecond)
-	}
+	sys.EventLog().Trip(trace.EvDeliver.Matches, 300).Wait()
 	fmt.Println("*** crash cluster3 (stage, again) ***")
 	if err := sys.Crash(3); err != nil {
 		log.Fatal(err)
@@ -173,15 +171,10 @@ func main() {
 	}
 
 	// Verify: every record exactly once, in order, tagged.
-	var out []string
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		out = sys.TerminalOutput(2)
-		if len(out) >= records {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	if _, err := sys.WaitTerminal(2, "", records, 10*time.Second); err != nil {
+		log.Fatal(err)
 	}
+	out := sys.TerminalOutput(2)
 	if len(out) != records {
 		log.Fatalf("sink saw %d records, want %d", len(out), records)
 	}

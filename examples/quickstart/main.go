@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"auragen"
+	"auragen/internal/trace"
 	"auragen/internal/ttyserver"
 )
 
@@ -85,7 +86,9 @@ func main() {
 	reg.Register("counter", auragen.ReactorFactory(func() auragen.Handler { return counter{} }))
 	reg.Register("client", auragen.ReactorFactory(func() auragen.Handler { return client{total: 5000} }))
 
-	sys, err := auragen.New(auragen.Options{Clusters: 3, SyncReads: 16}, reg)
+	// EventLogLimit turns on a small event log: the crash below is a trip
+	// on it.
+	sys, err := auragen.New(auragen.Options{Clusters: 3, SyncReads: 16, EventLogLimit: 64}, reg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,9 +105,7 @@ func main() {
 	fmt.Printf("counter %v on cluster2 (backup on cluster0), client %v on cluster1\n", counterPID, clientPID)
 
 	// Let the exchange get going, then fail the counter's cluster.
-	for sys.Metrics().PrimaryDeliveries.Load() < 1000 {
-		time.Sleep(time.Millisecond)
-	}
+	sys.EventLog().Trip(trace.EvDeliver.Matches, 1000).Wait()
 	fmt.Println("*** injecting hardware failure: cluster2 down ***")
 	if err := sys.Crash(2); err != nil {
 		log.Fatal(err)
@@ -113,9 +114,11 @@ func main() {
 	if err := sys.WaitExit(clientPID, 30*time.Second); err != nil {
 		log.Fatal(err)
 	}
-	for _, line := range sys.TerminalOutput(0) {
-		fmt.Println("terminal:", line)
+	lines, err := sys.WaitTerminal(0, "final count", 1, 10*time.Second)
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Println("terminal:", lines[0])
 	loc, _ := sys.Directory().Proc(counterPID)
 	fmt.Printf("counter now runs on %v\n", loc.Cluster)
 	m := sys.Metrics()

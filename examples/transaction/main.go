@@ -15,10 +15,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"strings"
 	"time"
 
 	"auragen"
+	"auragen/internal/trace"
 	"auragen/internal/workload"
 )
 
@@ -33,7 +33,9 @@ func main() {
 	reg := auragen.NewRegistry()
 	workload.Register(reg)
 
-	sys, err := auragen.New(auragen.Options{Clusters: 4, SyncReads: 16}, reg)
+	// EventLogLimit turns on a small event log: the crash below is a trip
+	// on it.
+	sys, err := auragen.New(auragen.Options{Clusters: 4, SyncReads: 16, EventLogLimit: 64}, reg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,9 +61,7 @@ func main() {
 	}
 
 	// Crash the bank's cluster once the stream is flowing.
-	for sys.Metrics().PrimaryDeliveries.Load() < 2000 {
-		time.Sleep(time.Millisecond)
-	}
+	sys.EventLog().Trip(trace.EvDeliver.Matches, 2000).Wait()
 	fmt.Println("*** injecting hardware failure: cluster2 (the bank) down ***")
 	if err := sys.Crash(2); err != nil {
 		log.Fatal(err)
@@ -108,17 +108,11 @@ func main() {
 }
 
 func waitAudit(sys *auragen.System) int64 {
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, line := range sys.TerminalOutput(1) {
-			if strings.HasPrefix(line, "audit total=") {
-				var total int64
-				fmt.Sscanf(line, "audit total=%d", &total)
-				return total
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
+	lines, err := sys.WaitTerminal(1, "audit total=", 1, 30*time.Second)
+	if err != nil {
+		log.Fatal(err)
 	}
-	log.Fatal("audit never arrived")
-	return 0
+	var total int64
+	fmt.Sscanf(lines[0], "audit total=%d", &total)
+	return total
 }

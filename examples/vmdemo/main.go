@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"auragen"
+	"auragen/internal/trace"
 	"auragen/internal/ttyserver"
 	"auragen/internal/vm"
 )
@@ -87,8 +88,9 @@ func main() {
 	reg.Register("collector", auragen.ReactorFactory(func() auragen.Handler { return collector{} }))
 
 	// SyncTicks bounds the roll-forward: the VM ticks once per
-	// instruction, so it syncs about every 200k instructions.
-	sys, err := auragen.New(auragen.Options{Clusters: 3, SyncTicks: 200_000}, reg)
+	// instruction, so it syncs about every 200k instructions. EventLogLimit
+	// turns on a small event log: the crash below is a trip on it.
+	sys, err := auragen.New(auragen.Options{Clusters: 3, SyncTicks: 200_000, EventLogLimit: 64}, reg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,28 +106,23 @@ func main() {
 	fmt.Printf("vm %v summing 1..%d on cluster2 (backup on cluster0)\n", vmPID, n)
 
 	// Let it sync a few times mid-loop, then kill its cluster.
-	for sys.Metrics().Syncs.Load() < 4 {
-		time.Sleep(time.Millisecond)
-	}
-	fmt.Printf("*** crash cluster2 after %d syncs (mid-loop) ***\n", sys.Metrics().Syncs.Load())
+	sys.EventLog().Trip(func(e trace.Event) bool { return e.Kind == trace.EvSync && e.PID == vmPID }, 4).Wait()
+	fmt.Println("*** crash cluster2 at the VM's 4th sync (mid-loop) ***")
 	if err := sys.Crash(2); err != nil {
 		log.Fatal(err)
 	}
 
-	deadline := time.Now().Add(60 * time.Second)
 	want := fmt.Sprintf("vm sum = %d", uint64(n)*(uint64(n)+1)/2)
-	for time.Now().Before(deadline) {
-		for _, line := range sys.TerminalOutput(3) {
-			if line == want {
-				m := sys.Metrics()
-				fmt.Println("terminal:", line)
-				fmt.Printf("correct: %v (expected %s)\n", true, want)
-				fmt.Printf("recoveries=%d pages_fetched=%d syncs=%d\n",
-					m.Recoveries.Load(), m.PagesFetched.Load(), m.Syncs.Load())
-				return
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
+	lines, err := sys.WaitTerminal(3, "vm sum = ", 1, 60*time.Second)
+	if err != nil {
+		log.Fatal(err)
 	}
-	log.Fatalf("no result; terminal=%v", sys.TerminalOutput(3))
+	if lines[0] != want {
+		log.Fatalf("terminal: %q, want %q", lines[0], want)
+	}
+	m := sys.Metrics()
+	fmt.Println("terminal:", lines[0])
+	fmt.Printf("correct: %v (expected %s)\n", true, want)
+	fmt.Printf("recoveries=%d pages_fetched=%d syncs=%d\n",
+		m.Recoveries.Load(), m.PagesFetched.Load(), m.Syncs.Load())
 }

@@ -38,15 +38,7 @@ func doubleFailScenario(accounts, txns int) Scenario {
 			if err := sys.WaitExit(teller, 60*time.Second); err != nil {
 				return "", err
 			}
-			prober, err := spawnOn(sys, "chaos-prober",
-				fmt.Sprintf("chaos %d %d", accounts, proberTerm), 1)
-			if err != nil {
-				return "", err
-			}
-			if err := sys.WaitExit(prober, 30*time.Second); err != nil {
-				return "", err
-			}
-			return terminalLine(sys, proberTerm, "balances ", 10*time.Second)
+			return probeBalances(sys, accounts)
 		},
 	}
 }

@@ -58,6 +58,7 @@ func Settled(base, slack int, timeout time.Duration) (int, bool) {
 		if time.Now().After(deadline) {
 			return n, false
 		}
+		// Nothing announces a goroutine's exit, so the count is polled.
 		time.Sleep(pollInterval)
 		n = runtime.NumGoroutine()
 	}
@@ -91,6 +92,7 @@ func Stable(timeout time.Duration) int {
 	const need = 5 // consecutive identical readings
 	last, streak := runtime.NumGoroutine(), 1
 	for streak < need && !time.Now().After(deadline) {
+		// Nothing announces a goroutine's exit, so the count is polled.
 		time.Sleep(pollInterval)
 		n := runtime.NumGoroutine()
 		if n == last {

@@ -123,15 +123,7 @@ func BankScenario(name string, accounts, txns int, syncReads uint32) Scenario {
 			if err := sys.WaitExit(teller, 60*time.Second); err != nil {
 				return "", err
 			}
-			prober, err := spawnOn(sys, "chaos-prober",
-				fmt.Sprintf("chaos %d %d", accounts, proberTerm), 1)
-			if err != nil {
-				return "", err
-			}
-			if err := sys.WaitExit(prober, 30*time.Second); err != nil {
-				return "", err
-			}
-			return terminalLine(sys, proberTerm, "balances ", 10*time.Second)
+			return probeBalances(sys, accounts)
 		},
 	}
 }
@@ -230,18 +222,19 @@ func spawnOn(sys *core.System, prog, args string, preferred types.ClusterID) (ty
 	return types.NoPID, err
 }
 
-// terminalLine polls a terminal until a line with the given prefix appears.
-func terminalLine(sys *core.System, term int, prefix string, timeout time.Duration) (string, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		for _, line := range sys.TerminalOutput(term) {
-			if strings.HasPrefix(line, prefix) {
-				return line, nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return "", fmt.Errorf("chaos: no %q line on terminal %d after %v", prefix, term, timeout)
-		}
-		time.Sleep(time.Millisecond)
+// probeBalances runs the balance prober over accounts and returns the
+// "balances ..." line it writes on proberTerm.
+func probeBalances(sys *core.System, accounts int) (string, error) {
+	prober, err := spawnOn(sys, "chaos-prober", fmt.Sprintf("chaos %d %d", accounts, proberTerm), 1)
+	if err != nil {
+		return "", err
 	}
+	if err := sys.WaitExit(prober, 30*time.Second); err != nil {
+		return "", err
+	}
+	lines, err := sys.WaitTerminal(proberTerm, "balances ", 1, 10*time.Second)
+	if err != nil {
+		return "", err
+	}
+	return lines[0], nil
 }

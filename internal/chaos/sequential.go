@@ -373,15 +373,7 @@ func SeqBankScenario(name string, accounts, txnsPerRound int, syncReads uint32) 
 			return sys.WaitExit(teller, 60*time.Second)
 		},
 		Finish: func(sys *core.System) (string, error) {
-			prober, err := spawnOn(sys, "chaos-prober",
-				fmt.Sprintf("chaos %d %d", accounts, proberTerm), 1)
-			if err != nil {
-				return "", err
-			}
-			if err := sys.WaitExit(prober, 30*time.Second); err != nil {
-				return "", err
-			}
-			return terminalLine(sys, proberTerm, "balances ", 10*time.Second)
+			return probeBalances(sys, accounts)
 		},
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -16,7 +15,7 @@ func newBankSystem(t *testing.T, clusters int) *System {
 	t.Helper()
 	reg := guest.NewRegistry()
 	workload.Register(reg)
-	sys, err := New(Options{Clusters: clusters, SyncReads: 8, SyncTicks: 1 << 20}, reg)
+	sys, err := New(Options{Clusters: clusters, SyncReads: 8, SyncTicks: 1 << 20, EventLogLimit: 1 << 12}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,6 +28,10 @@ func newBankSystem(t *testing.T, clusters int) *System {
 func runBank(t *testing.T, sys *System, tellers, txnsPerTeller int, crash types.ClusterID) int64 {
 	t.Helper()
 	const accounts, initBalance = 20, 1000
+	var crashed <-chan error
+	if crash != types.NoCluster {
+		crashed = crashAtDelivery(sys, crash, 400)
+	}
 	serverArgs := fmt.Sprintf("bank %d %d %d", accounts, initBalance, tellers+1)
 	if _, err := sys.Spawn("bank-server", []byte(serverArgs), SpawnConfig{Cluster: 2, BackupCluster: 0}); err != nil {
 		t.Fatal(err)
@@ -54,14 +57,8 @@ func runBank(t *testing.T, sys *System, tellers, txnsPerTeller int, crash types.
 		tellerPIDs = append(tellerPIDs, pid)
 	}
 
-	if crash != types.NoCluster {
-		deadline := time.Now().Add(5 * time.Second)
-		for sys.Metrics().PrimaryDeliveries.Load() < 400 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if err := sys.Crash(crash); err != nil {
-			t.Fatal(err)
-		}
+	if crashed != nil {
+		awaitFault(t, crashed)
 	}
 
 	for _, pid := range tellerPIDs {
@@ -78,19 +75,20 @@ func runBank(t *testing.T, sys *System, tellers, txnsPerTeller int, crash types.
 	if _, err := sys.Spawn("auditor", []byte("bank 11"), SpawnConfig{Cluster: audCluster}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, line := range sys.TerminalOutput(11) {
-			if strings.HasPrefix(line, "audit total=") {
-				var total int64
-				fmt.Sscanf(line, "audit total=%d", &total)
-				return total
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
+	return auditTotal(t, sys, 11)
+}
+
+// auditTotal waits for the auditor's line on terminal term and returns the
+// total it reports.
+func auditTotal(t *testing.T, sys *System, term int) int64 {
+	t.Helper()
+	lines, err := sys.WaitTerminal(term, "audit total=", 1, 20*time.Second)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, sys.DumpAll())
 	}
-	t.Fatalf("no audit line; terminal: %v\n%s", sys.TerminalOutput(11), sys.DumpAll())
-	return 0
+	var total int64
+	fmt.Sscanf(lines[0], "audit total=%d", &total)
+	return total
 }
 
 func TestBankConservationNoFault(t *testing.T) {
@@ -128,6 +126,7 @@ func TestBankExactBalancesAfterCrash(t *testing.T) {
 	if _, err := sys.Spawn("bank-server", []byte(serverArgs), SpawnConfig{Cluster: 2, BackupCluster: 0}); err != nil {
 		t.Fatal(err)
 	}
+	crashed := crashAtDelivery(sys, 2, 400)
 	var tellerPIDs []types.PID
 	for i := 0; i < tellers; i++ {
 		plan := workload.TxnPlan{Accounts: accounts, Txns: txns, Amount: 7, Seed: uint64(i + 1)}
@@ -139,13 +138,7 @@ func TestBankExactBalancesAfterCrash(t *testing.T) {
 		tellerPIDs = append(tellerPIDs, pid)
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 400 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(2); err != nil {
-		t.Fatal(err)
-	}
+	awaitFault(t, crashed)
 	for _, pid := range tellerPIDs {
 		if err := sys.WaitExit(pid, 30*time.Second); err != nil {
 			t.Fatalf("teller %s: %v\n%s", pid, err, sys.DumpAll())

@@ -35,7 +35,7 @@ func claimSystem(t *testing.T, clusters int) *System {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Stop)
-	sys.SetFileServerSyncEvery(1 << 20)
+	sys.fs[0].SyncEvery, sys.fs[1].SyncEvery = 1<<20, 1<<20
 	return sys
 }
 
@@ -484,7 +484,7 @@ func TestClaimShadowBlocksSurviveCrash(t *testing.T) {
 		second    = 5
 	)
 	sys := claimSystem(t, 3)
-	sys.SetFileServerSyncEvery(syncEvery)
+	sys.fs[0].SyncEvery, sys.fs[1].SyncEvery = syncEvery, syncEvery
 	var size atomic.Int64
 	sys.Register("appender", guest.ReactorFactory(func() guest.Handler {
 		return guest.HandlerFuncs{StartFunc: func(p guest.API, st *guest.State) error {

@@ -13,6 +13,8 @@ import (
 // and the exchange must still finish.
 func TestEstablishmentAbortsWhenTargetDies(t *testing.T) {
 	sys := newTestSystem(t, 4)
+	// First crash removes the backup (halfback: no replacement yet).
+	crashed := crashAtDelivery(sys, 3, 300) // the BACKUP's cluster
 	counterPID, err := sys.Spawn("counter", []byte("ea"), SpawnConfig{
 		Cluster: 2, BackupCluster: 3, Mode: types.Halfback,
 	})
@@ -20,15 +22,7 @@ func TestEstablishmentAbortsWhenTargetDies(t *testing.T) {
 		t.Fatal(err)
 	}
 	spawnClient(t, sys, "ea", 6000, SpawnConfig{Cluster: 1})
-
-	// First crash removes the backup (halfback: no replacement yet).
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 300 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(3); err != nil { // the BACKUP's cluster
-		t.Fatal(err)
-	}
+	awaitFault(t, crashed)
 	// The primary keeps running on cluster 2, now unbacked.
 	loc, _ := sys.Directory().Proc(counterPID)
 	if loc.Cluster != 2 || loc.BackupCluster != types.NoCluster {
@@ -58,6 +52,7 @@ func TestEstablishmentSurvivesConcurrentTraffic(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		func() {
 			sys := newTestSystem(t, 4)
+			crashed := crashAtDelivery(sys, 3, 200)
 			counterPID, err := sys.Spawn("counter", []byte("ec"), SpawnConfig{
 				Cluster: 2, BackupCluster: 3, Mode: types.Halfback,
 			})
@@ -66,14 +61,7 @@ func TestEstablishmentSurvivesConcurrentTraffic(t *testing.T) {
 			}
 			defer sys.Stop()
 			spawnClient(t, sys, "ec", 8000, SpawnConfig{Cluster: 1})
-
-			deadline := time.Now().Add(5 * time.Second)
-			for sys.Metrics().PrimaryDeliveries.Load() < 200 && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if err := sys.Crash(3); err != nil {
-				t.Fatal(err)
-			}
+			awaitFault(t, crashed)
 			// Restore mid-flight: the establishment handshake races live
 			// request/reply traffic.
 			if err := sys.Repair(3); err != nil {
@@ -82,16 +70,9 @@ func TestEstablishmentSurvivesConcurrentTraffic(t *testing.T) {
 			if err := sys.WaitBackups([]types.PID{counterPID}, 15*time.Second); err != nil {
 				t.Fatalf("round %d: %v\n%s", round, err, sys.DumpAll())
 			}
-			// Give the establishment sync a moment to land, then kill the
-			// primary: the fresh backup must carry the rest exactly.
-			mark := sys.Metrics().PrimaryDeliveries.Load()
-			deadline = time.Now().Add(5 * time.Second)
-			for sys.Metrics().PrimaryDeliveries.Load() < mark+200 && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if err := sys.Crash(2); err != nil {
-				t.Fatal(err)
-			}
+			// Let 200 more messages pass the establishment sync, then kill
+			// the primary: the fresh backup must carry the rest exactly.
+			awaitFault(t, crashAtDelivery(sys, 2, 200))
 			waitForTTY(t, sys, 1, "final=8000", 30*time.Second)
 		}()
 	}

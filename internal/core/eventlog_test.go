@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -32,7 +33,7 @@ func TestEventLogRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	awaitCrash(t, crashed)
+	awaitFault(t, crashed)
 	if err := sys.WaitExit(pid, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -51,30 +52,52 @@ func TestEventLogRecords(t *testing.T) {
 	}
 }
 
-// crashAtDelivery crashes cluster c at the nth delivery the event log
-// records. The log's trip holds that delivery until the crashing goroutine
-// has taken it, so the crash lands mid-run however the test goroutine is
-// scheduled: a sleep-poll on the delivery count can oversleep the whole
-// workload. The channel yields the crash's result.
-func crashAtDelivery(sys *System, c types.ClusterID, n int) <-chan error {
-	trip := sys.EventLog().Trip(func(e trace.Event) bool { return e.Kind == trace.EvDeliver }, n)
-	crashed := make(chan error, 1)
+// faultAt runs fault at the nth event the event log records that match
+// accepts, and yields fault's result. The log's trip holds that event until
+// the injecting goroutine has taken it, so the fault lands mid-run however
+// the test goroutine is scheduled: a sleep-poll on a counter can oversleep
+// the whole workload, and the test then passes without any fault. Pick n
+// inside the run; awaitFault fails the test if the trip never fires.
+func faultAt(sys *System, match func(trace.Event) bool, n int, fault func() error) <-chan error {
+	trip := sys.EventLog().Trip(match, n)
+	done := make(chan error, 1)
 	go func() {
 		trip.Wait()
-		crashed <- sys.Crash(c)
+		done <- fault()
 	}()
-	return crashed
+	return done
 }
 
-// awaitCrash waits for crashAtDelivery's crash.
-func awaitCrash(t *testing.T, crashed <-chan error) {
+// crashAtDelivery crashes cluster c at the nth delivery the event log
+// records.
+func crashAtDelivery(sys *System, c types.ClusterID, n int) <-chan error {
+	return faultAt(sys, trace.EvDeliver.Matches, n, func() error { return sys.Crash(c) })
+}
+
+// awaitFault waits for faultAt's fault and fails the test if its trip never
+// fired or the fault returned an error.
+func awaitFault(t *testing.T, done <-chan error) {
 	t.Helper()
 	select {
-	case err := <-crashed:
+	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("the crash's delivery never came")
+		t.Fatal("the fault's trip never fired")
+	}
+}
+
+// awaitProcOn waits until the directory places pid's primary on cluster c.
+func awaitProcOn(t *testing.T, sys *System, pid types.PID, c types.ClusterID) {
+	t.Helper()
+	err := sys.await(fmt.Sprintf("%v on %v", pid, c), 5*time.Second, func() (string, error) {
+		if loc, ok := sys.dir.Proc(pid); !ok || loc.Cluster != c {
+			return fmt.Sprintf("at %+v", loc), nil
+		}
+		return "", nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -36,7 +36,6 @@ func TestSignalForcesSyncAndDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
 	if err := sys.Signal(pid, types.SigTerm); err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +71,9 @@ func TestIgnoredSignalsAreConsumed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
 	if err := sys.Signal(pid, types.SigUser); err != nil { // ignored
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
 	if err := sys.Signal(pid, types.SigTerm); err != nil { // handled
 		t.Fatal(err)
 	}
@@ -154,24 +151,17 @@ func TestTimeViaMessage(t *testing.T) {
 	if _, err := sys.Spawn("clockreader", nil, SpawnConfig{Cluster: 2}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, line := range sys.TerminalOutput(6) {
-			if strings.HasPrefix(line, "time ok ") {
-				var v int64
-				fmt.Sscanf(line, "time ok %d", &v)
-				if v < before {
-					t.Fatalf("time went backwards: %d < %d", v, before)
-				}
-				return
-			}
-			if strings.HasPrefix(line, "time bad") {
-				t.Fatalf("non-monotonic time: %v", line)
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
+	lines, err := sys.WaitTerminal(6, "time ", 1, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("no time line; terminal: %v", sys.TerminalOutput(6))
+	var v int64
+	if _, err := fmt.Sscanf(lines[0], "time ok %d", &v); err != nil {
+		t.Fatalf("non-monotonic time: %v", lines[0])
+	}
+	if v < before {
+		t.Fatalf("time went backwards: %d < %d", v, before)
+	}
 }
 
 // TestForkChildrenRunOnce exercises §7.7: forked children carry out their
@@ -269,27 +259,19 @@ func TestForkChildrenRunOnce(t *testing.T) {
 // returns the pids it lists.
 func forkedPIDs(t *testing.T, sys *System, term int, timeout time.Duration) []types.PID {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		for _, line := range sys.TerminalOutput(term) {
-			fields := strings.Fields(line)
-			if len(fields) == 0 || fields[0] != "forked" {
-				continue
-			}
-			var pids []types.PID
-			for _, f := range fields[1:] {
-				n, err := strconv.ParseUint(f, 10, 64)
-				if err != nil {
-					t.Fatalf("terminal %d: bad pid in %q", term, line)
-				}
-				pids = append(pids, types.PID(n))
-			}
-			return pids
-		}
-		time.Sleep(2 * time.Millisecond)
+	lines, err := sys.WaitTerminal(term, "forked ", 1, timeout)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("terminal %d never showed the forked pids; got %v", term, sys.TerminalOutput(term))
-	return nil
+	var pids []types.PID
+	for _, f := range strings.Fields(lines[0])[1:] {
+		n, err := strconv.ParseUint(f, 10, 64)
+		if err != nil {
+			t.Fatalf("terminal %d: bad pid in %q", term, lines[0])
+		}
+		pids = append(pids, types.PID(n))
+	}
+	return pids
 }
 
 // TestServerClusterCrash kills cluster 0 — home of the file server, process
@@ -361,21 +343,15 @@ func TestServerClusterCrash(t *testing.T) {
 			},
 		}
 	}))
+	// Kill the server cluster once work has begun.
+	crashed := crashAtDelivery(sys, 0, 20)
 	if _, err := sys.Spawn("diskworker", nil, SpawnConfig{Cluster: 2, BackupCluster: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.Spawn("dwfeeder", nil, SpawnConfig{Cluster: 1, BackupCluster: 2}); err != nil {
 		t.Fatal(err)
 	}
-
-	// Wait for work to begin, then kill the server cluster.
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 20 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(0); err != nil {
-		t.Fatal(err)
-	}
+	awaitFault(t, crashed)
 
 	// 40 records of 6 bytes each ("recNN\n").
 	waitForTTY(t, sys, 8, "done size=240", 20*time.Second)
@@ -386,6 +362,7 @@ func TestServerClusterCrash(t *testing.T) {
 // later failure of the new primary's cluster is also survived.
 func TestFullbackGetsNewBackupAndSurvivesSecondCrash(t *testing.T) {
 	sys := newTestSystem(t, 4)
+	crashed := crashAtDelivery(sys, 2, 300)
 	counterPID, err := sys.Spawn("counter", []byte("fb"), SpawnConfig{
 		Cluster: 2, BackupCluster: 3, Mode: types.Fullback,
 	})
@@ -393,24 +370,18 @@ func TestFullbackGetsNewBackupAndSurvivesSecondCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	spawnClient(t, sys, "fb", 6000, SpawnConfig{Cluster: 1})
-
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 300 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(2); err != nil {
-		t.Fatal(err)
-	}
+	awaitFault(t, crashed)
 
 	// The backup on cluster 3 takes over and must acquire a new backup
 	// before executing.
-	waitLoc := time.Now().Add(5 * time.Second)
-	for time.Now().Before(waitLoc) {
-		loc, ok := sys.Directory().Proc(counterPID)
-		if ok && loc.Cluster == 3 && loc.BackupCluster != types.NoCluster {
-			break
+	err = sys.await("fullback re-backed", 5*time.Second, func() (string, error) {
+		if loc, ok := sys.dir.Proc(counterPID); !ok || loc.Cluster != 3 || loc.BackupCluster == types.NoCluster {
+			return fmt.Sprintf("at %+v", loc), nil
 		}
-		time.Sleep(time.Millisecond)
+		return "", nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	loc, ok := sys.Directory().Proc(counterPID)
 	if !ok || loc.Cluster != 3 {
@@ -421,14 +392,7 @@ func TestFullbackGetsNewBackupAndSurvivesSecondCrash(t *testing.T) {
 	}
 
 	// Let the exchange progress, then kill the new primary too.
-	mark := sys.Metrics().PrimaryDeliveries.Load()
-	deadline = time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < mark+300 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(3); err != nil {
-		t.Fatal(err)
-	}
+	awaitFault(t, crashAtDelivery(sys, 3, 300))
 
 	waitForTTY(t, sys, 1, "final=6000", 30*time.Second)
 }
@@ -437,6 +401,7 @@ func TestFullbackGetsNewBackupAndSurvivesSecondCrash(t *testing.T) {
 // run backed up until a crash, but no new backup is created afterwards.
 func TestQuarterbackGetsNoNewBackup(t *testing.T) {
 	sys := newTestSystem(t, 3)
+	crashed := crashAtDelivery(sys, 2, 300)
 	pid, err := sys.Spawn("counter", []byte("qb"), SpawnConfig{
 		Cluster: 2, BackupCluster: 0, Mode: types.Quarterback,
 	})
@@ -444,13 +409,7 @@ func TestQuarterbackGetsNoNewBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 	spawnClient(t, sys, "qb", 4000, SpawnConfig{Cluster: 1})
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 300 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(2); err != nil {
-		t.Fatal(err)
-	}
+	awaitFault(t, crashed)
 	waitForTTY(t, sys, 1, "final=4000", 20*time.Second)
 	loc, ok := sys.Directory().Proc(pid)
 	if !ok {
@@ -521,7 +480,6 @@ func TestTerminalReadLine(t *testing.T) {
 	if _, err := sys.Spawn("shellish", nil, SpawnConfig{Cluster: 2}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
 	sys.TypeLine(10, "hello auragen")
 	waitForTTY(t, sys, 10, "echo: hello auragen", 10*time.Second)
 }

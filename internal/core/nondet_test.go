@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -122,24 +121,18 @@ func TestNondetEventsReplayConsistently(t *testing.T) {
 	}
 	_ = rollerPID
 
-	awaitCrash(t, crashed)
+	awaitFault(t, crashed)
 
-	var rollerSum, observerSum int64 = -1, -1
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) && (rollerSum == -1 || observerSum == -1) {
-		for _, line := range sys.TerminalOutput(40) {
-			if strings.HasPrefix(line, "roller sum=") {
-				fmt.Sscanf(line, "roller sum=%d", &rollerSum)
-			}
-			if strings.HasPrefix(line, "observer sum=") {
-				fmt.Sscanf(line, "observer sum=%d", &observerSum)
-			}
+	var rollerSum, observerSum int64
+	for _, r := range []struct {
+		prefix string
+		sum    *int64
+	}{{"roller sum=", &rollerSum}, {"observer sum=", &observerSum}} {
+		lines, err := sys.WaitTerminal(40, r.prefix, 1, 30*time.Second)
+		if err != nil {
+			t.Fatalf("%v\nguestErrs=%v\n%s", err, sys.GuestErrors(), sys.DumpAll())
 		}
-		time.Sleep(time.Millisecond)
-	}
-	if rollerSum == -1 || observerSum == -1 {
-		t.Fatalf("missing reports; terminal=%v guestErrs=%v\n%s",
-			sys.TerminalOutput(40), sys.GuestErrors(), sys.DumpAll())
+		fmt.Sscanf(lines[0], r.prefix+"%d", r.sum)
 	}
 	if rollerSum != observerSum {
 		t.Fatalf("nondet divergence after crash: roller=%d observer=%d", rollerSum, observerSum)

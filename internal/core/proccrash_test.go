@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"auragen/internal/trace"
 	"auragen/internal/types"
 )
 
@@ -14,11 +15,13 @@ import (
 func TestCrashSingleProcess(t *testing.T) {
 	sys := newTestSystem(t, 3)
 
-	// Victim pair: counter on cluster 2, backup on 0.
+	// Victim pair: counter on cluster 2, backup on 0, crashed alone at the
+	// 600th delivery.
 	victimPID, err := sys.Spawn("counter", []byte("v"), SpawnConfig{Cluster: 2, BackupCluster: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
+	crashed := faultAt(sys, trace.EvDeliver.Matches, 600, func() error { return sys.CrashProcess(victimPID) })
 	spawnClient(t, sys, "v", 5000, SpawnConfig{Cluster: 1})
 
 	// Bystander pair: a second, unrelated exchange on the SAME cluster 2.
@@ -27,32 +30,18 @@ func TestCrashSingleProcess(t *testing.T) {
 	}
 	spawnClient(t, sys, "b", 5000, SpawnConfig{Cluster: 2, BackupCluster: 0})
 
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 600 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.CrashProcess(victimPID); err != nil {
+	awaitFault(t, crashed)
+
+	// Both exchanges complete, the victim's via its backup: two final
+	// lines on terminal 1.
+	if _, err := sys.WaitTerminal(1, "final=5000", 2, 20*time.Second); err != nil {
 		t.Fatal(err)
 	}
-
-	// The victim's exchange completes via its backup.
-	waitForTTY(t, sys, 1, "final=5000", 20*time.Second)
 	loc, ok := sys.Directory().Proc(victimPID)
 	if !ok || loc.Cluster != 0 {
 		t.Fatalf("victim after crash: %+v ok=%v", loc, ok)
 	}
-
-	// The bystander completes too — and its cluster never went down.
-	deadlineB := time.Now().Add(20 * time.Second)
-	done := false
-	for time.Now().Before(deadlineB) && !done {
-		for _, line := range sys.TerminalOutput(1) {
-			if line == "final=5000" {
-				done = true
-			}
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// The bystander's cluster never went down.
 	if sys.Kernel(2).Crashed() {
 		t.Fatal("single-process failure took the whole cluster down")
 	}
@@ -69,7 +58,6 @@ func TestCrashProcessWithoutBackupIsLost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
 	if err := sys.CrashProcess(pid); err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +82,15 @@ func TestCrashProcessErrors(t *testing.T) {
 	if err := sys.Crash(2); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
 	// After promotion the pid lives on cluster 0; crashing it there works.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, ok := sys.Kernel(0).Proc(pid); ok {
-			break
+	err = sys.await("promotion on cluster0", 5*time.Second, func() (string, error) {
+		if _, ok := sys.Kernel(0).Proc(pid); !ok {
+			return "not promoted", nil
 		}
-		time.Sleep(time.Millisecond)
+		return "", nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := sys.CrashProcess(pid); err != nil {
 		t.Fatalf("crash of promoted process: %v", err)

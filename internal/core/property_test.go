@@ -3,12 +3,12 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
 	"auragen/internal/guest"
 	"auragen/internal/memory"
+	"auragen/internal/trace"
 	"auragen/internal/ttyserver"
 	"auragen/internal/types"
 	"auragen/internal/workload"
@@ -26,17 +26,18 @@ func TestCrashSweepConservation(t *testing.T) {
 	}
 	rng := workload.NewRand(0xC0FFEE)
 	for i := 0; i < points; i++ {
-		crashAfter := uint64(50 + rng.Intn(1200))
+		crashAfter := 50 + rng.Intn(1200)
 		syncReads := uint32(4 << rng.Intn(4)) // 4..32
 		victim := types.ClusterID(1 + rng.Intn(2))
 		t.Run(fmt.Sprintf("p%d_after%d_sync%d_c%d", i, crashAfter, syncReads, victim), func(t *testing.T) {
 			reg := guest.NewRegistry()
 			workload.Register(reg)
-			sys, err := New(Options{Clusters: 3, SyncReads: syncReads, SyncTicks: 1 << 40}, reg)
+			sys, err := New(Options{Clusters: 3, SyncReads: syncReads, SyncTicks: 1 << 40, EventLogLimit: 1 << 12}, reg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer sys.Stop()
+			crashed := crashAtDelivery(sys, victim, crashAfter)
 
 			const accounts, initBalance = 12, 700
 			bankCluster := types.ClusterID(1)
@@ -62,13 +63,7 @@ func TestCrashSweepConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			deadline := time.Now().Add(10 * time.Second)
-			for sys.Metrics().PrimaryDeliveries.Load() < crashAfter && time.Now().Before(deadline) {
-				time.Sleep(100 * time.Microsecond)
-			}
-			if err := sys.Crash(victim); err != nil {
-				t.Fatal(err)
-			}
+			awaitFault(t, crashed)
 			if err := sys.WaitExit(pid, 60*time.Second); err != nil {
 				t.Fatalf("%v\nguestErrs=%v\n%s", err, sys.GuestErrors(), sys.DumpAll())
 			}
@@ -80,16 +75,7 @@ func TestCrashSweepConservation(t *testing.T) {
 			if _, err := sys.Spawn("auditor", []byte("sw 50"), SpawnConfig{Cluster: audCluster}); err != nil {
 				t.Fatal(err)
 			}
-			total := int64(-1)
-			deadline = time.Now().Add(20 * time.Second)
-			for time.Now().Before(deadline) && total == -1 {
-				for _, line := range sys.TerminalOutput(50) {
-					if strings.HasPrefix(line, "audit total=") {
-						fmt.Sscanf(line, "audit total=%d", &total)
-					}
-				}
-				time.Sleep(time.Millisecond)
-			}
+			total := auditTotal(t, sys, 50)
 			if want := int64(accounts * initBalance); total != want {
 				t.Fatalf("conservation violated: total=%d want=%d (crashAfter=%d sync=%d victim=%v)",
 					total, want, crashAfter, syncReads, victim)
@@ -141,6 +127,7 @@ func TestReadAnyExactlyOnceAcrossCrash(t *testing.T) {
 	sys.Register("srcA", mkSource("srcA"))
 	sys.Register("srcB", mkSource("srcB"))
 
+	crashed := crashAtDelivery(sys, 2, 200) // the mux's cluster
 	if _, err := sys.Spawn("mux", nil, SpawnConfig{Cluster: 2, BackupCluster: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +138,7 @@ func TestReadAnyExactlyOnceAcrossCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 200 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(2); err != nil { // the mux's cluster
-		t.Fatal(err)
-	}
+	awaitFault(t, crashed)
 	waitForTTY(t, sys, 60, fmt.Sprintf("mux a=%d b=%d", perSource, perSource), 30*time.Second)
 }
 
@@ -321,18 +302,14 @@ func TestForkTreeSurvivesCrash(t *testing.T) {
 	if _, err := sys.Spawn("fcollector", nil, SpawnConfig{Cluster: 1, BackupCluster: 0}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
+	// Crash the family's cluster as soon as some forking has happened: at
+	// the third birth notice the bus carries.
+	birth := func(e trace.Event) bool { return e.Kind == trace.EvTransmit && e.MsgKind == types.KindBirthNotice }
+	crashed := faultAt(sys, birth, 3, func() error { return sys.Crash(2) })
 	if _, err := sys.Spawn("root", nil, SpawnConfig{Cluster: 2, BackupCluster: 0}); err != nil {
 		t.Fatal(err)
 	}
-	// Crash the family's cluster as soon as some forking has happened.
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().BirthNotices.Load() < 3 && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
-	}
-	if err := sys.Crash(2); err != nil {
-		t.Fatal(err)
-	}
+	awaitFault(t, crashed)
 	waitForTTY(t, sys, 61, "tree complete", 30*time.Second)
 	if errs := sys.GuestErrors(); len(errs) > 0 {
 		t.Fatalf("guest errors (duplicates?): %v", errs)

@@ -9,6 +9,7 @@ import (
 	"auragen/internal/disk"
 	"auragen/internal/fileserver"
 	"auragen/internal/kernel"
+	"auragen/internal/memory"
 	"auragen/internal/pager"
 	"auragen/internal/procserver"
 	"auragen/internal/routing"
@@ -245,7 +246,7 @@ func (s *System) resilverStorage(c types.ClusterID, k *kernel.Kernel) error {
 	// replica is attached only when the new kernel dispatches the mark
 	// itself: what precedes it, the clone already holds. The new kernel is
 	// started after the clone; until then its inbox buffers its traffic.
-	np := pager.New(c, disk.New(fmt.Sprintf("pager-mirror-%d-restored", c), s.opts.PageSize, 0, 1))
+	np := pager.New(c, disk.New(fmt.Sprintf("pager-mirror-%d-restored", c), memory.DefaultPageSize, 0, 1))
 	np.SetEventLog(s.log)
 	cloned := make(chan error, 1)
 	n := s.marks.Add(1)

@@ -34,29 +34,17 @@ func repairPhases(sys *System, c types.ClusterID) []types.RepairPhase {
 // the next single failure.
 func TestRepairRestoresFullRedundancy(t *testing.T) {
 	sys := newTestSystem(t, 4)
+	crashed := crashAtDelivery(sys, 2, 200)
 	counterPID, err := sys.Spawn("counter", []byte("qb"), SpawnConfig{
 		Cluster: 2, BackupCluster: 3, Mode: types.Quarterback,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spawnClient(t, sys, "qb", 3000, SpawnConfig{Cluster: 1, BackupCluster: 3})
-
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 200 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(2); err != nil {
-		t.Fatal(err)
-	}
+	spawnClient(t, sys, "qb", 30000, SpawnConfig{Cluster: 1, BackupCluster: 3})
+	awaitFault(t, crashed)
 	// The promoted quarterback runs without a backup.
-	waitLoc := time.Now().Add(5 * time.Second)
-	for time.Now().Before(waitLoc) {
-		if loc, ok := sys.Directory().Proc(counterPID); ok && loc.Cluster == 3 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitProcOn(t, sys, counterPID, 3)
 	if loc, _ := sys.Directory().Proc(counterPID); loc.BackupCluster != types.NoCluster {
 		t.Fatalf("promoted quarterback should be unbacked, got %+v", loc)
 	}
@@ -80,15 +68,8 @@ func TestRepairRestoresFullRedundancy(t *testing.T) {
 
 	// The re-established backup must be usable: crash the promoted primary
 	// and finish the exchange from the backup on the repaired cluster.
-	mark := sys.Metrics().PrimaryDeliveries.Load()
-	deadline = time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < mark+200 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(3); err != nil {
-		t.Fatal(err)
-	}
-	waitForTTY(t, sys, 1, "final=3000", 30*time.Second)
+	awaitFault(t, crashAtDelivery(sys, 3, 200))
+	waitForTTY(t, sys, 1, "final=30000", 30*time.Second)
 	loc, _ = sys.Directory().Proc(counterPID)
 	if loc.Cluster != 2 {
 		t.Fatalf("after second crash, counter on %v, want repaired cluster2", loc.Cluster)
@@ -173,18 +154,12 @@ func TestRepairResilversFailedMirrors(t *testing.T) {
 // of the other server cluster.
 func TestRepairServerClusterRedundancy(t *testing.T) {
 	sys := newTestSystem(t, 3)
+	crashed := crashAtDelivery(sys, 0, 200)
 	if _, err := sys.Spawn("counter", []byte("sc"), SpawnConfig{Cluster: 2, BackupCluster: 1}); err != nil {
 		t.Fatal(err)
 	}
 	spawnClient(t, sys, "sc", 1500, SpawnConfig{Cluster: 1, BackupCluster: 2})
-
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 200 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(0); err != nil {
-		t.Fatal(err)
-	}
+	awaitFault(t, crashed)
 	waitForTTY(t, sys, 1, "final=1500", 20*time.Second)
 
 	if err := sys.Repair(0); err != nil {
@@ -198,18 +173,12 @@ func TestRepairServerClusterRedundancy(t *testing.T) {
 	}
 
 	// Ready for the next single failure: take down the other server cluster.
+	crashed = crashAtDelivery(sys, 1, 200)
 	if _, err := sys.Spawn("counter", []byte("sc2"), SpawnConfig{Cluster: 2, BackupCluster: 0}); err != nil {
 		t.Fatal(err)
 	}
 	spawnClient(t, sys, "sc2", 1800, SpawnConfig{Cluster: 2, BackupCluster: 0})
-	mark := sys.Metrics().PrimaryDeliveries.Load()
-	deadline = time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < mark+200 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(1); err != nil {
-		t.Fatal(err)
-	}
+	awaitFault(t, crashed)
 	waitForTTY(t, sys, 1, "final=1800", 30*time.Second)
 }
 

@@ -28,6 +28,7 @@ func TestReproQuarterbackLoop(t *testing.T) {
 		func() {
 			sys := newTestSystem(t, 3)
 			defer sys.Stop()
+			crashed := crashAtDelivery(sys, 2, 300)
 			_, err := sys.Spawn("counter", []byte("qb"), SpawnConfig{
 				Cluster: 2, BackupCluster: 0, Mode: types.Quarterback,
 			})
@@ -35,21 +36,9 @@ func TestReproQuarterbackLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			spawnClient(t, sys, "qb", 4000, SpawnConfig{Cluster: 1})
-			deadline := time.Now().Add(5 * time.Second)
-			for sys.Metrics().PrimaryDeliveries.Load() < 300 && time.Now().Before(deadline) {
-				time.Sleep(100 * time.Microsecond)
-			}
-			if err := sys.Crash(2); err != nil {
-				t.Fatal(err)
-			}
-			done := time.Now().Add(8 * time.Second)
-			for time.Now().Before(done) {
-				for _, line := range sys.TerminalOutput(1) {
-					if line == "final=4000" {
-						return
-					}
-				}
-				time.Sleep(time.Millisecond)
+			awaitFault(t, crashed)
+			if _, err := sys.WaitTerminal(1, "final=4000", 1, 8*time.Second); err == nil {
+				return
 			}
 			fmt.Printf("=== iter %d HUNG ===\n%s\n", iter, sys.DumpAll())
 			t.Fatalf("iter %d: recovery hung", iter)

@@ -115,10 +115,16 @@ func TestResilverAppliesEachPageOutOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	wait(first, "the first page-out")
+	// The repair publishes the replacement kernel, then logs its booting
+	// phase.
+	booted := sys.EventLog().Trip(func(e trace.Event) bool {
+		return e.Kind == trace.EvRepair && e.Cluster == 1 && types.RepairPhase(e.Arg) == types.RepairBooting
+	}, 1)
 	repaired := make(chan error, 1)
 	go func() { repaired <- sys.Repair(1) }()
-	for sys.Kernel(1) == old {
-		time.Sleep(100 * time.Microsecond)
+	booted.Wait()
+	if sys.Kernel(1) == old {
+		t.Fatal("the repair logged its booting phase before publishing the replacement kernel")
 	}
 	if err := sys.Signal(pid, types.SigUser); err != nil {
 		t.Fatal(err)

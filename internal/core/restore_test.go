@@ -13,6 +13,9 @@ import (
 // using the re-established backup.
 func TestHalfbackRebackupOnRestore(t *testing.T) {
 	sys := newTestSystem(t, 4)
+	// First crash: the counter's cluster 2 dies; its backup on 3 takes
+	// over, with no new backup (halfback).
+	crashed := crashAtDelivery(sys, 2, 400)
 	counterPID, err := sys.Spawn("counter", []byte("hb"), SpawnConfig{
 		Cluster: 2, BackupCluster: 3, Mode: types.Halfback,
 	})
@@ -20,23 +23,8 @@ func TestHalfbackRebackupOnRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	spawnClient(t, sys, "hb", 9000, SpawnConfig{Cluster: 1})
-
-	// First crash: the counter's cluster 2 dies; its backup on 3 takes
-	// over, with no new backup (halfback).
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 400 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(2); err != nil {
-		t.Fatal(err)
-	}
-	waitLoc := time.Now().Add(5 * time.Second)
-	for time.Now().Before(waitLoc) {
-		if loc, ok := sys.Directory().Proc(counterPID); ok && loc.Cluster == 3 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitFault(t, crashed)
+	awaitProcOn(t, sys, counterPID, 3)
 	loc, _ := sys.Directory().Proc(counterPID)
 	if loc.Cluster != 3 || loc.BackupCluster != types.NoCluster {
 		t.Fatalf("after first crash: %+v", loc)
@@ -57,14 +45,7 @@ func TestHalfbackRebackupOnRestore(t *testing.T) {
 
 	// Let the exchange progress past the establishment sync, then crash
 	// the new primary: the re-established backup must carry it.
-	mark := sys.Metrics().PrimaryDeliveries.Load()
-	deadline = time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < mark+400 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(3); err != nil {
-		t.Fatal(err)
-	}
+	awaitFault(t, crashAtDelivery(sys, 3, 400))
 
 	waitForTTY(t, sys, 1, "final=9000", 30*time.Second)
 	loc, _ = sys.Directory().Proc(counterPID)
@@ -80,19 +61,13 @@ func TestHalfbackRebackupOnRestore(t *testing.T) {
 func TestRestoreServerCluster(t *testing.T) {
 	sys := newTestSystem(t, 3)
 	// A long-lived writer in two phases, paced by nudges from a feeder.
+	// Crash the server cluster, let the system recover, finish phase one.
+	crashed := crashAtDelivery(sys, 0, 200)
 	if _, err := sys.Spawn("counter", []byte("rsc"), SpawnConfig{Cluster: 2, BackupCluster: 1}); err != nil {
 		t.Fatal(err)
 	}
 	spawnClient(t, sys, "rsc", 2000, SpawnConfig{Cluster: 1, BackupCluster: 2})
-
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 200 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	// Crash the server cluster, let the system recover, finish phase one.
-	if err := sys.Crash(0); err != nil {
-		t.Fatal(err)
-	}
+	awaitFault(t, crashed)
 	waitForTTY(t, sys, 1, "final=2000", 20*time.Second)
 
 	// Restore cluster 0: server twins mount there.
@@ -104,18 +79,12 @@ func TestRestoreServerCluster(t *testing.T) {
 	// Phase two against the restored configuration, then kill cluster 1
 	// (the surviving server primaries): the twins on restored cluster 0
 	// must take over.
+	crashed = crashAtDelivery(sys, 1, 200)
 	if _, err := sys.Spawn("counter", []byte("rsc2"), SpawnConfig{Cluster: 2, BackupCluster: 0}); err != nil {
 		t.Fatal(err)
 	}
 	spawnClient(t, sys, "rsc2", 2500, SpawnConfig{Cluster: 2, BackupCluster: 0})
-	deadline = time.Now().Add(5 * time.Second)
-	mark := sys.Metrics().PrimaryDeliveries.Load()
-	for sys.Metrics().PrimaryDeliveries.Load() < mark+200 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(1); err != nil {
-		t.Fatal(err)
-	}
+	awaitFault(t, crashed)
 	// Phase-2 output arrives via the promoted tty twin on cluster 0.
 	waitForTTY(t, sys, 1, "final=2500", 30*time.Second)
 }

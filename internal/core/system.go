@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,8 +43,6 @@ type Options struct {
 	// Clusters is the number of processing units (2–32; default 3, the
 	// minimum for fullbacks to exist after a crash, §7.3).
 	Clusters int
-	// PageSize for user address spaces (default memory.DefaultPageSize).
-	PageSize int
 	// SyncReads and SyncTicks are the default per-process sync triggers
 	// (§7.8); zero selects kernel defaults.
 	SyncReads uint32
@@ -140,7 +139,6 @@ func (s *System) bootKernel(c types.ClusterID, gen uint64) *kernel.Kernel {
 		Registry:         s.registry,
 		Metrics:          s.metrics,
 		Log:              s.log,
-		PageSize:         s.opts.PageSize,
 		SyncReads:        s.opts.SyncReads,
 		SyncTicks:        s.opts.SyncTicks,
 		Clock:            s.opts.Clock,
@@ -181,9 +179,6 @@ func New(opts Options, registry *guest.Registry) (*System, error) {
 	if opts.Clusters < MinClusters || opts.Clusters > MaxClusters {
 		return nil, fmt.Errorf("core: %d clusters outside [%d,%d]", opts.Clusters, MinClusters, MaxClusters)
 	}
-	if opts.PageSize <= 0 {
-		opts.PageSize = memory.DefaultPageSize
-	}
 	if registry == nil {
 		registry = guest.NewRegistry()
 	}
@@ -215,8 +210,8 @@ func New(opts Options, registry *guest.Registry) (*System, error) {
 
 	// Page server: one deterministic-replica instance per pager cluster,
 	// each over its own mirror of the disk pair (see internal/pager).
-	pagerDisk0 := disk.New("pager-mirror-0", opts.PageSize, 0, 1)
-	pagerDisk1 := disk.New("pager-mirror-1", opts.PageSize, 0, 1)
+	pagerDisk0 := disk.New("pager-mirror-0", memory.DefaultPageSize, 0, 1)
+	pagerDisk1 := disk.New("pager-mirror-1", memory.DefaultPageSize, 0, 1)
 	s.pagers[0] = pager.New(0, pagerDisk0)
 	s.pagers[1] = pager.New(1, pagerDisk1)
 	s.pagers[0].SetEventLog(s.log)
@@ -235,7 +230,7 @@ func New(opts Options, registry *guest.Registry) (*System, error) {
 
 	// Process server and terminal server pairs.
 	s.procSrv[0], s.procSrv[1] = procserver.Register(k0, k1)
-	s.ttyDevice = ttyserver.NewDevice()
+	s.ttyDevice = ttyserver.NewDevice(s.dir.Notify)
 	s.ttySrv[0], s.ttySrv[1] = ttyserver.Register(k0, k1, s.ttyDevice)
 
 	for _, k := range s.kernels {
@@ -339,17 +334,6 @@ func (s *System) GuestErrors() []string {
 		out = append(out, k.GuestErrors()...)
 	}
 	return out
-}
-
-// SetFileServerSyncEvery tunes how many requests the file server services
-// between explicit syncs (§7.9), on both instances. Call before starting
-// file traffic.
-func (s *System) SetFileServerSyncEvery(n int) {
-	if n <= 0 {
-		n = 1
-	}
-	s.fs[0].SyncEvery = n
-	s.fs[1].SyncEvery = n
 }
 
 // Spawn creates a fault-tolerant head-of-family process (§7.7): the
@@ -601,6 +585,28 @@ func (s *System) withTTYPrimary(fn func(*kernel.ServerCtx, *ttyserver.Server)) {
 // TerminalOutput returns everything written to terminal term.
 func (s *System) TerminalOutput(term int) []string {
 	return s.ttyDevice.Output(term)
+}
+
+// WaitTerminal blocks until n lines on terminal term start with prefix and
+// returns the first n of them; on an error the lines are not meaningful.
+// The device announces each line it applies, so this is a condition over
+// await like any other; the watchdog error quotes the terminal.
+func (s *System) WaitTerminal(term int, prefix string, n int, timeout time.Duration) ([]string, error) {
+	n = max(n, 1)
+	var lines []string
+	err := s.await(fmt.Sprintf("terminal %d: %d %q line(s)", term, n, prefix), timeout, func() (string, error) {
+		out := s.ttyDevice.Output(term)
+		lines = lines[:0]
+		for _, line := range out {
+			if strings.HasPrefix(line, prefix) {
+				if lines = append(lines, line); len(lines) == n {
+					return "", nil
+				}
+			}
+		}
+		return fmt.Sprintf("terminal %d shows %q", term, out), nil
+	})
+	return lines, err
 }
 
 // WaitExit blocks until pid exits (is removed from the global process

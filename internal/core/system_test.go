@@ -83,7 +83,7 @@ func newTestSystem(t *testing.T, clusters int) *System {
 	reg := guest.NewRegistry()
 	reg.Register("counter", guest.ReactorFactory(func() guest.Handler { return counterHandler{} }))
 	reg.Register("client", guest.ReactorFactory(func() guest.Handler { return clientHandler{} }))
-	sys, err := New(Options{Clusters: clusters, SyncReads: 4, SyncTicks: 1 << 20}, reg)
+	sys, err := New(Options{Clusters: clusters, SyncReads: 4, SyncTicks: 1 << 20, EventLogLimit: 1 << 12}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,18 +113,17 @@ func spawnClient(t *testing.T, sys *System, name string, total int, cfg SpawnCon
 	return pid
 }
 
+// waitForTTY waits for the line want on terminal term: the first line that
+// starts with want must be want.
 func waitForTTY(t *testing.T, sys *System, term int, want string, timeout time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		for _, line := range sys.TerminalOutput(term) {
-			if line == want {
-				return
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
+	lines, err := sys.WaitTerminal(term, want, 1, timeout)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("terminal %d never showed %q; got %v", term, want, sys.TerminalOutput(term))
+	if lines[0] != want {
+		t.Fatalf("terminal %d shows %q, want %q", term, lines[0], want)
+	}
 }
 
 func TestPingPongNoFault(t *testing.T) {
@@ -138,22 +137,15 @@ func TestPingPongNoFault(t *testing.T) {
 
 func TestCounterSurvivesCrash(t *testing.T) {
 	sys := newTestSystem(t, 3)
+	// Kill the counter's cluster mid-exchange, at the 500th delivery.
+	crashed := crashAtDelivery(sys, 2, 500)
 	// Counter on cluster 2 (backed up on cluster 0), client on cluster 1.
 	counterPID, err := sys.Spawn("counter", []byte("t2"), SpawnConfig{Cluster: 2, BackupCluster: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spawnClient(t, sys, "t2", 5000, SpawnConfig{Cluster: 1})
-
-	// Kill the counter's cluster mid-exchange: wait until a few hundred
-	// messages have been delivered so the crash lands inside the run.
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 500 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(2); err != nil {
-		t.Fatal(err)
-	}
+	awaitFault(t, crashed)
 
 	// The client must still reach exactly 5000: every increment counted
 	// once, no duplicates from the roll-forward.
@@ -174,14 +166,12 @@ func TestCounterSurvivesCrash(t *testing.T) {
 
 func TestClientCrashSurvives(t *testing.T) {
 	sys := newTestSystem(t, 3)
+	crashed := crashAtDelivery(sys, 2, 100) // the client's cluster
 	if _, err := sys.Spawn("counter", []byte("t3"), SpawnConfig{Cluster: 1, BackupCluster: 0}); err != nil {
 		t.Fatal(err)
 	}
 	spawnClient(t, sys, "t3", 200, SpawnConfig{Cluster: 2, BackupCluster: 0})
-	time.Sleep(20 * time.Millisecond)
-	if err := sys.Crash(2); err != nil {
-		t.Fatal(err)
-	}
+	awaitFault(t, crashed)
 	waitForTTY(t, sys, 1, "final=200", 20*time.Second)
 }
 

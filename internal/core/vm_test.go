@@ -87,7 +87,7 @@ func TestVMGuestSurvivesCrashWithMemoryState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	awaitCrash(t, crashed)
+	awaitFault(t, crashed)
 
 	if err := sys.WaitExit(driverPID, 30*time.Second); err != nil {
 		t.Fatalf("%v\nguest errors: %v\n%s", err, sys.GuestErrors(), sys.DumpAll())

@@ -37,7 +37,7 @@ func TestVMEstablishmentWhileBlockedInRecv(t *testing.T) {
 	reg := guest.NewRegistry()
 	reg.Register("vmadder", vm.Factory(vmAdder))
 
-	const n = 400
+	const n = 4000
 	reg.Register("vmdriver", guest.ReactorFactory(func() guest.Handler {
 		return guest.HandlerFuncs{
 			StartFunc: func(p guest.API, st *guest.State) error {
@@ -72,12 +72,13 @@ func TestVMEstablishmentWhileBlockedInRecv(t *testing.T) {
 		}
 	}))
 
-	sys, err := New(Options{Clusters: 4, SyncReads: 16, SyncTicks: 1 << 40}, reg)
+	sys, err := New(Options{Clusters: 4, SyncReads: 16, SyncTicks: 1 << 40, EventLogLimit: 1 << 12}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Stop()
 
+	crashed := crashAtDelivery(sys, 3, 100)
 	adderPID, err := sys.Spawn("vmadder", nil, SpawnConfig{Cluster: 2, BackupCluster: 3, Mode: types.Halfback})
 	if err != nil {
 		t.Fatal(err)
@@ -91,13 +92,7 @@ func TestVMEstablishmentWhileBlockedInRecv(t *testing.T) {
 	// establishment must pause the VM — possibly while blocked in recv —
 	// snapshot registers+memory, and hand the new backup a consistent
 	// state.
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 100 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(3); err != nil {
-		t.Fatal(err)
-	}
+	awaitFault(t, crashed)
 	if err := sys.Repair(3); err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +102,7 @@ func TestVMEstablishmentWhileBlockedInRecv(t *testing.T) {
 
 	// Now kill the VM's primary: the established backup resumes from the
 	// captured PC/registers/memory and the totals must stay exact.
-	mark := sys.Metrics().PrimaryDeliveries.Load()
-	deadline = time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < mark+100 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(2); err != nil {
-		t.Fatal(err)
-	}
+	awaitFault(t, crashAtDelivery(sys, 2, 100))
 
 	if err := sys.WaitExit(driverPID, 30*time.Second); err != nil {
 		t.Fatalf("%v\nguestErrs=%v\n%s", err, sys.GuestErrors(), sys.DumpAll())

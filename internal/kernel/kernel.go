@@ -97,7 +97,6 @@ type Config struct {
 	Registry *guest.Registry
 	Metrics  *trace.Metrics
 	Log      *trace.EventLog // may be nil
-	PageSize int             // 0 means memory.DefaultPageSize
 
 	// Clock supplies the kernel's local time (recovery latency accounting,
 	// the server-visible Now). nil selects the wall clock; tests and the
@@ -143,7 +142,6 @@ type Kernel struct {
 	log     *trace.EventLog
 	clock   types.Clock
 
-	pageSize  int
 	syncReads uint32
 	syncTicks uint64
 	policy    replication.Policy
@@ -273,9 +271,6 @@ type PagerSink interface {
 // New constructs a kernel and attaches it to the bus. Call Start to begin
 // executive processing.
 func New(cfg Config) *Kernel {
-	if cfg.PageSize <= 0 {
-		cfg.PageSize = memory.DefaultPageSize
-	}
 	if cfg.SyncReads == 0 {
 		cfg.SyncReads = DefaultSyncReads
 	}
@@ -299,7 +294,6 @@ func New(cfg Config) *Kernel {
 		metrics:    cfg.Metrics,
 		log:        cfg.Log,
 		clock:      cfg.Clock,
-		pageSize:   cfg.PageSize,
 		syncReads:  cfg.SyncReads,
 		syncTicks:  cfg.SyncTicks,
 		policy:     cfg.Replication.Policy(),
@@ -720,6 +714,8 @@ func (k *Kernel) transmitBatch(batch []*types.Message) error {
 	var err error
 	for attempt := 0; attempt < txMaxAttempts; attempt++ {
 		if attempt > 0 {
+			// Nothing announces a bus coming back to a sender, so the
+			// retry backs off for a fixed time.
 			//lint:ignore AURO001 bounded backoff between bus retries, not an input to execution: a healthy run never sleeps here
 			time.Sleep(txBackoff)
 		}

@@ -244,7 +244,7 @@ func (k *Kernel) promoteLocked(b *BackupPCB, noticeNanos int64) {
 		cluster:       k.id,
 		backupCluster: newBackup,
 		g:             guestObj,
-		space:         memory.NewAddressSpace(k.pageSize),
+		space:         memory.NewAddressSpace(memory.DefaultPageSize),
 		syncReads:     k.syncReads,
 		syncTicks:     k.syncTicks,
 		epoch:         b.epoch,

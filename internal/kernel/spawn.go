@@ -91,7 +91,7 @@ func (k *Kernel) createProcessLocked(pid types.PID, program string, args []byte,
 		parent:        parent,
 		cluster:       k.id,
 		backupCluster: backupCluster,
-		space:         memory.NewAddressSpace(k.pageSize),
+		space:         memory.NewAddressSpace(memory.DefaultPageSize),
 		syncReads:     k.syncReads,
 		syncTicks:     k.syncTicks,
 		fds:           make(map[types.FD]types.ChannelID),

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -202,29 +201,15 @@ func runSigClient(t *testing.T, sys *core.System, pings int, label string) (last
 	if errs := sys.GuestErrors(); len(errs) != 0 {
 		t.Fatalf("client %s: guest errors %q", label, errs)
 	}
-	line := waitTermLine(t, sys, confClientTerm, "done "+label+" ", 10*time.Second)
+	lines, err := sys.WaitTerminal(confClientTerm, "done "+label+" ", 1, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var gotLabel string
-	if _, err := fmt.Sscanf(line, "done %s last=%d sigs=%d", &gotLabel, &last, &sigs); err != nil {
-		t.Fatalf("bad done line %q: %v", line, err)
+	if _, err := fmt.Sscanf(lines[0], "done %s last=%d sigs=%d", &gotLabel, &last, &sigs); err != nil {
+		t.Fatalf("bad done line %q: %v", lines[0], err)
 	}
 	return last, sigs
-}
-
-func waitTermLine(t *testing.T, sys *core.System, term int, prefix string, timeout time.Duration) string {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		for _, line := range sys.TerminalOutput(term) {
-			if strings.HasPrefix(line, prefix) {
-				return line
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no %q line on terminal %d after %v (have %q)",
-				prefix, term, timeout, sys.TerminalOutput(term))
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 func sigTermLines(sys *core.System, term int) []string {
@@ -254,27 +239,35 @@ func checkSigStream(t *testing.T, sys *core.System, term int) int {
 // signal originates on the target's own kernel, so one in flight when that
 // kernel crashes is legally lost before the bus transmits it (nothing
 // externally observable depended on it); the operator's remedy is a
-// resend, which this helper performs until an ack lands.
+// resend, which this helper performs until an ack lands. A signal refused
+// while that kernel is going down is resent once the bus has settled.
 func signalAcked(t *testing.T, sys *core.System, pid types.PID) {
 	t.Helper()
-	before := len(sigTermLines(sys, confServerTerm))
+	next := len(sigTermLines(sys, confServerTerm)) + 1
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if err := sys.Signal(pid, types.SigUser); err == nil {
-			ackBy := time.Now().Add(2 * time.Second)
-			for time.Now().Before(ackBy) {
-				if len(sigTermLines(sys, confServerTerm)) > before {
-					return
-				}
-				time.Sleep(time.Millisecond)
-			}
-		} else {
-			time.Sleep(5 * time.Millisecond)
+		if err := sys.Signal(pid, types.SigUser); err != nil {
+			sys.Settle(time.Second)
+		} else if _, err := sys.WaitTerminal(confServerTerm, "sig ", next, 2*time.Second); err == nil {
+			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("signal to %s never acked on terminal %d", pid, confServerTerm)
 		}
 	}
+}
+
+// crashServerAt crashes the server's cluster at the nth event match
+// accepts. The trip holds that event until the crashing goroutine has
+// taken it; the channel yields the crash's result.
+func crashServerAt(sys *core.System, match func(trace.Event) bool, n int) <-chan error {
+	trip := sys.EventLog().Trip(match, n)
+	crashed := make(chan error, 1)
+	go func() {
+		trip.Wait()
+		crashed <- sys.Crash(confServerCluster)
+	}()
+	return crashed
 }
 
 // finishConformance is the common epilogue: no guest failed silently,
@@ -306,21 +299,9 @@ func TestConformancePromoteMidStream(t *testing.T) {
 			sys := newConformanceSystem(t, kind, 0xC0F1)
 			server := spawnSigServer(t, sys)
 
-			fired := make(chan struct{})
-			crashed := make(chan error, 1)
-			var once sync.Once
-			saves := 0 // observer runs under the log mutex
-			sys.EventLog().SetObserver(func(e trace.Event) {
-				if e.Kind == trace.EvSave && e.Cluster == confBackupCluster {
-					if saves++; saves == 3 {
-						once.Do(func() { close(fired) })
-					}
-				}
-			})
-			go func() {
-				<-fired
-				crashed <- sys.Crash(confServerCluster)
-			}()
+			crashed := crashServerAt(sys, func(e trace.Event) bool {
+				return e.Kind == trace.EvSave && e.Cluster == confBackupCluster
+			}, 3)
 
 			last, sigs := runSigClient(t, sys, 12, "r1")
 			select {
@@ -331,7 +312,6 @@ func TestConformancePromoteMidStream(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("backup-save tripwire never fired")
 			}
-			sys.EventLog().SetObserver(nil)
 			if last != 12 || sigs != 0 {
 				t.Fatalf("round 1 ended at serial %d, sigs %d; want 12, 0", last, sigs)
 			}
@@ -376,21 +356,11 @@ func TestConformanceCrashBetweenCaptureAndTransmit(t *testing.T) {
 				t.Fatalf("round 1 ended at serial %d, sigs %d; want 6, 0", last, sigs)
 			}
 
-			fired := make(chan struct{})
-			crashed := make(chan error, 1)
-			var once sync.Once
-			sys.EventLog().SetObserver(func(e trace.Event) {
-				capture := (e.Kind == trace.EvSync && e.Cluster == confServerCluster) ||
+			crashed := crashServerAt(sys, func(e trace.Event) bool {
+				return (e.Kind == trace.EvSync && e.Cluster == confServerCluster) ||
 					(e.Kind == trace.EvSave && e.MsgKind == types.KindDecision &&
 						e.Cluster == confBackupCluster)
-				if capture {
-					once.Do(func() { close(fired) })
-				}
-			})
-			go func() {
-				<-fired
-				crashed <- sys.Crash(confServerCluster)
-			}()
+			}, 1)
 
 			for i := 0; i < 6; i++ {
 				signalAcked(t, sys, server)
@@ -403,7 +373,6 @@ func TestConformanceCrashBetweenCaptureAndTransmit(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("capture tripwire never fired during the signal burst")
 			}
-			sys.EventLog().SetObserver(nil)
 
 			last, sigs = runSigClient(t, sys, 6, "r2")
 			if last != 12 {
@@ -411,10 +380,8 @@ func TestConformanceCrashBetweenCaptureAndTransmit(t *testing.T) {
 			}
 			// The counter bumps before the terminal line is written, so
 			// let the stream catch up to the stat snapshot before judging.
-			deadline := time.Now().Add(5 * time.Second)
-			for int64(len(sigTermLines(sys, confServerTerm))) < sigs &&
-				time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
+			if _, err := sys.WaitTerminal(confServerTerm, "sig ", int(sigs), 5*time.Second); err != nil {
+				t.Fatal(err)
 			}
 			k := checkSigStream(t, sys, confServerTerm)
 			if int64(k) != sigs {

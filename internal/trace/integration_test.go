@@ -143,6 +143,13 @@ func runSuppressionScenario(t *testing.T) (suppressed uint64, ok bool) {
 	}
 	defer sys.Stop()
 
+	// Crash the server's cluster at the 400th delivery, mid-run.
+	trip := sys.EventLog().Trip(trace.EvDeliver.Matches, 400)
+	crashed := make(chan error, 1)
+	go func() {
+		trip.Wait()
+		crashed <- sys.Crash(2)
+	}()
 	if _, err := sys.Spawn("uniq-server", []byte("pairs"), core.SpawnConfig{Cluster: 2, BackupCluster: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +157,13 @@ func runSuppressionScenario(t *testing.T) (suppressed uint64, ok bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for sys.Metrics().PrimaryDeliveries.Load() < 400 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sys.Crash(2); err != nil {
-		t.Fatal(err)
+	select {
+	case err := <-crashed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the crash's delivery never came")
 	}
 	if err := sys.WaitExit(pid, 30*time.Second); err != nil {
 		t.Fatal(err)

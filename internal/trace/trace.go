@@ -271,6 +271,10 @@ const (
 	EvNote
 )
 
+// Matches reports whether e is of kind k. As a method value it is the
+// trip predicate for "the Nth event of this kind": log.Trip(EvDeliver.Matches, n).
+func (k EventKind) Matches(e Event) bool { return e.Kind == k }
+
 func (k EventKind) String() string {
 	switch k {
 	case EvTransmit:

@@ -144,10 +144,6 @@ func TestNilEventLogSafe(t *testing.T) {
 	}
 }
 
-func isKind(k EventKind) func(Event) bool {
-	return func(e Event) bool { return e.Kind == k }
-}
-
 // appendAsync appends e on its own goroutine; the channel closes when the
 // Append returns.
 func appendAsync(l *EventLog, e Event) <-chan struct{} {
@@ -182,7 +178,7 @@ func isClosed(c <-chan struct{}) bool {
 // matches neither fire again nor block.
 func TestTripFiresOnceAtKthMatch(t *testing.T) {
 	l := NewEventLog(64)
-	tr := l.Trip(isKind(EvSync), 3)
+	tr := l.Trip(EvSync.Matches, 3)
 	for _, k := range []EventKind{EvSync, EvDeliver, EvSync, EvDeliver} {
 		l.Append(Event{Kind: k})
 	}
@@ -213,7 +209,7 @@ func TestTripFiresOnceAtKthMatch(t *testing.T) {
 // held Append, and Wait still yields the firing event.
 func TestTripDisarm(t *testing.T) {
 	l := NewEventLog(64)
-	early := l.Trip(isKind(EvCrash), 1)
+	early := l.Trip(EvCrash.Matches, 1)
 	if early.Disarm() {
 		t.Fatal("Disarm before any match reported fired")
 	}
@@ -225,7 +221,7 @@ func TestTripDisarm(t *testing.T) {
 		t.Fatal("Wait on a trip disarmed unfired reported fired")
 	}
 
-	late := l.Trip(isKind(EvCrash), 1)
+	late := l.Trip(EvCrash.Matches, 1)
 	returned := appendAsync(l, Event{Kind: EvCrash, Note: "late"})
 	awaitClosed(t, late.fired, "the trip firing")
 	if !late.Disarm() {
@@ -242,7 +238,7 @@ func TestTripDisarm(t *testing.T) {
 // while the log keeps appending on one goroutine.
 func TestTripsFireIndependently(t *testing.T) {
 	l := NewEventLog(64)
-	trips := []*Trip{l.Trip(isKind(EvDeliver), 2), l.Trip(isKind(EvSave), 1)}
+	trips := []*Trip{l.Trip(EvDeliver.Matches, 2), l.Trip(EvSave.Matches, 1)}
 	evs := make([]Event, len(trips))
 	var wg sync.WaitGroup
 	for i, tr := range trips {
@@ -268,7 +264,7 @@ func TestTripsFireIndependently(t *testing.T) {
 
 func TestNilEventLogTrip(t *testing.T) {
 	var l *EventLog
-	tr := l.Trip(isKind(EvSync), 1)
+	tr := l.Trip(EvSync.Matches, 1)
 	l.Append(Event{Kind: EvSync})
 	if tr.Disarm() {
 		t.Fatal("a trip on a nil log fired")

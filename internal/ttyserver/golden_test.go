@@ -17,7 +17,7 @@ func TestSyncBlobGolden(t *testing.T) {
 		"000000006500000000000000080706050403020102000000010000000000000002000000050000006c696e6531050000" +
 		"006c696e6532030000000000000001000000050000006c696e6533020000000100000000000000010000000c00000000" +
 		"0000000200000000000000020000000b000000000000000a00000000000000"
-	a := New(5, NewDevice())
+	a := New(5, NewDevice(func() {}))
 	a.bindings[11] = ttyBinding{Term: 2, User: 101, Serial: 0x0102030405060708}
 	a.bindings[10] = ttyBinding{Term: -1, User: 100, Serial: 7}
 	a.inputs[3] = []string{"line3"}
@@ -27,7 +27,7 @@ func TestSyncBlobGolden(t *testing.T) {
 	if got := hex.EncodeToString(a.SyncBlob()); got != golden {
 		t.Fatalf("encoding changed:\n got %s\nwant %s", got, golden)
 	}
-	b := New(5, NewDevice())
+	b := New(5, NewDevice(func() {}))
 	blob, _ := hex.DecodeString(golden)
 	b.ApplySync(blob)
 	if !reflect.DeepEqual(b.replicated, a.replicated) {

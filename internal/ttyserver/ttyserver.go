@@ -33,13 +33,19 @@ type Device struct {
 	// idempotent (the §7.9 analogue of a disk controller ignoring
 	// re-issued command ids).
 	seen map[types.ChannelID]uint64
+	// notify announces each applied line to whoever waits on terminal
+	// output. It runs after mu is released, under the tty server's kernel
+	// lock, so it must not block.
+	notify func()
 }
 
-// NewDevice creates the terminal hardware.
-func NewDevice() *Device {
+// NewDevice creates the terminal hardware. notify is called after each line
+// the device applies.
+func NewDevice(notify func()) *Device {
 	return &Device{
 		outputs: make(map[int][]string),
 		seen:    make(map[types.ChannelID]uint64),
+		notify:  notify,
 	}
 }
 
@@ -52,21 +58,26 @@ func (d *Device) Output(term int) []string {
 	return out
 }
 
-func (d *Device) write(term int, line string) {
+// Write appends line to terminal term, as output that rides no channel
+// and so needs no dedup.
+func (d *Device) Write(term int, line string) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.outputs[term] = append(d.outputs[term], line)
+	d.mu.Unlock()
+	d.notify()
 }
 
 // writeDedup applies a serialized channel write at most once.
 func (d *Device) writeDedup(term int, line string, ch types.ChannelID, serial uint64) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if serial <= d.seen[ch] {
+		d.mu.Unlock()
 		return
 	}
 	d.seen[ch] = serial
 	d.outputs[term] = append(d.outputs[term], line)
+	d.mu.Unlock()
+	d.notify()
 }
 
 // Tty-server message ops carried in KindData payloads.

@@ -8,10 +8,10 @@ import (
 )
 
 func TestDeviceOutput(t *testing.T) {
-	d := NewDevice()
-	d.write(1, "a")
-	d.write(1, "b")
-	d.write(2, "c")
+	d := NewDevice(func() {})
+	d.Write(1, "a")
+	d.Write(1, "b")
+	d.Write(2, "c")
 	if got := d.Output(1); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Output(1) = %v", got)
 	}
@@ -42,14 +42,14 @@ func TestEncodersDecodeInReceiveShapes(t *testing.T) {
 // applySyncRoundTrip verifies that a twin fed ApplySync(SyncBlob()) renders
 // an identical blob — state transferred losslessly.
 func TestSyncBlobRoundTrip(t *testing.T) {
-	a := New(5, NewDevice())
+	a := New(5, NewDevice(func() {}))
 	a.bindings[10] = ttyBinding{Term: 1, User: 100, Serial: 7}
 	a.bindings[11] = ttyBinding{Term: 2, User: 101}
 	a.inputs[1] = []string{"line1", "line2"}
 	a.pendingReads[2] = []types.ChannelID{11}
 
 	blob := a.SyncBlob()
-	b := New(5, NewDevice())
+	b := New(5, NewDevice(func() {}))
 	b.ApplySync(blob)
 	if !reflect.DeepEqual(a.bindings, b.bindings) {
 		t.Fatalf("bindings: %v vs %v", a.bindings, b.bindings)
@@ -70,7 +70,7 @@ func TestSyncBlobRoundTrip(t *testing.T) {
 }
 
 func TestApplySyncRejectsGarbageWithoutClobbering(t *testing.T) {
-	s := New(5, NewDevice())
+	s := New(5, NewDevice(func() {}))
 	s.bindings[10] = ttyBinding{Term: 1, User: 100}
 	s.ApplySync([]byte{1, 2, 3})
 	if len(s.bindings) != 1 {
@@ -79,8 +79,8 @@ func TestApplySyncRejectsGarbageWithoutClobbering(t *testing.T) {
 }
 
 func TestEmptyBlobRoundTrip(t *testing.T) {
-	a := New(5, NewDevice())
-	b := New(5, NewDevice())
+	a := New(5, NewDevice(func() {}))
+	b := New(5, NewDevice(func() {}))
 	b.bindings[9] = ttyBinding{Term: 9, User: 9}
 	b.ApplySync(a.SyncBlob())
 	if len(b.bindings) != 0 {
@@ -89,7 +89,7 @@ func TestEmptyBlobRoundTrip(t *testing.T) {
 }
 
 func TestDeviceWriteDedup(t *testing.T) {
-	d := NewDevice()
+	d := NewDevice(func() {})
 	d.writeDedup(1, "a", 5, 1)
 	d.writeDedup(1, "b", 5, 2)
 	d.writeDedup(1, "a-replayed", 5, 1) // duplicate serial: ignored

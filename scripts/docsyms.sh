@@ -11,12 +11,16 @@
 #     name by its base name;
 #   - a citation "DESIGN.md §N" or "DESIGN.md §N.M" (also "DESIGN §N" inside
 #     DESIGN.md) in non-testdata Go source, the CI workflow, README.md or
-#     DESIGN.md names no numbered heading of DESIGN.md.
+#     DESIGN.md names no numbered heading of DESIGN.md;
+#   - a CHANGES.md entry is longer than max_entry_words. An entry is a
+#     line starting "- " and the blank or indented lines after it; the
+#     FOUND:/MENDED: lines between entries are not counted.
 #
 #   sh scripts/docsyms.sh            # exits 1 and lists each problem
 set -eu
 cd "$(dirname "$0")/.."
 max_design_bytes=40960
+max_entry_words=400
 words=$(mktemp)
 trap 'rm -f "$words"' EXIT
 {
@@ -71,6 +75,16 @@ dangling=$(
 )
 if [ -n "$dangling" ]; then
 	echo "$dangling" | sed 's|$| names no heading of DESIGN.md|'
+	status=1
+fi
+long=$(awk -v max="$max_entry_words" '
+	function done() { if (start && words > max) print "CHANGES.md:" start ": entry of " words " words, over the " max "-word limit"; start = 0 }
+	/^- / { done(); start = NR; words = NF; next }
+	/^$/ || /^[ \t]/ { if (start) words += NF; next }
+	{ done() }
+	END { done() }' CHANGES.md)
+if [ -n "$long" ]; then
+	echo "$long"
 	status=1
 fi
 exit $status
